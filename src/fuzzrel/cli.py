@@ -14,9 +14,9 @@ so a document can never be fed to the wrong solver by accident.  Output is
 single-line JSON by default (--pretty renders a human table); row and column
 indices in output are 1-based to match hand-worked presentations.
 
-Exit status: 0 success, 1 validation error (malformed document or flags),
-2 internal invariant violation (including a formula/oracle disagreement
-found by `verify`).
+Exit status: 0 success, 1 validation error (malformed document or flags,
+including argparse usage errors), 2 internal invariant violation (including
+a formula/oracle disagreement found by `verify`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .approximation import (
     build_approximation,
     near_approximation,
 )
-from .errors import FuzzrelError
+from .errors import FuzzrelError, InvariantViolation
 from .maxt import MaxTSystem, maxt_distance
 from .operators import DEFAULT_TOL, FuzzySystem, check_consistency
 from .oracle import (
@@ -54,6 +54,25 @@ MEMBERSHIP_SLACK = DEFAULT_TOL
 
 class CliError(Exception):
     """User-facing validation error; rendered as `error: ...`, exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error; 2 is reserved for invariant
+    # violations, so usage errors become validation errors instead.
+    def error(self, message):
+        raise CliError(message)
+
+
+def _real(requirement: str, holds):
+    """argparse type for a number that `holds` accepts; NaN always fails."""
+
+    def real(text: str) -> float:
+        value = float(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be a {requirement} number, got {text!r}")
+        return value
+
+    return real
 
 
 def _load_document(path: str) -> dict:
@@ -370,7 +389,7 @@ def _add_common_flags(sub, *, tolerance=True, pretty=True):
     if tolerance:
         sub.add_argument(
             "--tolerance",
-            type=float,
+            type=_real("non-negative", lambda value: value >= 0.0),
             default=DEFAULT_TOL,
             metavar="REAL",
             help="residual tolerance for consistency decisions (default 1e-9)",
@@ -384,7 +403,7 @@ def _add_common_flags(sub, *, tolerance=True, pretty=True):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzrel",
         description=(
             "Consistency and Chebyshev-approximation diagnostics for "
@@ -437,15 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify random M N [TRIALS] systems of all three kinds instead of a file",
     )
     verify.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOL,
-        metavar="REAL",
-        help="residual tolerance for consistency decisions (default 1e-9)",
-    )
-    verify.add_argument(
         "--oracle-tol",
-        type=float,
+        type=_real("positive", lambda value: value > 0.0),
         default=1e-9,
         metavar="REAL",
         help="bisection bracket width (default 1e-9)",
@@ -473,19 +485,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, payload = args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FuzzrelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
+    except (CliError, FuzzrelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.pretty:
         print(_render_pretty(payload))
     else:

@@ -23,3 +23,7 @@ class ReportMismatch(FuzzrelError, ValueError):
 
 class PredicateNotUpClosed(FuzzrelError, RuntimeError):
     """Bisection detected a predicate that is not monotone in the tolerance."""
+
+
+class InvariantViolation(FuzzrelError, RuntimeError):
+    """A computed result broke an invariant the mathematics guarantees."""

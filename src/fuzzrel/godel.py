@@ -29,14 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ImplicationKind, pos
-from .errors import KindMismatch
+from .algebra import FLOAT, ImplicationKind
 from .operators import FuzzySystem
-from .report import Attainability, ChebyshevReport, RowDiagnostics
-
-#: Width of the numeric window around strict-comparison ties inside which
-#: the minimum/infimum classification is reported as fragile.
-BORDERLINE_EPS = 1e-9
+from .report import (
+    BORDERLINE_EPS,
+    ChebyshevReport,
+    RowDiagnostics,
+    build_report,
+    check_cell,
+    least,
+)
 
 
 @dataclass(frozen=True)
@@ -54,21 +56,13 @@ class GodelCellStats:
     borderline: bool
 
 
-def godel_threshold(x: float, y: float, z: float) -> float:
-    """Least delta with min(y, (x - delta)^+) <= min(z + delta, 1).
-
-    Equals min((x - z)^+ / 2, (y - z)^+).
-    """
-    return min(pos(x - z) / 2.0, pos(y - z))
+godel_threshold = FLOAT.godel_threshold
 
 
 def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
     """Compute the cell statistics for one (row, col) pair (0-based)."""
+    check_cell(system, row, col)
     gamma, beta = system.gamma, system.beta
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
-    if not 0 <= col < system.n:
-        raise IndexError(f"col {col} out of range for {system.n} columns")
     g = gamma[row][col]
     # l = row always qualifies, so the max is never over an empty set.
     theta = max(beta[l] - g for l in range(system.m) if g <= gamma[l][col])
@@ -80,88 +74,56 @@ def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
 
 def godel_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Godel-implication system."""
-    if system.kind is not ImplicationKind.GODEL:
-        raise KindMismatch(f"expected a Godel system, got kind {system.kind.value!r}")
+    return build_report(system, ImplicationKind.GODEL, godel_cell, _godel_row)
 
-    rows = []
-    for j in range(system.m):
-        cells = tuple(godel_cell(system, j, i) for i in range(system.n))
-        one_minus_beta = 1.0 - system.beta[j]
 
-        tau, argmin = 1.0, None
-        for i, cell in enumerate(cells):
-            if not cell.support:
-                continue
-            value = max(cell.theta, cell.zeta)
-            if argmin is None or value < tau:
-                tau, argmin = value, i
+def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    one_minus_beta = 1.0 - system.beta[j]
+    tau, argmin = least(
+        (i, max(cell.theta, cell.zeta)) for i, cell in enumerate(cells) if cell.support
+    )
 
-        nabla_tilde = 1.0
-        for cell in cells:
-            if cell.support and cell.theta < cell.zeta:
-                nabla_tilde = min(nabla_tilde, cell.zeta)
+    nabla_tilde = 1.0
+    for cell in cells:
+        if cell.support and cell.theta < cell.zeta:
+            nabla_tilde = min(nabla_tilde, cell.zeta)
 
-        nabla_j = min(one_minus_beta, tau)
-        attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
+    nabla_j = min(one_minus_beta, tau)
+    attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
 
-        # Fragility: a theta/zeta tie at the value deciding tau, or a near
-        # miss in either comparison that ruled the row non-attainable.  A
-        # row certified attainable by some cell that clears the strictness
-        # test with margin is immune to tie flips elsewhere.
-        robustly_attainable = attainable and (
-            nabla_j == one_minus_beta
-            or any(
-                cell.support
-                and cell.zeta == tau
-                and cell.theta <= cell.zeta - BORDERLINE_EPS
-                for cell in cells
-            )
-        )
-        borderline = not robustly_attainable and any(
-            cell.borderline and max(cell.theta, cell.zeta) <= tau + BORDERLINE_EPS
+    # Fragility: a theta/zeta tie at the value deciding tau, or a near miss
+    # in either comparison that ruled the row non-attainable.  A row
+    # certified attainable by some cell that clears the strictness test with
+    # margin is immune to tie flips elsewhere.
+    robustly_attainable = attainable and (
+        nabla_j == one_minus_beta
+        or any(
+            cell.support
+            and cell.zeta == tau
+            and cell.theta <= cell.zeta - BORDERLINE_EPS
             for cell in cells
-            if cell.support
         )
-        if not attainable:
-            borderline = (
-                borderline
-                or abs(nabla_tilde - nabla_j) <= BORDERLINE_EPS
-                or abs(one_minus_beta - tau) <= BORDERLINE_EPS
-            )
-
-        rows.append(
-            RowDiagnostics(
-                row=j,
-                nabla_j=nabla_j,
-                tau_j=tau,
-                one_minus_beta=one_minus_beta,
-                attainable=attainable,
-                argmin_col=argmin,
-                borderline=borderline,
-                cells=cells,
-                nabla_tilde_j=nabla_tilde,
-            )
+    )
+    borderline = not robustly_attainable and any(
+        cell.borderline and max(cell.theta, cell.zeta) <= tau + BORDERLINE_EPS
+        for cell in cells
+        if cell.support
+    )
+    if not attainable:
+        borderline = (
+            borderline
+            or abs(nabla_tilde - nabla_j) <= BORDERLINE_EPS
+            or abs(one_minus_beta - tau) <= BORDERLINE_EPS
         )
 
-    nabla = max(r.nabla_j for r in rows)
-    verdict = (
-        Attainability.MINIMUM
-        if all(r.attainable for r in rows if r.nabla_j == nabla)
-        else Attainability.INFIMUM
-    )
-    # Rows strictly below the max cannot affect membership at nabla, except
-    # when they sit within BORDERLINE_EPS of it: a row tied with nabla in
-    # exact arithmetic but split off by float rounding could change the
-    # verdict, so such near-ties are reported as fragile too.
-    report_borderline = any(
-        (r.borderline or (not r.attainable and r.nabla_j != nabla))
-        and abs(r.nabla_j - nabla) <= BORDERLINE_EPS
-        for r in rows
-    )
-    return ChebyshevReport(
-        kind=system.kind,
-        nabla=nabla,
-        verdict=verdict,
-        rows=tuple(rows),
-        borderline=report_borderline,
+    return RowDiagnostics(
+        row=j,
+        nabla_j=nabla_j,
+        tau_j=tau,
+        one_minus_beta=one_minus_beta,
+        attainable=attainable,
+        argmin_col=argmin,
+        borderline=borderline,
+        cells=cells,
+        nabla_tilde_j=nabla_tilde,
     )

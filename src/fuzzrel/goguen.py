@@ -12,8 +12,9 @@ product t-norm:
     nabla_j = min(1 - beta[j], tau_j),   nabla = max_j nabla_j.
 
 On supporting cells theta <= zeta always holds, so tau_j is also the min of
-the zetas; the implementation asserts both forms agree.  The distance is
-always achieved here, so every report carries the MINIMUM verdict.
+the zetas; the implementation checks that both forms agree and raises
+InvariantViolation when they do not.  The distance is always achieved here,
+so every report carries the MINIMUM verdict.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ImplicationKind, pos
-from .errors import KindMismatch
+from .errors import InvariantViolation
 from .operators import FuzzySystem
-from .report import Attainability, ChebyshevReport, RowDiagnostics
+from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, check_cell, least
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,8 @@ def goguen_threshold(u: float, x: float, y: float, z: float) -> float:
 
 def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
     """Compute the cell statistics for one (row, col) pair (0-based)."""
+    check_cell(system, row, col)
     gamma, beta = system.gamma, system.beta
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
-    if not 0 <= col < system.n:
-        raise IndexError(f"col {col} out of range for {system.n} columns")
     g = gamma[row][col]
     theta = 0.0
     found = False
@@ -69,7 +67,8 @@ def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
     support = g > 0.0
     # A supporting cell always dominates itself, so the empty-set convention
     # theta = 0 is only ever reachable on non-supporting cells.
-    assert found or not support
+    if support and not found:
+        raise InvariantViolation(f"cell ({row}, {col}): supporting cell dominates no row")
     zeta = max(
         goguen_threshold(g, beta[l], gamma[l][col], beta[row]) for l in range(system.m)
     )
@@ -78,46 +77,19 @@ def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
 
 def goguen_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Goguen-implication system."""
-    if system.kind is not ImplicationKind.GOGUEN:
-        raise KindMismatch(f"expected a Goguen system, got kind {system.kind.value!r}")
+    return build_report(system, ImplicationKind.GOGUEN, goguen_cell, _goguen_row)
 
-    rows = []
-    for j in range(system.m):
-        cells = tuple(goguen_cell(system, j, i) for i in range(system.n))
-        one_minus_beta = 1.0 - system.beta[j]
 
-        tau, argmin = 1.0, None
-        for i, cell in enumerate(cells):
-            if not cell.support:
-                continue
-            value = max(cell.theta, cell.zeta)
-            if argmin is None or value < tau:
-                tau, argmin = value, i
-        # theta <= zeta on supporting cells, so the min of the zetas is an
-        # equivalent form of tau (up to one ulp when a tie is split by
-        # float rounding).
-        support_zetas = [cell.zeta for cell in cells if cell.support]
-        tau_via_zeta = min(support_zetas) if support_zetas else 1.0
-        assert abs(tau - tau_via_zeta) <= 1e-12
-
-        nabla_j = min(one_minus_beta, tau)
-        rows.append(
-            RowDiagnostics(
-                row=j,
-                nabla_j=nabla_j,
-                tau_j=tau,
-                one_minus_beta=one_minus_beta,
-                attainable=True,
-                argmin_col=argmin,
-                borderline=False,
-                cells=cells,
-            )
-        )
-
-    nabla = max(r.nabla_j for r in rows)
-    return ChebyshevReport(
-        kind=system.kind,
-        nabla=nabla,
-        verdict=Attainability.MINIMUM,
-        rows=tuple(rows),
+def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    row = attained_row(
+        system, j, cells, ((i, max(c.theta, c.zeta)) for i, c in enumerate(cells) if c.support)
     )
+    # theta <= zeta on supporting cells, so the min of the zetas is an
+    # equivalent form of tau (up to one ulp when a tie is split by float
+    # rounding).
+    tau_via_zeta, _ = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
+    if not abs(row.tau_j - tau_via_zeta) <= 1e-12:
+        raise InvariantViolation(
+            f"row {j}: tau {row.tau_j!r} differs from the least zeta {tau_via_zeta!r}"
+        )
+    return row

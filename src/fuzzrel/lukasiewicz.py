@@ -10,11 +10,11 @@ single value per (row, column) pair:
     nabla_j = min(1 - beta[j], tau_j),   nabla = max_j nabla_j.
 
 Note that tau_j ranges over every column, including those with a zero matrix
-entry; the three solvers deliberately keep their own loop shapes rather than
-sharing one parameterised skeleton, because the aggregation sets genuinely
-differ between kinds.  The shifted right-hand side varies continuously under
-this implication, so the distance is always achieved and every report
-carries the MINIMUM verdict.
+entry: the three solvers share one report skeleton, `report.build_report`,
+but each aggregates over its own set of columns, because those sets
+genuinely differ between kinds.  The shifted right-hand side varies
+continuously under this implication, so the distance is always achieved and
+every report carries the MINIMUM verdict.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ImplicationKind, pos
-from .errors import KindMismatch
 from .operators import FuzzySystem
-from .report import Attainability, ChebyshevReport, RowDiagnostics
+from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, check_cell
 
 
 @dataclass(frozen=True)
@@ -44,11 +43,8 @@ def luka_threshold(u: float, v: float, x: float, y: float) -> float:
 
 def luka_cell(system: FuzzySystem, row: int, col: int) -> LukaCellStats:
     """Compute the cell statistic for one (row, col) pair (0-based)."""
+    check_cell(system, row, col)
     gamma, beta = system.gamma, system.beta
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
-    if not 0 <= col < system.n:
-        raise IndexError(f"col {col} out of range for {system.n} columns")
     g = gamma[row][col]
     zeta = max(
         luka_threshold(1.0 - g, 1.0 - gamma[l][col], beta[l], beta[row])
@@ -59,39 +55,8 @@ def luka_cell(system: FuzzySystem, row: int, col: int) -> LukaCellStats:
 
 def luka_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Lukasiewicz-implication system."""
-    if system.kind is not ImplicationKind.LUKASIEWICZ:
-        raise KindMismatch(
-            f"expected a Lukasiewicz system, got kind {system.kind.value!r}"
-        )
+    return build_report(system, ImplicationKind.LUKASIEWICZ, luka_cell, _luka_row)
 
-    rows = []
-    for j in range(system.m):
-        cells = tuple(luka_cell(system, j, i) for i in range(system.n))
-        one_minus_beta = 1.0 - system.beta[j]
 
-        tau, argmin = cells[0].zeta, 0
-        for i, cell in enumerate(cells[1:], start=1):
-            if cell.zeta < tau:
-                tau, argmin = cell.zeta, i
-
-        nabla_j = min(one_minus_beta, tau)
-        rows.append(
-            RowDiagnostics(
-                row=j,
-                nabla_j=nabla_j,
-                tau_j=tau,
-                one_minus_beta=one_minus_beta,
-                attainable=True,
-                argmin_col=argmin,
-                borderline=False,
-                cells=cells,
-            )
-        )
-
-    nabla = max(r.nabla_j for r in rows)
-    return ChebyshevReport(
-        kind=system.kind,
-        nabla=nabla,
-        verdict=Attainability.MINIMUM,
-        rows=tuple(rows),
-    )
+def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    return attained_row(system, j, cells, enumerate(cell.zeta for cell in cells))

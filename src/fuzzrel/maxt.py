@@ -13,23 +13,18 @@ the sup-norm distance of `b` to the set of consistent right-hand sides:
 Each distance equals min{delta : lower_shift(b, delta) <= maxt_closure(a,
 kind, upper_shift(b, delta))} and is always achieved.  This module exists as
 a cross-validation target for the min-implication solvers: both families are
-checked against the same bisection oracle.
+checked against the same bisection oracle.  The thresholds and the distance
+loop are written once in `fuzzrel.algebra.arithmetic`; this module binds
+their float instance, and `fuzzrel.oracle.exact_maxt_distance` runs the same
+formulas on exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    ImplicationKind,
-    Matrix,
-    Vector,
-    pos,
-    unit_matrix,
-    unit_vector,
-)
+from .algebra import FLOAT, ImplicationKind, Matrix, Vector, unit_matrix, unit_vector
 from .errors import DimensionMismatch
-from .godel import godel_threshold
 
 
 @dataclass(frozen=True)
@@ -59,50 +54,11 @@ class MaxTSystem:
         return len(self.a[0])
 
 
-def maxprod_ratio(u: float, x: float, y: float, z: float) -> float:
-    """Quotient term of the product threshold: (x*y - u*z)^+ / (u + y), or x
-    when u = 0."""
-    if u == 0.0:
-        return x
-    return pos(x * y - u * z) / (u + y)
-
-
-def maxprod_threshold(u: float, x: float, y: float, z: float) -> float:
-    """Scalar threshold for max-product systems:
-    max((x - u)^+, min(maxprod_ratio(u, x, y, z), (y - z)^+))."""
-    return max(pos(x - u), min(maxprod_ratio(u, x, y, z), pos(y - z)))
-
-
-def maxluka_threshold(u: float, x: float, y: float, z: float) -> float:
-    """Scalar threshold for max-Lukasiewicz systems:
-    min(x, max(v^+, (v + y - z)^+ / 2)) with v = x + u - 1."""
-    v = x + u - 1.0
-    return min(x, max(pos(v), pos(v + y - z) / 2.0))
+maxprod_ratio = FLOAT.maxprod_ratio
+maxprod_threshold = FLOAT.maxprod_threshold
+maxluka_threshold = FLOAT.maxluka_threshold
 
 
 def maxt_distance(system: MaxTSystem) -> float:
     """Chebyshev distance of `b` to the consistent set of the max-t system."""
-    a, b, kind = system.a, system.b, system.kind
-    n, m = system.n, system.m
-
-    worst = 0.0
-    for i in range(n):
-        best = None
-        for j in range(m):
-            if kind is ImplicationKind.GODEL:
-                value = max(
-                    pos(b[i] - a[i][j]),
-                    max(godel_threshold(b[i], a[k][j], b[k]) for k in range(n)),
-                )
-            elif kind is ImplicationKind.GOGUEN:
-                value = max(
-                    maxprod_threshold(a[i][j], b[i], a[k][j], b[k]) for k in range(n)
-                )
-            else:
-                value = max(
-                    maxluka_threshold(1.0 - a[i][j], b[i], a[k][j], b[k])
-                    for k in range(n)
-                )
-            best = value if best is None else min(best, value)
-        worst = max(worst, best)
-    return worst
+    return FLOAT.maxt_distance(system.a, system.b, system.kind)

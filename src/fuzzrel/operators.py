@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    FLOAT,
     ImplicationKind,
     Matrix,
     Vector,
@@ -119,8 +120,7 @@ def closure(system: FuzzySystem, xi: Vector) -> Vector:
     """
     if len(xi) != system.m:
         raise DimensionMismatch(f"xi has {len(xi)} entries, expected {system.m}")
-    image = max_t_compose(transpose(system.gamma), system.kind, xi)
-    return min_impl_compose(system.gamma, system.kind, image)
+    return FLOAT.closure(system.gamma, system.kind, xi)
 
 
 def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
@@ -131,5 +131,4 @@ def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
     """
     if len(c) != len(a):
         raise DimensionMismatch(f"c has {len(c)} entries, expected {len(a)}")
-    candidate = min_impl_compose(transpose(a), kind, c)
-    return max_t_compose(a, kind, candidate)
+    return FLOAT.maxt_closure(a, kind, c)

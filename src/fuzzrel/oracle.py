@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import ImplicationKind, leq, shifted_bounds, unit
+from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, leq, unit
 from .errors import PredicateNotUpClosed
 from .maxt import MaxTSystem
 from .operators import FuzzySystem, closure
@@ -54,38 +54,33 @@ def tolerance_membership(
     `slack` absorbs float drift when the two sides are equal in exact
     arithmetic, which happens systematically at the distance itself.
     """
-    delta = unit(delta, "delta")
-    lower, upper = shifted_bounds(system.beta, delta)
-    image = closure(system, lower)
+    return _membership(
+        FLOAT, system.gamma, system.beta, system.kind, unit(delta, "delta"), row, slack
+    )
+
+
+def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
+    lower, upper = ar.shifted_bounds(beta, delta)
+    image = ar.closure(gamma, kind, lower)
     if row is None:
         return leq(image, upper, slack)
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
+    if not 0 <= row < len(beta):
+        raise IndexError(f"row {row} out of range for {len(beta)} rows")
     return image[row] <= upper[row] + slack
 
 
-def _as_decimal_fraction(value: float) -> Fraction:
+#: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
+EXACT = arithmetic(Fraction(0), Fraction(1))
+
+
+def _exact_vector(values) -> tuple[Fraction, ...]:
     # repr of a float is its shortest round-tripping decimal, so this reads
-    # the value "as written" rather than as its binary expansion.
-    return Fraction(repr(float(value)))
+    # each value "as written" rather than as its binary expansion.
+    return tuple(Fraction(repr(float(value))) for value in values)
 
 
-def _exact_t_norm(kind: ImplicationKind, x: Fraction, y: Fraction) -> Fraction:
-    if kind is ImplicationKind.GODEL:
-        return min(x, y)
-    if kind is ImplicationKind.GOGUEN:
-        return x * y
-    return max(x + y - 1, Fraction(0))
-
-
-def _exact_residuum(kind: ImplicationKind, x: Fraction, y: Fraction) -> Fraction:
-    if x <= y:
-        return Fraction(1)
-    if kind is ImplicationKind.GODEL:
-        return y
-    if kind is ImplicationKind.GOGUEN:
-        return y / x
-    return 1 - x + y
+def _exact_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(map(_exact_vector, rows))
 
 
 def _snap_delta(delta, snap_digits: int) -> Fraction:
@@ -110,35 +105,22 @@ def exact_membership(
     the output by a macroscopic amount.  This variant sidesteps the problem
     by re-reading every entry as the (exact) rational value of its shortest
     round-tripping decimal, rounding `delta` to `snap_digits` decimal digits
-    and evaluating the closure with Fraction arithmetic throughout.
+    and evaluating the same closure formulas with Fraction arithmetic
+    throughout.
 
     For inputs stated in a few decimals, whose derived thresholds live on a
     coarse decimal grid, the answer is exact.  For arbitrary floats it is
     the exact answer at the snapped delta.
     """
-    kind = system.kind
-    gamma = [[_as_decimal_fraction(x) for x in r] for r in system.gamma]
-    beta = [_as_decimal_fraction(x) for x in system.beta]
-    delta_q = _snap_delta(delta, snap_digits)
-    m, n = system.m, system.n
-
-    lower = [max(b - delta_q, Fraction(0)) for b in beta]
-    upper = [min(b + delta_q, Fraction(1)) for b in beta]
-
-    image = [
-        max(_exact_t_norm(kind, gamma[l][i], lower[l]) for l in range(m))
-        for i in range(n)
-    ]
-    projected = [
-        min(_exact_residuum(kind, gamma[j][i], image[i]) for i in range(n))
-        for j in range(m)
-    ]
-
-    if row is None:
-        return all(projected[j] <= upper[j] for j in range(m))
-    if not 0 <= row < m:
-        raise IndexError(f"row {row} out of range for {m} rows")
-    return projected[row] <= upper[row]
+    return _membership(
+        EXACT,
+        _exact_matrix(system.gamma),
+        _exact_vector(system.beta),
+        system.kind,
+        _snap_delta(delta, snap_digits),
+        row,
+        EXACT.zero,
+    )
 
 
 def exact_maxt_membership(
@@ -153,69 +135,19 @@ def exact_maxt_membership(
     as `exact_membership`.  Pass the Fraction from `exact_maxt_distance` to
     test attainment exactly at the distance.
     """
-    kind = system.kind
-    a = [[_as_decimal_fraction(x) for x in r] for r in system.a]
-    b = [_as_decimal_fraction(x) for x in system.b]
-    delta_q = _snap_delta(delta, snap_digits)
-    n, m = system.n, system.m
-
-    lower = [max(x - delta_q, Fraction(0)) for x in b]
-    upper = [min(x + delta_q, Fraction(1)) for x in b]
-
-    candidate = [
-        min(_exact_residuum(kind, a[k][j], upper[k]) for k in range(n))
-        for j in range(m)
-    ]
-    image = [
-        max(_exact_t_norm(kind, a[i][j], candidate[j]) for j in range(m))
-        for i in range(n)
-    ]
-    return all(lower[i] <= image[i] for i in range(n))
+    lower, upper = EXACT.shifted_bounds(_exact_vector(system.b), _snap_delta(delta, snap_digits))
+    return leq(lower, EXACT.maxt_closure(_exact_matrix(system.a), system.kind, upper), EXACT.zero)
 
 
 def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     """Closed-form max-t distance evaluated in exact rational arithmetic.
 
-    Mirrors `maxt_distance` with entries read as their shortest
+    Runs the formulas of `maxt_distance` on the Fraction instance of
+    `fuzzrel.algebra.arithmetic`, with entries read as their shortest
     round-tripping decimals; used to place the attainment test exactly on
     the threshold, where float evaluation cannot be trusted.
     """
-    kind = system.kind
-    a = [[_as_decimal_fraction(x) for x in r] for r in system.a]
-    b = [_as_decimal_fraction(x) for x in system.b]
-    n, m = system.n, system.m
-    zero = Fraction(0)
-
-    def pos(x: Fraction) -> Fraction:
-        return x if x > 0 else zero
-
-    def column_value(i: int, j: int) -> Fraction:
-        if kind is ImplicationKind.GODEL:
-            value = pos(b[i] - a[i][j])
-            for k in range(n):
-                value = max(value, min(pos(b[i] - b[k]) / 2, pos(a[k][j] - b[k])))
-            return value
-        if kind is ImplicationKind.GOGUEN:
-            u = a[i][j]
-            value = zero
-            for k in range(n):
-                x, y, z = b[i], a[k][j], b[k]
-                ratio = x if u == 0 else pos(x * y - u * z) / (u + y)
-                value = max(value, max(pos(x - u), min(ratio, pos(y - z))))
-            return value
-        u = 1 - a[i][j]
-        value = zero
-        for k in range(n):
-            x, y, z = b[i], a[k][j], b[k]
-            v = x + u - 1
-            value = max(value, min(x, max(pos(v), pos(v + y - z) / 2)))
-        return value
-
-    worst = zero
-    for i in range(n):
-        best = min(column_value(i, j) for j in range(m))
-        worst = max(worst, best)
-    return worst
+    return EXACT.maxt_distance(_exact_matrix(system.a), _exact_vector(system.b), system.kind)
 
 
 def bisect_infimum(

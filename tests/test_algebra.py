@@ -20,6 +20,7 @@ from fuzzrel import (
     unit_matrix,
     unit_vector,
 )
+from fuzzrel.algebra import pos
 
 KINDS = list(ImplicationKind)
 
@@ -118,6 +119,16 @@ class TestResiduum:
         # decreasing in the first argument, increasing in the second
         assert residuum(kind, hi, y) <= residuum(kind, lo, y)
         assert residuum(kind, y, lo) <= residuum(kind, y, hi)
+
+
+class TestNumberTypes:
+    def test_float_results_are_floats_and_never_negative_zero(self):
+        # CLI JSON renders 0.0 and 1.0; an int literal or -0.0 would change it
+        values = [unit(-0.0), pos(-0.5), t_norm(ImplicationKind.LUKASIEWICZ, 0.2, 0.3)]
+        values += [residuum(kind, x, y) for kind in KINDS for x, y in ((0.3, 0.5), (0.4, 0.4))]
+        for value in values:
+            assert type(value) is float
+            assert math.copysign(1.0, value) == 1.0
 
 
 class TestCompositions:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fuzzrel import cli
+from fuzzrel.errors import InvariantViolation
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +232,42 @@ class TestValidation:
         code, out, _ = run_cli(capsys, "distance", "--input", "-")
         assert code == 0
         assert json.loads(out)["nabla"] == pytest.approx(0.3, abs=1e-12)
+
+
+class TestFlags:
+    def test_negative_tolerance(self, capsys, attained_doc):
+        code, _, err = run_cli(capsys, "check", "--input", attained_doc, "--tolerance", "-1")
+        assert code == 1
+        assert err.startswith("error:") and "--tolerance" in err
+
+    def test_zero_oracle_tolerance(self, capsys, attained_doc):
+        code, _, err = run_cli(capsys, "verify", "--input", attained_doc, "--oracle-tol", "0")
+        assert code == 1
+        assert err.startswith("error:") and "--oracle-tol" in err
+
+    def test_unknown_flag(self, capsys, attained_doc):
+        code, _, err = run_cli(capsys, "distance", "--input", attained_doc, "--bogus")
+        assert code == 1
+        assert err.startswith("error:") and "--bogus" in err
+
+    def test_missing_input(self, capsys):
+        code, _, err = run_cli(capsys, "check")
+        assert code == 1
+        assert err.startswith("error:") and "--input" in err
+
+    def test_verify_takes_no_tolerance(self, capsys, attained_doc):
+        code, _, err = run_cli(capsys, "verify", "--input", attained_doc, "--tolerance", "1e-9")
+        assert code == 1
+        assert err.startswith("error:") and "--tolerance" in err
+
+    def test_invariant_violation_exits_2(self, capsys, attained_doc, monkeypatch):
+        def broken(system):
+            raise InvariantViolation("tau disagrees")
+
+        monkeypatch.setattr(cli, "distance_report", broken)
+        code, _, err = run_cli(capsys, "distance", "--input", attained_doc)
+        assert code == 2
+        assert "tau disagrees" in err
 
 
 class TestDocumentRoundTrip:

@@ -1,6 +1,7 @@
 """Max-t-norm distances: scalar thresholds and formula/oracle agreement."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,8 +34,8 @@ def maxt_membership(system: MaxTSystem, delta: float, slack: float = SLACK) -> b
     return leq(lower, maxt_closure(system.a, system.kind, upper), slack)
 
 
-def random_maxt_systems(master_seed: int, count: int, kind: ImplicationKind):
-    for base in iter_random_systems(master_seed, count, kind=kind):
+def random_maxt_systems(master_seed: int, count: int, kind: ImplicationKind, decimals=2):
+    for base in iter_random_systems(master_seed, count, kind=kind, decimals=decimals):
         yield MaxTSystem(base.gamma, base.beta, kind)
 
 
@@ -107,7 +108,16 @@ class TestMaxTDistance:
     ])
     def test_distance_is_attained(self, kind, seed):
         # decided exactly: the boundary sits on residuum branch points
-        for system in random_maxt_systems(seed, 150, kind):
-            delta_exact = exact_maxt_distance(system)
-            assert abs(maxt_distance(system) - float(delta_exact)) <= 1e-12
-            assert exact_maxt_membership(system, delta_exact)
+        for decimals in (2, None):
+            for system in random_maxt_systems(seed, 150, kind, decimals):
+                delta_exact = exact_maxt_distance(system)
+                assert abs(maxt_distance(system) - float(delta_exact)) <= 1e-12
+                assert exact_maxt_membership(system, delta_exact)
+
+    @pytest.mark.parametrize("kind", list(ImplicationKind))
+    def test_exact_distance_is_a_fraction(self, kind):
+        consistent = MaxTSystem(((0.4, 0.9), (0.7, 0.1)), (0.0, 0.0), kind)
+        inconsistent = MaxTSystem(((0.6, 0.26), (0.49, 0.9)), (0.1, 0.4), kind)
+        assert type(exact_maxt_distance(consistent)) is Fraction
+        assert exact_maxt_distance(consistent) == 0
+        assert type(exact_maxt_distance(inconsistent)) is Fraction
