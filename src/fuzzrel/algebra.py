@@ -63,7 +63,7 @@ def transpose(matrix: Matrix) -> Matrix:
 #: The shared formulas bound to one number type; built by `arithmetic`.
 Arithmetic = namedtuple(
     "Arithmetic",
-    "zero pos t_norm residuum max_t_compose min_impl_compose closure maxt_closure"
+    "zero pos t_norm residuum max_t_compose min_impl_compose solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold maxprod_ratio maxprod_threshold maxluka_threshold"
     " maxt_distance",
 )
@@ -128,10 +128,11 @@ def arithmetic(zero, one) -> Arithmetic:
             min(residuum(kind, mij, vj) for mij, vj in zip(row, vec)) for row in matrix
         )
 
-    def closure(gamma: Matrix, kind: ImplicationKind, xi: Vector) -> Vector:
-        """min_impl_compose(gamma, kind, max_t_compose(gamma^t, kind, xi)); see
-        `fuzzrel.operators.closure`."""
-        return min_impl_compose(gamma, kind, max_t_compose(transpose(gamma), kind, xi))
+    def solve_and_recompose(gamma: Matrix, kind: ImplicationKind, xi: Vector):
+        """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(gamma^t,
+        kind, xi); see `fuzzrel.operators.solve_and_recompose`."""
+        x = max_t_compose(transpose(gamma), kind, xi)
+        return x, min_impl_compose(gamma, kind, x)
 
     def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
         """max_t_compose(a, kind, min_impl_compose(a^t, kind, c)); see
@@ -218,7 +219,10 @@ def unit(value, name: str = "value") -> float:
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name}: expected a number, got {type(value).__name__}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError(f"{name}: integer too large to be a unit-interval value") from None
     if math.isnan(x):
         raise DomainError(f"{name}: NaN is not a unit-interval value")
     if x <= 0.0:  # also turns -0.0 into 0.0
@@ -232,9 +236,19 @@ def unit(value, name: str = "value") -> float:
     return x
 
 
+def _entries(values, name: str, row: int | None = None):
+    """enumerate(values); a value that is not a sequence is a DomainError
+    naming `name`, or `name[row]` for a row of a matrix."""
+    try:
+        return enumerate(values)
+    except TypeError:
+        where = name if row is None else f"{name}[{row}]"
+        raise DomainError(f"{where}: expected an array, got {type(values).__name__}") from None
+
+
 def unit_vector(values, name: str = "vector") -> Vector:
     """Validate a non-empty sequence of unit-interval values."""
-    entries = tuple(unit(v, f"{name}[{i}]") for i, v in enumerate(values))
+    entries = tuple(unit(v, f"{name}[{i}]") for i, v in _entries(values, name))
     if not entries:
         raise DomainError(f"{name}: must have at least one entry")
     return entries
@@ -243,8 +257,8 @@ def unit_vector(values, name: str = "vector") -> Vector:
 def unit_matrix(rows, name: str = "matrix") -> Matrix:
     """Validate a non-empty rectangular grid of unit-interval values."""
     grid = tuple(
-        tuple(unit(v, f"{name}[{i}][{j}]") for j, v in enumerate(row))
-        for i, row in enumerate(rows)
+        tuple(unit(v, f"{name}[{i}][{j}]") for j, v in _entries(row, name, i))
+        for i, row in _entries(rows, name)
     )
     if not grid or not grid[0]:
         raise DomainError(f"{name}: must have at least one row and one column")
@@ -255,6 +269,22 @@ def unit_matrix(rows, name: str = "matrix") -> Matrix:
                 f"{name}: row {i} has {len(row)} entries, expected {width}"
             )
     return grid
+
+
+def unit_system(system, matrix: str, vector: str) -> None:
+    """Validate a frozen system dataclass in place: its field `matrix` by
+    `unit_matrix`, its field `vector` by `unit_vector` with one entry per
+    matrix row, and its `kind` as an ImplicationKind."""
+    rows = unit_matrix(getattr(system, matrix), matrix)
+    rhs = unit_vector(getattr(system, vector), vector)
+    if len(rows) != len(rhs):
+        raise DimensionMismatch(
+            f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
+        )
+    if not isinstance(system.kind, ImplicationKind):
+        raise TypeError(f"kind: expected ImplicationKind, got {system.kind!r}")
+    object.__setattr__(system, matrix, rows)
+    object.__setattr__(system, vector, rhs)
 
 
 def sup_distance(u: Vector, v: Vector) -> float:

@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Vector, max_t_compose, shifted_bounds, sup_distance, transpose, unit
+from .algebra import Vector, shifted_bounds, sup_distance, unit
 from .errors import ReportMismatch
-from .operators import DEFAULT_TOL, FuzzySystem, closure
+from .operators import DEFAULT_TOL, FuzzySystem, closure, solve_and_recompose
 from .report import Attainability, ChebyshevReport
 
 
@@ -83,8 +83,7 @@ def build_approximation(system: FuzzySystem, report: ChebyshevReport) -> Approxi
     if report.verdict is not Attainability.MINIMUM:
         raise ReportMismatch("report carries no attainability verdict")
     lower, _ = shifted_bounds(system.beta, report.nabla)
-    lowest = closure(system, lower)
-    solution = max_t_compose(transpose(system.gamma), system.kind, lower)
+    solution, lowest = solve_and_recompose(system, lower)
     achieved = sup_distance(system.beta, lowest)
     return ApproximationResult(
         ApproximationStatus.MINIMUM_ATTAINED, lowest, solution, achieved
@@ -97,8 +96,7 @@ def near_approximation(system: FuzzySystem, delta: float) -> NearApproximation:
     delta strictly above the report's nabla yields a vector."""
     delta = unit(delta, "delta")
     lower, _ = shifted_bounds(system.beta, delta)
-    vector = closure(system, lower)
-    solution = max_t_compose(transpose(system.gamma), system.kind, lower)
+    solution, vector = solve_and_recompose(system, lower)
     return NearApproximation(delta, vector, solution, sup_distance(system.beta, vector))
 
 

@@ -34,7 +34,7 @@ from .approximation import (
 )
 from .errors import FuzzrelError, InvariantViolation
 from .maxt import MaxTSystem, maxt_distance
-from .operators import DEFAULT_TOL, FuzzySystem, check_consistency
+from .operators import DEFAULT_TOL, ConsistencyResult, FuzzySystem, check_consistency
 from .oracle import (
     bisect_infimum,
     exact_maxt_distance,
@@ -86,7 +86,7 @@ def _load_document(path: str) -> dict:
         raise CliError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise CliError(f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path!r}: top-level value must be a JSON object")
@@ -104,41 +104,30 @@ def _parse_kind(doc: dict) -> ImplicationKind:
         raise CliError(f"implication: {tag!r} is not one of {choices}") from None
 
 
-def _parse_min_system(doc: dict) -> tuple[FuzzySystem, str | None]:
+def _read_system(path: str, system_type, matrix: str, vector: str) -> tuple:
+    """(system, payload): the `system_type` built from the fields `matrix`
+    and `vector` of the document at `path`, and the payload head every
+    subcommand starts from, its name and implication."""
+    doc = _load_document(path)
     kind = _parse_kind(doc)
-    if "gamma" not in doc:
-        raise CliError("gamma: required field (2-D array of numbers)")
-    if "beta" not in doc:
-        raise CliError("beta: required field (1-D array of numbers)")
+    for field, shape in ((matrix, "2-D"), (vector, "1-D")):
+        if field not in doc:
+            raise CliError(f"{field}: required field ({shape} array of numbers)")
     try:
-        system = FuzzySystem(doc["gamma"], doc["beta"], kind)
+        system = system_type(doc[matrix], doc[vector], kind)
     except (FuzzrelError, TypeError) as exc:
         raise CliError(str(exc)) from exc
-    return system, doc.get("name")
+    return system, {"name": doc.get("name"), "implication": kind.value}
 
 
-def _parse_maxt_system(doc: dict) -> tuple[MaxTSystem, str | None]:
-    kind = _parse_kind(doc)
-    if "a" not in doc:
-        raise CliError("a: required field (2-D array of numbers)")
-    if "b" not in doc:
-        raise CliError("b: required field (1-D array of numbers)")
-    try:
-        system = MaxTSystem(doc["a"], doc["b"], kind)
-    except (FuzzrelError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
-    return system, doc.get("name")
+def _consistency_payload(result: ConsistencyResult) -> dict:
+    return {"consistent": result.consistent, "residual": result.residual}
 
 
-def _consistency_payload(system: FuzzySystem, tol: float) -> dict:
-    result = check_consistency(system, tol)
-    return {
-        "consistent": result.consistent,
-        "residual": result.residual,
-    }
-
-
-def _report_payload(system: FuzzySystem, report: ChebyshevReport, tol: float) -> dict:
+def _distance(args) -> tuple[FuzzySystem, ChebyshevReport, dict]:
+    """The system of --input, its distance report and the `distance` payload."""
+    system, payload = _read_system(args.input, FuzzySystem, "gamma", "beta")
+    report = distance_report(system)
     per_row = []
     for row in report.rows:
         entry = {
@@ -153,41 +142,29 @@ def _report_payload(system: FuzzySystem, report: ChebyshevReport, tol: float) ->
         if row.nabla_tilde_j is not None:
             entry["nabla_tilde_j"] = row.nabla_tilde_j
         per_row.append(entry)
-    return {
-        "nabla": report.nabla,
-        "verdict": report.verdict.value,
-        "borderline": report.borderline,
-        "per_row": per_row,
-        "consistency": _consistency_payload(system, tol),
-    }
+    payload.update(
+        nabla=report.nabla,
+        verdict=report.verdict.value,
+        borderline=report.borderline,
+        per_row=per_row,
+        consistency=_consistency_payload(check_consistency(system, args.tolerance)),
+    )
+    return system, report, payload
 
 
 def _cmd_check(args) -> tuple[int, dict]:
-    system, name = _parse_min_system(_load_document(args.input))
+    system, payload = _read_system(args.input, FuzzySystem, "gamma", "beta")
     result = check_consistency(system, args.tolerance)
-    payload = {
-        "name": name,
-        "implication": system.kind.value,
-        "consistency": {"consistent": result.consistent, "residual": result.residual},
-        "epsilon": list(result.epsilon),
-    }
+    payload.update(consistency=_consistency_payload(result), epsilon=list(result.epsilon))
     return 0, payload
 
 
 def _cmd_distance(args) -> tuple[int, dict]:
-    system, name = _parse_min_system(_load_document(args.input))
-    report = distance_report(system)
-    payload = {"name": name, "implication": system.kind.value}
-    payload.update(_report_payload(system, report, args.tolerance))
-    return 0, payload
+    return 0, _distance(args)[2]
 
 
 def _cmd_approx(args) -> tuple[int, dict]:
-    system, name = _parse_min_system(_load_document(args.input))
-    report = distance_report(system)
-    payload = {"name": name, "implication": system.kind.value}
-    payload.update(_report_payload(system, report, args.tolerance))
-
+    system, report, payload = _distance(args)
     result = build_approximation(system, report)
     if result.status is ApproximationStatus.MINIMUM_ATTAINED:
         payload["approximation"] = {
@@ -215,14 +192,11 @@ def _cmd_approx(args) -> tuple[int, dict]:
 
 
 def _cmd_maxt_distance(args) -> tuple[int, dict]:
-    system, name = _parse_maxt_system(_load_document(args.input))
-    delta = maxt_distance(system)
-    payload = {
-        "name": name,
-        "implication": system.kind.value,
-        "delta": delta,
-        "attained": exact_maxt_membership(system, exact_maxt_distance(system)),
-    }
+    system, payload = _read_system(args.input, MaxTSystem, "a", "b")
+    payload.update(
+        delta=maxt_distance(system),
+        attained=exact_maxt_membership(system, exact_maxt_distance(system)),
+    )
     return 0, payload
 
 
@@ -231,6 +205,13 @@ def _oracle_nabla(system: FuzzySystem, oracle_tol: float):
         lambda d: tolerance_membership(system, d, slack=MEMBERSHIP_SLACK),
         tol=oracle_tol,
     )
+
+
+def _comparison(system: FuzzySystem, oracle_tol: float) -> dict:
+    """The closed-form nabla of `system` against the oracle's estimate."""
+    formula = distance_report(system).nabla
+    oracle = _oracle_nabla(system, oracle_tol).inf_value
+    return {"nabla_formula": formula, "nabla_oracle": oracle, "difference": abs(formula - oracle)}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -243,21 +224,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise CliError("verify: provide exactly one of --input or --random")
 
     if args.input is not None:
-        system, name = _parse_min_system(_load_document(args.input))
-        report = distance_report(system)
-        estimate = _oracle_nabla(system, args.oracle_tol)
-        difference = abs(report.nabla - estimate.inf_value)
-        agree = difference <= threshold
-        payload = {
-            "mode": "file",
-            "name": name,
-            "implication": system.kind.value,
-            "nabla_formula": report.nabla,
-            "nabla_oracle": estimate.inf_value,
-            "difference": difference,
-            "threshold": threshold,
-            "agree": agree,
-        }
+        system, head = _read_system(args.input, FuzzySystem, "gamma", "beta")
+        comparison = _comparison(system, args.oracle_tol)
+        agree = comparison["difference"] <= threshold
+        payload = {"mode": "file", **head, **comparison, "threshold": threshold, "agree": agree}
         return (0 if agree else 2), payload
 
     values = args.random
@@ -272,7 +242,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise CliError("--random: M, N and TRIALS must be positive")
 
     master = random.Random(args.seed)
-    checked = 0
     disagreements = 0
     max_difference = 0.0
     worst = None
@@ -280,19 +249,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
         for kind in ImplicationKind:
             instance_seed = master.randrange(2**32)
             system = generate_random_system(m, n, kind, instance_seed, decimals=2)
-            report = distance_report(system)
-            estimate = _oracle_nabla(system, args.oracle_tol)
-            difference = abs(report.nabla - estimate.inf_value)
-            checked += 1
+            comparison = _comparison(system, args.oracle_tol)
+            difference = comparison["difference"]
             if difference > max_difference:
                 max_difference = difference
-                worst = {
-                    "implication": kind.value,
-                    "seed": instance_seed,
-                    "nabla_formula": report.nabla,
-                    "nabla_oracle": estimate.inf_value,
-                    "difference": difference,
-                }
+                worst = {"implication": kind.value, "seed": instance_seed, **comparison}
             if difference > threshold:
                 disagreements += 1
     payload = {
@@ -301,7 +262,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "n": n,
         "trials": trials,
         "seed": args.seed,
-        "systems_checked": checked,
+        "systems_checked": trials * len(ImplicationKind),
         "threshold": threshold,
         "max_difference": max_difference,
         "disagreements": disagreements,
@@ -379,7 +340,7 @@ def _fmt_vector(values) -> str:
     return "[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
 
-def _add_common_flags(sub, *, tolerance=True, pretty=True):
+def _add_common_flags(sub, *, tolerance=True):
     sub.add_argument(
         "--input",
         required=True,
@@ -394,12 +355,11 @@ def _add_common_flags(sub, *, tolerance=True, pretty=True):
             metavar="REAL",
             help="residual tolerance for consistency decisions (default 1e-9)",
         )
-    if pretty:
-        sub.add_argument(
-            "--pretty",
-            action="store_true",
-            help="human-readable table instead of single-line JSON",
-        )
+    sub.add_argument(
+        "--pretty",
+        action="store_true",
+        help="human-readable table instead of single-line JSON",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,7 @@ from .report import (
     ChebyshevReport,
     RowDiagnostics,
     build_report,
-    check_cell,
+    checked_cell,
     least,
 )
 
@@ -61,12 +61,13 @@ godel_threshold = FLOAT.godel_threshold
 
 def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
     """Compute the cell statistics for one (row, col) pair (0-based)."""
-    check_cell(system, row, col)
-    gamma, beta = system.gamma, system.beta
-    g = gamma[row][col]
-    # l = row always qualifies, so the max is never over an empty set.
-    theta = max(beta[l] - g for l in range(system.m) if g <= gamma[l][col])
-    zeta = max(godel_threshold(beta[l], gamma[l][col], beta[row]) for l in range(system.m))
+    return checked_cell(system, row, col, _godel_stats)
+
+
+def _godel_stats(g: float, b: float, column) -> GodelCellStats:
+    # The cell's own row always qualifies, so the max is never over an empty set.
+    theta = max(bl - g for gl, bl in column if g <= gl)
+    zeta = max(godel_threshold(bl, gl, b) for gl, bl in column)
     support = g > 0.0
     borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
     return GodelCellStats(theta, zeta, support, borderline)
@@ -74,7 +75,7 @@ def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
 
 def godel_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Godel-implication system."""
-    return build_report(system, ImplicationKind.GODEL, godel_cell, _godel_row)
+    return build_report(system, ImplicationKind.GODEL, _godel_stats, _godel_row)
 
 
 def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:

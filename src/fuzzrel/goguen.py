@@ -1,7 +1,8 @@
 """Closed-form Chebyshev distance for Goguen-implication systems.
 
-Same skeleton as the Godel solver, with cell statistics adapted to the
-product t-norm:
+The column scan and the report skeleton are those of every solver,
+`report.build_report`; this module supplies the cell formula, adapted to
+the product t-norm:
 
     theta[j][i] = max over {l : gamma[j][i] <= gamma[l][i], gamma[l][i] > 0}
                   of (beta[l] - gamma[j][i] / gamma[l][i])        (0 if empty)
@@ -24,7 +25,14 @@ from dataclasses import dataclass
 from .algebra import ImplicationKind, pos
 from .errors import InvariantViolation
 from .operators import FuzzySystem
-from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, check_cell, least
+from .report import (
+    ChebyshevReport,
+    RowDiagnostics,
+    attained_row,
+    build_report,
+    checked_cell,
+    least,
+)
 
 
 @dataclass(frozen=True)
@@ -53,31 +61,25 @@ def goguen_threshold(u: float, x: float, y: float, z: float) -> float:
 
 def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
     """Compute the cell statistics for one (row, col) pair (0-based)."""
-    check_cell(system, row, col)
-    gamma, beta = system.gamma, system.beta
-    g = gamma[row][col]
-    theta = 0.0
-    found = False
-    for l in range(system.m):
-        gl = gamma[l][col]
-        if gl > 0.0 and g <= gl:
-            candidate = beta[l] - g / gl
-            theta = candidate if not found else max(theta, candidate)
-            found = True
+    return checked_cell(system, row, col, _goguen_stats)
+
+
+def _goguen_stats(g: float, b: float, column) -> GoguenCellStats:
+    theta = max((bl - g / gl for gl, bl in column if gl > 0.0 and g <= gl), default=None)
     support = g > 0.0
-    # A supporting cell always dominates itself, so the empty-set convention
-    # theta = 0 is only ever reachable on non-supporting cells.
-    if support and not found:
-        raise InvariantViolation(f"cell ({row}, {col}): supporting cell dominates no row")
-    zeta = max(
-        goguen_threshold(g, beta[l], gamma[l][col], beta[row]) for l in range(system.m)
-    )
+    if theta is None:
+        # A supporting cell always dominates its own row, so the empty-set
+        # convention theta = 0 is only ever reachable on non-supporting cells.
+        if support:
+            raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
+        theta = 0.0
+    zeta = max(goguen_threshold(g, bl, gl, b) for gl, bl in column)
     return GoguenCellStats(theta, zeta, support)
 
 
 def goguen_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Goguen-implication system."""
-    return build_report(system, ImplicationKind.GOGUEN, goguen_cell, _goguen_row)
+    return build_report(system, ImplicationKind.GOGUEN, _goguen_stats, _goguen_row)
 
 
 def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:

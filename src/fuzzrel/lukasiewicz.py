@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import ImplicationKind, pos
 from .operators import FuzzySystem
-from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, check_cell
+from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, checked_cell
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,17 @@ def luka_threshold(u: float, v: float, x: float, y: float) -> float:
 
 def luka_cell(system: FuzzySystem, row: int, col: int) -> LukaCellStats:
     """Compute the cell statistic for one (row, col) pair (0-based)."""
-    check_cell(system, row, col)
-    gamma, beta = system.gamma, system.beta
-    g = gamma[row][col]
-    zeta = max(
-        luka_threshold(1.0 - g, 1.0 - gamma[l][col], beta[l], beta[row])
-        for l in range(system.m)
-    )
-    return LukaCellStats(zeta)
+    return checked_cell(system, row, col, _luka_stats)
+
+
+def _luka_stats(g: float, b: float, column) -> LukaCellStats:
+    u = 1.0 - g
+    return LukaCellStats(max(luka_threshold(u, 1.0 - gl, bl, b) for gl, bl in column))
 
 
 def luka_distance(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report for a Lukasiewicz-implication system."""
-    return build_report(system, ImplicationKind.LUKASIEWICZ, luka_cell, _luka_row)
+    return build_report(system, ImplicationKind.LUKASIEWICZ, _luka_stats, _luka_row)
 
 
 def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FLOAT, ImplicationKind, Matrix, Vector, unit_matrix, unit_vector
-from .errors import DimensionMismatch
+from .algebra import FLOAT, ImplicationKind, Matrix, Vector, unit_system
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,7 @@ class MaxTSystem:
     kind: ImplicationKind
 
     def __post_init__(self):
-        object.__setattr__(self, "a", unit_matrix(self.a, "a"))
-        object.__setattr__(self, "b", unit_vector(self.b, "b"))
-        if len(self.a) != len(self.b):
-            raise DimensionMismatch(
-                f"a has {len(self.a)} rows but b has {len(self.b)} entries"
-            )
-        if not isinstance(self.kind, ImplicationKind):
-            raise TypeError(f"kind: expected ImplicationKind, got {self.kind!r}")
+        unit_system(self, "a", "b")
 
     @property
     def n(self) -> int:

@@ -10,12 +10,15 @@ in the unit cube with
 
     epsilon = max_t_compose(gamma^t, kind, beta),
 
-which is the greatest solution whenever any solution exists, and
-`check_consistency` decides solvability by recomposing epsilon and measuring
-the sup-norm residual.
+which is the greatest solution whenever any solution exists.
+`solve_and_recompose` is the one step behind consistency and approximation:
+it solves for a right-hand side xi the same way, x = max_t_compose(gamma^t,
+kind, xi), and recomposes x into the right-hand side it actually realises.
+`check_consistency` runs it on beta and measures the sup-norm residual.
 
-`closure` is the map that sends a candidate right-hand side xi to the
-right-hand side actually realised by the best attempt at solving for it:
+`closure` is the recomposed half of that step, the map that sends a
+candidate right-hand side xi to the right-hand side realised by the best
+attempt at solving for it:
 
     closure(xi) = min_impl_compose(gamma, kind, max_t_compose(gamma^t, kind, xi)).
 
@@ -34,11 +37,9 @@ from .algebra import (
     Matrix,
     Vector,
     max_t_compose,
-    min_impl_compose,
     sup_distance,
     transpose,
-    unit_matrix,
-    unit_vector,
+    unit_system,
 )
 from .errors import DimensionMismatch
 
@@ -58,14 +59,7 @@ class FuzzySystem:
     kind: ImplicationKind
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", unit_matrix(self.gamma, "gamma"))
-        object.__setattr__(self, "beta", unit_vector(self.beta, "beta"))
-        if len(self.gamma) != len(self.beta):
-            raise DimensionMismatch(
-                f"gamma has {len(self.gamma)} rows but beta has {len(self.beta)} entries"
-            )
-        if not isinstance(self.kind, ImplicationKind):
-            raise TypeError(f"kind: expected ImplicationKind, got {self.kind!r}")
+        unit_system(self, "gamma", "beta")
 
     @property
     def m(self) -> int:
@@ -95,6 +89,13 @@ def potential_solution(system: FuzzySystem) -> Vector:
     return max_t_compose(transpose(system.gamma), system.kind, system.beta)
 
 
+def solve_and_recompose(system: FuzzySystem, xi: Vector) -> tuple[Vector, Vector]:
+    """(x, closure(xi)): the greatest candidate solution x = max_t_compose(
+    gamma^t, kind, xi) for right-hand side `xi`, and the right-hand side
+    min_impl_compose(gamma, kind, x) it realises."""
+    return FLOAT.solve_and_recompose(system.gamma, system.kind, xi)
+
+
 def check_consistency(system: FuzzySystem, tol: float = DEFAULT_TOL) -> ConsistencyResult:
     """Decide whether the system is solvable.
 
@@ -103,10 +104,9 @@ def check_consistency(system: FuzzySystem, tol: float = DEFAULT_TOL) -> Consiste
     sup norm.  The residual is reported so callers can re-judge borderline
     inputs with their own threshold.
     """
-    if tol < 0.0:
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
-    epsilon = potential_solution(system)
-    recomposed = min_impl_compose(system.gamma, system.kind, epsilon)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    epsilon, recomposed = solve_and_recompose(system, system.beta)
     residual = sup_distance(recomposed, system.beta)
     return ConsistencyResult(residual <= tol, epsilon, residual)
 
@@ -120,7 +120,7 @@ def closure(system: FuzzySystem, xi: Vector) -> Vector:
     """
     if len(xi) != system.m:
         raise DimensionMismatch(f"xi has {len(xi)} entries, expected {system.m}")
-    return FLOAT.closure(system.gamma, system.kind, xi)
+    return solve_and_recompose(system, xi)[1]
 
 
 def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:

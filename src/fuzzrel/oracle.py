@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, leq, unit
-from .errors import PredicateNotUpClosed
+from .errors import DomainError, PredicateNotUpClosed
 from .maxt import MaxTSystem
 from .operators import FuzzySystem, closure
 
@@ -61,7 +61,7 @@ def tolerance_membership(
 
 def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
     lower, upper = ar.shifted_bounds(beta, delta)
-    image = ar.closure(gamma, kind, lower)
+    _, image = ar.solve_and_recompose(gamma, kind, lower)
     if row is None:
         return leq(image, upper, slack)
     if not 0 <= row < len(beta):
@@ -83,20 +83,23 @@ def _exact_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(map(_exact_vector, rows))
 
 
-def _snap_delta(delta, snap_digits: int) -> Fraction:
-    # Fractions pass through untouched: callers supply them when the exact
-    # threshold is known (e.g. from exact_maxt_distance).
+#: Decimal digits a float delta is rounded to before the exact membership
+#: tests read it as a rational.
+SNAP_DIGITS = 12
+
+def _exact_delta(delta) -> Fraction:
+    """A delta in [0, 1] as a Fraction: a float is validated by `unit` and
+    snapped to SNAP_DIGITS decimals, a Fraction is range-checked and kept
+    as is, since callers supply one when the exact threshold is known (e.g.
+    from exact_maxt_distance)."""
     if isinstance(delta, Fraction):
+        if not 0 <= delta <= 1:
+            raise DomainError(f"delta: {delta} is outside [0, 1]")
         return delta
-    return Fraction(repr(round(float(delta), snap_digits)))
+    return Fraction(repr(round(unit(delta, "delta"), SNAP_DIGITS)))
 
 
-def exact_membership(
-    system: FuzzySystem,
-    delta,
-    row: int | None = None,
-    snap_digits: int = 12,
-) -> bool:
+def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool:
     """Decide `tolerance_membership` in exact rational arithmetic.
 
     Float evaluation of the membership inequality exactly at the distance is
@@ -104,9 +107,10 @@ def exact_membership(
     of drift on the input of a residuum can cross its branch point and move
     the output by a macroscopic amount.  This variant sidesteps the problem
     by re-reading every entry as the (exact) rational value of its shortest
-    round-tripping decimal, rounding `delta` to `snap_digits` decimal digits
-    and evaluating the same closure formulas with Fraction arithmetic
-    throughout.
+    round-tripping decimal, rounding a float `delta` to SNAP_DIGITS decimal
+    digits and evaluating the same closure formulas with Fraction arithmetic
+    throughout.  A delta outside [0, 1] raises DomainError, as in
+    `tolerance_membership`.
 
     For inputs stated in a few decimals, whose derived thresholds live on a
     coarse decimal grid, the answer is exact.  For arbitrary floats it is
@@ -117,17 +121,13 @@ def exact_membership(
         _exact_matrix(system.gamma),
         _exact_vector(system.beta),
         system.kind,
-        _snap_delta(delta, snap_digits),
+        _exact_delta(delta),
         row,
         EXACT.zero,
     )
 
 
-def exact_maxt_membership(
-    system: MaxTSystem,
-    delta,
-    snap_digits: int = 12,
-) -> bool:
+def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     """Exact-rational membership test for max-t-norm systems.
 
     Decides lower_shift(b, delta) <= maxt_closure(a, kind, upper_shift(b,
@@ -135,7 +135,7 @@ def exact_maxt_membership(
     as `exact_membership`.  Pass the Fraction from `exact_maxt_distance` to
     test attainment exactly at the distance.
     """
-    lower, upper = EXACT.shifted_bounds(_exact_vector(system.b), _snap_delta(delta, snap_digits))
+    lower, upper = EXACT.shifted_bounds(_exact_vector(system.b), _exact_delta(delta))
     return leq(lower, EXACT.maxt_closure(_exact_matrix(system.a), system.kind, upper), EXACT.zero)
 
 
@@ -150,18 +150,18 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     return EXACT.maxt_distance(_exact_matrix(system.a), _exact_vector(system.b), system.kind)
 
 
-def bisect_infimum(
-    predicate: Callable[[float], bool],
-    tol: float = 1e-9,
-    max_iter: int = 60,
-) -> OracleEstimate:
+#: Most bisection splits `bisect_infimum` makes, enough for bracket widths
+#: down to 2^-60.
+MAX_SPLITS = 60
+
+
+def bisect_infimum(predicate: Callable[[float], bool], tol: float = 1e-9) -> OracleEstimate:
     """Locate inf{delta in [0, 1] : predicate(delta)} for an up-closed predicate.
 
     Maintains a bracket [lo, hi] with predicate(lo) False and predicate(hi)
-    True until its width drops below `tol` (or `max_iter` splits, enough for
-    widths down to 2^-60).  Up-closedness is sanity-checked on a coarse probe
-    grid first; a hit there, or a predicate false at 1, raises
-    PredicateNotUpClosed.
+    True until its width drops below `tol` or MAX_SPLITS splits are made.
+    Up-closedness is sanity-checked on a coarse probe grid first; a hit
+    there, or a predicate false at 1, raises PredicateNotUpClosed.
 
     The returned inf_value is the shortest decimal inside the final bracket
     rather than a raw dyadic endpoint: thresholds of interest are short
@@ -191,7 +191,7 @@ def bisect_infimum(
             break
         lo = p
 
-    for _ in range(max_iter):
+    for _ in range(MAX_SPLITS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)

@@ -1,10 +1,17 @@
-"""Shared result types and report skeleton of the closed-form solvers.
+"""Shared result types, column scan and report skeleton of the closed-form
+solvers.
 
-The three min-implication solvers differ in their cell statistics and in
-the set of columns each row aggregates over, not in how a report is put
-together: `build_report` checks the kind, computes every cell, lets the
+The three min-implication solvers differ in the formula of their cell
+statistics and in the set of columns each row aggregates over, not in how a
+report is put together.  Every cell statistic of cell (j, i) is a max over
+the rows l of column i of an implicator-specific threshold of
+(gamma[l][i], beta[l]), so a solver supplies only the formula
+`stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
+`column` the pairs (gamma[l][i], beta[l]) in row order.  `build_report`
+checks the kind, builds each column once, evaluates every cell, lets the
 solver turn each row's cells into a `RowDiagnostics` and aggregates the rows
-into a `ChebyshevReport`.
+into a `ChebyshevReport`; `checked_cell` evaluates one cell for the public
+`*_cell` functions.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ class Attainability(Enum):
 
     MINIMUM = "minimum"
     INFIMUM = "infimum"
-    NOT_COMPUTED = "not_computed"
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,23 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def check_cell(system, row: int, col: int) -> None:
-    """Reject a (row, col) pair (0-based) outside the system's matrix."""
+def _column(system, col: int) -> tuple[tuple[float, float], ...]:
+    """The pairs (gamma[l][col], beta[l]) for l = 0..m-1.
+
+    The row order matters: `max` keeps the first of equal values, so it
+    decides which of 0.0 and -0.0 a statistic reports.
+    """
+    return tuple(zip([row[col] for row in system.gamma], system.beta))
+
+
+def checked_cell(system, row: int, col: int, stats):
+    """`stats` of the (row, col) cell (0-based) of `system`; a pair outside
+    the system's matrix raises IndexError."""
     if not 0 <= row < system.m:
         raise IndexError(f"row {row} out of range for {system.m} rows")
     if not 0 <= col < system.n:
         raise IndexError(f"col {col} out of range for {system.n} columns")
+    return stats(system.gamma[row][col], system.beta[row], _column(system, col))
 
 
 def least(candidates) -> tuple[float, int | None]:
@@ -107,9 +124,9 @@ def attained_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     )
 
 
-def build_report(system, kind: ImplicationKind, cell, row_diagnostics) -> ChebyshevReport:
-    """Report of `system` from its cells `cell(system, j, i)` and rows
-    `row_diagnostics(system, j, cells)`.
+def build_report(system, kind: ImplicationKind, stats, row_diagnostics) -> ChebyshevReport:
+    """Report of `system` from its cells `stats(gamma[j][i], beta[j], column
+    i)` and rows `row_diagnostics(system, j, cells)`.
 
     nabla is the max of the row distances.  The verdict is MINIMUM when
     every row at nabla is attainable.  Rows strictly below the max cannot
@@ -122,10 +139,10 @@ def build_report(system, kind: ImplicationKind, cell, row_diagnostics) -> Chebys
         raise KindMismatch(
             f"expected a {kind.value.capitalize()} system, got kind {system.kind.value!r}"
         )
-    columns = range(system.n)
+    columns = [_column(system, i) for i in range(system.n)]
     rows = tuple(
-        row_diagnostics(system, j, tuple(cell(system, j, i) for i in columns))
-        for j in range(system.m)
+        row_diagnostics(system, j, tuple(stats(g, b, c) for g, c in zip(gamma_j, columns)))
+        for j, (gamma_j, b) in enumerate(zip(system.gamma, system.beta))
     )
     nabla = max(r.nabla_j for r in rows)
     verdict = (

@@ -70,6 +70,23 @@ class TestUnitValidation:
         with pytest.raises(DomainError, match=r"gamma\[1\]\[0\]"):
             unit_matrix([[0.1], [1.5]], "gamma")
 
+    @pytest.mark.parametrize("rows", [[], [[]]], ids=["no-rows", "no-columns"])
+    def test_matrix_needs_entries(self, rows):
+        with pytest.raises(DomainError, match="at least one row and one column"):
+            unit_matrix(rows, "gamma")
+
+    def test_rejects_integer_beyond_float_range(self):
+        with pytest.raises(DomainError, match=r"^beta\[0\]: "):
+            unit(10**400, "beta[0]")
+
+    def test_non_array_names_field(self):
+        with pytest.raises(DomainError, match=r"^gamma: "):
+            unit_matrix(0.5, "gamma")
+        with pytest.raises(DomainError, match=r"^gamma\[0\]: "):
+            unit_matrix([0.5, 0.2], "gamma")
+        with pytest.raises(DomainError, match=r"^beta: "):
+            unit_vector(0.5, "beta")
+
 
 class TestTNorm:
     def test_min_kind(self):

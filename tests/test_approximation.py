@@ -1,5 +1,7 @@
 """Lowest Chebyshev approximations and their optimality."""
 
+import dataclasses
+
 import pytest
 
 from fuzzrel import (
@@ -53,6 +55,11 @@ class TestBuildApproximation:
         report = godel_distance(inconsistent_godel)
         with pytest.raises(ReportMismatch):
             build_approximation(inconsistent_goguen, report)
+
+    def test_unknown_verdict_rejected(self, inconsistent_godel):
+        report = dataclasses.replace(godel_distance(inconsistent_godel), verdict="minimum")
+        with pytest.raises(ReportMismatch):
+            build_approximation(inconsistent_godel, report)
 
 
 class TestApproximationInvariants:

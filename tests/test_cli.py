@@ -178,6 +178,128 @@ class TestMaxTDistance:
         assert "a:" in err
 
 
+@pytest.fixture
+def maxt_doc(tmp_path):
+    return write_doc(tmp_path, "maxt.json", {
+        "implication": "goguen",
+        "a": [[0.6, 0.26], [0.49, 0.9]],
+        "b": [0.1, 0.4],
+        "name": "mt",
+    })
+
+
+_ATTAINED_ROWS = (
+    '"per_row":[{"j":1,"nabla_j":0.15000000000000002,"tau_j":0.15000000000000002,'
+    '"one_minus_beta":0.9,"attainable":true,"argmin_i":1,"borderline":false,'
+    '"nabla_tilde_j":0.15000000000000002},{"j":2,"nabla_j":0.0,"tau_j":0.0,'
+    '"one_minus_beta":0.6,"attainable":true,"argmin_i":2,"borderline":false,'
+    '"nabla_tilde_j":0.0}],"consistency":{"consistent":false,"residual":0.16}'
+)
+_INFIMUM_ROWS = (
+    '"per_row":[{"j":1,"nabla_j":0.12,"tau_j":0.47000000000000003,"one_minus_beta":0.12,'
+    '"attainable":true,"argmin_i":1,"borderline":false,"nabla_tilde_j":1.0},{"j":2,'
+    '"nabla_j":0.15000000000000002,"tau_j":0.15000000000000002,"one_minus_beta":0.54,'
+    '"attainable":false,"argmin_i":2,"borderline":false,"nabla_tilde_j":1.0}],'
+    '"consistency":{"consistent":false,"residual":0.54}'
+)
+_ATTAINED_TABLE = """\
+implication: godel
+consistency: inconsistent (residual 0.16)
+nabla: 0.15  verdict: minimum
+  j      nabla_j        tau_j     1-beta_j attainable argmin_i
+  1         0.15         0.15          0.9       true        1
+  2            0            0          0.6       true        2
+"""
+_INFIMUM_TABLE = """\
+implication: godel
+consistency: inconsistent (residual 0.54)
+nabla: 0.15  verdict: infimum
+  j      nabla_j        tau_j     1-beta_j attainable argmin_i
+  1         0.12         0.47         0.12       true        1
+  2         0.15         0.15         0.54      false        2
+approximation: set is empty (distance is an infimum)
+"""
+
+#: Per case: subcommand, document fixture (None for none), further flags, and
+#: the exact stdout as single-line JSON and with --pretty.  Every case exits 0.
+PINNED = {
+    "check": (
+        "check", "consistent_doc", [],
+        '{"name":"consistent","implication":"godel","consistency":'
+        '{"consistent":true,"residual":0.0},"epsilon":[0.58,0.88]}\n',
+        "system: consistent\nimplication: godel\n"
+        "consistency: consistent (residual 0)\nepsilon: [0.58, 0.88]\n",
+    ),
+    "distance": (
+        "distance", "attained_doc", [],
+        '{"name":null,"implication":"godel","nabla":0.15000000000000002,'
+        '"verdict":"minimum","borderline":false,' + _ATTAINED_ROWS + "}\n",
+        _ATTAINED_TABLE,
+    ),
+    "approx-minimum": (
+        "approx", "attained_doc", [],
+        '{"name":null,"implication":"godel","nabla":0.15000000000000002,'
+        '"verdict":"minimum","borderline":false,' + _ATTAINED_ROWS
+        + ',"approximation":{"vector":[0.25,0.25],"solution":[0.25,0.25],'
+        '"distance":0.15000000000000002}}\n',
+        _ATTAINED_TABLE
+        + "lowest approximation: [0.25, 0.25]\napproximate solution: [0.25, 0.25]\n"
+        "achieved distance: 0.15\n",
+    ),
+    "approx-empty": (
+        "approx", "infimum_doc", [],
+        '{"name":null,"implication":"godel","nabla":0.15000000000000002,'
+        '"verdict":"infimum","borderline":false,' + _INFIMUM_ROWS
+        + ',"approximation":{"empty":true}}\n',
+        _INFIMUM_TABLE,
+    ),
+    "approx-near": (
+        "approx", "infimum_doc", ["--delta", "0.2"],
+        '{"name":null,"implication":"godel","nabla":0.15000000000000002,'
+        '"verdict":"infimum","borderline":false,' + _INFIMUM_ROWS
+        + ',"approximation":{"empty":true},"near":{"delta":0.2,"vector":[1.0,0.26],'
+        '"solution":[0.41,0.26],"distance":0.2,"optimal":false}}\n',
+        _INFIMUM_TABLE
+        + "near approximation at delta 0.2 (non-optimal): [1, 0.26]\n"
+        "near achieved distance: 0.2\n",
+    ),
+    "verify-file": (
+        "verify", "infimum_doc", [],
+        '{"mode":"file","name":null,"implication":"godel","nabla_formula":0.15000000000000002,'
+        '"nabla_oracle":0.15,"difference":2.7755575615628914e-17,"threshold":2.001e-09,'
+        '"agree":true}\n',
+        "implication: godel\nformula 0.15 vs oracle 0.15: agree (difference 2.78e-17)\n",
+    ),
+    "verify-random": (
+        "verify", None, ["--random", "2", "3", "4"],
+        '{"mode":"random","m":2,"n":3,"trials":4,"seed":0,"systems_checked":12,'
+        '"threshold":2.001e-09,"max_difference":9.999999994736442e-10,"disagreements":0,'
+        '"worst":{"implication":"godel","seed":1210484339,"nabla_formula":0.13,'
+        '"nabla_oracle":0.129999999,"difference":9.999999994736442e-10}}\n',
+        "checked 12 systems (4 trials x 3 kinds, 2x3): max difference 1e-09, "
+        "0 disagreement(s)\n",
+    ),
+    "maxt-distance": (
+        "maxt-distance", "maxt_doc", [],
+        '{"name":"mt","implication":"goguen","delta":0.012068965517241377,"attained":true}\n',
+        "system: mt\nimplication: goguen\ndelta: 0.0120689655172  (attained)\n",
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_stdout(self, capsys, request, case, pretty):
+        command, fixture, flags, json_out, pretty_out = PINNED[case]
+        argv = [command, *flags]
+        if fixture is not None:
+            argv += ["--input", request.getfixturevalue(fixture)]
+        if pretty:
+            argv.append("--pretty")
+        assert run_cli(capsys, *argv) == (0, pretty_out if pretty else json_out, "")
+
+
 class TestValidation:
     def test_unknown_implication(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {
@@ -194,6 +316,17 @@ class TestValidation:
         code, _, err = run_cli(capsys, "check", "--input", path)
         assert code == 1
         assert "gamma[0][1]" in err
+
+    @pytest.mark.parametrize("field, fields", [
+        ("beta[0]", {"gamma": [[0.5]], "beta": [10**400]}),
+        ("gamma[0]", {"gamma": [0.5, 0.2], "beta": [0.5]}),
+        ("beta", {"gamma": [[0.5]], "beta": 0.5}),
+    ], ids=["huge-integer", "flat-gamma", "scalar-beta"])
+    def test_malformed_field_named(self, capsys, tmp_path, field, fields):
+        path = write_doc(tmp_path, "bad.json", {"implication": "godel", **fields})
+        code, out, err = run_cli(capsys, "check", "--input", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {field}: ")
 
     def test_ragged_matrix(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {
@@ -215,6 +348,14 @@ class TestValidation:
         code, _, err = run_cli(capsys, "check", "--input", str(path))
         assert code == 1
         assert "JSON" in err
+
+    def test_integer_over_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        digits = "1" + "0" * 5000
+        path.write_text('{"implication": "godel", "gamma": [[' + digits + ']], "beta": [0.5]}')
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "not valid JSON" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--input", "/nonexistent/x.json")

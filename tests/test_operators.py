@@ -72,6 +72,10 @@ class TestCheckConsistency:
         with pytest.raises(ValueError):
             check_consistency(consistent_godel, tol=-1.0)
 
+    def test_nan_tolerance_rejected(self, consistent_godel):
+        with pytest.raises(ValueError, match="tol"):
+            check_consistency(consistent_godel, tol=float("nan"))
+
 
 class TestClosure:
     def test_fixed_point_at_consistent_rhs(self, consistent_godel):

@@ -1,11 +1,16 @@
 """Membership predicates, bisection bracketing and sampling utilities."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from fuzzrel import (
     Attainability,
+    DomainError,
     FuzzySystem,
     ImplicationKind,
+    MaxTSystem,
     PredicateNotUpClosed,
     bisect_infimum,
     check_consistency,
@@ -15,7 +20,7 @@ from fuzzrel import (
     sup_distance,
     tolerance_membership,
 )
-from fuzzrel.oracle import exact_membership
+from fuzzrel.oracle import exact_maxt_membership, exact_membership
 from helpers import iter_random_systems
 
 
@@ -57,6 +62,17 @@ class TestExactMembership:
     def test_row_index_checked(self, infimum_godel):
         with pytest.raises(IndexError):
             exact_membership(infimum_godel, 0.5, row=-1)
+
+    @pytest.mark.parametrize(
+        "delta", [-0.1, 1.5, math.nan, Fraction(-1, 10), Fraction(3, 2)],
+        ids=["negative", "above-one", "nan", "negative-fraction", "above-one-fraction"],
+    )
+    def test_delta_outside_unit_interval_rejected(self, infimum_godel, delta):
+        with pytest.raises(DomainError, match="delta"):
+            exact_membership(infimum_godel, delta)
+        maxt = MaxTSystem(infimum_godel.gamma, infimum_godel.beta, infimum_godel.kind)
+        with pytest.raises(DomainError, match="delta"):
+            exact_maxt_membership(maxt, delta)
 
 
 class TestBisectInfimum:
