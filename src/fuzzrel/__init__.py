@@ -10,7 +10,7 @@ Quick start::
         beta=(0.1, 0.4),
         kind=ImplicationKind.GODEL,
     )
-    check_consistency(system)      # inconsistent, residual 0.25
+    check_consistency(system)      # inconsistent, residual 0.16
     distance_report(system).nabla  # 0.15
 """
 

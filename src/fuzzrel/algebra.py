@@ -16,9 +16,10 @@ by every solver in this package:
 and the shifted bounds of a vector, `shifted_bounds(v, delta)`, which bracket
 the closed sup-norm ball of radius delta around v inside the unit cube.
 
-These formulas, together with the scalar thresholds and the distance loop of
-the max-t closed forms, are written once in `arithmetic`, over the zero and
-one of a number type.  `FLOAT` binds them to floats and supplies this
+These formulas, together with the scalar thresholds and the cell formulas
+of the max-t closed forms, are written once in `arithmetic`, over the zero
+and one of a number type, and `column_scan` is the one loop over the cells
+of a system.  `FLOAT` binds the formulas to floats and supplies this
 module's public functions; the oracle binds them to `Fraction` to run the
 same formulas in exact rational arithmetic.  A float operand that meets a
 Fraction silently rounds the result to a float, so exact callers pass only
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import repeat
 
 from .errors import DimensionMismatch, DomainError
 
@@ -69,64 +71,78 @@ Arithmetic = namedtuple(
 )
 
 
+def checked_kind(kind) -> ImplicationKind:
+    """`kind` itself; anything but an ImplicationKind raises TypeError."""
+    if not isinstance(kind, ImplicationKind):
+        raise TypeError(f"kind: expected ImplicationKind, got {kind!r}")
+    return kind
+
+
+def column_scan(matrix, rhs, cell) -> tuple:
+    """Rows of cells, cell (j, i) = cell(matrix[j][i], rhs[j], column i), for
+    any number type; column i, the pairs (matrix[l][i], rhs[l]), is built
+    once.  The pairs are in row order: `max` keeps the first of equal values,
+    so the order decides which of 0.0 and -0.0 a cell reports.
+    """
+    columns = [tuple(zip(column, rhs)) for column in zip(*matrix)]
+    return tuple(tuple(map(cell, row, repeat(r), columns)) for row, r in zip(matrix, rhs))
+
+
+def _width_check(name: str, matrix: Matrix, vec: Vector) -> None:
+    if not matrix or len(matrix[0]) != len(vec):
+        raise DimensionMismatch(
+            f"{name}: matrix has {len(matrix[0]) if matrix else 0} columns, "
+            f"vector has {len(vec)} entries"
+        )
+
+
 def arithmetic(zero, one) -> Arithmetic:
     """Bind the shared formulas to the number type of `zero` and `one`.
 
     Every literal the formulas need is derived from these two once, here, so
     the functions never mix number types: given operands of that type, each
-    returns a value of that type.
+    returns a value of that type.  Each kind-dependent formula is a table
+    with one entry per ImplicationKind, looked up once per call.
     """
     two = one + one
-    godel, goguen = ImplicationKind.GODEL, ImplicationKind.GOGUEN
+    godel, goguen, luka = ImplicationKind
 
     def pos(x):
         """Positive part, max(x, 0)."""
         return x if x > zero else zero
 
+    t_norms = {
+        godel: lambda x, y: x if x < y else y,
+        goguen: lambda x, y: x * y,
+        luka: lambda x, y: pos(x + y - one),
+    }
+    # The branch x > y implies x > 0, so the Goguen quotient never divides
+    # by zero.
+    residua = {
+        godel: lambda x, y: one if x <= y else y,
+        goguen: lambda x, y: one if x <= y else y / x,
+        luka: lambda x, y: one if x <= y else one - x + y,
+    }
+
     def t_norm(kind: ImplicationKind, x, y):
         """Apply the t-norm selected by `kind`."""
-        if kind is godel:
-            return x if x < y else y
-        if kind is goguen:
-            return x * y
-        s = x + y - one
-        return s if s > zero else zero
+        return t_norms[checked_kind(kind)](x, y)
 
     def residuum(kind: ImplicationKind, x, y):
-        """Apply the residual implicator selected by `kind`.
-
-        The branch x > y implies x > 0, so the Goguen quotient never divides
-        by zero.
-        """
-        if x <= y:
-            return one
-        if kind is godel:
-            return y
-        if kind is goguen:
-            return y / x
-        return one - x + y
+        """Apply the residual implicator selected by `kind`."""
+        return residua[checked_kind(kind)](x, y)
 
     def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
         """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j])."""
-        if not matrix or len(matrix[0]) != len(vec):
-            raise DimensionMismatch(
-                f"max_t_compose: matrix has {len(matrix[0]) if matrix else 0} columns, "
-                f"vector has {len(vec)} entries"
-            )
-        return tuple(
-            max(t_norm(kind, mij, vj) for mij, vj in zip(row, vec)) for row in matrix
-        )
+        _width_check("max_t_compose", matrix, vec)
+        t = t_norms[checked_kind(kind)]
+        return tuple(max(map(t, row, vec)) for row in matrix)
 
     def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
         """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i])."""
-        if not matrix or len(matrix[0]) != len(vec):
-            raise DimensionMismatch(
-                f"min_impl_compose: matrix has {len(matrix[0]) if matrix else 0} columns, "
-                f"vector has {len(vec)} entries"
-            )
-        return tuple(
-            min(residuum(kind, mij, vj) for mij, vj in zip(row, vec)) for row in matrix
-        )
+        _width_check("min_impl_compose", matrix, vec)
+        r = residua[checked_kind(kind)]
+        return tuple(min(map(r, row, vec)) for row in matrix)
 
     def solve_and_recompose(gamma: Matrix, kind: ImplicationKind, xi: Vector):
         """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(gamma^t,
@@ -174,29 +190,24 @@ def arithmetic(zero, one) -> Arithmetic:
         v = x + u - one
         return min(x, max(pos(v), pos(v + y - z) / two))
 
+    def luka_maxt_cell(u, x, column):
+        complement = one - u
+        return max(maxluka_threshold(complement, x, y, z) for y, z in column)
+
+    # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
+    # pairs (a[k][j], b[k]) of column j; see `fuzzrel.maxt`.
+    maxt_cells = {
+        godel: lambda u, x, column: max(
+            pos(x - u), max(godel_threshold(x, y, z) for y, z in column)
+        ),
+        goguen: lambda u, x, column: max(maxprod_threshold(u, x, y, z) for y, z in column),
+        luka: luka_maxt_cell,
+    }
+
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
         max-t system with matrix `a` (see `fuzzrel.maxt`)."""
-        columns = transpose(a)
-        worst = zero
-        for row, x in zip(a, b):
-            best = None
-            for u, column in zip(row, columns):
-                if kind is godel:
-                    value = max(
-                        pos(x - u),
-                        max(godel_threshold(x, y, z) for y, z in zip(column, b)),
-                    )
-                elif kind is goguen:
-                    value = max(maxprod_threshold(u, x, y, z) for y, z in zip(column, b))
-                else:
-                    complement = one - u
-                    value = max(
-                        maxluka_threshold(complement, x, y, z) for y, z in zip(column, b)
-                    )
-                best = value if best is None else min(best, value)
-            worst = max(worst, best)
-        return worst
+        return max(zero, *map(min, column_scan(a, b, maxt_cells[checked_kind(kind)])))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))
@@ -281,8 +292,7 @@ def unit_system(system, matrix: str, vector: str) -> None:
         raise DimensionMismatch(
             f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
         )
-    if not isinstance(system.kind, ImplicationKind):
-        raise TypeError(f"kind: expected ImplicationKind, got {system.kind!r}")
+    checked_kind(system.kind)
     object.__setattr__(system, matrix, rows)
     object.__setattr__(system, vector, rhs)
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
-from .algebra import ImplicationKind
+from .algebra import ImplicationKind, unit
 from .approximation import (
     ApproximationStatus,
     build_approximation,
@@ -51,6 +52,9 @@ from . import distance_report
 #: arithmetic and differ only by float drift.
 MEMBERSHIP_SLACK = DEFAULT_TOL
 
+#: Trials of `verify --random M N` when neither TRIALS nor --trials is given.
+DEFAULT_TRIALS = 1000
+
 
 class CliError(Exception):
     """User-facing validation error; rendered as `error: ...`, exit 1."""
@@ -64,12 +68,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _real(requirement: str, holds):
-    """argparse type for a number that `holds` accepts; NaN always fails."""
+    """argparse type for a finite number that `holds` accepts; NaN and the
+    infinities always fail."""
 
     def real(text: str) -> float:
         value = float(text)
-        if not holds(value):
-            raise argparse.ArgumentTypeError(f"must be a {requirement} number, got {text!r}")
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite {requirement} number, got {text!r}")
         return value
 
     return real
@@ -165,6 +170,13 @@ def _cmd_distance(args) -> tuple[int, dict]:
 
 def _cmd_approx(args) -> tuple[int, dict]:
     system, report, payload = _distance(args)
+    if args.delta is not None:
+        if args.delta <= report.nabla:
+            raise CliError(
+                f"delta: must exceed the distance {report.nabla!r} "
+                f"to yield a near approximation, got {args.delta!r}"
+            )
+        unit(args.delta, "delta")
     result = build_approximation(system, report)
     if result.status is ApproximationStatus.MINIMUM_ATTAINED:
         payload["approximation"] = {
@@ -175,11 +187,6 @@ def _cmd_approx(args) -> tuple[int, dict]:
     else:
         payload["approximation"] = {"empty": True}
         if args.delta is not None:
-            if args.delta <= report.nabla:
-                raise CliError(
-                    f"delta: must exceed the distance {report.nabla!r} "
-                    f"to yield a near approximation, got {args.delta!r}"
-                )
             near = near_approximation(system, args.delta)
             payload["near"] = {
                 "delta": near.delta,
@@ -233,8 +240,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
     values = args.random
     if len(values) == 2:
         m, n = values
-        trials = args.trials
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
     elif len(values) == 3:
+        if args.trials is not None:
+            raise CliError("--random M N TRIALS and --trials both set the trial count; give one")
         m, n, trials = values
     else:
         raise CliError("--random: expected M N [TRIALS]")
@@ -393,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="REAL",
         help=(
             "when the distance is an infimum, also emit the non-optimal "
-            "near approximation at this tolerance (must exceed the distance)"
+            "near approximation at this tolerance (must be at most 1 and "
+            "exceed the distance, whatever the verdict)"
         ),
     )
     approx.set_defaults(handler=_cmd_approx)
@@ -428,9 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--trials",
         type=int,
-        default=1000,
+        default=None,
         metavar="INT",
-        help="trial count when --random omits it (default 1000)",
+        help=f"trial count when --random omits it (default {DEFAULT_TRIALS})",
     )
     verify.add_argument("--pretty", action="store_true", help="human-readable output")
     verify.set_defaults(handler=_cmd_verify)

@@ -27,7 +27,7 @@ verdict is numerically fragile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import FLOAT, ImplicationKind
 from .operators import FuzzySystem
@@ -35,9 +35,9 @@ from .report import (
     BORDERLINE_EPS,
     ChebyshevReport,
     RowDiagnostics,
+    base_row,
     build_report,
     checked_cell,
-    least,
 )
 
 
@@ -79,17 +79,12 @@ def godel_distance(system: FuzzySystem) -> ChebyshevReport:
 
 
 def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    one_minus_beta = 1.0 - system.beta[j]
-    tau, argmin = least(
-        (i, max(cell.theta, cell.zeta)) for i, cell in enumerate(cells) if cell.support
+    row = base_row(
+        system, j, cells, ((i, max(c.theta, c.zeta)) for i, c in enumerate(cells) if c.support)
     )
+    tau, nabla_j, one_minus_beta = row.tau_j, row.nabla_j, row.one_minus_beta
 
-    nabla_tilde = 1.0
-    for cell in cells:
-        if cell.support and cell.theta < cell.zeta:
-            nabla_tilde = min(nabla_tilde, cell.zeta)
-
-    nabla_j = min(one_minus_beta, tau)
+    nabla_tilde = min((c.zeta for c in cells if c.support and c.theta < c.zeta), default=1.0)
     attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
 
     # Fragility: a theta/zeta tie at the value deciding tau, or a near miss
@@ -117,14 +112,4 @@ def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
             or abs(one_minus_beta - tau) <= BORDERLINE_EPS
         )
 
-    return RowDiagnostics(
-        row=j,
-        nabla_j=nabla_j,
-        tau_j=tau,
-        one_minus_beta=one_minus_beta,
-        attainable=attainable,
-        argmin_col=argmin,
-        borderline=borderline,
-        cells=cells,
-        nabla_tilde_j=nabla_tilde,
-    )
+    return replace(row, attainable=attainable, borderline=borderline, nabla_tilde_j=nabla_tilde)

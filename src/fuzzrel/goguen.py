@@ -28,7 +28,7 @@ from .operators import FuzzySystem
 from .report import (
     ChebyshevReport,
     RowDiagnostics,
-    attained_row,
+    base_row,
     build_report,
     checked_cell,
     least,
@@ -83,7 +83,7 @@ def goguen_distance(system: FuzzySystem) -> ChebyshevReport:
 
 
 def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    row = attained_row(
+    row = base_row(
         system, j, cells, ((i, max(c.theta, c.zeta)) for i, c in enumerate(cells) if c.support)
     )
     # theta <= zeta on supporting cells, so the min of the zetas is an

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import ImplicationKind, pos
 from .operators import FuzzySystem
-from .report import ChebyshevReport, RowDiagnostics, attained_row, build_report, checked_cell
+from .report import ChebyshevReport, RowDiagnostics, base_row, build_report, checked_cell
 
 
 @dataclass(frozen=True)
@@ -57,4 +57,4 @@ def luka_distance(system: FuzzySystem) -> ChebyshevReport:
 
 
 def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    return attained_row(system, j, cells, enumerate(cell.zeta for cell in cells))
+    return base_row(system, j, cells, enumerate(cell.zeta for cell in cells))

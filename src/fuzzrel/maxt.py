@@ -13,10 +13,11 @@ the sup-norm distance of `b` to the set of consistent right-hand sides:
 Each distance equals min{delta : lower_shift(b, delta) <= maxt_closure(a,
 kind, upper_shift(b, delta))} and is always achieved.  This module exists as
 a cross-validation target for the min-implication solvers: both families are
-checked against the same bisection oracle.  The thresholds and the distance
-loop are written once in `fuzzrel.algebra.arithmetic`; this module binds
-their float instance, and `fuzzrel.oracle.exact_maxt_distance` runs the same
-formulas on exact rationals.
+checked against the same bisection oracle.  The cell formulas are written
+once in `fuzzrel.algebra.arithmetic` and scanned by the reports' column
+scan, `fuzzrel.algebra.column_scan`; this module binds their float
+instance, and `fuzzrel.oracle.exact_maxt_distance` runs the same formulas
+on exact rationals.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ the analogous map for max-t-norm systems, used here for cross-validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import (
@@ -40,6 +41,7 @@ from .algebra import (
     sup_distance,
     transpose,
     unit_system,
+    unit_vector,
 )
 from .errors import DimensionMismatch
 
@@ -104,8 +106,8 @@ def check_consistency(system: FuzzySystem, tol: float = DEFAULT_TOL) -> Consiste
     sup norm.  The residual is reported so callers can re-judge borderline
     inputs with their own threshold.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
     epsilon, recomposed = solve_and_recompose(system, system.beta)
     residual = sup_distance(recomposed, system.beta)
     return ConsistencyResult(residual <= tol, epsilon, residual)
@@ -116,8 +118,10 @@ def closure(system: FuzzySystem, xi: Vector) -> Vector:
 
     closure(xi)[j] = min_i (gamma[j][i] -> max_l T(gamma[l][i], xi[l])).
     Inflationary, increasing and idempotent; closure(xi) is always a
-    consistent right-hand side.
+    consistent right-hand side.  Each entry of `xi` is validated like an
+    entry of beta.
     """
+    xi = unit_vector(xi, "xi")
     if len(xi) != system.m:
         raise DimensionMismatch(f"xi has {len(xi)} entries, expected {system.m}")
     return solve_and_recompose(system, xi)[1]

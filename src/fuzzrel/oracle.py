@@ -13,6 +13,7 @@ random instances for agreement suites.
 
 from __future__ import annotations
 
+import math
 import random
 
 from dataclasses import dataclass
@@ -168,8 +169,8 @@ def bisect_infimum(predicate: Callable[[float], bool], tol: float = 1e-9) -> Ora
     decimals far more often than dyadics, and evaluating the predicate at
     such a point makes member_at_inf meaningful.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
 
     probes = (0.0, 0.25, 0.5, 0.75, 1.0)
     truths = [bool(predicate(p)) for p in probes]

@@ -1,5 +1,4 @@
-"""Shared result types, column scan and report skeleton of the closed-form
-solvers.
+"""Shared result types and report skeleton of the closed-form solvers.
 
 The three min-implication solvers differ in the formula of their cell
 statistics and in the set of columns each row aggregates over, not in how a
@@ -8,9 +7,10 @@ the rows l of column i of an implicator-specific threshold of
 (gamma[l][i], beta[l]), so a solver supplies only the formula
 `stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
 `column` the pairs (gamma[l][i], beta[l]) in row order.  `build_report`
-checks the kind, builds each column once, evaluates every cell, lets the
-solver turn each row's cells into a `RowDiagnostics` and aggregates the rows
-into a `ChebyshevReport`; `checked_cell` evaluates one cell for the public
+checks the kind, evaluates every cell by `fuzzrel.algebra.column_scan` (the
+scan the max-t distances use too), lets the solver turn each row's cells
+into a `RowDiagnostics` from `base_row` and aggregates the rows into a
+`ChebyshevReport`; `checked_cell` evaluates one cell for the public
 `*_cell` functions.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import ImplicationKind
+from .algebra import ImplicationKind, column_scan
 from .errors import KindMismatch
 
 #: Width of the numeric window around strict-comparison ties inside which
@@ -78,15 +78,6 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def _column(system, col: int) -> tuple[tuple[float, float], ...]:
-    """The pairs (gamma[l][col], beta[l]) for l = 0..m-1.
-
-    The row order matters: `max` keeps the first of equal values, so it
-    decides which of 0.0 and -0.0 a statistic reports.
-    """
-    return tuple(zip([row[col] for row in system.gamma], system.beta))
-
-
 def checked_cell(system, row: int, col: int, stats):
     """`stats` of the (row, col) cell (0-based) of `system`; a pair outside
     the system's matrix raises IndexError."""
@@ -94,7 +85,8 @@ def checked_cell(system, row: int, col: int, stats):
         raise IndexError(f"row {row} out of range for {system.m} rows")
     if not 0 <= col < system.n:
         raise IndexError(f"col {col} out of range for {system.n} columns")
-    return stats(system.gamma[row][col], system.beta[row], _column(system, col))
+    column = tuple(zip([entry[col] for entry in system.gamma], system.beta))
+    return stats(system.gamma[row][col], system.beta[row], column)
 
 
 def least(candidates) -> tuple[float, int | None]:
@@ -107,9 +99,10 @@ def least(candidates) -> tuple[float, int | None]:
     return tau, argmin
 
 
-def attained_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
-    """Diagnostics of a row of a kind whose row distance is always achieved;
-    tau and its column are the `least` of the (column, value) `candidates`."""
+def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
+    """Diagnostics of a row, attainable and not borderline; tau and its
+    column are the `least` of the (column, value) `candidates`.  Godel rows
+    amend the attainability fields with `dataclasses.replace`."""
     tau, argmin = least(candidates)
     one_minus_beta = 1.0 - system.beta[row]
     return RowDiagnostics(
@@ -139,11 +132,8 @@ def build_report(system, kind: ImplicationKind, stats, row_diagnostics) -> Cheby
         raise KindMismatch(
             f"expected a {kind.value.capitalize()} system, got kind {system.kind.value!r}"
         )
-    columns = [_column(system, i) for i in range(system.n)]
-    rows = tuple(
-        row_diagnostics(system, j, tuple(stats(g, b, c) for g, c in zip(gamma_j, columns)))
-        for j, (gamma_j, b) in enumerate(zip(system.gamma, system.beta))
-    )
+    cells = column_scan(system.gamma, system.beta, stats)
+    rows = tuple(row_diagnostics(system, j, row) for j, row in enumerate(cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM

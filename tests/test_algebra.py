@@ -10,6 +10,7 @@ from fuzzrel import (
     DomainError,
     ImplicationKind,
     max_t_compose,
+    maxt_closure,
     min_impl_compose,
     residuum,
     shifted_bounds,
@@ -136,6 +137,20 @@ class TestResiduum:
         # decreasing in the first argument, increasing in the second
         assert residuum(kind, hi, y) <= residuum(kind, lo, y)
         assert residuum(kind, y, lo) <= residuum(kind, y, hi)
+
+
+class TestKindChecked:
+    @pytest.mark.parametrize("call", [
+        lambda kind: t_norm(kind, 0.3, 0.5),
+        lambda kind: residuum(kind, 0.5, 0.3),
+        lambda kind: max_t_compose(((0.3, 0.6),), kind, (0.5, 0.2)),
+        lambda kind: min_impl_compose(((0.3, 0.6),), kind, (0.5, 0.2)),
+        lambda kind: maxt_closure(((0.3, 0.6),), kind, (0.5,)),
+    ], ids=["t_norm", "residuum", "max_t_compose", "min_impl_compose", "maxt_closure"])
+    def test_kind_given_as_string_rejected(self, call):
+        # a kind that is not an ImplicationKind used to fall through to Lukasiewicz
+        with pytest.raises(TypeError, match="^kind: expected ImplicationKind, got 'godel'$"):
+            call("godel")
 
 
 class TestNumberTypes:

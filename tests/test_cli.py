@@ -110,6 +110,20 @@ class TestApprox:
         assert code == 1
         assert "delta" in err
 
+    @pytest.mark.parametrize("delta", ["1.5", "nan", "inf", "0.01"])
+    @pytest.mark.parametrize("doc", ["attained_doc", "infimum_doc"])
+    def test_bad_delta_rejected_whatever_the_verdict(self, capsys, request, doc, delta):
+        path = request.getfixturevalue(doc)
+        code, out, err = run_cli(capsys, "approx", "--input", path, "--delta", delta)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: delta: ")
+
+    def test_valid_delta_on_attained_report_keeps_output(self, capsys, attained_doc):
+        plain = run_cli(capsys, "approx", "--input", attained_doc)
+        with_delta = run_cli(capsys, "approx", "--input", attained_doc, "--delta", "0.2")
+        assert with_delta == plain
+        assert "near" not in json.loads(with_delta[1])
+
     def test_attained_vector(self, capsys, attained_doc):
         code, out, _ = run_cli(capsys, "approx", "--input", attained_doc)
         assert code == 0
@@ -380,6 +394,23 @@ class TestFlags:
         code, _, err = run_cli(capsys, "check", "--input", attained_doc, "--tolerance", "-1")
         assert code == 1
         assert err.startswith("error:") and "--tolerance" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("check", "--tolerance"),
+        ("distance", "--tolerance"),
+        ("approx", "--tolerance"),
+        ("verify", "--oracle-tol"),
+    ])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance(self, capsys, attained_doc, command, flag, value):
+        code, out, err = run_cli(capsys, command, "--input", attained_doc, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and flag in err
+
+    def test_trials_given_twice(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--random", "2", "2", "3", "--trials", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--random" in err and "--trials" in err
 
     def test_zero_oracle_tolerance(self, capsys, attained_doc):
         code, _, err = run_cli(capsys, "verify", "--input", attained_doc, "--oracle-tol", "0")

@@ -1,11 +1,13 @@
 """Consistency decisions and the closure-map laws."""
 
 import random
+import re
 
 import pytest
 
 from fuzzrel import (
     DimensionMismatch,
+    DomainError,
     FuzzySystem,
     ImplicationKind,
     check_consistency,
@@ -76,6 +78,11 @@ class TestCheckConsistency:
         with pytest.raises(ValueError, match="tol"):
             check_consistency(consistent_godel, tol=float("nan"))
 
+    def test_infinite_tolerance_rejected(self, inconsistent_godel):
+        # an infinite tolerance would declare every system consistent
+        with pytest.raises(ValueError, match="tol"):
+            check_consistency(inconsistent_godel, tol=float("inf"))
+
 
 class TestClosure:
     def test_fixed_point_at_consistent_rhs(self, consistent_godel):
@@ -92,6 +99,15 @@ class TestClosure:
     def test_shape_mismatch(self, consistent_godel):
         with pytest.raises(DimensionMismatch):
             closure(consistent_godel, (0.5,))
+
+    @pytest.mark.parametrize("xi, field", [
+        ((2.0, 0.3), "xi[0]"),
+        ((0.3, float("nan")), "xi[1]"),
+        ((0.3, "0.5"), "xi[1]"),
+    ], ids=["above-one", "nan", "string"])
+    def test_bad_entry_named(self, consistent_godel, xi, field):
+        with pytest.raises(DomainError, match=rf"^{re.escape(field)}: "):
+            closure(consistent_godel, xi)
 
 
 class TestMaxTClosure:

@@ -117,6 +117,13 @@ class TestBisectInfimum:
         with pytest.raises(ValueError):
             bisect_infimum(lambda d: True, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        calls = []
+        with pytest.raises(ValueError, match="tol"):
+            bisect_infimum(lambda d: calls.append(d) or d >= 0.3, tol=tol)
+        assert calls == []
+
     def test_member_flag_matches_verdict_off_borderline(self):
         for system in iter_random_systems(63, 150, kind=ImplicationKind.GODEL):
             report = godel_distance(system)
