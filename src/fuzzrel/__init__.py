@@ -45,9 +45,6 @@ from .errors import (
     PredicateNotUpClosed,
     ReportMismatch,
 )
-from .godel import GodelCellStats, godel_cell, godel_distance, godel_threshold
-from .goguen import GoguenCellStats, goguen_cell, goguen_distance, goguen_threshold
-from .lukasiewicz import LukaCellStats, luka_cell, luka_distance, luka_threshold
 from .maxt import (
     MaxTSystem,
     maxluka_threshold,
@@ -74,20 +71,26 @@ from .oracle import (
     sample_consistent_rhs,
     tolerance_membership,
 )
-from .report import Attainability, ChebyshevReport, RowDiagnostics
+from .report import (
+    Attainability,
+    ChebyshevReport,
+    GodelCellStats,
+    GoguenCellStats,
+    LukaCellStats,
+    RowDiagnostics,
+    distance_report,
+    godel_cell,
+    godel_distance,
+    godel_threshold,
+    goguen_cell,
+    goguen_distance,
+    goguen_threshold,
+    luka_cell,
+    luka_distance,
+    luka_threshold,
+)
 
 __version__ = "0.1.0"
-
-_DISTANCE_SOLVERS = {
-    ImplicationKind.GODEL: godel_distance,
-    ImplicationKind.GOGUEN: goguen_distance,
-    ImplicationKind.LUKASIEWICZ: luka_distance,
-}
-
-
-def distance_report(system: FuzzySystem) -> ChebyshevReport:
-    """Chebyshev distance report via the solver matching the system's kind."""
-    return _DISTANCE_SOLVERS[system.kind](system)
 
 
 __all__ = [

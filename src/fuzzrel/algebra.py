@@ -16,10 +16,11 @@ by every solver in this package:
 and the shifted bounds of a vector, `shifted_bounds(v, delta)`, which bracket
 the closed sup-norm ball of radius delta around v inside the unit cube.
 
-These formulas, together with the scalar thresholds and the cell formulas
-of the max-t closed forms, are written once in `arithmetic`, over the zero
-and one of a number type, and `column_scan` is the one loop over the cells
-of a system.  `FLOAT` binds the formulas to floats and supplies this
+These formulas, together with every scalar threshold of both system
+families and the cell formulas of the max-t closed forms, are written once
+in `arithmetic`, over the zero and one of a number type (no numeric literal
+appears inside it), and `column_scan` is the one loop over the cells of a
+system.  `FLOAT` binds the formulas to floats and supplies this
 module's public functions; the oracle binds them to `Fraction` to run the
 same formulas in exact rational arithmetic.  A float operand that meets a
 Fraction silently rounds the result to a float, so exact callers pass only
@@ -66,7 +67,8 @@ def transpose(matrix: Matrix) -> Matrix:
 Arithmetic = namedtuple(
     "Arithmetic",
     "zero pos t_norm residuum max_t_compose min_impl_compose solve_and_recompose maxt_closure"
-    " shifted_bounds godel_threshold maxprod_ratio maxprod_threshold maxluka_threshold"
+    " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
+    " maxprod_threshold maxluka_threshold"
     " maxt_distance",
 )
 
@@ -171,6 +173,29 @@ def arithmetic(zero, one) -> Arithmetic:
         Equals min((x - z)^+ / 2, (y - z)^+).
         """
         return min(pos(x - z) / two, pos(y - z))
+
+    def goguen_threshold(u, x, y, z):
+        """Least delta with y * (x - delta)^+ / u <= min(z + delta, 1).
+
+        Defined as 0 when u = 0 or y = 0; otherwise
+
+            max((x - u/y)^+, min((x*y - u*z)^+ / (u + y), 1 - z)).
+
+        The zero cases make the division total; no epsilon-regularisation is
+        applied.
+        """
+        if u == zero or y == zero:
+            return zero
+        return max(pos(x - u / y), min(pos(x * y - u * z) / (u + y), one - z))
+
+    def luka_threshold(u, v, x, y):
+        """Least delta with ((x - delta)^+ - v)^+ <= min(y + delta, 1) - u.
+
+        Equals max((u - y)^+, min((x - v)^+, (x - y + u - v)^+ / 2)), evaluated
+        in exactly this expanded form so float behaviour matches hand-checked
+        values.
+        """
+        return max(pos(u - y), min(pos(x - v), pos(x - y + u - v) / two))
 
     def maxprod_ratio(u, x, y, z):
         """Quotient term of the product threshold: (x*y - u*z)^+ / (u + y), or x

@@ -14,7 +14,8 @@ is the one matched to the system's implication kind.  When the distance is
 only an infimum (possible for the Godel kind alone) no right-hand side at
 distance nabla exists at all; `near_approximation` then provides a
 consistent right-hand side at any chosen tolerance above nabla, explicitly
-labelled non-optimal.
+labelled non-optimal, and rejects a tolerance whose vector it cannot bring
+that close.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import Vector, shifted_bounds, sup_distance, unit
-from .errors import ReportMismatch
+from .errors import DomainError, ReportMismatch
 from .operators import DEFAULT_TOL, FuzzySystem, closure, solve_and_recompose
 from .report import Attainability, ChebyshevReport
 
@@ -68,14 +69,16 @@ class NearApproximation:
 def build_approximation(system: FuzzySystem, report: ChebyshevReport) -> ApproximationResult:
     """Construct the lowest approximation described by `report`.
 
-    The report must have been produced for `system` by the solver matching
-    its kind.
+    The report must have been produced for `system`: a report of another
+    kind or with another number of rows raises ReportMismatch.
     """
     if report.kind is not system.kind:
         raise ReportMismatch(
             f"report kind {report.kind.value!r} does not match system kind "
             f"{system.kind.value!r}"
         )
+    if len(report.rows) != system.m:
+        raise ReportMismatch(f"report has {len(report.rows)} rows, system has {system.m}")
     if report.verdict is Attainability.INFIMUM:
         return ApproximationResult(
             ApproximationStatus.APPROXIMATION_SET_EMPTY, None, None, None
@@ -93,11 +96,19 @@ def build_approximation(system: FuzzySystem, report: ChebyshevReport) -> Approxi
 def near_approximation(system: FuzzySystem, delta: float) -> NearApproximation:
     """Consistent right-hand side within `delta` of beta, without any
     optimality claim.  Useful when the approximation set is empty: any
-    delta strictly above the report's nabla yields a vector."""
+    delta strictly above the report's nabla yields a vector.  A delta whose
+    vector lands farther than delta (+ DEFAULT_TOL) from beta, as one at or
+    below the distance may, raises DomainError."""
     delta = unit(delta, "delta")
     lower, _ = shifted_bounds(system.beta, delta)
     solution, vector = solve_and_recompose(system, lower)
-    return NearApproximation(delta, vector, solution, sup_distance(system.beta, vector))
+    achieved = sup_distance(system.beta, vector)
+    if achieved > delta + DEFAULT_TOL:
+        raise DomainError(
+            f"delta: the approximation at {delta!r} lies {achieved!r} from beta; "
+            "delta must exceed the distance"
+        )
+    return NearApproximation(delta, vector, solution, achieved)
 
 
 def verify_lowest(

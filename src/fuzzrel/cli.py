@@ -43,9 +43,7 @@ from .oracle import (
     generate_random_system,
     tolerance_membership,
 )
-from .report import ChebyshevReport
-
-from . import distance_report
+from .report import ChebyshevReport, distance_report
 
 #: Slack used when the oracle re-tests membership exactly at a computed
 #: distance, where the two sides of the comparison are equal in exact

@@ -40,6 +40,7 @@ from .algebra import (
     max_t_compose,
     sup_distance,
     transpose,
+    unit_matrix,
     unit_system,
     unit_vector,
 )
@@ -132,7 +133,10 @@ def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
 
     maxt_closure(c) = max_t_compose(a, kind, min_impl_compose(a^t, kind, c)).
     Fixed points are exactly the right-hand sides of consistent max-t systems.
+    Each entry of `a` and `c` is validated like an entry of a system.
     """
+    a = unit_matrix(a, "a")
+    c = unit_vector(c, "c")
     if len(c) != len(a):
         raise DimensionMismatch(f"c has {len(c)} entries, expected {len(a)}")
     return FLOAT.maxt_closure(a, kind, c)

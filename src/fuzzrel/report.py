@@ -1,30 +1,85 @@
-"""Shared result types and report skeleton of the closed-form solvers.
+"""Closed-form Chebyshev distances of the three min-implication kinds.
 
-The three min-implication solvers differ in the formula of their cell
-statistics and in the set of columns each row aggregates over, not in how a
-report is put together.  Every cell statistic of cell (j, i) is a max over
-the rows l of column i of an implicator-specific threshold of
-(gamma[l][i], beta[l]), so a solver supplies only the formula
-`stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
-`column` the pairs (gamma[l][i], beta[l]) in row order.  `build_report`
-checks the kind, evaluates every cell by `fuzzrel.algebra.column_scan` (the
-scan the max-t distances use too), lets the solver turn each row's cells
-into a `RowDiagnostics` from `base_row` and aggregates the rows into a
-`ChebyshevReport`; `checked_cell` evaluates one cell for the public
-`*_cell` functions.
+The kinds differ only in the formula of their cell statistics and in the
+rule that turns a row's cells into its tau_j; one column scan and one report
+skeleton serve all three.  Every cell statistic of cell (j, i) is a max over
+the rows l of column i of a kind-specific threshold of (gamma[l][i],
+beta[l]), so a kind supplies only the formula `stats(g, b, column)` of one
+cell, with g = gamma[j][i], b = beta[j] and `column` the pairs (gamma[l][i],
+beta[l]) in row order.  The thresholds are written once in
+`fuzzrel.algebra.arithmetic`; this module binds their float instance.
+
+A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
+
+    nabla_j = min(1 - beta[j], tau_j),   nabla = max_j nabla_j,
+
+with tau_j = 1 when no column qualifies.
+
+Godel:
+
+    theta[j][i] = max over {l : gamma[j][i] <= gamma[l][i]} of (beta[l] - gamma[j][i])
+    zeta[j][i]  = max over all l of godel_threshold(beta[l], gamma[l][i], beta[j])
+    tau_j       = min over supporting i of max(theta[j][i], zeta[j][i])
+
+Unlike the other two kinds, the distance here is not always achieved.  A row
+achieves nabla_j iff nabla_j = 1 - beta[j], or nabla_j equals
+
+    nabla_tilde_j = min over {supporting i : theta[j][i] < zeta[j][i]} of zeta[j][i]
+
+(1 if the set is empty).  The strictness of theta < zeta is essential: the
+minimum/infimum dichotomy genuinely flips on it, so the comparison is made
+exactly on the computed floats and a `borderline` flag is raised whenever a
+decision sits within BORDERLINE_EPS of the tie, letting callers know the
+verdict is numerically fragile.
+
+Goguen, adapted to the product t-norm:
+
+    theta[j][i] = max over {l : gamma[j][i] <= gamma[l][i], gamma[l][i] > 0}
+                  of (beta[l] - gamma[j][i] / gamma[l][i])        (0 if empty)
+    zeta[j][i]  = max over all l of
+                  goguen_threshold(gamma[j][i], beta[l], gamma[l][i], beta[j])
+    tau_j       = min over supporting i of max(theta[j][i], zeta[j][i])
+
+On supporting cells theta <= zeta always holds, so tau_j is also the min of
+the zetas; the row rule checks that both forms agree and raises
+InvariantViolation when they do not.
+
+Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
+
+    zeta[j][i] = max over all l of
+                 luka_threshold(1 - gamma[j][i], 1 - gamma[l][i], beta[l], beta[j])
+    tau_j      = min over ALL columns i of zeta[j][i]
+
+tau_j ranges over every column here, including those with a zero matrix
+entry, because the aggregation sets genuinely differ between kinds.  For
+Goguen and Lukasiewicz the distance is always achieved, so their reports
+carry the MINIMUM verdict.
+
+`SOLVERS` maps each kind to its cell formula and row rule; `distance_report`
+looks the system's kind up there once, evaluates every cell by
+`fuzzrel.algebra.column_scan` (the scan the max-t distances use too), lets
+the row rule turn each row's cells into a `RowDiagnostics` from `base_row`
+and aggregates the rows into a `ChebyshevReport`.  `checked_cell` evaluates
+one cell for the public `*_cell` functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .algebra import ImplicationKind, column_scan
-from .errors import KindMismatch
+from .algebra import FLOAT, ImplicationKind, column_scan
+from .errors import InvariantViolation, KindMismatch
+from .operators import FuzzySystem
 
 #: Width of the numeric window around strict-comparison ties inside which
 #: the minimum/infimum classification is reported as fragile.
 BORDERLINE_EPS = 1e-9
+
+godel_threshold = FLOAT.godel_threshold
+goguen_threshold = FLOAT.goguen_threshold
+luka_threshold = FLOAT.luka_threshold
 
 
 class Attainability(Enum):
@@ -78,15 +133,33 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def checked_cell(system, row: int, col: int, stats):
-    """`stats` of the (row, col) cell (0-based) of `system`; a pair outside
-    the system's matrix raises IndexError."""
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
-    if not 0 <= col < system.n:
-        raise IndexError(f"col {col} out of range for {system.n} columns")
-    column = tuple(zip([entry[col] for entry in system.gamma], system.beta))
-    return stats(system.gamma[row][col], system.beta[row], column)
+@dataclass(frozen=True)
+class GodelCellStats:
+    """Statistics of one Godel (row, column) cell.
+
+    theta may be negative and is kept signed.  `support` records whether the
+    cell's matrix entry is positive, `borderline` whether theta and zeta are
+    within BORDERLINE_EPS of each other on a supporting cell.
+    """
+
+    theta: float
+    zeta: float
+    support: bool
+    borderline: bool
+
+
+@dataclass(frozen=True)
+class GoguenCellStats:
+    """Statistics of one Goguen (row, column) cell; theta is kept signed."""
+
+    theta: float
+    zeta: float
+    support: bool
+
+
+@dataclass(frozen=True)
+class LukaCellStats:
+    zeta: float
 
 
 def least(candidates) -> tuple[float, int | None]:
@@ -117,9 +190,104 @@ def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     )
 
 
-def build_report(system, kind: ImplicationKind, stats, row_diagnostics) -> ChebyshevReport:
-    """Report of `system` from its cells `stats(gamma[j][i], beta[j], column
-    i)` and rows `row_diagnostics(system, j, cells)`.
+def _supported_row(system, j: int, cells: tuple) -> RowDiagnostics:
+    """Row whose tau is the least max(theta, zeta) over its supporting cells."""
+    return base_row(
+        system, j, cells, ((i, max(c.theta, c.zeta)) for i, c in enumerate(cells) if c.support)
+    )
+
+
+def _godel_stats(g: float, b: float, column) -> GodelCellStats:
+    # The cell's own row always qualifies, so the max is never over an empty set.
+    theta = max(bl - g for gl, bl in column if g <= gl)
+    zeta = max(godel_threshold(bl, gl, b) for gl, bl in column)
+    support = g > 0.0
+    borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
+    return GodelCellStats(theta, zeta, support, borderline)
+
+
+def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    row = _supported_row(system, j, cells)
+    tau, nabla_j, one_minus_beta = row.tau_j, row.nabla_j, row.one_minus_beta
+
+    nabla_tilde = min((c.zeta for c in cells if c.support and c.theta < c.zeta), default=1.0)
+    attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
+
+    # Fragility: a theta/zeta tie at the value deciding tau, or a near miss
+    # in either comparison that ruled the row non-attainable.  A row
+    # certified attainable by some cell that clears the strictness test with
+    # margin is immune to tie flips elsewhere.
+    robustly_attainable = attainable and (
+        nabla_j == one_minus_beta
+        or any(
+            cell.support
+            and cell.zeta == tau
+            and cell.theta <= cell.zeta - BORDERLINE_EPS
+            for cell in cells
+        )
+    )
+    borderline = not robustly_attainable and any(
+        cell.borderline and max(cell.theta, cell.zeta) <= tau + BORDERLINE_EPS
+        for cell in cells
+        if cell.support
+    )
+    if not attainable:
+        borderline = (
+            borderline
+            or abs(nabla_tilde - nabla_j) <= BORDERLINE_EPS
+            or abs(one_minus_beta - tau) <= BORDERLINE_EPS
+        )
+
+    return replace(row, attainable=attainable, borderline=borderline, nabla_tilde_j=nabla_tilde)
+
+
+def _goguen_stats(g: float, b: float, column) -> GoguenCellStats:
+    theta = max((bl - g / gl for gl, bl in column if gl > 0.0 and g <= gl), default=None)
+    support = g > 0.0
+    if theta is None:
+        # A supporting cell always dominates its own row, so the empty-set
+        # convention theta = 0 is only ever reachable on non-supporting cells.
+        if support:
+            raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
+        theta = 0.0
+    zeta = max(goguen_threshold(g, bl, gl, b) for gl, bl in column)
+    return GoguenCellStats(theta, zeta, support)
+
+
+def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    row = _supported_row(system, j, cells)
+    # theta <= zeta on supporting cells, so the min of the zetas is an
+    # equivalent form of tau (up to one ulp when a tie is split by float
+    # rounding).
+    tau_via_zeta, _ = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
+    if not abs(row.tau_j - tau_via_zeta) <= 1e-12:
+        raise InvariantViolation(
+            f"row {j}: tau {row.tau_j!r} differs from the least zeta {tau_via_zeta!r}"
+        )
+    return row
+
+
+def _luka_stats(g: float, b: float, column) -> LukaCellStats:
+    u = 1.0 - g
+    return LukaCellStats(max(luka_threshold(u, 1.0 - gl, bl, b) for gl, bl in column))
+
+
+def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
+    return base_row(system, j, cells, enumerate(cell.zeta for cell in cells))
+
+
+#: A kind's cell formula `cell(g, b, column)` and row rule `row(system, j, cells)`.
+Solver = namedtuple("Solver", "cell row")
+
+SOLVERS = {
+    ImplicationKind.GODEL: Solver(_godel_stats, _godel_row),
+    ImplicationKind.GOGUEN: Solver(_goguen_stats, _goguen_row),
+    ImplicationKind.LUKASIEWICZ: Solver(_luka_stats, _luka_row),
+}
+
+
+def distance_report(system: FuzzySystem) -> ChebyshevReport:
+    """Chebyshev distance report of `system`, by the solver of its kind.
 
     nabla is the max of the row distances.  The verdict is MINIMUM when
     every row at nabla is attainable.  Rows strictly below the max cannot
@@ -128,12 +296,9 @@ def build_report(system, kind: ImplicationKind, stats, row_diagnostics) -> Cheby
     rounding could change the verdict, so such near-ties are reported as
     fragile too.
     """
-    if system.kind is not kind:
-        raise KindMismatch(
-            f"expected a {kind.value.capitalize()} system, got kind {system.kind.value!r}"
-        )
-    cells = column_scan(system.gamma, system.beta, stats)
-    rows = tuple(row_diagnostics(system, j, row) for j, row in enumerate(cells))
+    cell, row_rule = SOLVERS[system.kind]
+    cells = column_scan(system.gamma, system.beta, cell)
+    rows = tuple(row_rule(system, j, row) for j, row in enumerate(cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM
@@ -145,4 +310,54 @@ def build_report(system, kind: ImplicationKind, stats, row_diagnostics) -> Cheby
         and abs(r.nabla_j - nabla) <= BORDERLINE_EPS
         for r in rows
     )
-    return ChebyshevReport(kind, nabla, verdict, rows, borderline)
+    return ChebyshevReport(system.kind, nabla, verdict, rows, borderline)
+
+
+def checked_cell(system: FuzzySystem, row: int, col: int, cell):
+    """`cell` formula of the (row, col) cell (0-based) of `system`; a pair
+    outside the system's matrix raises IndexError."""
+    if not 0 <= row < system.m:
+        raise IndexError(f"row {row} out of range for {system.m} rows")
+    if not 0 <= col < system.n:
+        raise IndexError(f"col {col} out of range for {system.n} columns")
+    column = tuple(zip([entry[col] for entry in system.gamma], system.beta))
+    return cell(system.gamma[row][col], system.beta[row], column)
+
+
+def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:
+    """`system` itself; a system of another kind raises KindMismatch."""
+    if system.kind is not expected:
+        raise KindMismatch(
+            f"expected a {expected.value.capitalize()} system, got kind {system.kind.value!r}"
+        )
+    return system
+
+
+def godel_distance(system: FuzzySystem) -> ChebyshevReport:
+    """Chebyshev distance report for a Godel-implication system."""
+    return distance_report(_of_kind(system, ImplicationKind.GODEL))
+
+
+def goguen_distance(system: FuzzySystem) -> ChebyshevReport:
+    """Chebyshev distance report for a Goguen-implication system."""
+    return distance_report(_of_kind(system, ImplicationKind.GOGUEN))
+
+
+def luka_distance(system: FuzzySystem) -> ChebyshevReport:
+    """Chebyshev distance report for a Lukasiewicz-implication system."""
+    return distance_report(_of_kind(system, ImplicationKind.LUKASIEWICZ))
+
+
+def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
+    """Godel cell statistics of one (row, col) pair (0-based)."""
+    return checked_cell(system, row, col, SOLVERS[ImplicationKind.GODEL].cell)
+
+
+def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
+    """Goguen cell statistics of one (row, col) pair (0-based)."""
+    return checked_cell(system, row, col, SOLVERS[ImplicationKind.GOGUEN].cell)
+
+
+def luka_cell(system: FuzzySystem, row: int, col: int) -> LukaCellStats:
+    """Lukasiewicz cell statistic of one (row, col) pair (0-based)."""
+    return checked_cell(system, row, col, SOLVERS[ImplicationKind.LUKASIEWICZ].cell)

@@ -21,7 +21,7 @@ from fuzzrel import (
     unit_matrix,
     unit_vector,
 )
-from fuzzrel.algebra import pos
+from fuzzrel.algebra import leq, pos
 
 KINDS = list(ImplicationKind)
 
@@ -199,6 +199,10 @@ class TestCompositions:
             min_impl_compose(((0.1, 0.2),), ImplicationKind.GODEL, (0.5, 0.5, 0.5))
         with pytest.raises(DimensionMismatch):
             sup_distance((0.1,), (0.1, 0.2))
+
+    def test_leq_length_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^leq: "):
+            leq((0.1,), (0.1, 0.2))
 
 
 class TestShiftedBounds:

@@ -7,6 +7,9 @@ import pytest
 from fuzzrel import (
     ApproximationStatus,
     Attainability,
+    DomainError,
+    FuzzySystem,
+    ImplicationKind,
     ReportMismatch,
     build_approximation,
     closure,
@@ -55,6 +58,15 @@ class TestBuildApproximation:
         report = godel_distance(inconsistent_godel)
         with pytest.raises(ReportMismatch):
             build_approximation(inconsistent_goguen, report)
+
+    def test_report_of_another_system_rejected(self, inconsistent_godel):
+        # same kind, but a 2-row report cannot describe a 3-row system
+        report = godel_distance(inconsistent_godel)
+        three_rows = FuzzySystem(
+            ((0.6, 0.49), (0.26, 0.9), (0.3, 0.3)), (0.1, 0.4, 0.5), ImplicationKind.GODEL
+        )
+        with pytest.raises(ReportMismatch, match="rows"):
+            build_approximation(three_rows, report)
 
     def test_unknown_verdict_rejected(self, inconsistent_godel):
         report = dataclasses.replace(godel_distance(inconsistent_godel), verdict="minimum")
@@ -116,3 +128,19 @@ class TestNearApproximation:
     def test_delta_validated(self, infimum_godel):
         with pytest.raises(Exception):
             near_approximation(infimum_godel, 1.5)
+
+    @pytest.mark.parametrize("system, delta", [
+        ("inconsistent_godel", 0.05),
+        ("infimum_godel", None),
+    ], ids=["below-attained-distance", "at-infimum"])
+    def test_delta_not_above_distance_rejected(self, request, system, delta):
+        # the vectors found here lie 0.16 and 0.54 from beta, farther than delta
+        system = request.getfixturevalue(system)
+        if delta is None:
+            delta = godel_distance(system).nabla
+        with pytest.raises(DomainError, match="^delta: "):
+            near_approximation(system, delta)
+
+    def test_delta_just_above_infimum(self, infimum_godel):
+        near = near_approximation(infimum_godel, godel_distance(infimum_godel).nabla + 1e-6)
+        assert near.achieved_distance == pytest.approx(0.150001, abs=1e-12)

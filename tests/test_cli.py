@@ -342,6 +342,17 @@ class TestValidation:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("[0.5]", "top-level value must be a JSON object"),
+        ('{"gamma": [[0.5]], "beta": [0.5]}', "implication: required string field"),
+    ], ids=["array-document", "no-implication"])
+    def test_document_shape_named(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+
     def test_ragged_matrix(self, capsys, tmp_path):
         path = write_doc(tmp_path, "bad.json", {
             "implication": "godel", "gamma": [[0.5, 0.2], [0.1]], "beta": [0.5, 0.1],
@@ -411,6 +422,12 @@ class TestFlags:
         code, out, err = run_cli(capsys, "verify", "--random", "2", "2", "3", "--trials", "7")
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "--random" in err and "--trials" in err
+
+    @pytest.mark.parametrize("counts", [("3",), ("0", "3")], ids=["one-count", "zero-rows"])
+    def test_bad_random_counts(self, capsys, counts):
+        code, out, err = run_cli(capsys, "verify", "--random", *counts)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --random: ")
 
     def test_zero_oracle_tolerance(self, capsys, attained_doc):
         code, _, err = run_cli(capsys, "verify", "--input", attained_doc, "--oracle-tol", "0")

@@ -132,6 +132,14 @@ class TestMaxTClosure:
         with pytest.raises(DimensionMismatch):
             maxt_closure(((0.1,), (0.2,)), ImplicationKind.GODEL, (0.5,))
 
+    @pytest.mark.parametrize("a, c, field", [
+        (((0.3, 0.6), (0.2, 0.9)), (float("nan"), 2.0), "c[0]"),
+        (((0.3, 0.6), (0.2, 7.0)), (0.5, 0.5), "a[1][1]"),
+    ], ids=["nan-in-c", "above-one-in-a"])
+    def test_bad_entry_named(self, a, c, field):
+        with pytest.raises(DomainError, match=rf"^{re.escape(field)}: "):
+            maxt_closure(a, ImplicationKind.GODEL, c)
+
 
 class TestClosureLaws:
     """Inflation, monotonicity, idempotence and the kernel identity."""

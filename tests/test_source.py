@@ -17,3 +17,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_numeric_literals_in_arithmetic():
+    # every literal of the shared formulas derives from `zero` and `one`; a
+    # float literal would silently round each Fraction result of oracle.EXACT
+    tree = ast.parse((PACKAGE / "algebra.py").read_text(encoding="utf-8"))
+    (body,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "arithmetic"
+    ]
+    found = [
+        f"algebra.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(body)
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+    ]
+    assert found == []
