@@ -45,17 +45,11 @@ from .errors import (
     PredicateNotUpClosed,
     ReportMismatch,
 )
-from .maxt import (
-    MaxTSystem,
-    maxluka_threshold,
-    maxprod_ratio,
-    maxprod_threshold,
-    maxt_distance,
-)
 from .operators import (
     DEFAULT_TOL,
     ConsistencyResult,
     FuzzySystem,
+    MaxTSystem,
     check_consistency,
     closure,
     maxt_closure,
@@ -88,6 +82,10 @@ from .report import (
     luka_cell,
     luka_distance,
     luka_threshold,
+    maxluka_threshold,
+    maxprod_ratio,
+    maxprod_threshold,
+    maxt_distance,
 )
 
 __version__ = "0.1.0"

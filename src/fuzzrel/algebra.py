@@ -220,7 +220,7 @@ def arithmetic(zero, one) -> Arithmetic:
         return max(maxluka_threshold(complement, x, y, z) for y, z in column)
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
-    # pairs (a[k][j], b[k]) of column j; see `fuzzrel.maxt`.
+    # pairs (a[k][j], b[k]) of column j; see `fuzzrel.report.maxt_distance`.
     maxt_cells = {
         godel: lambda u, x, column: max(
             pos(x - u), max(godel_threshold(x, y, z) for y, z in column)
@@ -231,7 +231,7 @@ def arithmetic(zero, one) -> Arithmetic:
 
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
-        max-t system with matrix `a` (see `fuzzrel.maxt`)."""
+        max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
         return max(zero, *map(min, column_scan(a, b, maxt_cells[checked_kind(kind)])))
 
     scope = locals()

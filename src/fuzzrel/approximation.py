@@ -126,12 +126,17 @@ def verify_lowest(
     kept vector is a member of the approximation set.  Returns True iff the
     result's lowest_approximation is componentwise below every sampled
     member.  Vacuously true when nothing is sampled.  Trials are keyed by
-    (seed, index) so they are independent and order-insensitive.
+    (seed, index) so they are independent and order-insensitive.  A result
+    whose lowest vector has another length than beta raises ReportMismatch.
     """
     if result.status is not ApproximationStatus.MINIMUM_ATTAINED:
         raise ValueError("verify_lowest requires a MINIMUM_ATTAINED result")
     nabla = result.achieved_distance
     lowest = result.lowest_approximation
+    if len(lowest) != system.m:
+        raise ReportMismatch(
+            f"lowest approximation has {len(lowest)} entries, system has {system.m}"
+        )
     lower, upper = shifted_bounds(system.beta, nabla)
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")

@@ -16,7 +16,9 @@ indices in output are 1-based to match hand-worked presentations.
 
 Exit status: 0 success, 1 validation error (malformed document or flags,
 including argparse usage errors), 2 internal invariant violation (including
-a formula/oracle disagreement found by `verify`).
+a formula/oracle disagreement found by `verify`).  A reader that closes
+stdout early, as `fuzzrel ... | head -1` may, gives exit status 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -34,8 +37,7 @@ from .approximation import (
     near_approximation,
 )
 from .errors import FuzzrelError, InvariantViolation
-from .maxt import MaxTSystem, maxt_distance
-from .operators import DEFAULT_TOL, ConsistencyResult, FuzzySystem, check_consistency
+from .operators import DEFAULT_TOL, ConsistencyResult, FuzzySystem, MaxTSystem, check_consistency
 from .oracle import (
     bisect_infimum,
     exact_maxt_distance,
@@ -43,7 +45,7 @@ from .oracle import (
     generate_random_system,
     tolerance_membership,
 )
-from .report import ChebyshevReport, distance_report
+from .report import ChebyshevReport, distance_report, maxt_distance
 
 #: Slack used when the oracle re-tests membership exactly at a computed
 #: distance, where the two sides of the comparison are equal in exact
@@ -462,10 +464,17 @@ def main(argv=None) -> int:
     except (CliError, FuzzrelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.pretty:
-        print(_render_pretty(payload))
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
+    text = _render_pretty(payload) if args.pretty else json.dumps(payload, separators=(",", ":"))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`fuzzrel ... | head -1`).  Python flushes
+        # stdout again at exit, so point it at devnull to keep that silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -1,10 +1,18 @@
-"""Systems of min-implication relational equations and their closure maps.
+"""The two families of fuzzy relational systems and their closure maps.
 
 A `FuzzySystem` pairs a matrix gamma (m rows, n columns) with a right-hand
 side beta (m entries) under one implication kind; a solution is any vector x
 in the unit cube with
 
     min_i (gamma[j][i] -> x[i]) = beta[j]   for every row j.
+
+A `MaxTSystem`, the max-t-norm family used for cross-validation, pairs a
+matrix a (n rows, m columns) with a right-hand side b (n entries); a
+solution is any x with
+
+    max_j T(a[i][j], x[j]) = b[i]   for every row i,
+
+T being the t-norm of the system's kind.
 
 `potential_solution` builds the canonical candidate
 
@@ -24,7 +32,7 @@ attempt at solving for it:
 
 It is inflationary (xi <= closure(xi)), increasing and idempotent, and its
 fixed points are exactly the consistent right-hand sides.  `maxt_closure` is
-the analogous map for max-t-norm systems, used here for cross-validation.
+the analogous map for a `MaxTSystem`'s matrix, used for cross-validation.
 """
 
 from __future__ import annotations
@@ -71,6 +79,26 @@ class FuzzySystem:
     @property
     def n(self) -> int:
         return len(self.gamma[0])
+
+
+@dataclass(frozen=True)
+class MaxTSystem:
+    """A max-t-norm system: matrix `a`, right-hand side `b`, kind."""
+
+    a: Matrix
+    b: Vector
+    kind: ImplicationKind
+
+    def __post_init__(self):
+        unit_system(self, "a", "b")
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
+
+    @property
+    def m(self) -> int:
+        return len(self.a[0])
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from typing import Callable
 
 from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, leq, unit
 from .errors import DomainError, PredicateNotUpClosed
-from .maxt import MaxTSystem
-from .operators import FuzzySystem, closure
+from .operators import FuzzySystem, MaxTSystem, closure
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
-"""Closed-form Chebyshev distances of the three min-implication kinds.
+"""Closed-form Chebyshev distances of both system families.
 
-The kinds differ only in the formula of their cell statistics and in the
-rule that turns a row's cells into its tau_j; one column scan and one report
-skeleton serve all three.  Every cell statistic of cell (j, i) is a max over
-the rows l of column i of a kind-specific threshold of (gamma[l][i],
-beta[l]), so a kind supplies only the formula `stats(g, b, column)` of one
-cell, with g = gamma[j][i], b = beta[j] and `column` the pairs (gamma[l][i],
-beta[l]) in row order.  The thresholds are written once in
-`fuzzrel.algebra.arithmetic`; this module binds their float instance.
+`distance_report` gives the full report of a min-implication `FuzzySystem`;
+`maxt_distance` gives the distance of a max-t-norm `MaxTSystem`, the
+cross-validation family (its formulas are in its docstring).  Both read
+their cells through `fuzzrel.algebra.column_scan`, and the thresholds of
+both are written once in `fuzzrel.algebra.arithmetic`; this module binds
+their float instance.
+
+The three min-implication kinds differ only in the formula of their cell
+statistics and in the rule that turns a row's cells into its tau_j; one
+column scan and one report skeleton serve all three.  Every cell statistic
+of cell (j, i) is a max over the rows l of column i of a kind-specific
+threshold of (gamma[l][i], beta[l]), so a kind supplies only the formula
+`stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
+`column` the pairs (gamma[l][i], beta[l]) in row order.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -57,10 +63,11 @@ carry the MINIMUM verdict.
 
 `SOLVERS` maps each kind to its cell formula and row rule; `distance_report`
 looks the system's kind up there once, evaluates every cell by
-`fuzzrel.algebra.column_scan` (the scan the max-t distances use too), lets
-the row rule turn each row's cells into a `RowDiagnostics` from `base_row`
-and aggregates the rows into a `ChebyshevReport`.  `checked_cell` evaluates
-one cell for the public `*_cell` functions.
+`column_scan`, lets the row rule turn each row's cells into a
+`RowDiagnostics` from `base_row` and aggregates the rows into a
+`ChebyshevReport`.  `checked_cell` evaluates one cell by the same table for
+the public `*_cell` functions, which check the system's kind first as the
+`*_distance` functions do.
 """
 
 from __future__ import annotations
@@ -68,10 +75,11 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 
 from .algebra import FLOAT, ImplicationKind, column_scan
 from .errors import InvariantViolation, KindMismatch
-from .operators import FuzzySystem
+from .operators import FuzzySystem, MaxTSystem
 
 #: Width of the numeric window around strict-comparison ties inside which
 #: the minimum/infimum classification is reported as fragile.
@@ -80,6 +88,9 @@ BORDERLINE_EPS = 1e-9
 godel_threshold = FLOAT.godel_threshold
 goguen_threshold = FLOAT.goguen_threshold
 luka_threshold = FLOAT.luka_threshold
+maxprod_ratio = FLOAT.maxprod_ratio
+maxprod_threshold = FLOAT.maxprod_threshold
+maxluka_threshold = FLOAT.maxluka_threshold
 
 
 class Attainability(Enum):
@@ -162,21 +173,17 @@ class LukaCellStats:
     zeta: float
 
 
-def least(candidates) -> tuple[float, int | None]:
-    """(tau, argmin) over (column, value) pairs: the first least value and
-    its column, or (1.0, None) when there are no candidates."""
-    tau, argmin = 1.0, None
-    for i, value in candidates:
-        if argmin is None or value < tau:
-            tau, argmin = value, i
-    return tau, argmin
+def least(candidates) -> tuple[int | None, float]:
+    """The first (column, value) pair of least value among `candidates`, or
+    (None, 1.0) when there are none."""
+    return min(candidates, key=itemgetter(1), default=(None, 1.0))
 
 
 def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     """Diagnostics of a row, attainable and not borderline; tau and its
     column are the `least` of the (column, value) `candidates`.  Godel rows
     amend the attainability fields with `dataclasses.replace`."""
-    tau, argmin = least(candidates)
+    argmin, tau = least(candidates)
     one_minus_beta = 1.0 - system.beta[row]
     return RowDiagnostics(
         row=row,
@@ -259,7 +266,7 @@ def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     # theta <= zeta on supporting cells, so the min of the zetas is an
     # equivalent form of tau (up to one ulp when a tie is split by float
     # rounding).
-    tau_via_zeta, _ = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
+    _, tau_via_zeta = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
     if not abs(row.tau_j - tau_via_zeta) <= 1e-12:
         raise InvariantViolation(
             f"row {j}: tau {row.tau_j!r} differs from the least zeta {tau_via_zeta!r}"
@@ -313,15 +320,35 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
     return ChebyshevReport(system.kind, nabla, verdict, rows, borderline)
 
 
-def checked_cell(system: FuzzySystem, row: int, col: int, cell):
-    """`cell` formula of the (row, col) cell (0-based) of `system`; a pair
-    outside the system's matrix raises IndexError."""
+def maxt_distance(system: MaxTSystem) -> float:
+    """Chebyshev distance of `b` to the consistent set of the max-t system.
+
+    For each t-norm the distance has a closed form over the cells (i, j),
+    with the max over k running over the rows of column j:
+
+        min t-norm   max_i min_j max((b[i] - a[i][j])^+,
+                                     max_k godel_threshold(b[i], a[k][j], b[k]))
+        product      max_i min_j max_k maxprod_threshold(a[i][j], b[i], a[k][j], b[k])
+        Lukasiewicz  max_i min_j max_k maxluka_threshold(1 - a[i][j], b[i], a[k][j], b[k])
+
+    It equals min{delta : lower_shift(b, delta) <= maxt_closure(a, kind,
+    upper_shift(b, delta))} and is always achieved.
+    `fuzzrel.oracle.exact_maxt_distance` runs the same formulas on exact
+    rationals.
+    """
+    return FLOAT.maxt_distance(system.a, system.b, system.kind)
+
+
+def checked_cell(system: FuzzySystem, row: int, col: int):
+    """Cell statistics of the (row, col) cell (0-based) of `system`, by the
+    cell formula of its kind; a pair outside the system's matrix raises
+    IndexError."""
     if not 0 <= row < system.m:
         raise IndexError(f"row {row} out of range for {system.m} rows")
     if not 0 <= col < system.n:
         raise IndexError(f"col {col} out of range for {system.n} columns")
     column = tuple(zip([entry[col] for entry in system.gamma], system.beta))
-    return cell(system.gamma[row][col], system.beta[row], column)
+    return SOLVERS[system.kind].cell(system.gamma[row][col], system.beta[row], column)
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:
@@ -350,14 +377,14 @@ def luka_distance(system: FuzzySystem) -> ChebyshevReport:
 
 def godel_cell(system: FuzzySystem, row: int, col: int) -> GodelCellStats:
     """Godel cell statistics of one (row, col) pair (0-based)."""
-    return checked_cell(system, row, col, SOLVERS[ImplicationKind.GODEL].cell)
+    return checked_cell(_of_kind(system, ImplicationKind.GODEL), row, col)
 
 
 def goguen_cell(system: FuzzySystem, row: int, col: int) -> GoguenCellStats:
     """Goguen cell statistics of one (row, col) pair (0-based)."""
-    return checked_cell(system, row, col, SOLVERS[ImplicationKind.GOGUEN].cell)
+    return checked_cell(_of_kind(system, ImplicationKind.GOGUEN), row, col)
 
 
 def luka_cell(system: FuzzySystem, row: int, col: int) -> LukaCellStats:
     """Lukasiewicz cell statistic of one (row, col) pair (0-based)."""
-    return checked_cell(system, row, col, SOLVERS[ImplicationKind.LUKASIEWICZ].cell)
+    return checked_cell(_of_kind(system, ImplicationKind.LUKASIEWICZ), row, col)

@@ -14,6 +14,7 @@ from fuzzrel import (
     build_approximation,
     closure,
     distance_report,
+    generate_random_system,
     godel_distance,
     luka_distance,
     min_impl_compose,
@@ -112,6 +113,23 @@ class TestVerifyLowest:
         result = build_approximation(infimum_godel, godel_distance(infimum_godel))
         with pytest.raises(ValueError):
             verify_lowest(infimum_godel, result)
+
+    def test_rejects_a_vector_above_the_lowest(self):
+        system = generate_random_system(3, 3, ImplicationKind.LUKASIEWICZ, 13, decimals=2)
+        result = build_approximation(system, distance_report(system))
+        _, upper = shifted_bounds(system.beta, result.achieved_distance)
+        # The greatest consistent vector in the band is a member, not the lowest.
+        highest = dataclasses.replace(result, lowest_approximation=closure(system, upper))
+        assert verify_lowest(system, result, trials=200)
+        assert not verify_lowest(system, highest, trials=200)
+
+    def test_result_of_another_system(self):
+        gamma, beta = ((0.6, 0.49), (0.26, 0.9), (0.3, 0.3)), (0.1, 0.4, 0.2)
+        taller = FuzzySystem(gamma, beta, ImplicationKind.GODEL)
+        result = build_approximation(taller, distance_report(taller))
+        shorter = FuzzySystem(gamma[:2], beta[:2], ImplicationKind.GODEL)
+        with pytest.raises(ReportMismatch, match="3 entries, system has 2"):
+            verify_lowest(shorter, result)
 
 
 class TestNearApproximation:

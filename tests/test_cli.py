@@ -1,6 +1,10 @@
 """End-to-end CLI tests: subcommands, exit codes, document validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--input", infimum_doc)
         assert code == 2
         assert json.loads(out)["agree"] is False
+
+    def test_random_disagreement_exits_nonzero(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_oracle_nabla", lambda system, tol: type(
+            "Estimate", (), {"inf_value": 2.0})())
+        code, out, _ = run_cli(capsys, "verify", "--random", "2", "2", "3")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["disagreements"] == payload["systems_checked"] == 9
 
 
 class TestMaxTDistance:
@@ -401,6 +413,17 @@ class TestValidation:
 
 
 class TestFlags:
+    def test_tolerance_accepted(self, capsys, attained_doc):
+        # The residual of this system is 0.16.
+        code, out, _ = run_cli(capsys, "check", "--input", attained_doc, "--tolerance", "0.2")
+        assert code == 0
+        assert '"consistent":true' in out
+
+    def test_oracle_tolerance_accepted(self, capsys, attained_doc):
+        code, out, _ = run_cli(capsys, "verify", "--input", attained_doc, "--oracle-tol", "1e-6")
+        assert code == 0
+        assert json.loads(out)["agree"] is True
+
     def test_negative_tolerance(self, capsys, attained_doc):
         code, _, err = run_cli(capsys, "check", "--input", attained_doc, "--tolerance", "-1")
         assert code == 1
@@ -457,6 +480,27 @@ class TestFlags:
         code, _, err = run_cli(capsys, "distance", "--input", attained_doc)
         assert code == 2
         assert "tau disagrees" in err
+
+
+class TestClosedStdout:
+    def test_exits_1_without_traceback(self, attained_doc):
+        # The read end is closed before the process writes, so its first
+        # write to stdout always meets a broken pipe.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "fuzzrel.cli", "distance", "--input", attained_doc,
+                 "--pretty"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestDocumentRoundTrip:

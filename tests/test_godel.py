@@ -50,6 +50,13 @@ class TestGodelCell:
         with pytest.raises(IndexError):
             godel_cell(inconsistent_godel, 0, -1)
 
+    def test_kind_checked(self, inconsistent_goguen):
+        with pytest.raises(KindMismatch) as expected:
+            godel_distance(inconsistent_goguen)
+        with pytest.raises(KindMismatch) as raised:
+            godel_cell(inconsistent_goguen, 0, 0)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestGodelDistance:
     def test_attained_system(self, inconsistent_godel):

@@ -64,6 +64,13 @@ class TestGoguenCell:
         with pytest.raises(IndexError):
             goguen_cell(inconsistent_goguen, 0, 2)
 
+    def test_kind_checked(self, inconsistent_godel):
+        with pytest.raises(KindMismatch) as expected:
+            goguen_distance(inconsistent_godel)
+        with pytest.raises(KindMismatch) as raised:
+            goguen_cell(inconsistent_godel, 0, 0)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestGoguenDistance:
     def test_row_distance(self, inconsistent_goguen):

@@ -65,6 +65,13 @@ class TestLukaCell:
         with pytest.raises(IndexError):
             luka_cell(inconsistent_luka, -1, 0)
 
+    def test_kind_checked(self, inconsistent_goguen):
+        with pytest.raises(KindMismatch) as expected:
+            luka_distance(inconsistent_goguen)
+        with pytest.raises(KindMismatch) as raised:
+            luka_cell(inconsistent_goguen, 0, 0)
+        assert str(raised.value) == str(expected.value)
+
 
 class TestLukaDistance:
     def test_hand_checked(self, inconsistent_luka):
