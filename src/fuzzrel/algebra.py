@@ -80,13 +80,53 @@ def checked_kind(kind) -> ImplicationKind:
     return kind
 
 
-def column_scan(matrix, rhs, cell) -> tuple:
-    """Rows of cells, cell (j, i) = cell(matrix[j][i], rhs[j], column i), for
-    any number type; column i, the pairs (matrix[l][i], rhs[l]), is built
-    once.  The pairs are in row order: `max` keeps the first of equal values,
-    so the order decides which of 0.0 and -0.0 a cell reports.
+def front(pairs, rising: bool = True) -> tuple:
+    """The Pareto-maximal pairs (g, b) of `pairs`, in their order in `pairs`.
+
+    A pair is maximal when no other pair has both a g at least as high and a
+    b at least as high (`rising`) or as low (not `rising`); of equal pairs
+    the first is kept.  A max over the pairs of a function that is
+    non-decreasing in g, and in b or in -b by the orientation, is attained
+    on the front: each pair dropped is dominated by a kept pair whose value
+    is at least as high.  The kept pairs stay in their order, so `max` still
+    keeps the first of equal values.
+
+    One stable sort by (g, b) descending, or by (g, -b) for the falling
+    orientation, puts every pair after the pairs that dominate it; a sweep
+    then keeps each pair whose b beats all b before it.  O(m log m) for m
+    pairs.
     """
-    columns = [tuple(zip(column, rhs)) for column in zip(*matrix)]
+    if rising:
+        order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
+    else:
+        order = sorted(range(len(pairs)), key=lambda l: (pairs[l][0], -pairs[l][1]), reverse=True)
+    kept = []
+    best = None
+    for l in order:
+        b = pairs[l][1]
+        if best is None or (b > best if rising else b < best):
+            kept.append(l)
+            best = b
+    kept.sort()
+    return tuple(map(pairs.__getitem__, kept))
+
+
+def column_scan(matrix, rhs, cell, rising: bool = True) -> tuple:
+    """Rows of cells, cell (j, i) = cell(matrix[j][i], rhs[j], column i), for
+    any number type; column i, the `front` of the pairs (matrix[l][i],
+    rhs[l]) in the orientation `rising`, is built once.
+
+    Every cell formula is a max over its column of thresholds that are
+    monotone in the pair, non-decreasing in matrix[l][i] and, by `rising`,
+    non-decreasing or non-increasing in rhs[l].  So a pair off the front is
+    dominated by one on it whose threshold is at least as high, and the max
+    over the front is the max over the whole column: the cells cost
+    O(m log m) per column plus O(m n k), with k the front size, in place of
+    O(m^2 n).  The front keeps its pairs in row order: `max` keeps the first
+    of equal values, so the order decides which of 0.0 and -0.0 a cell
+    reports.
+    """
+    columns = [front(tuple(zip(column, rhs)), rising) for column in zip(*matrix)]
     return tuple(tuple(map(cell, row, repeat(r), columns)) for row, r in zip(matrix, rhs))
 
 
@@ -220,7 +260,9 @@ def arithmetic(zero, one) -> Arithmetic:
         return max(maxluka_threshold(complement, x, y, z) for y, z in column)
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
-    # pairs (a[k][j], b[k]) of column j; see `fuzzrel.report.maxt_distance`.
+    # front of the pairs (a[k][j], b[k]) of column j, which keeps high a and
+    # low b: every threshold here is non-decreasing in a[k][j] and
+    # non-increasing in b[k].  See `fuzzrel.report.maxt_distance`.
     maxt_cells = {
         godel: lambda u, x, column: max(
             pos(x - u), max(godel_threshold(x, y, z) for y, z in column)
@@ -232,7 +274,8 @@ def arithmetic(zero, one) -> Arithmetic:
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
         max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
-        return max(zero, *map(min, column_scan(a, b, maxt_cells[checked_kind(kind)])))
+        cell = maxt_cells[checked_kind(kind)]
+        return max(zero, *map(min, column_scan(a, b, cell, rising=False)))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))

@@ -1,8 +1,14 @@
 """Shared fixtures: the small regression systems used across the suite."""
 
 import pytest
+from hypothesis import settings
 
 from fuzzrel import FuzzySystem, ImplicationKind
+
+# `--hypothesis-profile=ci` makes every property test draw the same examples
+# on every run, and drops the per-example deadline, which a slow or busy
+# runner would otherwise trip on the larger systems.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # One 2x2 matrix exercises all three implication kinds with different
 # right-hand sides; the values trip every branch of the solvers.
