@@ -69,7 +69,7 @@ Arithmetic = namedtuple(
     "zero pos t_norm residuum max_t_compose min_impl_compose solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
     " maxprod_threshold maxluka_threshold"
-    " maxt_distance",
+    " maxt_cells maxt_distance",
 )
 
 
@@ -262,7 +262,9 @@ def arithmetic(zero, one) -> Arithmetic:
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
     # front of the pairs (a[k][j], b[k]) of column j, which keeps high a and
     # low b: every threshold here is non-decreasing in a[k][j] and
-    # non-increasing in b[k].  See `fuzzrel.report.maxt_distance`.
+    # non-increasing in b[k].  See `fuzzrel.report.maxt_distance`; the
+    # oracle's `exact_maxt_distance` scans these cells in floats and then
+    # re-evaluates a few of them in Fractions.
     maxt_cells = {
         godel: lambda u, x, column: max(
             pos(x - u), max(godel_threshold(x, y, z) for y, z in column)

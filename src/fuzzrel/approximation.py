@@ -125,10 +125,14 @@ def verify_lowest(
     consistent right-hand side) and keeps those still inside the band; each
     kept vector is a member of the approximation set.  Returns True iff the
     result's lowest_approximation is componentwise below every sampled
-    member.  Vacuously true when nothing is sampled.  Trials are keyed by
-    (seed, index) so they are independent and order-insensitive.  A result
-    whose lowest vector has another length than beta raises ReportMismatch.
+    member, vacuously so when no sampled vector stays in the band.  Trials
+    are keyed by (seed, index) so they are independent and order-insensitive.
+    A `trials` that is not a positive int raises ValueError, since no trial
+    would run; a result whose lowest vector has another length than beta
+    raises ReportMismatch.
     """
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive int, got {trials!r}")
     if result.status is not ApproximationStatus.MINIMUM_ATTAINED:
         raise ValueError("verify_lowest requires a MINIMUM_ATTAINED result")
     nabla = result.achieved_distance

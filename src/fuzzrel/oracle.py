@@ -9,6 +9,17 @@ is upward closed and contains 1, so its infimum (which equals the Chebyshev
 distance) can be bracketed by plain bisection on `tolerance_membership`.
 `generate_random_system` and `sample_consistent_rhs` supply deterministic
 random instances for agreement suites.
+
+The exact functions read every entry as the rational value of its shortest
+round-tripping decimal and run the shared formulas on `EXACT`, the Fraction
+instance of `fuzzrel.algebra.arithmetic`.  `exact_maxt_distance` does so by
+a float filter with an exact fallback: a float scan of the max-t cells picks
+the rows and cells that can still decide the distance, and only those are
+evaluated in Fractions.  Every float cell is within MAXT_ETA = 2^-49 of its
+exact cell (derived in its docstring, subnormal entries included), so
+keeping every row within 2 MAXT_ETA of the best float row minimum, and in it
+every cell within 2 MAXT_ETA of its minimum, keeps the exact maximizing row
+and its exact minimizing cell: the result is the full exact scan's.
 """
 
 from __future__ import annotations
@@ -17,10 +28,12 @@ import math
 import random
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable
 
-from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, leq, unit
+from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, front, leq, unit
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
 
@@ -73,10 +86,15 @@ def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
 EXACT = arithmetic(Fraction(0), Fraction(1))
 
 
-def _exact_vector(values) -> tuple[Fraction, ...]:
+def _exact(value) -> Fraction:
     # repr of a float is its shortest round-tripping decimal, so this reads
-    # each value "as written" rather than as its binary expansion.
-    return tuple(Fraction(repr(float(value))) for value in values)
+    # a value "as written" rather than as its binary expansion.  Through
+    # Decimal it parses in about half the time of Fraction's own parser.
+    return Fraction(Decimal(repr(float(value))))
+
+
+def _exact_vector(values) -> tuple[Fraction, ...]:
+    return tuple(map(_exact, values))
 
 
 def _exact_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -139,15 +157,103 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     return leq(lower, EXACT.maxt_closure(_exact_matrix(system.a), system.kind, upper), EXACT.zero)
 
 
+#: A bound on |float cell - exact cell| over the cells of `exact_maxt_distance`,
+#: derived in its docstring: every cell errs by less than 8 * 2^-53.
+MAXT_ETA = 2.0 ** -49
+
+
 def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     """Closed-form max-t distance evaluated in exact rational arithmetic.
 
-    Runs the formulas of `maxt_distance` on the Fraction instance of
-    `fuzzrel.algebra.arithmetic`, with entries read as their shortest
-    round-tripping decimals; used to place the attainment test exactly on
-    the threshold, where float evaluation cannot be trusted.
+    The result is the value of the formulas of `maxt_distance` on the
+    Fraction instance `EXACT`, with entries read as their shortest
+    round-tripping decimals, i.e. EXACT.maxt_distance(_exact_matrix(a),
+    _exact_vector(b), kind); it places the attainment test exactly on the
+    threshold, where float evaluation cannot be trusted.  It is computed by
+    a float filter with an exact fallback (Fortune and Van Wyk, ACM TOG 1996;
+    Shewchuk, DCG 1997):
+
+    1. The float `front` of each column, built once, and `FLOAT.maxt_cells`
+       give the float cells F[i][j], as `column_scan` would, their row minima
+       f_i and R = max_i f_i.
+    2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
+       cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
+       and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
+    3. Only the kept cells are evaluated, by `EXACT.maxt_cells`, reading as
+       Fractions just a[i][j], b[i] and the front pairs of column j.  The
+       float front of column j serves the exact cell: reading a float as its
+       shortest decimal is strictly increasing, so the decimal pairs have
+       their front in the same rows.  The result is max(0, max over kept
+       rows of the min over their kept cells).
+
+    Why this is the full exact scan.  Let e_i = min_j E[i][j], so that
+    |e_i - f_i| <= ETA.  If row i attains max_i e_i and row r attains R, then
+    f_i >= e_i - ETA >= e_r - ETA >= f_r - 2 ETA = R - 2 ETA: row i is kept.
+    If cell j attains e_i and cell k attains f_i, then F[i][j] <= E[i][j] +
+    ETA <= E[i][k] + ETA <= f_i + 2 ETA: cell j is kept.  So every kept row
+    yields its e_i and the best row is kept.  The two windows are compared
+    in floats; rounding is monotone, so a float on the right side of a real
+    bound is on the right side of that bound rounded.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    2-3), with eps = 2^-53 and s = 2^-1075, half the least subnormal:
+
+    - Reading.  The shortest decimal of a float x rounds to x, so it lies
+      within half an ulp of x: within eps * x when x is normal, within s when
+      x is subnormal, and within eps for every entry of [0, 1].
+    - Rounding.  fl(p op q) = (p op q)(1 + d) with |d| <= eps; a sum or
+      difference is exact when it is subnormal, and a product, a quotient or
+      a halving may add an underflow term of at most s.
+    - max, min and (.)^+ move by no more than their arguments, so a cell, a
+      max of thresholds over the same front rows, errs by at most its worst
+      threshold.  The branches agree: a float is 0 iff its decimal is.
+    - A difference of two entries, x - u or y - z: two readings and one
+      rounding of a result in [-1, 1], 3 eps; halved, 1.5 eps + s.  This
+      covers the max-min cell and both terms (x - u)^+ and (y - z)^+ of the
+      product threshold.
+    - Max-Lukasiewicz, v = x + (1 - u) - 1 and (v + y - z)^+ / 2: v takes two
+      readings and roundings of results bounded by 1, 2 and 1, 6 eps; v + y -
+      z adds two readings and two roundings of results bounded by 2, 12 eps,
+      halved to 6 eps + s; min with x keeps 6 eps + s.
+    - Max-product, min(r, (y - z)^+) with r = (x y - u z)^+ / (u + y) when
+      u > 0 (r = x, one reading, when u = 0).  If the float y is below eps,
+      both the float and the exact min lie in [0, y], y read either way, so
+      they differ by less than eps (1 + eps) + s.  Otherwise D = u + y >= eps,
+      which is the relative-error regime: each product carries two relative
+      readings and one rounding, the difference one more, so the numerator
+      errs by (4 eps + O(eps^2)) (x y + u z) + 10 s, at most (4 eps +
+      O(eps^2)) D as x y + u z <= D (1 + eps); the denominator errs by a
+      relative 2 eps + O(eps^2), the quotient by one more eps, and r <= x <=
+      1, so r errs by 7 eps + O(eps^2).  The underflow terms, divided by
+      D >= eps, are below 2^-1000.  The cap by (y - z)^+ is what makes a
+      tiny y safe: there r alone may be off by a percent when u and y are
+      subnormal (5e-324 reads as a decimal 1.2% above the float), and the
+      subnormal entries need no other branch.
+
+    Every cell thus errs by less than 8 eps; ETA = 16 eps = 2^-49 leaves a
+    factor of two for the second-order terms.
     """
-    return EXACT.maxt_distance(_exact_matrix(system.a), _exact_vector(system.b), system.kind)
+    a, b, kind = system.a, system.b, system.kind
+    columns = [front(tuple(zip(column, b)), rising=False) for column in zip(*a)]
+    float_cell = FLOAT.maxt_cells[kind]
+    rows = tuple(tuple(map(float_cell, row, repeat(x), columns)) for row, x in zip(a, b))
+    lows = tuple(map(min, rows))
+    floor = max(lows) - 2 * MAXT_ETA
+    kept = [
+        (i, [j for j, f in enumerate(rows[i]) if f <= low + 2 * MAXT_ETA])
+        for i, low in enumerate(lows)
+        if low >= floor
+    ]
+    exact_columns = {
+        j: tuple((_exact(y), _exact(z)) for y, z in columns[j])
+        for j in {j for _, cells in kept for j in cells}
+    }
+    cell = EXACT.maxt_cells[kind]
+    best = EXACT.zero
+    for i, cells in kept:
+        x = _exact(b[i])
+        best = max(best, min(cell(_exact(a[i][j]), x, exact_columns[j]) for j in cells))
+    return best
 
 
 #: Most bisection splits `bisect_infimum` makes, enough for bracket widths

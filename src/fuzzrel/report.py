@@ -343,8 +343,11 @@ def maxt_distance(system: MaxTSystem) -> float:
 
     It equals min{delta : lower_shift(b, delta) <= maxt_closure(a, kind,
     upper_shift(b, delta))} and is always achieved.
-    `fuzzrel.oracle.exact_maxt_distance` runs the same formulas on exact
-    rationals.
+    The cells are the table `maxt_cells` of `fuzzrel.algebra.arithmetic`.
+    `fuzzrel.oracle.exact_maxt_distance` gives the same formulas' exact value
+    on rationals: it scans these float cells and re-evaluates in Fractions
+    only those within twice a proven error bound of a row minimum, in the
+    rows within twice that bound of the max.
     """
     return FLOAT.maxt_distance(system.a, system.b, system.kind)
 

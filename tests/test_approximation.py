@@ -123,6 +123,12 @@ class TestVerifyLowest:
         assert verify_lowest(system, result, trials=200)
         assert not verify_lowest(system, highest, trials=200)
 
+    @pytest.mark.parametrize("trials", [-3, 0, 2.0, True, "5"])
+    def test_trials_must_be_a_positive_int(self, consistent_godel, trials):
+        result = build_approximation(consistent_godel, godel_distance(consistent_godel))
+        with pytest.raises(ValueError, match="trials must be a positive int"):
+            verify_lowest(consistent_godel, result, trials=trials)
+
     def test_result_of_another_system(self):
         gamma, beta = ((0.6, 0.49), (0.26, 0.9), (0.3, 0.3)), (0.1, 0.4, 0.2)
         taller = FuzzySystem(gamma, beta, ImplicationKind.GODEL)

@@ -1,0 +1,124 @@
+"""`exact_maxt_distance` outside the small 2-decimal regime.
+
+`exact_maxt_distance` scans the max-t cells in floats and evaluates in
+Fractions only the cells within 2 * MAXT_ETA of a row minimum, in the rows
+within 2 * MAXT_ETA of the best row.  That is exact when every float cell
+lies within MAXT_ETA of its exact cell, which `test_cell_error_within_eta`
+checks; `test_equals_full_exact_scan` compares the result with the full exact
+scan, with no front and no filter.  The systems mix full-precision entries,
+a 1-decimal grid, a pool of {0, 0.5, 1, 1/3}, subnormals and 1 - 2^-53, in
+shapes 1 x n, m x 1 and up to 30 x 30, with duplicate rows and columns; the
+tie-heavy systems of `test_front.tied_systems` (2-decimal entries, a shared
+pool, gamma == beta) are drawn too.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from fuzzrel import ImplicationKind, MaxTSystem, exact_maxt_distance
+from fuzzrel.algebra import FLOAT, column_scan
+from fuzzrel.oracle import EXACT, MAXT_ETA, _exact_matrix, _exact_vector
+from test_front import full_scan, tied_systems, unpruned
+
+SUBNORMALS = (5e-324, 1e-310, 2.2250738585072014e-308)
+BELOW_ONE = 1.0 - 2.0**-53
+POOL = (0.0, 0.5, 1.0, 1 / 3)
+
+#: Each source draws one entry from a random.Random.
+SOURCES = {
+    "full": lambda rng: rng.random(),
+    "1-decimal": lambda rng: round(rng.random(), 1),
+    "pool": lambda rng: rng.choice(POOL),
+    "subnormal": lambda rng: rng.choice(SUBNORMALS),
+    "below one": lambda rng: BELOW_ONE,
+}
+
+
+@st.composite
+def wide_systems(draw, max_dim=30):
+    """MaxTSystem with entries drawn from one to three of SOURCES, shape 1 x n,
+    m x 1 or m x n with dims 1..max_dim, and rows and columns copied from a
+    smaller base matrix."""
+    rng = draw(st.randoms(use_true_random=False))
+    sources = draw(st.lists(st.sampled_from(list(SOURCES)), min_size=1, max_size=3, unique=True))
+
+    def entry():
+        return SOURCES[rng.choice(sources)](rng)
+
+    shape = draw(st.sampled_from(["1 x n", "m x 1", "m x n"]))
+    m = 1 if shape == "1 x n" else draw(st.integers(1, max_dim))
+    n = 1 if shape == "m x 1" else draw(st.integers(1, max_dim))
+    base_m = draw(st.integers(1, m))
+    base_n = draw(st.integers(1, n))
+    base = [[entry() for _ in range(base_n)] for _ in range(base_m)]
+    base_b = [entry() for _ in range(base_m)]
+    rows = list(range(base_m)) + [rng.randrange(base_m) for _ in range(m - base_m)]
+    cols = list(range(base_n)) + [rng.randrange(base_n) for _ in range(n - base_n)]
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    a = tuple(tuple(base[r][c] for c in cols) for r in rows)
+    b = tuple(base_b[r] for r in rows)
+    return MaxTSystem(a, b, draw(st.sampled_from(list(ImplicationKind))))
+
+
+def tied_maxt_systems():
+    """MaxTSystem of `test_front.tied_systems`, of any kind."""
+    return st.builds(
+        lambda system, kind: MaxTSystem(*system, kind),
+        tied_systems(),
+        st.sampled_from(list(ImplicationKind)),
+    )
+
+
+#: Both streams: the wide entries and the tie-heavy ones.
+systems = st.one_of(wide_systems(), tied_maxt_systems())
+
+GODEL, GOGUEN, LUKA = ImplicationKind
+TINY = 2.2250738585072014e-308
+
+#: Systems in which float rounding puts two rows, or two cells of a row, in
+#: the reverse of their exact order, so that dropping the row window or the
+#: cell window (or setting MAXT_ETA to 0) gives another distance.
+REVERSED_ROWS = (
+    MaxTSystem(((TINY,), (0.8,), (0.3,)), (0.2, BELOW_ONE, 0.1), GODEL),
+    MaxTSystem(((TINY,), (TINY,), (5e-324,)), (TINY, 5e-324, 1e-310), GOGUEN),
+    MaxTSystem(((0.2,), (1.0,)), (TINY, 0.3), LUKA),
+)
+REVERSED_CELLS = (
+    MaxTSystem(((1e-310, 1.0), (1e-310, 0.29535964757993605)), (1e-310, 0.0), GOGUEN),
+    MaxTSystem(((0.0, TINY),), (1e-310,), LUKA),
+)
+
+
+def with_examples(systems):
+    """Decorate a test with an explicit example per system."""
+    def decorate(test):
+        for system in systems:
+            test = example(system)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=120, deadline=None)
+@with_examples(REVERSED_ROWS + REVERSED_CELLS)
+@given(systems)
+def test_equals_full_exact_scan(system):
+    filtered = exact_maxt_distance(system)
+    with unpruned():
+        full = EXACT.maxt_distance(_exact_matrix(system.a), _exact_vector(system.b), system.kind)
+    assert type(filtered) is Fraction
+    assert filtered == full
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems)
+def test_cell_error_within_eta(system):
+    cells = column_scan(system.a, system.b, FLOAT.maxt_cells[system.kind], rising=False)
+    exact = full_scan(
+        _exact_matrix(system.a), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
+    )
+    eta = Fraction(MAXT_ETA)
+    for row, exact_row in zip(cells, exact):
+        for cell, exact_cell in zip(row, exact_row):
+            assert abs(Fraction(cell) - exact_cell) <= eta, (cell, exact_cell)
