@@ -66,7 +66,8 @@ def transpose(matrix: Matrix) -> Matrix:
 #: The shared formulas bound to one number type; built by `arithmetic`.
 Arithmetic = namedtuple(
     "Arithmetic",
-    "zero pos t_norm residuum max_t_compose min_impl_compose solve_and_recompose maxt_closure"
+    "zero pos t_norms residua t_norm residuum max_t_compose min_impl_compose"
+    " solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
     " maxprod_threshold maxluka_threshold"
     " maxt_cells maxt_distance",
@@ -153,6 +154,10 @@ def arithmetic(zero, one) -> Arithmetic:
         """Positive part, max(x, 0)."""
         return x if x > zero else zero
 
+    # The scalar formulas of each kind, also read directly by the oracle's
+    # exact membership tests, which evaluate them term by term.  Every t-norm
+    # is non-decreasing in both arguments; every residuum is non-increasing
+    # in x and non-decreasing in y.
     t_norms = {
         godel: lambda x, y: x if x < y else y,
         goguen: lambda x, y: x * y,

@@ -20,6 +20,54 @@ exact cell (derived in its docstring, subnormal entries included), so
 keeping every row within 2 MAXT_ETA of the best float row minimum, and in it
 every cell within 2 MAXT_ETA of its minimum, keeps the exact maximizing row
 and its exact minimizing cell: the result is the full exact scan's.
+
+`exact_membership` and `exact_maxt_membership` decide their closure
+inequality row by row, by an interval pass in floats and an exact fallback
+for the rows it leaves open (interval enclosure: Moore, Interval Analysis,
+1966).  Each closure is two levels, an inner composition over the columns
+of one shifted bound and an outer one over the rows, and row i holds when
+one side, the outer level or a shifted bound, is at most the other.  The
+pass encloses every exact quantity in float bounds [lo, hi]:
+
+- An entry or float(delta), v.  Its exact reading, the shortest decimal of
+  v or a Fraction delta rounded to v, lies within half an ulp of v, so it
+  lies in [nextafter(v, 0), nextafter(v, 1)], which stays in [0, 1].
+- A shifted bound or a level: the same FLOAT formula (`shifted_bounds`, or
+  `Arithmetic.t_norms` and `Arithmetic.residua` through the two
+  compositions), evaluated at the corners of the bounds of its arguments.  Every t-norm is non-decreasing in both arguments, every
+  residuum non-increasing in its first and non-decreasing in its second,
+  (v - delta)^+ and min(v + delta, 1) are monotone in v and delta, and so
+  are max and min.  So the exact value at the exact arguments lies between
+  the exact values at the low corner and at the high corner.  This holds
+  across a branch point with no case split: where x <= y may go either way,
+  the low corner of a residuum takes the high x and the low y, hence its
+  low branch, and the high corner its high branch; the Goguen quotient y/x
+  is enclosed by the same two corners.
+- Rounding.  At a corner, every argument is a float in [0, 1] and the float
+  result differs from the exact one by one or two roundings, eps = 2^-53:
+  x y and y / x by eps plus an underflow term of at most 2^-1075, (x + y -
+  1)^+ by eps, since fl(x + y) - 1 is exact where it is not negative, 1 - x
+  + y by 1.5 eps, and v - delta and v + delta by eps; min, max, (.)^+ and every comparison are
+  exact.  So each is within 2 eps of its exact corner value.  The low bound
+  is fl(r - W) and the high bound fl(r + W), W = MEMBERSHIP_PAD = 2^-50 = 8
+  eps, each of which rounds by at most eps once more, and both are then
+  clamped to [0, 1], where every exact quantity lies.  As 8 eps > 2 eps +
+  eps, each bound is on its side of the exact value.
+
+A row whose bounds do not overlap is decided: it holds when the high bound
+of the smaller side is at most the low bound of the larger, and it fails
+when the low bound of the smaller exceeds the high bound of the larger.  At
+the distance at least one row is tight in exact arithmetic and so left
+open.  An open row is evaluated with the EXACT tables over only the outer
+terms that can still attain the outer min (low bound at most the min's high
+bound) or max (high bound at least the max's low bound); each inner entry
+those terms read is evaluated once, over the inner terms that can attain
+it; and only the entries and right-hand sides these touch are read as
+Fractions.  The term that attains an exact min is at most every other
+term, so its low bound is at most the min's high bound, and symmetrically
+for a max: each aggregate over the kept terms is the aggregate over all
+of them.  So every row gets its exact verdict and the result is that of
+the full exact evaluation on `_exact_matrix` and `_exact_vector`.
 """
 
 from __future__ import annotations
@@ -30,10 +78,11 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from math import nextafter
 from typing import Callable
 
-from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, front, leq, unit
+from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, front, leq, transpose, unit
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
 
@@ -65,8 +114,12 @@ def tolerance_membership(
     Tests closure(lower_shift(beta, delta)) <= upper_shift(beta, delta),
     componentwise when `row` is None and on the single component otherwise.
     `slack` absorbs float drift when the two sides are equal in exact
-    arithmetic, which happens systematically at the distance itself.
+    arithmetic, which happens systematically at the distance itself.  A
+    slack that is not finite and non-negative raises ValueError: NaN would
+    make every delta fail, and an infinite slack every delta hold.
     """
+    if not 0.0 <= slack < math.inf:
+        raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
     return _membership(
         FLOAT, system.gamma, system.beta, system.kind, unit(delta, "delta"), row, slack
     )
@@ -77,9 +130,14 @@ def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
     _, image = ar.solve_and_recompose(gamma, kind, lower)
     if row is None:
         return leq(image, upper, slack)
-    if not 0 <= row < len(beta):
-        raise IndexError(f"row {row} out of range for {len(beta)} rows")
+    row = _checked_row(row, len(beta))
     return image[row] <= upper[row] + slack
+
+
+def _checked_row(row: int, rows: int) -> int:
+    if not 0 <= row < rows:
+        raise IndexError(f"row {row} out of range for {rows} rows")
+    return row
 
 
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
@@ -114,7 +172,7 @@ def _exact_delta(delta) -> Fraction:
         if not 0 <= delta <= 1:
             raise DomainError(f"delta: {delta} is outside [0, 1]")
         return delta
-    return Fraction(repr(round(unit(delta, "delta"), SNAP_DIGITS)))
+    return _exact(round(unit(delta, "delta"), SNAP_DIGITS))
 
 
 def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool:
@@ -126,23 +184,30 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     the output by a macroscopic amount.  This variant sidesteps the problem
     by re-reading every entry as the (exact) rational value of its shortest
     round-tripping decimal, rounding a float `delta` to SNAP_DIGITS decimal
-    digits and evaluating the same closure formulas with Fraction arithmetic
-    throughout.  A delta outside [0, 1] raises DomainError, as in
-    `tolerance_membership`.
+    digits and deciding the closure inequality in Fraction arithmetic.  A
+    delta outside [0, 1] raises DomainError, as in `tolerance_membership`.
+
+    The result is that of the full exact evaluation, _membership(EXACT,
+    _exact_matrix(gamma), _exact_vector(beta), kind, delta, row,
+    EXACT.zero), computed by the interval pass and per-row exact fallback
+    of the module docstring.  The inner level is x = max_t_compose(gamma^t,
+    kind, lower), the outer one image = min_impl_compose(gamma, kind, x),
+    and row i holds when image[i] <= upper[i].  The pass evaluates the
+    FLOAT t-norm at the low and the high ends of its arguments and the
+    residuum at (high x, low y) and (low x, high y), since the t-norm rises
+    in both and the residuum falls in x and rises in y; each bound is
+    padded by MEMBERSHIP_PAD = 2^-50, more than the 3 * 2^-53 that one
+    formula and the padding itself round by.  So the bounds enclose the
+    exact values, a decided row has its exact verdict, and an open row is
+    evaluated in Fractions over every term that can attain its min or max.
 
     For inputs stated in a few decimals, whose derived thresholds live on a
     coarse decimal grid, the answer is exact.  For arbitrary floats it is
     the exact answer at the snapped delta.
     """
-    return _membership(
-        EXACT,
-        _exact_matrix(system.gamma),
-        _exact_vector(system.beta),
-        system.kind,
-        _exact_delta(delta),
-        row,
-        EXACT.zero,
-    )
+    delta = _exact_delta(delta)
+    rows = range(system.m) if row is None else (_checked_row(row, system.m),)
+    return _decided(system.gamma, system.beta, system.kind, delta, False, rows)
 
 
 def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
@@ -152,9 +217,129 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     delta)) with Fraction arithmetic, reading entries and delta the same way
     as `exact_membership`.  Pass the Fraction from `exact_maxt_distance` to
     test attainment exactly at the distance.
+
+    The result is that of the full exact evaluation, leq(lower,
+    EXACT.maxt_closure(_exact_matrix(a), kind, upper), EXACT.zero), computed
+    by the interval pass and per-row exact fallback of the module docstring.
+    The inner level is y = min_impl_compose(a^t, kind, upper), the outer one
+    c = max_t_compose(a, kind, y), and row i holds when lower[i] <= c[i].
+    The residuum is evaluated at (high x, low y) and (low x, high y) and
+    the t-norm at the low and the high ends of its arguments, each bound
+    padded by MEMBERSHIP_PAD = 2^-50; as in `exact_membership`, monotonicity
+    and the padding make the bounds enclose the exact values, so decided
+    rows and the exact fallback give the full evaluation's verdict.
     """
-    lower, upper = EXACT.shifted_bounds(_exact_vector(system.b), _exact_delta(delta))
-    return leq(lower, EXACT.maxt_closure(_exact_matrix(system.a), system.kind, upper), EXACT.zero)
+    delta = _exact_delta(delta)
+    return _decided(system.a, system.b, system.kind, delta, True, range(system.n))
+
+
+#: Padding of every bound of the interval pass behind `exact_membership` and
+#: `exact_maxt_membership`: 8 * 2^-53, against at most 2 * 2^-53 for the
+#: rounding of one scalar formula and 2^-53 for that of the padding itself
+#: (derived in the module docstring).
+MEMBERSHIP_PAD = 2.0 ** -50
+
+
+def _enclosure(values) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float bounds (lo, hi) of the exact readings of floats in [0, 1]: their
+    neighbouring floats towards 0 and towards 1, so that 0 and 1 are their
+    own bounds."""
+    return tuple(map(nextafter, values, repeat(0.0))), tuple(map(nextafter, values, repeat(1.0)))
+
+
+def _padded(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Float results at the low and high corners, widened by MEMBERSHIP_PAD
+    and clamped to [0, 1]: bounds of the exact values."""
+    return (
+        tuple(max(v - MEMBERSHIP_PAD, 0.0) for v in lo),
+        tuple(min(v + MEMBERSHIP_PAD, 1.0) for v in hi),
+    )
+
+
+def _level(residual: bool, kind, lo_rows, hi_rows, v_lo, v_hi):
+    """Bounds of min_impl_compose (`residual`) or max_t_compose of the matrix
+    enclosed by lo_rows, hi_rows and the vector enclosed by v_lo, v_hi.  A
+    residuum falls in its matrix argument, so its low corner takes hi_rows."""
+    if residual:
+        compose, low_rows, high_rows = FLOAT.min_impl_compose, hi_rows, lo_rows
+    else:
+        compose, low_rows, high_rows = FLOAT.max_t_compose, lo_rows, hi_rows
+    return _padded(compose(low_rows, kind, v_lo), compose(high_rows, kind, v_hi))
+
+
+def _attaining(residual: bool, kind, hi_row, v_lo, v_hi, lo, hi) -> list[int]:
+    """The terms of one entry of a `_level`, enclosed in [lo, hi], whose own
+    bounds let them attain its exact min (`residual`) or max: a term of a
+    min whose low bound is at most hi, a term of a max whose high bound is
+    at least lo.  Both bounds take hi_row: the low corner of a residuum and
+    the high corner of a t-norm."""
+    if residual:
+        terms = map(FLOAT.residua[kind], hi_row, v_lo)
+        return [k for k, t in enumerate(terms) if t - MEMBERSHIP_PAD <= hi]
+    terms = map(FLOAT.t_norms[kind], hi_row, v_hi)
+    return [k for k, t in enumerate(terms) if t + MEMBERSHIP_PAD >= lo]
+
+
+def _decided(matrix, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
+    """Whether every row in `rows` satisfies the closure inequality of
+    `exact_membership` (maxt False) or `exact_maxt_membership` (maxt True),
+    in exact arithmetic: the interval pass decides what it can and the
+    undecided rows are evaluated in Fractions over their attaining terms."""
+    d_lo, d_hi = nextafter(float(delta), 0.0), nextafter(float(delta), 1.0)
+    b_lo, b_hi = _enclosure(rhs)
+    lo_rows, hi_rows = zip(*map(_enclosure, matrix))
+    lo_columns, hi_columns = transpose(lo_rows), transpose(hi_rows)
+    lower = _padded(FLOAT.shifted_bounds(b_lo, d_hi)[0], FLOAT.shifted_bounds(b_hi, d_lo)[0])
+    upper = _padded(FLOAT.shifted_bounds(b_lo, d_lo)[1], FLOAT.shifted_bounds(b_hi, d_hi)[1])
+    # The closure level by level: the inner one over columns of the shift,
+    # the outer one over rows; the max-t closure takes the residua first.
+    shift, bound = (upper, lower) if maxt else (lower, upper)
+    inner = _level(maxt, kind, lo_columns, hi_columns, *shift)
+    outer = _level(not maxt, kind, lo_rows, hi_rows, *inner)
+    small, big = (bound, outer) if maxt else (outer, bound)
+    undecided = []
+    for i in rows:
+        if small[0][i] > big[1][i]:
+            return False
+        if small[1][i] > big[0][i]:
+            undecided.append(i)
+    if not undecided:
+        return True
+    # The fallback: the terms that can still attain the outer min or max of
+    # an undecided row, the terms that can attain the inner entries those
+    # read, and only the entries and right-hand sides all of them touch.
+    outer_terms = [
+        (i, _attaining(not maxt, kind, hi_rows[i], *inner, outer[0][i], outer[1][i]))
+        for i in undecided
+    ]
+    inner_terms = {
+        j: _attaining(maxt, kind, hi_columns[j], *shift, inner[0][j], inner[1][j])
+        for _, terms in outer_terms
+        for j in terms
+    }
+    read = {*undecided, *chain.from_iterable(inner_terms.values())}
+    exact_lower, exact_upper = (
+        dict(zip(read, bounds))
+        for bounds in EXACT.shifted_bounds(tuple(_exact(rhs[k]) for k in read), delta)
+    )
+    exact_shift, exact_bound = (exact_upper, exact_lower) if maxt else (exact_lower, exact_upper)
+    aggregate, op = _exact_level(maxt, kind)
+    exact_inner = {
+        j: aggregate(op(_exact(matrix[k][j]), exact_shift[k]) for k in terms)
+        for j, terms in inner_terms.items()
+    }
+    aggregate, op = _exact_level(not maxt, kind)
+    for i, terms in outer_terms:
+        value = aggregate(op(_exact(matrix[i][j]), exact_inner[j]) for j in terms)
+        if (exact_bound[i] > value) if maxt else (value > exact_bound[i]):
+            return False
+    return True
+
+
+def _exact_level(residual: bool, kind):
+    """The aggregate and the EXACT operation of min_impl_compose (`residual`)
+    or max_t_compose."""
+    return (min, EXACT.residua[kind]) if residual else (max, EXACT.t_norms[kind])
 
 
 #: A bound on |float cell - exact cell| over the cells of `exact_maxt_distance`,

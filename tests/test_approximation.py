@@ -1,6 +1,7 @@
 """Lowest Chebyshev approximations and their optimality."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestVerifyLowest:
         highest = dataclasses.replace(result, lowest_approximation=closure(system, upper))
         assert verify_lowest(system, result, trials=200)
         assert not verify_lowest(system, highest, trials=200)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_tol_must_be_finite_non_negative(self, tol):
+        # With these tols the vector above the lowest used to be certified.
+        system = generate_random_system(3, 3, ImplicationKind.LUKASIEWICZ, 13, decimals=2)
+        result = build_approximation(system, distance_report(system))
+        _, upper = shifted_bounds(system.beta, result.achieved_distance)
+        highest = dataclasses.replace(result, lowest_approximation=closure(system, upper))
+        with pytest.raises(ValueError, match="tol must be a finite non-negative number"):
+            verify_lowest(system, highest, trials=200, tol=tol)
 
     @pytest.mark.parametrize("trials", [-3, 0, 2.0, True, "5"])
     def test_trials_must_be_a_positive_int(self, consistent_godel, trials):

@@ -6,10 +6,12 @@ within 2 * MAXT_ETA of the best row.  That is exact when every float cell
 lies within MAXT_ETA of its exact cell, which `test_cell_error_within_eta`
 checks; `test_equals_full_exact_scan` compares the result with the full exact
 scan, with no front and no filter.  The systems mix full-precision entries,
-a 1-decimal grid, a pool of {0, 0.5, 1, 1/3}, subnormals and 1 - 2^-53, in
-shapes 1 x n, m x 1 and up to 30 x 30, with duplicate rows and columns; the
-tie-heavy systems of `test_front.tied_systems` (2-decimal entries, a shared
-pool, gamma == beta) are drawn too.
+1- and 2-decimal grids, a pool of {0, 0.5, 1, 1/3}, subnormals and 1 - 2^-53,
+in shapes 1 x n, m x 1 and up to 30 x 30, with duplicate rows and columns;
+the tie-heavy systems of `test_front.tied_systems` (2-decimal entries, a
+shared pool, gamma == beta) are drawn too, and so are small max-Lukasiewicz
+systems whose entries are all subnormal or the least normal float, where
+float rounding most often reverses the exact order of two cells or rows.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ POOL = (0.0, 0.5, 1.0, 1 / 3)
 SOURCES = {
     "full": lambda rng: rng.random(),
     "1-decimal": lambda rng: round(rng.random(), 1),
+    "2-decimal": lambda rng: round(rng.random(), 2),
     "pool": lambda rng: rng.choice(POOL),
     "subnormal": lambda rng: rng.choice(SUBNORMALS),
     "below one": lambda rng: BELOW_ONE,
@@ -36,10 +39,10 @@ SOURCES = {
 
 
 @st.composite
-def wide_systems(draw, max_dim=30):
-    """MaxTSystem with entries drawn from one to three of SOURCES, shape 1 x n,
-    m x 1 or m x n with dims 1..max_dim, and rows and columns copied from a
-    smaller base matrix."""
+def wide_entries(draw, max_dim=30):
+    """(matrix, rhs) with entries drawn from one to three of SOURCES, shape
+    1 x n, m x 1 or m x n with dims 1..max_dim, and rows and columns copied
+    from a smaller base matrix."""
     rng = draw(st.randoms(use_true_random=False))
     sources = draw(st.lists(st.sampled_from(list(SOURCES)), min_size=1, max_size=3, unique=True))
 
@@ -59,7 +62,43 @@ def wide_systems(draw, max_dim=30):
     rng.shuffle(cols)
     a = tuple(tuple(base[r][c] for c in cols) for r in rows)
     b = tuple(base_b[r] for r in rows)
-    return MaxTSystem(a, b, draw(st.sampled_from(list(ImplicationKind))))
+    return a, b
+
+
+def wide_systems():
+    """MaxTSystem of `wide_entries`, of any kind."""
+    return st.builds(
+        lambda entries, kind: MaxTSystem(*entries, kind),
+        wide_entries(),
+        st.sampled_from(list(ImplicationKind)),
+    )
+
+
+#: The default entries of `pooled_entries`: the subnormals 5e-324, 4e-320
+#: and 1e-310 and the least normal float.
+TINY_VALUES = (5e-324, 4e-320, 1e-310, 2.2250738585072014e-308)
+
+
+@st.composite
+def pooled_entries(draw, values=TINY_VALUES, max_dim=4):
+    """(matrix, rhs) of dims 1..max_dim with every entry one of `values`.  A
+    decimal reading is up to 1.2% off a subnormal float, and a sum with one
+    rounds it away, so with the default TINY_VALUES cells and terms that
+    are ordered in exact arithmetic often tie or swap in floats."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    entry = st.sampled_from(values)
+    rows = st.tuples(*[entry] * n)
+    return draw(st.tuples(*[rows] * m)), draw(st.tuples(*[entry] * m))
+
+
+def tiny_luka_systems():
+    """Max-Lukasiewicz systems of `pooled_entries` with TINY_VALUES, where
+    the float cell order most often reverses the exact one: with no window
+    about a fifth of them get a wrong distance."""
+    return st.builds(
+        lambda entries: MaxTSystem(*entries, ImplicationKind.LUKASIEWICZ), pooled_entries()
+    )
 
 
 def tied_maxt_systems():
@@ -71,8 +110,9 @@ def tied_maxt_systems():
     )
 
 
-#: Both streams: the wide entries and the tie-heavy ones.
-systems = st.one_of(wide_systems(), tied_maxt_systems())
+#: The three streams: the wide entries, the tie-heavy ones and the tiny
+#: max-Lukasiewicz ones.
+systems = st.one_of(wide_systems(), tied_maxt_systems(), tiny_luka_systems())
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 TINY = 2.2250738585072014e-308
@@ -91,17 +131,17 @@ REVERSED_CELLS = (
 )
 
 
-def with_examples(systems):
-    """Decorate a test with an explicit example per system."""
+def with_examples(examples):
+    """Decorate a test with an explicit example per tuple of arguments."""
     def decorate(test):
-        for system in systems:
-            test = example(system)(test)
+        for args in examples:
+            test = example(*args)(test)
         return test
     return decorate
 
 
 @settings(max_examples=120, deadline=None)
-@with_examples(REVERSED_ROWS + REVERSED_CELLS)
+@with_examples((system,) for system in REVERSED_ROWS + REVERSED_CELLS)
 @given(systems)
 def test_equals_full_exact_scan(system):
     filtered = exact_maxt_distance(system)

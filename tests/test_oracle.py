@@ -49,6 +49,19 @@ class TestToleranceMembership:
                         assert current
                     previous = current
 
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9], ids=["nan", "inf", "negative"])
+    def test_slack_must_be_finite_non_negative(self, inconsistent_godel, slack):
+        # NaN made every delta fail, 1.0 included, and inf every delta hold
+        with pytest.raises(ValueError, match="slack must be a finite non-negative number"):
+            tolerance_membership(inconsistent_godel, 1.0, slack=slack)
+        with pytest.raises(ValueError, match="slack"):
+            tolerance_membership(inconsistent_godel, 0.0, row=0, slack=slack)
+
+    def test_nan_slack_is_not_reported_as_a_predicate_fault(self, inconsistent_godel):
+        # it used to surface as PredicateNotUpClosed("predicate must hold at 1.0")
+        with pytest.raises(ValueError, match="slack"):
+            bisect_infimum(lambda d: tolerance_membership(inconsistent_godel, d, slack=math.nan))
+
 
 class TestExactMembership:
     def test_agrees_at_plain_points(self, inconsistent_godel):

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import fuzzrel
+from fuzzrel import ImplicationKind
 
 PACKAGE = Path(fuzzrel.__file__).parent
 
@@ -32,5 +33,32 @@ def test_no_numeric_literals_in_arithmetic():
         for node in ast.walk(body)
         if isinstance(node, ast.Constant)
         and type(node.value) in (int, float)
+    ]
+    assert found == []
+
+
+def test_oracle_writes_no_formula():
+    # the oracle evaluates the formulas of `algebra.arithmetic`, reading the
+    # per-kind tables of FLOAT and EXACT; a lambda or a branch on the kind
+    # there would be a second copy of some t-norm or residuum
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    members = set(ImplicationKind.__members__)
+
+    def names_a_kind(node):
+        return (isinstance(node, ast.Attribute) and node.attr in members) or (
+            isinstance(node, ast.Name) and node.id in members
+        )
+
+    def writes_a_formula(node):
+        if isinstance(node, ast.Compare):
+            return any(map(names_a_kind, [node.left, *node.comparators]))
+        if isinstance(node, ast.MatchValue):
+            return names_a_kind(node.value)
+        return isinstance(node, ast.Lambda)
+
+    found = [
+        f"oracle.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if writes_a_formula(node)
     ]
     assert found == []
