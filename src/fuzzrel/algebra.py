@@ -36,6 +36,7 @@ would change results.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from enum import Enum
 from itertools import repeat
@@ -79,6 +80,23 @@ def checked_kind(kind) -> ImplicationKind:
     if not isinstance(kind, ImplicationKind):
         raise TypeError(f"kind: expected ImplicationKind, got {kind!r}")
     return kind
+
+
+def checked_index(index, size: int, name: str, unit: str) -> int:
+    """`index` as an int in range(size).  A bool or a value that is not an
+    integer raises TypeError, an integer out of range IndexError; both name
+    the index `name`, and `unit` is the plural of what it counts."""
+    if isinstance(index, bool):
+        raise TypeError(f"{name}: expected an integer index, got bool")
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise TypeError(
+            f"{name}: expected an integer index, got {type(index).__name__}"
+        ) from None
+    if not 0 <= index < size:
+        raise IndexError(f"{name} {index} out of range for {size} {unit}")
+    return index
 
 
 def front(pairs, rising: bool = True) -> tuple:
@@ -147,6 +165,15 @@ def arithmetic(zero, one) -> Arithmetic:
     returns a value of that type.  Each kind-dependent formula is a table
     with one entry per ImplicationKind, looked up once per call.
     """
+    # The scalar formulas run m n k times per system, so they are written
+    # without builtin calls: a two-argument min(a, b) as `b if b < a else a`
+    # and max(a, b) as `b if b > a else a`, the builtins' own tie rules (the
+    # first argument is kept unless the second is strictly smaller or
+    # larger), and a max over a column as a loop that replaces its best only
+    # on a strictly greater value, so the first of equal values still wins.
+    # Measured with timeit, min(a, b) against the conditional costs 219/66
+    # ns on Python 3.10, 229/31 ns on 3.11, 302/27 ns on 3.12 and 68/33 ns
+    # on 3.13; max(<generator>) over 5 floats costs 846 ns on 3.11.
     two = one + one
     godel, goguen, luka = ImplicationKind
 
@@ -209,7 +236,7 @@ def arithmetic(zero, one) -> Arithmetic:
         for any c in the unit cube: ||vec - c||_inf <= delta iff lower <= c <= upper.
         """
         lower = tuple(pos(v - delta) for v in vec)
-        upper = tuple(min(v + delta, one) for v in vec)
+        upper = tuple(one if one < v + delta else v + delta for v in vec)
         return lower, upper
 
     def godel_threshold(x, y, z):
@@ -217,7 +244,8 @@ def arithmetic(zero, one) -> Arithmetic:
 
         Equals min((x - z)^+ / 2, (y - z)^+).
         """
-        return min(pos(x - z) / two, pos(y - z))
+        a, b = pos(x - z) / two, pos(y - z)
+        return b if b < a else a
 
     def goguen_threshold(u, x, y, z):
         """Least delta with y * (x - delta)^+ / u <= min(z + delta, 1).
@@ -231,7 +259,10 @@ def arithmetic(zero, one) -> Arithmetic:
         """
         if u == zero or y == zero:
             return zero
-        return max(pos(x - u / y), min(pos(x * y - u * z) / (u + y), one - z))
+        a, b = pos(x * y - u * z) / (u + y), one - z
+        a = b if b < a else a
+        b = pos(x - u / y)
+        return a if a > b else b
 
     def luka_threshold(u, v, x, y):
         """Least delta with ((x - delta)^+ - v)^+ <= min(y + delta, 1) - u.
@@ -240,7 +271,10 @@ def arithmetic(zero, one) -> Arithmetic:
         in exactly this expanded form so float behaviour matches hand-checked
         values.
         """
-        return max(pos(u - y), min(pos(x - v), pos(x - y + u - v) / two))
+        a, b = pos(x - v), pos(x - y + u - v) / two
+        a = b if b < a else a
+        b = pos(u - y)
+        return a if a > b else b
 
     def maxprod_ratio(u, x, y, z):
         """Quotient term of the product threshold: (x*y - u*z)^+ / (u + y), or x
@@ -252,17 +286,18 @@ def arithmetic(zero, one) -> Arithmetic:
     def maxprod_threshold(u, x, y, z):
         """Scalar threshold for max-product systems:
         max((x - u)^+, min(maxprod_ratio(u, x, y, z), (y - z)^+))."""
-        return max(pos(x - u), min(maxprod_ratio(u, x, y, z), pos(y - z)))
+        a, b = maxprod_ratio(u, x, y, z), pos(y - z)
+        a = b if b < a else a
+        b = pos(x - u)
+        return a if a > b else b
 
     def maxluka_threshold(u, x, y, z):
         """Scalar threshold for max-Lukasiewicz systems:
         min(x, max(v^+, (v + y - z)^+ / 2)) with v = x + u - 1."""
         v = x + u - one
-        return min(x, max(pos(v), pos(v + y - z) / two))
-
-    def luka_maxt_cell(u, x, column):
-        complement = one - u
-        return max(maxluka_threshold(complement, x, y, z) for y, z in column)
+        a, b = pos(v), pos(v + y - z) / two
+        b = b if b > a else a
+        return b if b < x else x
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
     # front of the pairs (a[k][j], b[k]) of column j, which keeps high a and
@@ -270,13 +305,32 @@ def arithmetic(zero, one) -> Arithmetic:
     # non-increasing in b[k].  See `fuzzrel.report.maxt_distance`; the
     # oracle's `exact_maxt_distance` scans these cells in floats and then
     # re-evaluates a few of them in Fractions.
-    maxt_cells = {
-        godel: lambda u, x, column: max(
-            pos(x - u), max(godel_threshold(x, y, z) for y, z in column)
-        ),
-        goguen: lambda u, x, column: max(maxprod_threshold(u, x, y, z) for y, z in column),
-        luka: luka_maxt_cell,
-    }
+    def godel_maxt_cell(u, x, column):
+        best = pos(x - u)
+        for y, z in column:
+            t = godel_threshold(x, y, z)
+            if t > best:
+                best = t
+        return best
+
+    def goguen_maxt_cell(u, x, column):
+        best = None
+        for y, z in column:
+            t = maxprod_threshold(u, x, y, z)
+            if best is None or t > best:
+                best = t
+        return best
+
+    def luka_maxt_cell(u, x, column):
+        complement = one - u
+        best = None
+        for y, z in column:
+            t = maxluka_threshold(complement, x, y, z)
+            if best is None or t > best:
+                best = t
+        return best
+
+    maxt_cells = {godel: godel_maxt_cell, goguen: goguen_maxt_cell, luka: luka_maxt_cell}
 
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the

@@ -82,7 +82,9 @@ from itertools import chain, repeat
 from math import nextafter
 from typing import Callable
 
-from .algebra import FLOAT, Arithmetic, ImplicationKind, arithmetic, front, leq, transpose, unit
+from .algebra import (
+    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, front, leq, transpose, unit,
+)
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
 
@@ -126,18 +128,13 @@ def tolerance_membership(
 
 
 def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
+    if row is not None:
+        row = checked_index(row, len(beta), "row", "rows")
     lower, upper = ar.shifted_bounds(beta, delta)
     _, image = ar.solve_and_recompose(gamma, kind, lower)
     if row is None:
         return leq(image, upper, slack)
-    row = _checked_row(row, len(beta))
     return image[row] <= upper[row] + slack
-
-
-def _checked_row(row: int, rows: int) -> int:
-    if not 0 <= row < rows:
-        raise IndexError(f"row {row} out of range for {rows} rows")
-    return row
 
 
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
@@ -206,7 +203,7 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     the exact answer at the snapped delta.
     """
     delta = _exact_delta(delta)
-    rows = range(system.m) if row is None else (_checked_row(row, system.m),)
+    rows = range(system.m) if row is None else (checked_index(row, system.m, "row", "rows"),)
     return _decided(system.gamma, system.beta, system.kind, delta, False, rows)
 
 

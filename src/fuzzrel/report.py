@@ -82,7 +82,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .algebra import FLOAT, ImplicationKind, column_scan, front
+from .algebra import FLOAT, ImplicationKind, checked_index, column_scan, front
 from .errors import InvariantViolation, KindMismatch
 from .operators import FuzzySystem, MaxTSystem
 
@@ -197,7 +197,7 @@ def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     one_minus_beta = 1.0 - system.beta[row]
     return RowDiagnostics(
         row=row,
-        nabla_j=min(one_minus_beta, tau),
+        nabla_j=tau if tau < one_minus_beta else one_minus_beta,
         tau_j=tau,
         one_minus_beta=one_minus_beta,
         attainable=True,
@@ -210,14 +210,28 @@ def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
 def _supported_row(system, j: int, cells: tuple) -> RowDiagnostics:
     """Row whose tau is the least max(theta, zeta) over its supporting cells."""
     return base_row(
-        system, j, cells, ((i, max(c.theta, c.zeta)) for i, c in enumerate(cells) if c.support)
+        system,
+        j,
+        cells,
+        ((i, c.zeta if c.zeta > c.theta else c.theta) for i, c in enumerate(cells) if c.support),
     )
 
 
+# The cell formulas take theta and zeta in one pass over the column, each a
+# running max that a value replaces only when strictly greater, so the first
+# of equal values wins as with `max` (see `fuzzrel.algebra.arithmetic`).
 def _godel_stats(g: float, b: float, column) -> GodelCellStats:
-    # The cell's own row always qualifies, so the max is never over an empty set.
-    theta = max(bl - g for gl, bl in column if g <= gl)
-    zeta = max(godel_threshold(bl, gl, b) for gl, bl in column)
+    # The cell's own row always qualifies, so theta is never a max over an
+    # empty set.
+    theta = zeta = None
+    for gl, bl in column:
+        t = godel_threshold(bl, gl, b)
+        if zeta is None or t > zeta:
+            zeta = t
+        if g <= gl:
+            t = bl - g
+            if theta is None or t > theta:
+                theta = t
     support = g > 0.0
     borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
     return GodelCellStats(theta, zeta, support, borderline)
@@ -259,7 +273,15 @@ def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
 
 
 def _goguen_stats(g: float, b: float, column) -> GoguenCellStats:
-    theta = max((bl - g / gl for gl, bl in column if gl > 0.0 and g <= gl), default=None)
+    theta = zeta = None
+    for gl, bl in column:
+        t = goguen_threshold(g, bl, gl, b)
+        if zeta is None or t > zeta:
+            zeta = t
+        if gl > 0.0 and g <= gl:
+            t = bl - g / gl
+            if theta is None or t > theta:
+                theta = t
     support = g > 0.0
     if theta is None:
         # A supporting cell always dominates its own row, so the empty-set
@@ -267,7 +289,6 @@ def _goguen_stats(g: float, b: float, column) -> GoguenCellStats:
         if support:
             raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
         theta = 0.0
-    zeta = max(goguen_threshold(g, bl, gl, b) for gl, bl in column)
     return GoguenCellStats(theta, zeta, support)
 
 
@@ -286,7 +307,12 @@ def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
 
 def _luka_stats(g: float, b: float, column) -> LukaCellStats:
     u = 1.0 - g
-    return LukaCellStats(max(luka_threshold(u, 1.0 - gl, bl, b) for gl, bl in column))
+    zeta = None
+    for gl, bl in column:
+        t = luka_threshold(u, 1.0 - gl, bl, b)
+        if zeta is None or t > zeta:
+            zeta = t
+    return LukaCellStats(zeta)
 
 
 def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
@@ -354,12 +380,10 @@ def maxt_distance(system: MaxTSystem) -> float:
 
 def checked_cell(system: FuzzySystem, row: int, col: int):
     """Cell statistics of the (row, col) cell (0-based) of `system`, by the
-    cell formula of its kind; a pair outside the system's matrix raises
-    IndexError."""
-    if not 0 <= row < system.m:
-        raise IndexError(f"row {row} out of range for {system.m} rows")
-    if not 0 <= col < system.n:
-        raise IndexError(f"col {col} out of range for {system.n} columns")
+    cell formula of its kind; an index that is not an integer raises
+    TypeError and a pair outside the system's matrix IndexError."""
+    row = checked_index(row, system.m, "row", "rows")
+    col = checked_index(col, system.n, "col", "columns")
     column = front(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
     return SOLVERS[system.kind].cell(system.gamma[row][col], system.beta[row], column)
 

@@ -50,6 +50,24 @@ class TestGodelCell:
         with pytest.raises(IndexError):
             godel_cell(inconsistent_godel, 0, -1)
 
+    @pytest.mark.parametrize(
+        "row, col, name",
+        [(True, 0, "row"), (0, False, "col"), (0.5, 0, "row"), (0, 1.0, "col"), ("0", 0, "row")],
+    )
+    def test_index_must_be_an_integer(self, inconsistent_godel, row, col, name):
+        # a bool used to pick row or column 1 and a float to fail unnamed
+        with pytest.raises(TypeError, match=f"^{name}: expected an integer index"):
+            godel_cell(inconsistent_godel, row, col)
+
+    def test_index_accepts_integer_types(self, inconsistent_godel):
+        class Index:
+            def __index__(self):
+                return 1
+
+        assert godel_cell(inconsistent_godel, Index(), Index()) == godel_cell(
+            inconsistent_godel, 1, 1
+        )
+
     def test_kind_checked(self, inconsistent_goguen):
         with pytest.raises(KindMismatch) as expected:
             godel_distance(inconsistent_goguen)

@@ -39,6 +39,12 @@ class TestToleranceMembership:
         with pytest.raises(IndexError):
             tolerance_membership(infimum_godel, 0.5, row=2)
 
+    @pytest.mark.parametrize("row", [True, 0.5, "1"])
+    def test_row_index_must_be_an_integer(self, infimum_godel, row):
+        # row=True used to test row 1
+        with pytest.raises(TypeError, match="^row: expected an integer index"):
+            tolerance_membership(infimum_godel, 0.15, row=row)
+
     def test_upward_closed_empirically(self):
         for system in iter_random_systems(62, 50):
             for j in list(range(system.m)) + [None]:
@@ -75,6 +81,12 @@ class TestExactMembership:
     def test_row_index_checked(self, infimum_godel):
         with pytest.raises(IndexError):
             exact_membership(infimum_godel, 0.5, row=-1)
+
+    @pytest.mark.parametrize("row", [True, 0.5, "1"])
+    def test_row_index_must_be_an_integer(self, infimum_godel, row):
+        # row=True used to test row 1
+        with pytest.raises(TypeError, match="^row: expected an integer index"):
+            exact_membership(infimum_godel, 0.15, row=row)
 
     @pytest.mark.parametrize(
         "delta", [-0.1, 1.5, math.nan, Fraction(-1, 10), Fraction(3, 2)],

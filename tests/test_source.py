@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import fuzzrel
@@ -60,5 +61,39 @@ def test_oracle_writes_no_formula():
         f"oracle.py:{node.lineno}: {ast.unparse(node)}"
         for node in ast.walk(tree)
         if writes_a_formula(node)
+    ]
+    assert found == []
+
+
+def test_hot_formulas_call_no_builtin_min_max():
+    # the thresholds and cell formulas run m n k times per system, and a
+    # two-argument min/max or a max over a generator costs several times the
+    # conditional or loop that replaces it (see `algebra.arithmetic`); a
+    # call on one iterable, or with a starred argument, stays allowed
+    algebra = ast.parse((PACKAGE / "algebra.py").read_text(encoding="utf-8"))
+    report = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    functions = [
+        node for tree, names in [(algebra, "arithmetic"), (report, r"_\w+_stats")]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and re.fullmatch(names, node.name)
+    ]
+    assert len(functions) == 4
+
+    def slow(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("min", "max")):
+            return False
+        plain = [arg for arg in node.args if not isinstance(arg, ast.Starred)]
+        return (
+            len(plain) >= 2
+            or any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+            or any(keyword.arg in ("default", "key") for keyword in node.keywords)
+        )
+
+    found = [
+        f"{function.name}:{node.lineno}: {ast.unparse(node)}"
+        for function in functions
+        for node in ast.walk(function)
+        if slow(node)
     ]
     assert found == []
