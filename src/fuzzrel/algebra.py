@@ -20,11 +20,13 @@ These formulas, together with every scalar threshold of both system
 families and the cell formulas of the max-t closed forms, are written once
 in `arithmetic`, over the zero and one of a number type (no numeric literal
 appears inside it), and `column_scan` is the one loop over the cells of a
-system.  `FLOAT` binds the formulas to floats and supplies this
-module's public functions; the oracle binds them to `Fraction` to run the
-same formulas in exact rational arithmetic.  A float operand that meets a
-Fraction silently rounds the result to a float, so exact callers pass only
-values of the instance's own type, such as its `zero` as a slack.
+system.  It reduces each column once, by the reducer a kind's `Kernel`
+names: `front` or, for the Lukasiewicz kinds, `top_pairs`.  `FLOAT` binds
+the formulas to floats and supplies this module's public functions; the
+oracle binds them to `Fraction` to run the same formulas in exact rational
+arithmetic.  A float operand that meets a Fraction silently rounds the
+result to a float, so exact callers pass only values of the instance's own
+type, such as its `zero` as a slack.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -39,6 +41,7 @@ import math
 import operator
 from collections import namedtuple
 from enum import Enum
+from functools import partial
 from itertools import repeat
 
 from .errors import DimensionMismatch, DomainError
@@ -70,9 +73,18 @@ Arithmetic = namedtuple(
     "zero pos t_norms residua t_norm residuum max_t_compose min_impl_compose"
     " solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
-    " maxprod_threshold maxluka_threshold"
+    " maxprod_threshold maxluka_threshold luka_column"
     " maxt_cells maxt_distance",
 )
+
+#: A cell formula `cell(u, x, column)` and the reducer `column(pairs)` that
+#: keeps the pairs of a column at which the cell's max can be attained.
+Kernel = namedtuple("Kernel", "cell column")
+
+#: Width of the window below a column's greatest float key within which the
+#: Lukasiewicz reducers of `FLOAT` keep pairs: 8 * 2^-53, derived in
+#: `top_pairs`.
+KEY_WINDOW = 2.0 ** -50
 
 
 def checked_kind(kind) -> ImplicationKind:
@@ -108,7 +120,9 @@ def front(pairs, rising: bool = True) -> tuple:
     non-decreasing in g, and in b or in -b by the orientation, is attained
     on the front: each pair dropped is dominated by a kept pair whose value
     is at least as high.  The kept pairs stay in their order, so `max` still
-    keeps the first of equal values.
+    keeps the first of equal values.  It is the column reducer of the Godel
+    and Goguen reports (rising) and of the max-min and max-product cells
+    (falling); the Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
 
     One stable sort by (g, b) descending, or by (g, -b) for the falling
     orientation, puts every pair after the pairs that dominate it; a sweep
@@ -130,22 +144,77 @@ def front(pairs, rising: bool = True) -> tuple:
     return tuple(map(pairs.__getitem__, kept))
 
 
-def column_scan(matrix, rhs, cell, rising: bool = True) -> tuple:
-    """Rows of cells, cell (j, i) = cell(matrix[j][i], rhs[j], column i), for
-    any number type; column i, the `front` of the pairs (matrix[l][i],
-    rhs[l]) in the orientation `rising`, is built once.
+def top_pairs(pairs, keys, window) -> tuple:
+    """The pairs whose key is within `window` of the greatest of `keys`, in
+    their order in `pairs`; keys[l] is the key of pairs[l].  O(m) for m
+    pairs, with no sort.
+
+    The Lukasiewicz reducers of `arithmetic` keep a column this way.  In
+    exact arithmetic `luka_threshold` depends on its column pair (gl, bl)
+    only through the key gl + bl - 1, and `maxluka_threshold` on its pair
+    (y, z) only through y - z, non-decreasing in both (ROADMAP item 2): the
+    pairs of greatest key attain the column's max, and `EXACT` keeps them
+    with a window of zero.  `FLOAT` keeps every pair within KEY_WINDOW =
+    2^-50 = 8 eps of the greatest float key, eps = 2^-53.  Why that keeps
+    both the float cell and the exact one:
+
+    - Rounding.  A real r with |r| <= 2 rounds to the nearest float by at
+      most eps / 2 when |r| < 1 and by at most eps otherwise; min, max,
+      (.)^+, halving and every comparison are non-decreasing.  The key of a
+      pair is computed as the threshold computes it: P = fl(bl - fl(1 -
+      gl)), its term x - v, for `luka_column`, and P = fl(y - z) for
+      `maxluka_column`.  It lies within eps / 2 of the exact difference p
+      of the two floats it subtracts, since |p| <= 1.
+    - The float min-implication threshold, with u = fl(1 - g) and y = b
+      from the cell, v = fl(1 - gl) and x = bl from the pair, is max((u -
+      y)^+, min(P^+, Q^+ / 2)) with Q = fl(fl(fl(x - y) + u) - v).  Its
+      sums lie in [-1, 1], [-1, 2] and [-2, 2], so Q is within eps / 2 +
+      eps + eps = 2.5 eps of p + (u - y), and u - y is the same for every
+      pair of the cell.  The float max-Lukasiewicz threshold `maxluka(c, x,
+      y, z)` is min(x, max(v^+, Q^+ / 2)) with v = fl(fl(x + c) - 1) the
+      cell's own and Q = fl(fl(v + y) - z); its sums lie in [-1, 2] and
+      [-2, 2], so Q is within 2 eps of v + p.  Either threshold is
+      non-decreasing in (P, Q).
+    - The float cell.  Let k be a pair of greatest key P_k.  A pair l is
+      dropped only when P_l < fl(P_k - KEY_WINDOW), hence P_l < P_k -
+      KEY_WINDOW, since rounding is monotone.  Then p_k - p_l > KEY_WINDOW
+      - eps, and Q_k - Q_l > KEY_WINDOW - eps - 2 (2.5 eps) = 2 eps.  So
+      P_l < P_k and Q_l < Q_k, the dropped pair's threshold is at most pair
+      k's, and the max over the kept pairs is the max over the column.  No threshold
+      is -0.0 ((.)^+ returns +0.0 for a zero, and the max-Lukasiewicz cap x
+      is the cell's own for every pair), so equal values are equal bits:
+      the float cell is the full scan's, bit for bit.
+    - The exact cell.  `oracle.exact_maxt_distance` evaluates the exact
+      max-Lukasiewicz threshold at the decimal readings Y, Z of the kept
+      pairs.  Each reading lies within eps / 2 of its float, so the exact
+      key D = Y - Z lies within 1.5 eps of P.  A pair e of greatest D has
+      P_e >= D_e - 1.5 eps >= D_k - 1.5 eps >= P_k - 3 eps > P_k -
+      KEY_WINDOW: it is kept, and the exact max over the kept pairs is the
+      full exact scan's.  For the min-implication key, two readings and
+      two roundings put the exact gl + bl - 1 within 2 eps of P, so its
+      exact argmax has P_e >= P_k - 4 eps and is kept too.
+    """
+    floor = max(keys) - window
+    return tuple([pair for pair, key in zip(pairs, keys) if key >= floor])
+
+
+def column_scan(matrix, rhs, kernel) -> tuple:
+    """Rows of cells, cell (j, i) = kernel.cell(matrix[j][i], rhs[j], column
+    i), for any number type; column i, the pairs (matrix[l][i], rhs[l]) that
+    `kernel.column` keeps, is built once.
 
     Every cell formula is a max over its column of thresholds that are
-    monotone in the pair, non-decreasing in matrix[l][i] and, by `rising`,
-    non-decreasing or non-increasing in rhs[l].  So a pair off the front is
-    dominated by one on it whose threshold is at least as high, and the max
-    over the front is the max over the whole column: the cells cost
-    O(m log m) per column plus O(m n k), with k the front size, in place of
-    O(m^2 n).  The front keeps its pairs in row order: `max` keeps the first
-    of equal values, so the order decides which of 0.0 and -0.0 a cell
-    reports.
+    monotone in the pair, and each kind's reducer keeps pairs that attain
+    it: the `front` of the pairs, in the orientation in which its thresholds
+    rise, for the min and product kinds, and `top_pairs` for the
+    Lukasiewicz kinds.  The cells cost O(m log m), or O(m) for `top_pairs`,
+    per column plus O(m n k), with k the number of kept pairs (k = 1 for
+    nearly every Lukasiewicz column), in place of O(m^2 n).  The kept pairs
+    stay in row order: the cells keep the first of equal values, so the
+    order decides which of 0.0 and -0.0 a cell reports.
     """
-    columns = [front(tuple(zip(column, rhs)), rising) for column in zip(*matrix)]
+    cell, reduce = kernel.cell, kernel.column
+    columns = [reduce(tuple(zip(column, rhs))) for column in zip(*matrix)]
     return tuple(tuple(map(cell, row, repeat(r), columns)) for row, r in zip(matrix, rhs))
 
 
@@ -157,13 +226,16 @@ def _width_check(name: str, matrix: Matrix, vec: Vector) -> None:
         )
 
 
-def arithmetic(zero, one) -> Arithmetic:
+def arithmetic(zero, one, window) -> Arithmetic:
     """Bind the shared formulas to the number type of `zero` and `one`.
 
     Every literal the formulas need is derived from these two once, here, so
     the functions never mix number types: given operands of that type, each
-    returns a value of that type.  Each kind-dependent formula is a table
-    with one entry per ImplicationKind, looked up once per call.
+    returns a value of that type.  `window`, of the same type, is the width
+    within which the Lukasiewicz reducers keep pairs below a column's
+    greatest key: KEY_WINDOW in floats, zero in exact arithmetic (see
+    `top_pairs`).  Each kind-dependent formula is a table with one entry per
+    ImplicationKind, looked up once per call.
     """
     # The scalar formulas run m n k times per system, so they are written
     # without builtin calls: a two-argument min(a, b) as `b if b < a else a`
@@ -173,7 +245,9 @@ def arithmetic(zero, one) -> Arithmetic:
     # on a strictly greater value, so the first of equal values still wins.
     # Measured with timeit, min(a, b) against the conditional costs 219/66
     # ns on Python 3.10, 229/31 ns on 3.11, 302/27 ns on 3.12 and 68/33 ns
-    # on 3.13; max(<generator>) over 5 floats costs 846 ns on 3.11.
+    # on 3.13; max(<generator>) over 5 floats costs 846 ns on 3.11.  For
+    # the same reason they write a positive part as `x if x > zero else
+    # zero`, the body of `pos`, in place of a call to it.
     two = one + one
     godel, goguen, luka = ImplicationKind
 
@@ -235,8 +309,8 @@ def arithmetic(zero, one) -> Arithmetic:
         lower[i] = (vec[i] - delta)^+ and upper[i] = min(vec[i] + delta, 1), so
         for any c in the unit cube: ||vec - c||_inf <= delta iff lower <= c <= upper.
         """
-        lower = tuple(pos(v - delta) for v in vec)
-        upper = tuple(one if one < v + delta else v + delta for v in vec)
+        lower = tuple([w if (w := v - delta) > zero else zero for v in vec])
+        upper = tuple([one if one < (w := v + delta) else w for v in vec])
         return lower, upper
 
     def godel_threshold(x, y, z):
@@ -244,7 +318,9 @@ def arithmetic(zero, one) -> Arithmetic:
 
         Equals min((x - z)^+ / 2, (y - z)^+).
         """
-        a, b = pos(x - z) / two, pos(y - z)
+        a, b = x - z, y - z
+        a = (a if a > zero else zero) / two
+        b = b if b > zero else zero
         return b if b < a else a
 
     def goguen_threshold(u, x, y, z):
@@ -259,9 +335,11 @@ def arithmetic(zero, one) -> Arithmetic:
         """
         if u == zero or y == zero:
             return zero
-        a, b = pos(x * y - u * z) / (u + y), one - z
+        a, b = x * y - u * z, one - z
+        a = (a if a > zero else zero) / (u + y)
         a = b if b < a else a
-        b = pos(x - u / y)
+        b = x - u / y
+        b = b if b > zero else zero
         return a if a > b else b
 
     def luka_threshold(u, v, x, y):
@@ -271,9 +349,12 @@ def arithmetic(zero, one) -> Arithmetic:
         in exactly this expanded form so float behaviour matches hand-checked
         values.
         """
-        a, b = pos(x - v), pos(x - y + u - v) / two
+        a, b = x - v, x - y + u - v
+        a = a if a > zero else zero
+        b = (b if b > zero else zero) / two
         a = b if b < a else a
-        b = pos(u - y)
+        b = u - y
+        b = b if b > zero else zero
         return a if a > b else b
 
     def maxprod_ratio(u, x, y, z):
@@ -281,32 +362,50 @@ def arithmetic(zero, one) -> Arithmetic:
         when u = 0."""
         if u == zero:
             return x
-        return pos(x * y - u * z) / (u + y)
+        r = x * y - u * z
+        return (r if r > zero else zero) / (u + y)
 
     def maxprod_threshold(u, x, y, z):
         """Scalar threshold for max-product systems:
         max((x - u)^+, min(maxprod_ratio(u, x, y, z), (y - z)^+))."""
-        a, b = maxprod_ratio(u, x, y, z), pos(y - z)
+        a, b = maxprod_ratio(u, x, y, z), y - z
+        b = b if b > zero else zero
         a = b if b < a else a
-        b = pos(x - u)
+        b = x - u
+        b = b if b > zero else zero
         return a if a > b else b
 
     def maxluka_threshold(u, x, y, z):
         """Scalar threshold for max-Lukasiewicz systems:
         min(x, max(v^+, (v + y - z)^+ / 2)) with v = x + u - 1."""
         v = x + u - one
-        a, b = pos(v), pos(v + y - z) / two
+        a, b = v if v > zero else zero, v + y - z
+        b = (b if b > zero else zero) / two
         b = b if b > a else a
         return b if b < x else x
 
+    def luka_column(pairs):
+        """The pairs (gl, bl) of a min-implication Lukasiewicz column whose
+        key bl - (1 - gl) is within `window` of the greatest (`top_pairs`)."""
+        return top_pairs(pairs, [bl - (one - gl) for gl, bl in pairs], window)
+
+    def maxluka_column(pairs):
+        """The pairs (y, z) of a max-Lukasiewicz column whose key y - z is
+        within `window` of the greatest (`top_pairs`)."""
+        return top_pairs(pairs, [y - z for y, z in pairs], window)
+
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
-    # front of the pairs (a[k][j], b[k]) of column j, which keeps high a and
-    # low b: every threshold here is non-decreasing in a[k][j] and
-    # non-increasing in b[k].  See `fuzzrel.report.maxt_distance`; the
-    # oracle's `exact_maxt_distance` scans these cells in floats and then
-    # re-evaluates a few of them in Fractions.
+    # pairs (a[k][j], b[k]) of column j that the kind's reducer keeps.  Every
+    # threshold here is non-decreasing in a[k][j] and non-increasing in b[k],
+    # so the front of the pairs that keeps high a and low b holds the max;
+    # the max-Lukasiewicz threshold depends on the pair only through
+    # a[k][j] - b[k], so the pairs of greatest difference hold it.  See
+    # `fuzzrel.report.maxt_distance`; the oracle's `exact_maxt_distance`
+    # scans these cells in floats and then re-evaluates a few of them in
+    # Fractions.
     def godel_maxt_cell(u, x, column):
-        best = pos(x - u)
+        best = x - u
+        best = best if best > zero else zero
         for y, z in column:
             t = godel_threshold(x, y, z)
             if t > best:
@@ -330,19 +429,24 @@ def arithmetic(zero, one) -> Arithmetic:
                 best = t
         return best
 
-    maxt_cells = {godel: godel_maxt_cell, goguen: goguen_maxt_cell, luka: luka_maxt_cell}
+    falling = partial(front, rising=False)
+    maxt_cells = {
+        godel: Kernel(godel_maxt_cell, falling),
+        goguen: Kernel(goguen_maxt_cell, falling),
+        luka: Kernel(luka_maxt_cell, maxluka_column),
+    }
 
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
         max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
-        cell = maxt_cells[checked_kind(kind)]
-        return max(zero, *map(min, column_scan(a, b, cell, rising=False)))
+        kernel = maxt_cells[checked_kind(kind)]
+        return max(zero, *map(min, column_scan(a, b, kernel)))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))
 
 
-FLOAT = arithmetic(0.0, 1.0)
+FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW)
 pos = FLOAT.pos
 t_norm = FLOAT.t_norm
 residuum = FLOAT.residuum

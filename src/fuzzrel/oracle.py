@@ -83,7 +83,7 @@ from math import nextafter
 from typing import Callable
 
 from .algebra import (
-    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, front, leq, transpose, unit,
+    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, leq, transpose, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -138,7 +138,7 @@ def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
 
 
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
-EXACT = arithmetic(Fraction(0), Fraction(1))
+EXACT = arithmetic(Fraction(0), Fraction(1), Fraction(0))
 
 
 def _exact(value) -> Fraction:
@@ -355,18 +355,26 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     a float filter with an exact fallback (Fortune and Van Wyk, ACM TOG 1996;
     Shewchuk, DCG 1997):
 
-    1. The float `front` of each column, built once, and `FLOAT.maxt_cells`
-       give the float cells F[i][j], as `column_scan` would, their row minima
-       f_i and R = max_i f_i.
+    1. The kind's float reducer and cell formula in `FLOAT.maxt_cells` give
+       each column's kept pairs, built once, and the float cells F[i][j], as
+       `column_scan` would, their row minima f_i and R = max_i f_i.
     2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
        cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
     3. Only the kept cells are evaluated, by `EXACT.maxt_cells`, reading as
-       Fractions just a[i][j], b[i] and the front pairs of column j.  The
-       float front of column j serves the exact cell: reading a float as its
+       Fractions just a[i][j], b[i] and the pairs the float reducer kept in
+       column j.  The float reducer of the kind serves the exact cell.  For
+       max-min and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
-       their front in the same rows.  The result is max(0, max over kept
-       rows of the min over their kept cells).
+       their front in the same rows.  For max-Lukasiewicz it is
+       `fuzzrel.algebra.top_pairs`, which keeps every pair whose float key
+       a[k][j] - b[k] lies within KEY_WINDOW = 2^-50 of the greatest.  The
+       exact threshold depends on the pair only through the exact key, and
+       does not decrease with it; the decimal pair of greatest exact key
+       has a float key within 3 * 2^-53 of the greatest float key, so it
+       is kept (derived in `top_pairs`).
+       The result is max(0, max over kept rows of the min over their kept
+       cells).
 
     Why this is the full exact scan.  Let e_i = min_j E[i][j], so that
     |e_i - f_i| <= ETA.  If row i attains max_i e_i and row r attains R, then
@@ -387,7 +395,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
       difference is exact when it is subnormal, and a product, a quotient or
       a halving may add an underflow term of at most s.
     - max, min and (.)^+ move by no more than their arguments, so a cell, a
-      max of thresholds over the same front rows, errs by at most its worst
+      max of thresholds over the same kept rows, errs by at most its worst
       threshold.  The branches agree: a float is 0 iff its decimal is.
     - A difference of two entries, x - u or y - z: two readings and one
       rounding of a result in [-1, 1], 3 eps; halved, 1.5 eps + s.  This
@@ -416,9 +424,9 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     factor of two for the second-order terms.
     """
     a, b, kind = system.a, system.b, system.kind
-    columns = [front(tuple(zip(column, b)), rising=False) for column in zip(*a)]
-    float_cell = FLOAT.maxt_cells[kind]
-    rows = tuple(tuple(map(float_cell, row, repeat(x), columns)) for row, x in zip(a, b))
+    kernel = FLOAT.maxt_cells[kind]
+    columns = [kernel.column(tuple(zip(column, b))) for column in zip(*a)]
+    rows = tuple(tuple(map(kernel.cell, row, repeat(x), columns)) for row, x in zip(a, b))
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
     kept = [
@@ -430,7 +438,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         j: tuple((_exact(y), _exact(z)) for y, z in columns[j])
         for j in {j for _, cells in kept for j in cells}
     }
-    cell = EXACT.maxt_cells[kind]
+    cell = EXACT.maxt_cells[kind].cell
     best = EXACT.zero
     for i, cells in kept:
         x = _exact(b[i])

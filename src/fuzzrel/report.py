@@ -13,13 +13,14 @@ column scan and one report skeleton serve all three.  Every cell statistic
 of cell (j, i) is a max over the rows l of column i of a kind-specific
 threshold of (gamma[l][i], beta[l]), so a kind supplies only the formula
 `stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
-`column` the pairs (gamma[l][i], beta[l]) in row order.  Every such
-threshold is non-decreasing in gamma[l][i] and in beta[l], so `column_scan`
-hands a cell only the column's Pareto front (`fuzzrel.algebra.front`), the
-pairs no other pair beats in both entries: the max over the front is the
-max over the column, and a column of m rows usually keeps only a few pairs.
-The theta filters gamma[j][i] <= gamma[l][i] keep their max on the front
-too, because the pair that dominates the cell's own row passes the filter.
+`column` the pairs (gamma[l][i], beta[l]) in row order that the kind's
+column reducer keeps.  Every such threshold is non-decreasing in
+gamma[l][i] and in beta[l], so for Godel and Goguen `column_scan` hands a
+cell only the column's Pareto front (`fuzzrel.algebra.front`), the pairs no
+other pair beats in both entries: the max over the front is the max over
+the column, and a column of m rows usually keeps only a few pairs.  The
+theta filters gamma[j][i] <= gamma[l][i] keep their max on the front too,
+because the pair that dominates the cell's own row passes the filter.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -65,11 +66,19 @@ Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
 tau_j ranges over every column here, including those with a zero matrix
 entry, because the aggregation sets genuinely differ between kinds.  For
 Goguen and Lukasiewicz the distance is always achieved, so their reports
-carry the MINIMUM verdict.
+carry the MINIMUM verdict.  With p = gamma[l][i] + beta[l] - 1, the
+threshold is max(s^+, min(p^+, (p + s)^+ / 2)) for an s of the cell's own,
+so it depends on the pair through p alone and does not decrease with it:
+a column's max is attained at its pair of greatest p.  The column reducer,
+`FLOAT.luka_column` (`fuzzrel.algebra.top_pairs`), keeps the pairs whose
+float key beta[l] - (1 - gamma[l][i]) is within KEY_WINDOW = 2^-50 of the
+column's greatest, nearly always one pair, in O(m) with no sort; the window
+is proven wide enough for the float cell to be the full scan's, bit for
+bit.  A Lukasiewicz cell then costs one threshold.
 
-`SOLVERS` maps each kind to its cell formula and row rule; `distance_report`
-looks the system's kind up there once, evaluates every cell by
-`column_scan`, lets the row rule turn each row's cells into a
+`SOLVERS` maps each kind to its cell formula, column reducer and row rule;
+`distance_report` looks the system's kind up there once, evaluates every
+cell by `column_scan`, lets the row rule turn each row's cells into a
 `RowDiagnostics` from `base_row` and aggregates the rows into a
 `ChebyshevReport`.  `checked_cell` evaluates one cell by the same table for
 the public `*_cell` functions, which check the system's kind first as the
@@ -81,6 +90,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .algebra import FLOAT, ImplicationKind, checked_index, column_scan, front
 from .errors import InvariantViolation, KindMismatch
@@ -149,8 +159,10 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-@dataclass(frozen=True)
-class GodelCellStats:
+# The cell records are named tuples, not dataclasses: a report builds m n of
+# them, and a tuple costs half as much to build as a frozen dataclass.  They
+# iterate and compare equal to plain tuples, and `_replace` amends a field.
+class GodelCellStats(NamedTuple):
     """Statistics of one Godel (row, column) cell.
 
     theta may be negative and is kept signed.  `support` records whether the
@@ -164,8 +176,7 @@ class GodelCellStats:
     borderline: bool
 
 
-@dataclass(frozen=True)
-class GoguenCellStats:
+class GoguenCellStats(NamedTuple):
     """Statistics of one Goguen (row, column) cell; theta is kept signed."""
 
     theta: float
@@ -173,8 +184,9 @@ class GoguenCellStats:
     support: bool
 
 
-@dataclass(frozen=True)
-class LukaCellStats:
+class LukaCellStats(NamedTuple):
+    """Statistic of one Lukasiewicz (row, column) cell."""
+
     zeta: float
 
 
@@ -319,13 +331,16 @@ def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     return base_row(system, j, cells, enumerate(cell.zeta for cell in cells))
 
 
-#: A kind's cell formula `cell(g, b, column)` and row rule `row(system, j, cells)`.
-Solver = namedtuple("Solver", "cell row")
+#: A kind's cell formula `cell(g, b, column)`, the reducer `column(pairs)`
+#: that keeps the pairs of a column its cells can attain their max at, and
+#: its row rule `row(system, j, cells)`; a `fuzzrel.algebra.Kernel` with a
+#: row rule.
+Solver = namedtuple("Solver", "cell column row")
 
 SOLVERS = {
-    ImplicationKind.GODEL: Solver(_godel_stats, _godel_row),
-    ImplicationKind.GOGUEN: Solver(_goguen_stats, _goguen_row),
-    ImplicationKind.LUKASIEWICZ: Solver(_luka_stats, _luka_row),
+    ImplicationKind.GODEL: Solver(_godel_stats, front, _godel_row),
+    ImplicationKind.GOGUEN: Solver(_goguen_stats, front, _goguen_row),
+    ImplicationKind.LUKASIEWICZ: Solver(_luka_stats, FLOAT.luka_column, _luka_row),
 }
 
 
@@ -339,9 +354,9 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
     rounding could change the verdict, so such near-ties are reported as
     fragile too.
     """
-    cell, row_rule = SOLVERS[system.kind]
-    cells = column_scan(system.gamma, system.beta, cell)
-    rows = tuple(row_rule(system, j, row) for j, row in enumerate(cells))
+    solver = SOLVERS[system.kind]
+    cells = column_scan(system.gamma, system.beta, solver)
+    rows = tuple(solver.row(system, j, row) for j, row in enumerate(cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM
@@ -384,8 +399,9 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     TypeError and a pair outside the system's matrix IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    column = front(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
-    return SOLVERS[system.kind].cell(system.gamma[row][col], system.beta[row], column)
+    solver = SOLVERS[system.kind]
+    column = solver.column(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
+    return solver.cell(system.gamma[row][col], system.beta[row], column)
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

@@ -1,31 +1,31 @@
-"""The Pareto-front column scan against the full scan it replaces.
+"""The pruned column scans against the full scan they replace.
 
-`algebra.column_scan` hands every cell only the Pareto-maximal pairs of its
-column.  That is exact because every threshold a cell takes its max over is
-monotone in the column pair; `TestMonotone` checks the orientation of each
-in exact rationals.  `TestAgainstFullScan` runs the solvers once with the
-pruned scan and once with the unpruned scan, `full_scan` below, on systems
-built to hold ties: duplicate rows and columns, equal (g, b) pairs in a
-column, all-zero columns, beta entries of 0 or 1 and gamma == beta.
-`exact_maxt_distance` builds its own fronts for its float filter and exact
-fallback; unpruned, it keeps the filter but every column whole.  Its
-comparison with the full exact scan, with no filter, is in
-`test_exact_maxt.py`.
+`algebra.column_scan` hands every cell only the pairs of its column that
+its kind's reducer keeps: the Pareto-maximal pairs (`front`) for the min
+and product kinds, the pairs of greatest key (`top_pairs`) for the
+Lukasiewicz kinds.  That is exact because every threshold a cell takes its
+max over is monotone in the column pair, and each Lukasiewicz threshold in
+its key alone; `TestMonotone` checks the orientation of each in exact
+rationals.  `TestAgainstFullScan` runs the solvers once pruned and once
+`unpruned`, with every reducer of the kernel tables replaced by
+`whole_column`, on systems built to hold ties: duplicate rows and columns,
+equal (g, b) pairs in a column, all-zero columns, beta entries of 0 or 1
+and gamma == beta, and on Lukasiewicz systems whose column keys tie to
+within a few ulps.  `exact_maxt_distance` reduces its columns by the same
+table for its float filter and exact fallback; unpruned, it keeps the
+filter but every column whole.  Its comparison with the full exact scan,
+with no filter, is in `test_exact_maxt.py`.
 `TestLeast` pins the tie rule of the row minimum that reads those cells.
 """
 
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
-from itertools import repeat
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
-import fuzzrel.algebra
-import fuzzrel.oracle
-import fuzzrel.report
 from fuzzrel import (
     ImplicationKind,
     FuzzySystem,
@@ -37,9 +37,9 @@ from fuzzrel import (
     luka_cell,
     maxt_distance,
 )
-from fuzzrel.algebra import front
+from fuzzrel.algebra import FLOAT, column_scan, front
 from fuzzrel.oracle import EXACT
-from fuzzrel.report import least
+from fuzzrel.report import SOLVERS, least
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 
@@ -52,25 +52,28 @@ ULPS = 2
 CELLS = {GODEL: godel_cell, GOGUEN: goguen_cell, LUKA: luka_cell}
 
 
-def full_scan(matrix, rhs, cell, rising=True):
-    """The column scan without pruning: every cell sees every pair."""
-    columns = [tuple(zip(column, rhs)) for column in zip(*matrix)]
-    return tuple(tuple(map(cell, row, repeat(r), columns)) for row, r in zip(matrix, rhs))
-
-
-def whole_column(pairs, rising=True):
-    """`front` without pruning: every pair, in row order."""
+def whole_column(pairs):
+    """A reducer without pruning: every pair, in row order."""
     return tuple(pairs)
+
+
+def full_scan(matrix, rhs, kernel):
+    """The column scan without pruning: every cell sees every pair."""
+    return column_scan(matrix, rhs, kernel._replace(column=whole_column))
 
 
 @contextmanager
 def unpruned():
-    """Run the solvers on `full_scan`, float and exact paths alike, and the
-    filter of `exact_maxt_distance` on whole columns."""
-    with mock.patch.object(fuzzrel.algebra, "column_scan", full_scan):
-        with mock.patch.object(fuzzrel.report, "column_scan", full_scan):
-            with mock.patch.object(fuzzrel.oracle, "front", whole_column):
-                yield
+    """Replace every reducer of the kernel tables, `report.SOLVERS` and the
+    max-t cells of `FLOAT` and `EXACT`, by `whole_column`: the reports,
+    `checked_cell`, both max-t distances and the filter of
+    `exact_maxt_distance` then see whole columns."""
+    tables = (SOLVERS, FLOAT.maxt_cells, EXACT.maxt_cells)
+    with ExitStack() as stack:
+        for table in tables:
+            whole = {kind: kernel._replace(column=whole_column) for kind, kernel in table.items()}
+            stack.enter_context(mock.patch.dict(table, whole))
+        yield
 
 
 @st.composite
@@ -109,18 +112,59 @@ def tied_systems(draw, max_dim=20):
     return tuple(map(tuple, gamma)), tuple(beta)
 
 
+#: Entries at which a Lukasiewicz key rounds: the least subnormal, 2^-53 and
+#: the float below one, with 0, 1/2 and 1.
+EDGES = (0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+@st.composite
+def near_tied_entries(draw, sign, max_dim=8):
+    """(matrix, rhs) of dims up to max_dim, entries from EDGES or full
+    precision, in which two or more rows have keys matrix[l][i] + sign *
+    rhs[l] within a few ulps of each other in every column i: the key gl +
+    bl of the min-implication Lukasiewicz kind for sign 1, y - z of
+    max-Lukasiewicz for sign -1.  Each tied row's entry is the one that
+    ties its key to the first row's, moved 0-3 ulps.  Near-ties of full
+    precision entries are where a float threshold can rank two pairs in
+    the reverse of their float keys."""
+    rng = draw(st.randoms(use_true_random=False))
+    source = draw(st.sampled_from(["edges", "full", "both"]))
+
+    def entry():
+        if source == "edges" or (source == "both" and rng.random() < 0.5):
+            return rng.choice(EDGES)
+        return rng.random()
+
+    m = draw(st.integers(2, max_dim))
+    n = draw(st.integers(1, max_dim))
+    rhs = [entry() for _ in range(m)]
+    matrix = [[entry() for _ in range(n)] for _ in range(m)]
+    for l in range(1, draw(st.integers(2, m))):
+        for i in range(n):
+            tied = matrix[0][i] + sign * (rhs[0] - rhs[l])
+            for _ in range(rng.randrange(4)):
+                tied = math.nextafter(tied, rng.choice([0.0, 1.0]))
+            matrix[l][i] = min(max(tied, 0.0), 1.0)
+    order = list(range(m))
+    rng.shuffle(order)
+    return tuple(tuple(matrix[l]) for l in order), tuple(rhs[l] for l in order)
+
+
 def assert_close(pruned, full, ulps):
-    """`pruned` equals `full` field by field, floats within `ulps` ulps."""
+    """`pruned` equals `full` field by field, floats within `ulps` ulps; a
+    record, a dataclass or a named tuple, must be of the same type and is
+    compared by its field names."""
+    fields = getattr(full, "_fields", None) or getattr(full, "__dataclass_fields__", None)
     if isinstance(full, float):
         assert abs(pruned - full) <= ulps * math.ulp(full), (pruned, full)
+    elif fields is not None:
+        assert type(pruned) is type(full)
+        for name in fields:
+            assert_close(getattr(pruned, name), getattr(full, name), ulps)
     elif isinstance(full, tuple):
-        assert len(pruned) == len(full)
+        assert type(pruned) is tuple and len(pruned) == len(full)
         for p, f in zip(pruned, full):
             assert_close(p, f, ulps)
-    elif hasattr(full, "__dataclass_fields__"):
-        assert type(pruned) is type(full)
-        for name in full.__dataclass_fields__:
-            assert_close(getattr(pruned, name), getattr(full, name), ulps)
     else:
         assert pruned == full
 
@@ -156,10 +200,52 @@ class TestLeast:
         assert least(iter(())) == (None, 1.0)
 
 
+#: Near-tied Lukasiewicz entries at which keeping only the pairs of greatest
+#: float key, with no window, would change an output: a report cell, a float
+#: max-Lukasiewicz cell and the exact max-Lukasiewicz distance.  In the
+#: random stream such a column is rare (a few in a thousand systems), so
+#: these carry the check of the window.
+NEAR_TIED_REPORT = (
+    ((0.3861776646317805,), (0.390418431105669,), (0.6615319381217963,)),
+    (0.2696356363828718, 0.9686364817298126, 0.6975229747136854),
+)
+NEAR_TIED_CELLS = (
+    ((0.17900227765213317,), (0.9171923698563126,), (0.8896428073144481,)),
+    (0.3128167820027281, 0.6552505224033044, 0.62770095986144),
+)
+NEAR_TIED_EXACT = (
+    ((0.1199065254578433,), (0.7921540792934008,), (0.20424335030324442,)),
+    (0.07742047371528904, 0.6030367803130648, 0.015126051322908451),
+)
+
 #: Every phase but shrinking: each example re-runs both scans on up to 20x20
 #: systems, so shrinking a failure would take minutes; unshrunk, it is
 #: reported in seconds, as drawn.
 NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+def check_report(system):
+    """The report of `system`, after checking that it and every cell equal
+    the unpruned ones: by `repr`, or within ULPS for Goguen; the cells
+    against the unpruned `checked_cell`."""
+    pruned = distance_report(system)
+    with unpruned():
+        full = distance_report(system)
+        cell = CELLS[system.kind]
+        cells = [[cell(system, row.row, i) for i in range(system.n)] for row in full.rows]
+    if system.kind is GOGUEN:
+        assert_close(pruned, full, ULPS)
+        assert_close(tuple(row.cells for row in pruned.rows), tuple(map(tuple, cells)), ULPS)
+    else:
+        assert repr(pruned) == repr(full)
+        assert repr([list(row.cells) for row in pruned.rows]) == repr(cells)
+    return pruned
+
+
+def maxt_outputs(system):
+    """The float cells and both distances of a max-t system."""
+    cells = column_scan(system.a, system.b, FLOAT.maxt_cells[system.kind])
+    return cells, maxt_distance(system), exact_maxt_distance(system)
 
 
 class TestAgainstFullScan:
@@ -167,15 +253,9 @@ class TestAgainstFullScan:
     @given(tied_systems(), st.sampled_from(list(ImplicationKind)))
     def test_reports_and_cells(self, system, kind):
         system = FuzzySystem(*system, kind)
-        pruned = distance_report(system)
-        with unpruned():
-            full = distance_report(system)
-        if kind is GOGUEN:
-            assert_close(pruned, full, ULPS)
-        else:
-            assert repr(pruned) == repr(full)
+        report = check_report(system)
         cell = CELLS[kind]
-        for row in pruned.rows:
+        for row in report.rows:
             for i, reported in enumerate(row.cells):
                 assert repr(cell(system, row.row, i)) == repr(reported)
 
@@ -198,6 +278,22 @@ class TestAgainstFullScan:
         pruned = exact_maxt_distance(system)
         with unpruned():
             assert pruned == exact_maxt_distance(system)
+
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+    @example(NEAR_TIED_REPORT)
+    @given(near_tied_entries(1))
+    def test_near_tied_lukasiewicz_reports(self, entries):
+        check_report(FuzzySystem(*entries, LUKA))
+
+    @settings(max_examples=300, deadline=None, phases=NO_SHRINK)
+    @example(NEAR_TIED_CELLS)
+    @example(NEAR_TIED_EXACT)
+    @given(near_tied_entries(-1))
+    def test_near_tied_maxluka_distances(self, entries):
+        system = MaxTSystem(*entries, LUKA)
+        pruned = maxt_outputs(system)
+        with unpruned():
+            assert repr(pruned) == repr(maxt_outputs(system))
 
 
 #: A grid of 1/120 steps, so that equal pairs and ties are frequent.

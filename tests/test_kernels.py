@@ -1,10 +1,12 @@
 """The scalar and cell formulas against their builtin `min` / `max` forms.
 
 `algebra.arithmetic` and the cell formulas of `report` spell every
-two-argument min/max as a conditional and every max over a column as a
-loop, for speed.  Each must return what the builtin form returns, down to
-the sign of a zero and the number type: the references below are the
-formulas as the docstrings state them, written with builtin min/max.
+two-argument min/max and every positive part as a conditional and every max
+over a column as a loop, for speed.  Each must return what the builtin form
+returns, down to the sign of a zero and the number type: the references
+below are the formulas as the docstrings state them, written with builtin
+min/max.  The Lukasiewicz column reducers are checked against a brute-force
+scan of the keys and against the cells of whole columns.
 """
 
 from fractions import Fraction
@@ -13,8 +15,8 @@ import random
 
 import pytest
 
-from fuzzrel import report
-from fuzzrel.algebra import FLOAT
+from fuzzrel import ImplicationKind, report
+from fuzzrel.algebra import FLOAT, KEY_WINDOW
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import (
     BORDERLINE_EPS,
@@ -171,7 +173,7 @@ def test_maxt_cells_match_builtin_form(ar, grid):
     rng = random.Random(2)
     references_by_kind = maxt_references(ar)
     found = []
-    for kind, cell in ar.maxt_cells.items():
+    for kind, (cell, _) in ar.maxt_cells.items():
         reference = references_by_kind[kind.value]
         for column in columns(grid, 3, 1500 if ar is FLOAT else 300):
             u, x = rng.choice(grid), rng.choice(grid)
@@ -179,3 +181,50 @@ def test_maxt_cells_match_builtin_form(ar, grid):
             if not same(got, want):
                 found.append((kind, u, x, column, got, want))
     assert found == []
+
+
+def reducers(ar):
+    """Each Lukasiewicz reducer of `ar` with its key of a pair, its window
+    and a cell formula whose max it keeps, cell(u, x, column)."""
+    one = type(ar.zero)(1)
+    window = KEY_WINDOW if ar is FLOAT else ar.zero
+    maxluka = ar.maxt_cells[ImplicationKind.LUKASIEWICZ]
+
+    def luka_cell(g, b, column):
+        return max(ar.luka_threshold(one - g, one - gl, bl, b) for gl, bl in column)
+
+    return {
+        "lukasiewicz": (ar.luka_column, lambda g, b: b - (one - g), window, luka_cell),
+        "max-lukasiewicz": (maxluka.column, lambda y, z: y - z, window, maxluka.cell),
+    }
+
+
+@both_types
+@pytest.mark.parametrize("name", list(reducers(FLOAT)))
+def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name):
+    reducer, key, window, cell = reducers(ar)[name]
+    rng = random.Random(6)
+    found = []
+    for column in columns(grid, 5, 3000 if ar is FLOAT else 600):
+        top = max(key(*pair) for pair in column)
+        want = tuple(pair for pair in column if key(*pair) >= top - window)
+        kept = reducer(column)
+        if repr(kept) != repr(want):
+            found.append((column, kept, want))
+        u, x = rng.choice(grid), rng.choice(grid)
+        if not same(cell(u, x, kept), cell(u, x, column)):
+            found.append((u, x, column, kept))
+    assert found == []
+
+
+@pytest.mark.parametrize("name", list(reducers(FLOAT)))
+def test_reducer_keeps_ties_in_row_order(name):
+    reducer = reducers(FLOAT)[name][0]
+    single = ((0.25, 0.5),)
+    assert reducer(single) == single
+    # keys equal in both kinds' keys, signed zeros included: all are kept,
+    # the -0.0 entries as they are
+    tied = ((-0.0, -0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0))
+    assert repr(reducer(tied)) == repr(tied)
+    below = (0.5, 0.5) if name == "lukasiewicz" else (0.25, 0.5)
+    assert reducer(((1.0, 1.0), below, (1.0, 1.0))) == ((1.0, 1.0), (1.0, 1.0))

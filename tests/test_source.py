@@ -97,3 +97,30 @@ def test_hot_formulas_call_no_builtin_min_max():
         if slow(node)
     ]
     assert found == []
+
+
+def test_hot_formulas_call_no_pos():
+    # the thresholds, the max-t cells, `shifted_bounds` and the report's cell
+    # formulas write a positive part as `x if x > zero else zero`, since a
+    # call to `pos` costs more than the comparison it makes
+    algebra = ast.parse((PACKAGE / "algebra.py").read_text(encoding="utf-8"))
+    report = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    (arithmetic,) = [
+        node for node in algebra.body
+        if isinstance(node, ast.FunctionDef) and node.name == "arithmetic"
+    ]
+    names = r"\w+_threshold|maxprod_ratio|\w+_maxt_cell|shifted_bounds|_\w+_stats"
+    functions = [
+        node for tree in (arithmetic, report)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and re.fullmatch(names, node.name)
+    ]
+    assert len(functions) == 13
+    found = [
+        f"{function.name}:{node.lineno}: {ast.unparse(node)}"
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "pos"
+    ]
+    assert found == []
