@@ -490,20 +490,66 @@ def _entries(values, name: str, row: int | None = None):
         raise DomainError(f"{where}: expected an array, got {type(values).__name__}") from None
 
 
+_FLOATS = {float}
+
+
+def _kept(values) -> bool:
+    """Whether `unit` would return every entry of the list or tuple `values`
+    unchanged: each entry is exactly a float, none is NaN, none is negative
+    or -0.0, and none exceeds 1.
+
+    min and max skip a NaN that is not first, so NaN is found by the sum,
+    which is finite for floats in [0, 1].  A row whose least entry is not
+    positive has its signs read: that rejects -0.0, which `0.0 <= lo` would
+    let through, and every negative entry.  An empty row has no float type.
+    """
+    if {*map(type, values)} != _FLOATS:
+        return False
+    lo = min(values)
+    total = sum(values)
+    return (max(values) <= 1.0 and total == total
+            and (lo > 0.0 or min(map(math.copysign, repeat(1.0), values)) > 0.0))
+
+
+def _unit_row(values, name: str, row: int | None = None) -> Vector:
+    """`values` validated as `unit_vector` does, its entries named
+    `name[j]`, or `name[row][j]` for a row of a matrix; the empty tuple for
+    an empty row."""
+    if (type(values) is tuple or type(values) is list) and _kept(values):
+        return tuple(values)
+    where = name if row is None else f"{name}[{row}]"
+    return tuple(unit(v, f"{where}[{j}]") for j, v in _entries(values, name, row))
+
+
 def unit_vector(values, name: str = "vector") -> Vector:
-    """Validate a non-empty sequence of unit-interval values."""
-    entries = tuple(unit(v, f"{name}[{i}]") for i, v in _entries(values, name))
+    """Validate a non-empty sequence of unit-interval values.
+
+    A list or tuple whose entries are all plain floats in [0, 1] is checked
+    in bulk and kept as a tuple, with no call per entry.  It is exactly what
+    `unit` would return entry by entry, because the bulk check keeps only
+    rows that `unit` returns unchanged: no NaN (which min and max would
+    skip), no -0.0 (which `unit` turns into 0.0 and `>= 0.0` would pass), no
+    float subclass, int or bool (which `unit` converts to float), and
+    nothing outside [0, 1] (which `unit` clamps or rejects).  Any other
+    sequence, an iterator included, is read once, entry by entry, by `unit`,
+    so its clamping and its errors are unchanged.
+    """
+    entries = _unit_row(values, name)
     if not entries:
         raise DomainError(f"{name}: must have at least one entry")
     return entries
 
 
 def unit_matrix(rows, name: str = "matrix") -> Matrix:
-    """Validate a non-empty rectangular grid of unit-interval values."""
-    grid = tuple(
-        tuple(unit(v, f"{name}[{i}][{j}]") for j, v in _entries(row, name, i))
-        for i, row in _entries(rows, name)
-    )
+    """Validate a non-empty rectangular grid of unit-interval values.
+
+    Each row is validated as by `unit_vector`: a list or tuple of plain
+    floats in [0, 1], with no NaN and no -0.0, is kept in bulk, any other
+    row goes entry by entry through `unit`.  Rows and the sequence of rows
+    are read once.  Errors come in the per-entry order: the first bad entry
+    in row-major order, then rectangularity.
+    """
+    grid = tuple(_unit_row(row, name, i) for i, row in _entries(rows, name))
     if not grid or not grid[0]:
         raise DomainError(f"{name}: must have at least one row and one column")
     width = len(grid[0])

@@ -1,6 +1,7 @@
 """Scalar algebra and composition tests, including the adjunction laws."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from fuzzrel import (
     DimensionMismatch,
     DomainError,
+    FuzzySystem,
     ImplicationKind,
     max_t_compose,
     maxt_closure,
@@ -85,8 +87,135 @@ class TestUnitValidation:
             unit_matrix(0.5, "gamma")
         with pytest.raises(DomainError, match=r"^gamma\[0\]: "):
             unit_matrix([0.5, 0.2], "gamma")
+        with pytest.raises(DomainError, match=r"^gamma\[0\]\[0\]: expected a number, got str$"):
+            unit_matrix(["0.5"], "gamma")
         with pytest.raises(DomainError, match=r"^beta: "):
             unit_vector(0.5, "beta")
+
+
+def reference_row(values, where):
+    """`values` validated by one `unit` call per entry, named `where[j]`."""
+    try:
+        entries = enumerate(values)
+    except TypeError:
+        raise DomainError(f"{where}: expected an array, got {type(values).__name__}") from None
+    return tuple(unit(v, f"{where}[{j}]") for j, v in entries)
+
+
+def reference_vector(values, name):
+    """unit_vector as one `unit` call per entry."""
+    out = reference_row(values, name)
+    if not out:
+        raise DomainError(f"{name}: must have at least one entry")
+    return out
+
+
+def reference_matrix(rows, name):
+    """unit_matrix as one `unit` call per entry."""
+    try:
+        numbered = enumerate(rows)
+    except TypeError:
+        raise DomainError(f"{name}: expected an array, got {type(rows).__name__}") from None
+    grid = tuple(reference_row(row, f"{name}[{i}]") for i, row in numbered)
+    if not grid or not grid[0]:
+        raise DomainError(f"{name}: must have at least one row and one column")
+    for i, row in enumerate(grid):
+        if len(row) != len(grid[0]):
+            raise DimensionMismatch(f"{name}: row {i} has {len(row)} entries, expected {len(grid[0])}")
+    return grid
+
+
+class Drifted(float):
+    """A float subclass: `unit` returns it as a plain float."""
+
+
+def described(result):
+    """The repr and type of every entry, keeping the nesting, so that -0.0
+    and float subclasses show."""
+    if type(result) is tuple:
+        return tuple, [described(v) for v in result]
+    return repr(result), type(result)
+
+
+def outcome(validate, value, name):
+    """What `validate(value, name)` returns, as `described`, or the type
+    and message of what it raises."""
+    try:
+        return described(validate(value, name))
+    except (DomainError, DimensionMismatch) as error:
+        return type(error), str(error)
+
+
+shapes = st.sampled_from([list, tuple, iter])
+entries = st.one_of(
+    units,
+    units.map(Drifted),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -1e-13, 1e-13, 1.0 - 1e-13, 1.0 + 1e-13,
+                     math.inf, -math.inf, math.nan, 0, 1, True, False, "0.5", None]),
+)
+# Entries of the rows the bulk check keeps, and the plain floats it must not
+# keep: -0.0, NaN and drift past either end.
+plain = st.one_of(units, st.sampled_from([0.0, -0.0, 1.0, math.nan, -1e-13, 1.0 + 1e-13]))
+rows = st.one_of(st.lists(entries, max_size=6), st.lists(plain, max_size=6))
+
+
+@st.composite
+def grids(draw):
+    """A list of rows, mostly of one width, each with the shape to give it."""
+    width = draw(st.integers(1, 5))
+    same_width = st.one_of(st.lists(entries, min_size=width, max_size=width),
+                           st.lists(plain, min_size=width, max_size=width))
+    grid = draw(st.lists(st.one_of(same_width, rows), max_size=4))
+    return [(draw(shapes), row) for row in grid], draw(shapes)
+
+
+class TestBulkValidation:
+    """unit_vector and unit_matrix return and raise exactly what one `unit`
+    call per entry would, on the rows they check in bulk too."""
+
+    @given(rows, shapes)
+    def test_vector_equals_per_entry(self, values, shape):
+        assert outcome(unit_vector, shape(values), "beta") == outcome(reference_vector, shape(values), "beta")
+
+    @given(grids())
+    def test_matrix_equals_per_entry(self, drawn):
+        shaped_rows, outer = drawn
+
+        def build():
+            return outer([shape(row) for shape, row in shaped_rows])
+
+        assert outcome(unit_matrix, build(), "gamma") == outcome(reference_matrix, build(), "gamma")
+
+    def test_nan_mid_row_named(self):
+        with pytest.raises(DomainError, match=r"^gamma\[0\]\[1\]: NaN"):
+            unit_matrix([[0.2, math.nan, 0.7]], "gamma")
+        with pytest.raises(DomainError, match=r"^beta\[1\]: NaN"):
+            unit_vector([0.2, math.nan, 0.7], "beta")
+
+    def test_negative_zero_becomes_positive(self):
+        for got in (unit_matrix([[0.0, -0.0]])[0], unit_vector((0.0, -0.0))):
+            assert [repr(v) for v in got] == ["0.0", "0.0"]
+
+    def test_bulk_rows_make_no_per_entry_call(self, monkeypatch):
+        calls = []
+
+        def counted(value, name="value"):
+            calls.append(name)
+            return unit(value, name)
+
+        monkeypatch.setattr("fuzzrel.algebra.unit", counted)
+        rng = random.Random(20)
+        gamma = [[rng.random() for _ in range(20)] for _ in range(20)]
+        beta = [rng.random() for _ in range(20)]
+        gamma[3][5] = 0.0
+        system = FuzzySystem(gamma, beta, ImplicationKind.GODEL)
+        assert calls == []
+        assert system.gamma == tuple(map(tuple, gamma))
+        gamma[7][2] = 1
+        system = FuzzySystem(gamma, beta, ImplicationKind.GODEL)
+        assert calls == [f"gamma[7][{j}]" for j in range(20)]
+        assert system.gamma[7][2] == 1.0 and type(system.gamma[7][2]) is float
 
 
 class TestTNorm:

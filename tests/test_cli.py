@@ -343,6 +343,26 @@ class TestValidation:
         assert code == 1
         assert "gamma[0][1]" in err
 
+    @pytest.mark.parametrize("entry, message", [
+        ("NaN", "gamma[0][1]: NaN is not a unit-interval value"),
+        ("1e400", "gamma[0][1]: inf is outside [0, 1]"),
+    ], ids=["nan", "overflow-to-inf"])
+    def test_non_finite_entry_mid_row_named(self, capsys, tmp_path, entry, message):
+        path = tmp_path / "bad.json"
+        path.write_text('{"implication": "godel", "gamma": [[0.2, ' + entry + ', 0.7]], "beta": [0.5]}')
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_negative_zero_reads_as_zero(self, capsys, tmp_path):
+        outputs = []
+        for zero in ("0.0", "-0.0"):
+            path = tmp_path / "zero.json"
+            path.write_text('{"implication": "godel", "gamma": [[0.6, ' + zero + ']], "beta": [0.3]}')
+            code, out, _ = run_cli(capsys, "check", "--input", str(path))
+            outputs.append((code, out))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     @pytest.mark.parametrize("field, fields", [
         ("beta[0]", {"gamma": [[0.5]], "beta": [10**400]}),
         ("gamma[0]", {"gamma": [0.5, 0.2], "beta": [0.5]}),
