@@ -16,14 +16,18 @@ by every solver in this package:
 and the shifted bounds of a vector, `shifted_bounds(v, delta)`, which bracket
 the closed sup-norm ball of radius delta around v inside the unit cube.
 
-These formulas, together with every scalar threshold of both system
-families and the cell formulas of the max-t closed forms, are written once
-in `arithmetic`, over the zero and one of a number type (no numeric literal
-appears inside it), and `column_scan` is the one loop over the cells of a
-system.  It reduces each column once, by the reducer a kind's `Kernel`
-names: `front` or, for the Lukasiewicz kinds, `top_pairs`.  `FLOAT` binds
-the formulas to floats and supplies this module's public functions; the
-oracle binds them to `Fraction` to run the same formulas in exact rational
+These formulas, together with every scalar threshold and every cell
+formula of both system families, are written once in `arithmetic`, over the
+zero and one of a number type (no numeric literal appears inside it).  Each
+family's cells form a table of one `Kernel` per kind: `Arithmetic.cells`
+for the min-implication reports, whose records `GodelCellStats`,
+`GoguenCellStats` and `LukaCellStats` are defined here, and
+`Arithmetic.maxt_cells` for the max-t distances.  `column_scan` is the one
+loop over the cells of a system.  It reduces each column once, by the
+reducer a kind's `Kernel` names: `front` or, for the Lukasiewicz kinds,
+`top_pairs`.  `FLOAT` binds the formulas to floats and supplies this
+module's public functions and the cells of `fuzzrel.report`; the oracle
+binds them to `Fraction` to run the same formulas in exact rational
 arithmetic.  A float operand that meets a Fraction silently rounds the
 result to a float, so exact callers pass only values of the instance's own
 type, such as its `zero` as a slack.
@@ -43,8 +47,9 @@ from collections import namedtuple
 from enum import Enum
 from functools import partial
 from itertools import repeat
+from typing import NamedTuple
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, InvariantViolation
 
 Vector = tuple[float, ...]
 Matrix = tuple[tuple[float, ...], ...]
@@ -73,8 +78,8 @@ Arithmetic = namedtuple(
     "zero pos t_norms residua t_norm residuum max_t_compose min_impl_compose"
     " solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
-    " maxprod_threshold maxluka_threshold luka_column"
-    " maxt_cells maxt_distance",
+    " maxprod_threshold maxluka_threshold"
+    " cells maxt_cells maxt_distance",
 )
 
 #: A cell formula `cell(u, x, column)` and the reducer `column(pairs)` that
@@ -85,6 +90,43 @@ Kernel = namedtuple("Kernel", "cell column")
 #: Lukasiewicz reducers of `FLOAT` keep pairs: 8 * 2^-53, derived in
 #: `top_pairs`.
 KEY_WINDOW = 2.0 ** -50
+
+#: Width of the numeric window around strict-comparison ties inside which
+#: the minimum/infimum classification is reported as fragile.  It stays a
+#: float in every instance of `arithmetic`: it is only compared, and a
+#: Fraction compares with a float exactly.
+BORDERLINE_EPS = 1e-9
+
+
+# The cell records are named tuples, not dataclasses: a report builds m n of
+# them, and a tuple costs half as much to build as a frozen dataclass.  They
+# iterate and compare equal to plain tuples, and `_replace` amends a field.
+class GodelCellStats(NamedTuple):
+    """Statistics of one Godel (row, column) cell.
+
+    theta may be negative and is kept signed.  `support` records whether the
+    cell's matrix entry is positive, `borderline` whether theta and zeta are
+    within BORDERLINE_EPS of each other on a supporting cell.
+    """
+
+    theta: float
+    zeta: float
+    support: bool
+    borderline: bool
+
+
+class GoguenCellStats(NamedTuple):
+    """Statistics of one Goguen (row, column) cell; theta is kept signed."""
+
+    theta: float
+    zeta: float
+    support: bool
+
+
+class LukaCellStats(NamedTuple):
+    """Statistic of one Lukasiewicz (row, column) cell."""
+
+    zeta: float
 
 
 def checked_kind(kind) -> ImplicationKind:
@@ -162,9 +204,10 @@ def top_pairs(pairs, keys, window) -> tuple:
       most eps / 2 when |r| < 1 and by at most eps otherwise; min, max,
       (.)^+, halving and every comparison are non-decreasing.  The key of a
       pair is computed as the threshold computes it: P = fl(bl - fl(1 -
-      gl)), its term x - v, for `luka_column`, and P = fl(y - z) for
-      `maxluka_column`.  It lies within eps / 2 of the exact difference p
-      of the two floats it subtracts, since |p| <= 1.
+      gl)), its term x - v, for the report cells `cells[LUKASIEWICZ]`,
+      and P = fl(y - z) for the max-t cells.  It lies within eps / 2 of
+      the exact difference p of the two floats it subtracts, since |p| <=
+      1.
     - The float min-implication threshold, with u = fl(1 - g) and y = b
       from the cell, v = fl(1 - gl) and x = bl from the pair, is max((u -
       y)^+, min(P^+, Q^+ / 2)) with Q = fl(fl(fl(x - y) + u) - v).  Its
@@ -393,6 +436,61 @@ def arithmetic(zero, one, window) -> Arithmetic:
         """The pairs (y, z) of a max-Lukasiewicz column whose key y - z is
         within `window` of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [y - z for y, z in pairs], window)
+
+    # Cell (j, i) of a min-implication report, from g = gamma[j][i], b =
+    # beta[j] and the pairs (gamma[l][i], beta[l]) of column i that the
+    # kind's reducer keeps; `fuzzrel.report` states the formulas.  Each
+    # takes theta and zeta in one pass over the column, as running maxima.
+    def godel_stats(g, b, column):
+        # The cell's own row always qualifies, so theta is never a max over
+        # an empty set.
+        theta = zeta = None
+        for gl, bl in column:
+            t = godel_threshold(bl, gl, b)
+            if zeta is None or t > zeta:
+                zeta = t
+            if g <= gl:
+                t = bl - g
+                if theta is None or t > theta:
+                    theta = t
+        support = g > zero
+        borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
+        return GodelCellStats(theta, zeta, support, borderline)
+
+    def goguen_stats(g, b, column):
+        theta = zeta = None
+        for gl, bl in column:
+            t = goguen_threshold(g, bl, gl, b)
+            if zeta is None or t > zeta:
+                zeta = t
+            if gl > zero and g <= gl:
+                t = bl - g / gl
+                if theta is None or t > theta:
+                    theta = t
+        support = g > zero
+        if theta is None:
+            # A supporting cell always dominates its own row, so the
+            # empty-set convention theta = 0 is only ever reachable on
+            # non-supporting cells.
+            if support:
+                raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
+            theta = zero
+        return GoguenCellStats(theta, zeta, support)
+
+    def luka_stats(g, b, column):
+        u = one - g
+        zeta = None
+        for gl, bl in column:
+            t = luka_threshold(u, one - gl, bl, b)
+            if zeta is None or t > zeta:
+                zeta = t
+        return LukaCellStats(zeta)
+
+    cells = {
+        godel: Kernel(godel_stats, front),
+        goguen: Kernel(goguen_stats, front),
+        luka: Kernel(luka_stats, luka_column),
+    }
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
     # pairs (a[k][j], b[k]) of column j that the kind's reducer keeps.  Every

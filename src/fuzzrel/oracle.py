@@ -83,7 +83,8 @@ from math import nextafter
 from typing import Callable
 
 from .algebra import (
-    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, leq, transpose, unit,
+    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, column_scan, leq, transpose,
+    unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -355,16 +356,17 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     a float filter with an exact fallback (Fortune and Van Wyk, ACM TOG 1996;
     Shewchuk, DCG 1997):
 
-    1. The kind's float reducer and cell formula in `FLOAT.maxt_cells` give
-       each column's kept pairs, built once, and the float cells F[i][j], as
-       `column_scan` would, their row minima f_i and R = max_i f_i.
+    1. `column_scan` over the kind's float reducer and cell formula in
+       `FLOAT.maxt_cells` gives the float cells F[i][j], their row minima
+       f_i and R = max_i f_i.
     2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
        cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
     3. Only the kept cells are evaluated, by `EXACT.maxt_cells`, reading as
-       Fractions just a[i][j], b[i] and the pairs the float reducer kept in
-       column j.  The float reducer of the kind serves the exact cell.  For
-       max-min and max-product it is the `front`: reading a float as its
+       Fractions just a[i][j], b[i] and the pairs the float reducer keeps in
+       column j; only the columns of kept cells are reduced again for this.
+       The float reducer of the kind serves the exact cell.  For max-min
+       and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
        their front in the same rows.  For max-Lukasiewicz it is
        `fuzzrel.algebra.top_pairs`, which keeps every pair whose float key
@@ -425,8 +427,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     """
     a, b, kind = system.a, system.b, system.kind
     kernel = FLOAT.maxt_cells[kind]
-    columns = [kernel.column(tuple(zip(column, b))) for column in zip(*a)]
-    rows = tuple(tuple(map(kernel.cell, row, repeat(x), columns)) for row, x in zip(a, b))
+    rows = column_scan(a, b, kernel)
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
     kept = [
@@ -434,10 +435,10 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         for i, low in enumerate(lows)
         if low >= floor
     ]
-    exact_columns = {
-        j: tuple((_exact(y), _exact(z)) for y, z in columns[j])
-        for j in {j for _, cells in kept for j in cells}
-    }
+    exact_columns = {}
+    for j in {j for _, cells in kept for j in cells}:
+        pairs = kernel.column(tuple(zip([row[j] for row in a], b)))
+        exact_columns[j] = tuple((_exact(y), _exact(z)) for y, z in pairs)
     cell = EXACT.maxt_cells[kind].cell
     best = EXACT.zero
     for i, cells in kept:

@@ -3,22 +3,24 @@
 `distance_report` gives the full report of a min-implication `FuzzySystem`;
 `maxt_distance` gives the distance of a max-t-norm `MaxTSystem`, the
 cross-validation family (its formulas are in its docstring).  Both read
-their cells through `fuzzrel.algebra.column_scan`, and the thresholds of
-both are written once in `fuzzrel.algebra.arithmetic`; this module binds
-their float instance.
+their cells through `fuzzrel.algebra.column_scan`, and the thresholds and
+cell formulas of both are written once in `fuzzrel.algebra.arithmetic`,
+for any number type; this module reads their float instance, `FLOAT`, and
+adds the row rules, which run on floats.
 
 The three min-implication kinds differ only in the formula of their cell
 statistics and in the rule that turns a row's cells into its tau_j; one
 column scan and one report skeleton serve all three.  Every cell statistic
 of cell (j, i) is a max over the rows l of column i of a kind-specific
 threshold of (gamma[l][i], beta[l]), so a kind supplies only the formula
-`stats(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
+`cell(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
 `column` the pairs (gamma[l][i], beta[l]) in row order that the kind's
-column reducer keeps.  Every such threshold is non-decreasing in
-gamma[l][i] and in beta[l], so for Godel and Goguen `column_scan` hands a
-cell only the column's Pareto front (`fuzzrel.algebra.front`), the pairs no
-other pair beats in both entries: the max over the front is the max over
-the column, and a column of m rows usually keeps only a few pairs.  The
+column reducer keeps; formula and reducer are the kind's entry of
+`FLOAT.cells`.  Every such threshold is non-decreasing in gamma[l][i] and
+in beta[l], so for Godel and Goguen `column_scan` hands a cell only the
+column's Pareto front (`fuzzrel.algebra.front`), the pairs no other pair
+beats in both entries: the max over the front is the max over the column,
+and a column of m rows usually keeps only a few pairs.  The
 theta filters gamma[j][i] <= gamma[l][i] keep their max on the front too,
 because the pair that dominates the cell's own row passes the filter.
 
@@ -69,36 +71,33 @@ Goguen and Lukasiewicz the distance is always achieved, so their reports
 carry the MINIMUM verdict.  With p = gamma[l][i] + beta[l] - 1, the
 threshold is max(s^+, min(p^+, (p + s)^+ / 2)) for an s of the cell's own,
 so it depends on the pair through p alone and does not decrease with it:
-a column's max is attained at its pair of greatest p.  The column reducer,
-`FLOAT.luka_column` (`fuzzrel.algebra.top_pairs`), keeps the pairs whose
-float key beta[l] - (1 - gamma[l][i]) is within KEY_WINDOW = 2^-50 of the
-column's greatest, nearly always one pair, in O(m) with no sort; the window
-is proven wide enough for the float cell to be the full scan's, bit for
-bit.  A Lukasiewicz cell then costs one threshold.
+a column's max is attained at its pair of greatest p.  The column reducer
+of `FLOAT.cells[LUKASIEWICZ]` (`fuzzrel.algebra.top_pairs`) keeps the pairs
+whose float key beta[l] - (1 - gamma[l][i]) is within KEY_WINDOW = 2^-50 of
+the column's greatest, nearly always one pair, in O(m) with no sort; the
+window is proven wide enough for the float cell to be the full scan's, bit
+for bit.  A Lukasiewicz cell then costs one threshold.
 
-`SOLVERS` maps each kind to its cell formula, column reducer and row rule;
-`distance_report` looks the system's kind up there once, evaluates every
-cell by `column_scan`, lets the row rule turn each row's cells into a
-`RowDiagnostics` from `base_row` and aggregates the rows into a
-`ChebyshevReport`.  `checked_cell` evaluates one cell by the same table for
-the public `*_cell` functions, which check the system's kind first as the
-`*_distance` functions do.
+`distance_report` looks the system's kind up once in `FLOAT.cells`, for its
+cell formula and column reducer, and once in `_ROW_RULES`, for its row rule;
+it evaluates every cell by `column_scan`, lets the row rule turn each row's
+cells into a `RowDiagnostics` from `base_row` and aggregates the rows into
+a `ChebyshevReport`.  `checked_cell` evaluates one cell by the same entry of
+`FLOAT.cells` for the public `*_cell` functions, which check the system's
+kind first as the `*_distance` functions do.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
-from .algebra import FLOAT, ImplicationKind, checked_index, column_scan, front
+from .algebra import (
+    BORDERLINE_EPS, FLOAT, GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats,
+    checked_index, column_scan,
+)
 from .errors import InvariantViolation, KindMismatch
 from .operators import FuzzySystem, MaxTSystem
-
-#: Width of the numeric window around strict-comparison ties inside which
-#: the minimum/infimum classification is reported as fragile.
-BORDERLINE_EPS = 1e-9
 
 godel_threshold = FLOAT.godel_threshold
 goguen_threshold = FLOAT.goguen_threshold
@@ -159,37 +158,6 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-# The cell records are named tuples, not dataclasses: a report builds m n of
-# them, and a tuple costs half as much to build as a frozen dataclass.  They
-# iterate and compare equal to plain tuples, and `_replace` amends a field.
-class GodelCellStats(NamedTuple):
-    """Statistics of one Godel (row, column) cell.
-
-    theta may be negative and is kept signed.  `support` records whether the
-    cell's matrix entry is positive, `borderline` whether theta and zeta are
-    within BORDERLINE_EPS of each other on a supporting cell.
-    """
-
-    theta: float
-    zeta: float
-    support: bool
-    borderline: bool
-
-
-class GoguenCellStats(NamedTuple):
-    """Statistics of one Goguen (row, column) cell; theta is kept signed."""
-
-    theta: float
-    zeta: float
-    support: bool
-
-
-class LukaCellStats(NamedTuple):
-    """Statistic of one Lukasiewicz (row, column) cell."""
-
-    zeta: float
-
-
 def least(candidates) -> tuple[int | None, float]:
     """The first (column, value) pair of least value among `candidates`, or
     (None, 1.0) when there are none.  A loop, not `min` with a key: on the
@@ -229,26 +197,6 @@ def _supported_row(system, j: int, cells: tuple) -> RowDiagnostics:
     )
 
 
-# The cell formulas take theta and zeta in one pass over the column, each a
-# running max that a value replaces only when strictly greater, so the first
-# of equal values wins as with `max` (see `fuzzrel.algebra.arithmetic`).
-def _godel_stats(g: float, b: float, column) -> GodelCellStats:
-    # The cell's own row always qualifies, so theta is never a max over an
-    # empty set.
-    theta = zeta = None
-    for gl, bl in column:
-        t = godel_threshold(bl, gl, b)
-        if zeta is None or t > zeta:
-            zeta = t
-        if g <= gl:
-            t = bl - g
-            if theta is None or t > theta:
-                theta = t
-    support = g > 0.0
-    borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
-    return GodelCellStats(theta, zeta, support, borderline)
-
-
 def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     row = _supported_row(system, j, cells)
     tau, nabla_j, one_minus_beta = row.tau_j, row.nabla_j, row.one_minus_beta
@@ -284,26 +232,6 @@ def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     return replace(row, attainable=attainable, borderline=borderline, nabla_tilde_j=nabla_tilde)
 
 
-def _goguen_stats(g: float, b: float, column) -> GoguenCellStats:
-    theta = zeta = None
-    for gl, bl in column:
-        t = goguen_threshold(g, bl, gl, b)
-        if zeta is None or t > zeta:
-            zeta = t
-        if gl > 0.0 and g <= gl:
-            t = bl - g / gl
-            if theta is None or t > theta:
-                theta = t
-    support = g > 0.0
-    if theta is None:
-        # A supporting cell always dominates its own row, so the empty-set
-        # convention theta = 0 is only ever reachable on non-supporting cells.
-        if support:
-            raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
-        theta = 0.0
-    return GoguenCellStats(theta, zeta, support)
-
-
 def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     row = _supported_row(system, j, cells)
     # theta <= zeta on supporting cells, so the min of the zetas is an
@@ -317,30 +245,16 @@ def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     return row
 
 
-def _luka_stats(g: float, b: float, column) -> LukaCellStats:
-    u = 1.0 - g
-    zeta = None
-    for gl, bl in column:
-        t = luka_threshold(u, 1.0 - gl, bl, b)
-        if zeta is None or t > zeta:
-            zeta = t
-    return LukaCellStats(zeta)
-
-
 def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
     return base_row(system, j, cells, enumerate(cell.zeta for cell in cells))
 
 
-#: A kind's cell formula `cell(g, b, column)`, the reducer `column(pairs)`
-#: that keeps the pairs of a column its cells can attain their max at, and
-#: its row rule `row(system, j, cells)`; a `fuzzrel.algebra.Kernel` with a
-#: row rule.
-Solver = namedtuple("Solver", "cell column row")
-
-SOLVERS = {
-    ImplicationKind.GODEL: Solver(_godel_stats, front, _godel_row),
-    ImplicationKind.GOGUEN: Solver(_goguen_stats, front, _goguen_row),
-    ImplicationKind.LUKASIEWICZ: Solver(_luka_stats, FLOAT.luka_column, _luka_row),
+#: Each kind's row rule `row(system, j, cells)`, which turns the cells of
+#: row j, by the kind's entry of `FLOAT.cells`, into its `RowDiagnostics`.
+_ROW_RULES = {
+    ImplicationKind.GODEL: _godel_row,
+    ImplicationKind.GOGUEN: _goguen_row,
+    ImplicationKind.LUKASIEWICZ: _luka_row,
 }
 
 
@@ -354,9 +268,9 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
     rounding could change the verdict, so such near-ties are reported as
     fragile too.
     """
-    solver = SOLVERS[system.kind]
-    cells = column_scan(system.gamma, system.beta, solver)
-    rows = tuple(solver.row(system, j, row) for j, row in enumerate(cells))
+    rule = _ROW_RULES[system.kind]
+    cells = column_scan(system.gamma, system.beta, FLOAT.cells[system.kind])
+    rows = tuple(rule(system, j, row) for j, row in enumerate(cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM
@@ -399,9 +313,9 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     TypeError and a pair outside the system's matrix IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    solver = SOLVERS[system.kind]
-    column = solver.column(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
-    return solver.cell(system.gamma[row][col], system.beta[row], column)
+    kernel = FLOAT.cells[system.kind]
+    column = kernel.column(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
+    return kernel.cell(system.gamma[row][col], system.beta[row], column)
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

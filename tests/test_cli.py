@@ -176,6 +176,19 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["agree"] is False
 
+    @pytest.mark.xfail(strict=True, reason="goguen_threshold underflows on subnormal gamma entries")
+    def test_subnormal_goguen_agrees(self, capsys, tmp_path):
+        # test_goguen.py::TestSubnormalGamma: the report gives 0.5, the
+        # oracle 0.3, so verify prints "agree": false and exits 2
+        path = write_doc(tmp_path, "subnormal.json", {
+            "implication": "goguen",
+            "gamma": [[5e-324], [5e-324]],
+            "beta": [0.2, 0.8],
+        })
+        code, out, _ = run_cli(capsys, "verify", "--input", path)
+        assert json.loads(out)["agree"] is True
+        assert code == 0
+
     def test_random_disagreement_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_oracle_nabla", lambda system, tol: type(
             "Estimate", (), {"inf_value": 2.0})())

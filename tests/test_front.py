@@ -39,7 +39,8 @@ from fuzzrel import (
 )
 from fuzzrel.algebra import FLOAT, column_scan, front
 from fuzzrel.oracle import EXACT
-from fuzzrel.report import SOLVERS, least
+from fuzzrel.report import least
+from helpers import tied_systems
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 
@@ -64,52 +65,16 @@ def full_scan(matrix, rhs, kernel):
 
 @contextmanager
 def unpruned():
-    """Replace every reducer of the kernel tables, `report.SOLVERS` and the
+    """Replace every reducer of the kernel tables, the report cells and the
     max-t cells of `FLOAT` and `EXACT`, by `whole_column`: the reports,
     `checked_cell`, both max-t distances and the filter of
     `exact_maxt_distance` then see whole columns."""
-    tables = (SOLVERS, FLOAT.maxt_cells, EXACT.maxt_cells)
+    tables = (FLOAT.cells, EXACT.cells, FLOAT.maxt_cells, EXACT.maxt_cells)
     with ExitStack() as stack:
         for table in tables:
             whole = {kind: kernel._replace(column=whole_column) for kind, kernel in table.items()}
             stack.enter_context(mock.patch.dict(table, whole))
         yield
-
-
-@st.composite
-def tied_systems(draw, max_dim=20):
-    """(gamma, beta) with full-precision or 2-decimal entries, dims
-    1..max_dim, and ties on purpose: a small pool of shared values (0 and 1
-    among them), rows and columns copied from a base matrix, zeroed columns
-    and gamma entries set to a beta entry."""
-    rng = draw(st.randoms(use_true_random=False))
-    decimals = draw(st.sampled_from([2, None]))
-    pool = draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.3]), max_size=3))
-
-    def entry():
-        if pool and rng.random() < 0.3:
-            return rng.choice(pool)
-        x = rng.random()
-        return round(x, 2) if decimals == 2 else x
-
-    m = draw(st.integers(1, max_dim))
-    n = draw(st.integers(1, max_dim))
-    base_m = draw(st.integers(1, m))
-    base_n = draw(st.integers(1, n))
-    base = [[entry() for _ in range(base_n)] for _ in range(base_m)]
-    base_beta = [entry() for _ in range(base_m)]
-    rows = list(range(base_m)) + [rng.randrange(base_m) for _ in range(m - base_m)]
-    cols = list(range(base_n)) + [rng.randrange(base_n) for _ in range(n - base_n)]
-    rng.shuffle(rows)
-    rng.shuffle(cols)
-    gamma = [[base[r][c] for c in cols] for r in rows]
-    beta = [base_beta[r] for r in rows]
-    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
-        for row in gamma:
-            row[i] = 0.0
-    for _ in range(draw(st.integers(0, 3))):
-        gamma[rng.randrange(m)][rng.randrange(n)] = beta[rng.randrange(m)]
-    return tuple(map(tuple, gamma)), tuple(beta)
 
 
 #: Entries at which a Lukasiewicz key rounds: the least subnormal, 2^-53 and

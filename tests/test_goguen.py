@@ -9,6 +9,7 @@ from fuzzrel import (
     ImplicationKind,
     KindMismatch,
     bisect_infimum,
+    exact_membership,
     goguen_cell,
     goguen_distance,
     goguen_threshold,
@@ -133,3 +134,25 @@ class TestGoguenInvariants:
         margin = x - u / y
         assume(0.0 < margin < 1.0 - z)
         assert (x * y - u * z) / (u + y) > margin
+
+
+#: A Goguen system with subnormal gamma entries: the exact distance is 0.3,
+#: but the report gives 0.5.  In `goguen_threshold` both products of (x*y -
+#: u*z)^+ / (u + y) underflow when u and y are subnormal, and its cap 1 - z
+#: does not bound that error (the max-product ratio is capped by (y - z)^+,
+#: which does).  The error is 9.9e-5 at 1e-320 and 2.0e-6 at 1e-318; normal
+#: entries are not affected.
+SUBNORMAL_GAMMA = (((5e-324,), (5e-324,)), (0.2, 0.8))
+
+
+class TestSubnormalGamma:
+    def test_exact_distance(self):
+        system = FuzzySystem(*SUBNORMAL_GAMMA, ImplicationKind.GOGUEN)
+        assert exact_membership(system, 0.3)
+        assert not exact_membership(system, 0.299)
+
+    @pytest.mark.xfail(strict=True, reason="goguen_threshold underflows on subnormal gamma entries")
+    def test_distance_agrees_with_the_oracle(self):
+        system = FuzzySystem(*SUBNORMAL_GAMMA, ImplicationKind.GOGUEN)
+        estimate = bisect_infimum(lambda delta: tolerance_membership(system, delta))
+        assert goguen_distance(system).nabla == pytest.approx(estimate.inf_value, abs=1e-8)

@@ -1,12 +1,13 @@
 """The scalar and cell formulas against their builtin `min` / `max` forms.
 
-`algebra.arithmetic` and the cell formulas of `report` spell every
-two-argument min/max and every positive part as a conditional and every max
+`algebra.arithmetic` spells every two-argument min/max and every positive
+part of its thresholds and cell formulas as a conditional and every max
 over a column as a loop, for speed.  Each must return what the builtin form
-returns, down to the sign of a zero and the number type: the references
-below are the formulas as the docstrings state them, written with builtin
-min/max.  The Lukasiewicz column reducers are checked against a brute-force
-scan of the keys and against the cells of whole columns.
+returns, down to the sign of a zero and the number type, in floats and in
+Fractions: the references below are the formulas as the docstrings state
+them, written with builtin min/max.  The Lukasiewicz column reducers are
+checked against a brute-force scan of the keys and against the cells of
+whole columns.
 """
 
 from fractions import Fraction
@@ -15,18 +16,12 @@ import random
 
 import pytest
 
-from fuzzrel import ImplicationKind, report
+from fuzzrel import ImplicationKind
 from fuzzrel.algebra import FLOAT, KEY_WINDOW
 from fuzzrel.oracle import EXACT
-from fuzzrel.report import (
-    BORDERLINE_EPS,
-    GodelCellStats,
-    GoguenCellStats,
-    LukaCellStats,
-    godel_threshold,
-    goguen_threshold,
-    luka_threshold,
-)
+from fuzzrel.report import BORDERLINE_EPS, GodelCellStats, GoguenCellStats, LukaCellStats
+
+GODEL, GOGUEN, LUKA = ImplicationKind
 
 #: Signed zeros, the least subnormal and the float just below one: the
 #: values at which a tie rule or a branch could show.
@@ -115,41 +110,40 @@ def columns(grid, seed: int, count: int):
         yield tuple(column)
 
 
-def godel_stats(g, b, column):
-    theta = max(bl - g for gl, bl in column if g <= gl)
-    zeta = max(godel_threshold(bl, gl, b) for gl, bl in column)
-    support = g > 0.0
-    return GodelCellStats(theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS)
+def cell_references(ar):
+    """The report cells of `ar`, written with builtin min and max."""
+    zero = ar.zero
+    one = type(zero)(1)
+
+    def godel(g, b, column):
+        theta = max(bl - g for gl, bl in column if g <= gl)
+        zeta = max(ar.godel_threshold(bl, gl, b) for gl, bl in column)
+        support = g > zero
+        return GodelCellStats(theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS)
+
+    def goguen(g, b, column):
+        theta = max((bl - g / gl for gl, bl in column if gl > zero and g <= gl), default=zero)
+        zeta = max(ar.goguen_threshold(g, bl, gl, b) for gl, bl in column)
+        return GoguenCellStats(theta, zeta, g > zero)
+
+    def luka(g, b, column):
+        return LukaCellStats(max(ar.luka_threshold(one - g, one - gl, bl, b) for gl, bl in column))
+
+    return {GODEL: godel, GOGUEN: goguen, LUKA: luka}
 
 
-def goguen_stats(g, b, column):
-    theta = max((bl - g / gl for gl, bl in column if gl > 0.0 and g <= gl), default=0.0)
-    zeta = max(goguen_threshold(g, bl, gl, b) for gl, bl in column)
-    return GoguenCellStats(theta, zeta, g > 0.0)
-
-
-def luka_stats(g, b, column):
-    return LukaCellStats(max(luka_threshold(1.0 - g, 1.0 - gl, bl, b) for gl, bl in column))
-
-
-@pytest.mark.parametrize(
-    "formula, reference",
-    [
-        (report._godel_stats, godel_stats),
-        (report._goguen_stats, goguen_stats),
-        (report._luka_stats, luka_stats),
-    ],
-    ids=["godel", "goguen", "lukasiewicz"],
-)
-def test_cell_stats_match_builtin_form(formula, reference):
+@both_types
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_cell_stats_match_builtin_form(ar, grid, kind):
+    cell, reference = ar.cells[kind].cell, cell_references(ar)[kind]
     rng = random.Random(4)
     found = []
-    for column in columns(FLOAT_GRID, 1, 3000):
+    for column in columns(grid, 1, 3000 if ar is FLOAT else 600):
         # a cell's column holds a pair that dominates the cell's own pair,
         # so the Godel theta is never a max over an empty set
         g, b = rng.choice(column)
-        got, want = formula(g, b, column), reference(g, b, column)
-        if repr(got) != repr(want):
+        got, want = cell(g, b, column), reference(g, b, column)
+        if not same(got, want):
             found.append((g, b, column, got, want))
     assert found == []
 
@@ -188,13 +182,9 @@ def reducers(ar):
     and a cell formula whose max it keeps, cell(u, x, column)."""
     one = type(ar.zero)(1)
     window = KEY_WINDOW if ar is FLOAT else ar.zero
-    maxluka = ar.maxt_cells[ImplicationKind.LUKASIEWICZ]
-
-    def luka_cell(g, b, column):
-        return max(ar.luka_threshold(one - g, one - gl, bl, b) for gl, bl in column)
-
+    luka, maxluka = ar.cells[LUKA], ar.maxt_cells[LUKA]
     return {
-        "lukasiewicz": (ar.luka_column, lambda g, b: b - (one - g), window, luka_cell),
+        "lukasiewicz": (luka.column, lambda g, b: b - (one - g), window, luka.cell),
         "max-lukasiewicz": (maxluka.column, lambda y, z: y - z, window, maxluka.cell),
     }
 
