@@ -19,18 +19,19 @@ the closed sup-norm ball of radius delta around v inside the unit cube.
 These formulas, together with every scalar threshold and every cell
 formula of both system families, are written once in `arithmetic`, over the
 zero and one of a number type (no numeric literal appears inside it).  Each
-family's cells form a table of one `Kernel` per kind: `Arithmetic.cells`
-for the min-implication reports, whose records `GodelCellStats`,
-`GoguenCellStats` and `LukaCellStats` are defined here, and
-`Arithmetic.maxt_cells` for the max-t distances.  `column_scan` is the one
-loop over the cells of a system.  It reduces each column once, by the
-reducer a kind's `Kernel` names: `front` or, for the Lukasiewicz kinds,
-`top_pairs`.  `FLOAT` binds the formulas to floats and supplies this
-module's public functions and the cells of `fuzzrel.report`; the oracle
-binds them to `Fraction` to run the same formulas in exact rational
-arithmetic.  A float operand that meets a Fraction silently rounds the
-result to a float, so exact callers pass only values of the instance's own
-type, such as its `zero` as a slack.
+family's cells form a table with one entry per kind, which returns the
+cells of a column: `Arithmetic.cells` for the min-implication reports,
+whose records `GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are
+defined here, and `Arithmetic.maxt_cells` for the max-t distances.
+`column_scan` is the one loop over the cells of a system.  Every entry but
+the Godel report's is a `Kernel`, which reduces each column once, by its
+reducer, `front` or, for the Lukasiewicz kinds, `top_pairs`, and maps its
+cell formula down it; the Godel report column is one sweep.  `FLOAT`
+binds the formulas to floats and supplies this module's public functions
+and the cells of `fuzzrel.report`; the oracle binds them to `Fraction` to
+run the same formulas in exact rational arithmetic.  A float operand that
+meets a Fraction silently rounds the result to a float, so exact callers
+pass only values of the instance's own type, such as its `zero` as a slack.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -82,9 +83,25 @@ Arithmetic = namedtuple(
     " cells maxt_cells maxt_distance",
 )
 
-#: A cell formula `cell(u, x, column)` and the reducer `column(pairs)` that
-#: keeps the pairs of a column at which the cell's max can be attained.
-Kernel = namedtuple("Kernel", "cell column")
+
+class Kernel(namedtuple("Kernel", "cell column")):
+    """A cell formula `cell(u, x, column)` and the reducer `column(pairs)`
+    that keeps the pairs of a column at which the cell's max can be
+    attained.
+
+    Called as `kernel(us, xs)` on the entries `us` of a matrix column and
+    the right-hand side `xs`, it returns the column's cells in row order: it
+    reduces the pairs (us[l], xs[l]) once and maps the cell formula down
+    the column.  Every entry of the tables `Arithmetic.cells` and
+    `Arithmetic.maxt_cells` is called so by `column_scan`; the Godel report
+    entry is a plain function that computes its column in one sweep.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, us, xs) -> tuple:
+        return tuple(map(self.cell, us, xs, repeat(self.column(tuple(zip(us, xs))))))
+
 
 #: Width of the window below a column's greatest float key within which the
 #: Lukasiewicz reducers of `FLOAT` keep pairs: 8 * 2^-53, derived in
@@ -162,9 +179,10 @@ def front(pairs, rising: bool = True) -> tuple:
     non-decreasing in g, and in b or in -b by the orientation, is attained
     on the front: each pair dropped is dominated by a kept pair whose value
     is at least as high.  The kept pairs stay in their order, so `max` still
-    keeps the first of equal values.  It is the column reducer of the Godel
-    and Goguen reports (rising) and of the max-min and max-product cells
-    (falling); the Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
+    keeps the first of equal values.  It is the column reducer of the
+    Goguen report (rising) and of the max-min and max-product cells
+    (falling); the Godel report column runs the same sweep itself, and the
+    Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
 
     One stable sort by (g, b) descending, or by (g, -b) for the falling
     orientation, puts every pair after the pairs that dominate it; a sweep
@@ -241,24 +259,28 @@ def top_pairs(pairs, keys, window) -> tuple:
     return tuple([pair for pair, key in zip(pairs, keys) if key >= floor])
 
 
-def column_scan(matrix, rhs, kernel) -> tuple:
-    """Rows of cells, cell (j, i) = kernel.cell(matrix[j][i], rhs[j], column
-    i), for any number type; column i, the pairs (matrix[l][i], rhs[l]) that
-    `kernel.column` keeps, is built once.
+def column_scan(matrix, rhs, cells) -> tuple:
+    """Rows of cells, for any number type: cell (j, i) of column i.
+
+    `cells(us, xs)` is a table entry, `Arithmetic.cells` or
+    `Arithmetic.maxt_cells`, which returns the cells of a column from its
+    matrix entries `us` and the right-hand side `xs`, in row order; the
+    columns are transposed to rows.
 
     Every cell formula is a max over its column of thresholds that are
-    monotone in the pair, and each kind's reducer keeps pairs that attain
-    it: the `front` of the pairs, in the orientation in which its thresholds
-    rise, for the min and product kinds, and `top_pairs` for the
-    Lukasiewicz kinds.  The cells cost O(m log m), or O(m) for `top_pairs`,
-    per column plus O(m n k), with k the number of kept pairs (k = 1 for
-    nearly every Lukasiewicz column), in place of O(m^2 n).  The kept pairs
-    stay in row order: the cells keep the first of equal values, so the
-    order decides which of 0.0 and -0.0 a cell reports.
+    monotone in the pair, so a column needs only its pairs that can attain
+    it.  A `Kernel` reduces each column once, to the `front` of the pairs
+    in the orientation in which its thresholds rise (Goguen, max-min and
+    max-product) or to `top_pairs` (the Lukasiewicz kinds), and maps its
+    cell formula down it: O(m log m), or O(m) for `top_pairs`, per column
+    plus O(m k), with k the number of kept pairs (k = 1 for nearly every
+    Lukasiewicz column), in place of O(m^2).  The Godel report column costs
+    O(m log m) for its two sorts plus about 2 m threshold evaluations, by
+    one sweep (`fuzzrel.report` states why).  The kept pairs stay in row
+    order: the cells keep the first of equal values, so the order decides
+    which of 0.0 and -0.0 a cell reports.
     """
-    cell, reduce = kernel.cell, kernel.column
-    columns = [reduce(tuple(zip(column, rhs))) for column in zip(*matrix)]
-    return tuple(tuple(map(cell, row, repeat(r), columns)) for row, r in zip(matrix, rhs))
+    return tuple(zip(*[cells(column, rhs) for column in zip(*matrix)]))
 
 
 def _width_check(name: str, matrix: Matrix, vec: Vector) -> None:
@@ -437,45 +459,95 @@ def arithmetic(zero, one, window) -> Arithmetic:
         within `window` of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [y - z for y, z in pairs], window)
 
-    # Cell (j, i) of a min-implication report, from g = gamma[j][i], b =
-    # beta[j] and the pairs (gamma[l][i], beta[l]) of column i that the
-    # kind's reducer keeps; `fuzzrel.report` states the formulas.  Each
-    # takes theta and zeta in one pass over the column, as running maxima.
-    def godel_stats(g, b, column):
-        # The cell's own row always qualifies, so theta is never a max over
-        # an empty set.
-        theta = zeta = None
-        for gl, bl in column:
-            t = godel_threshold(bl, gl, b)
-            if zeta is None or t > zeta:
-                zeta = t
-            if g <= gl:
-                t = bl - g
-                if theta is None or t > theta:
-                    theta = t
-        support = g > zero
-        borderline = support and abs(theta - zeta) <= BORDERLINE_EPS
-        return GodelCellStats(theta, zeta, support, borderline)
+    # The cells of a min-implication report; `fuzzrel.report` states their
+    # formulas and why these evaluations of them are the full scan's.
+    def godel_column(us, xs):
+        """The Godel cells of a column, from its gamma entries `us` and the
+        right-hand side `xs`, in row order.
 
+        theta: a stable sort of the pairs by (g, b) descending puts every
+        pair l with gl >= g before or level with the cell's own; the running
+        max of bl down that order, of equal values the one of the first row,
+        less g, is theta.  The pairs whose b beats every b before them are
+        the column's front, g falling and b rising.  zeta: along the front A
+        = (bl - b)^+ / 2 never falls and B = (gl - b)^+ never rises, so a
+        threshold min(A, B) is A before the first pair with A >= B and B
+        from it on, and zeta = max(A before it, B at it).  The walk keeps
+        that crossing between `before` and `after`, the stack `below` holding
+        the front before `before` and `above` the front after `after`, and
+        moves it for each right-hand side value in increasing order, testing
+        A >= B at every step.  The sentinels (two, zero) below and (zero,
+        two) above the front have A >= B false and true and contribute a
+        zero A and B.
+        """
+        pairs = tuple(zip(us, xs))
+        thetas = [None] * len(pairs)
+        below = [(two, zero)]
+        best = first = None
+        for l in sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True):
+            gl, bl = pairs[l]
+            if best is None or bl > best:
+                best, first = bl, l
+                below.append(pairs[l])
+            elif bl == best and l < first:
+                best, first = bl, l
+            thetas[l] = best - gl
+        zetas = {}
+        before, after, above = below.pop(), (zero, two), []
+        for b in sorted(set(xs)):
+            while True:
+                gl, bl = before
+                a = bl - b
+                a = (a if a > zero else zero) / two
+                # A < B at `before`, with B = (gl - b)^+ and A >= 0
+                if a < gl - b:
+                    gl, bl = after
+                    c = gl - b
+                    c = c if c > zero else zero
+                    t = bl - b
+                    if (t if t > zero else zero) / two >= c:
+                        break
+                    below.append(before)
+                    before, after = after, above.pop()
+                else:
+                    above.append(after)
+                    before, after = below.pop(), before
+            zetas[b] = c if c > a else a
+        cells = []
+        for g, b, theta in zip(us, xs, thetas):
+            zeta = zetas[b]
+            support = g > zero
+            cells.append(GodelCellStats(
+                theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS
+            ))
+        return tuple(cells)
+
+    # Cell (j, i) of a Goguen or Lukasiewicz report, from g = gamma[j][i], b
+    # = beta[j] and the pairs (gamma[l][i], beta[l]) of column i that the
+    # kind's reducer keeps.
     def goguen_stats(g, b, column):
-        theta = zeta = None
+        theta = ratio = None
         for gl, bl in column:
-            t = goguen_threshold(g, bl, gl, b)
-            if zeta is None or t > zeta:
-                zeta = t
-            if gl > zero and g <= gl:
-                t = bl - g / gl
-                if theta is None or t > theta:
-                    theta = t
-        support = g > zero
-        if theta is None:
-            # A supporting cell always dominates its own row, so the
-            # empty-set convention theta = 0 is only ever reachable on
-            # non-supporting cells.
-            if support:
+            if gl > zero:
+                t = bl * gl - g * b
+                t = (t if t > zero else zero) / (g + gl)
+                if ratio is None or t > ratio:
+                    ratio = t
+                if g <= gl:
+                    t = bl - g / gl
+                    if theta is None or t > theta:
+                        theta = t
+        if g > zero:
+            if theta is None:
+                # A supporting cell always dominates its own row, so the
+                # empty-set convention theta = 0 is only ever reachable on
+                # non-supporting cells.
                 raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
-            theta = zero
-        return GoguenCellStats(theta, zeta, support)
+            zeta = one - b
+            zeta = ratio if ratio < zeta else zeta
+            floor = theta if theta > zero else zero
+            return GoguenCellStats(theta, zeta if zeta > floor else floor, True)
+        return GoguenCellStats(zero if theta is None else theta, zero, False)
 
     def luka_stats(g, b, column):
         u = one - g
@@ -487,7 +559,7 @@ def arithmetic(zero, one, window) -> Arithmetic:
         return LukaCellStats(zeta)
 
     cells = {
-        godel: Kernel(godel_stats, front),
+        godel: godel_column,
         goguen: Kernel(goguen_stats, front),
         luka: Kernel(luka_stats, luka_column),
     }

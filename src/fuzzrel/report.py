@@ -12,17 +12,18 @@ The three min-implication kinds differ only in the formula of their cell
 statistics and in the rule that turns a row's cells into its tau_j; one
 column scan and one report skeleton serve all three.  Every cell statistic
 of cell (j, i) is a max over the rows l of column i of a kind-specific
-threshold of (gamma[l][i], beta[l]), so a kind supplies only the formula
-`cell(g, b, column)` of one cell, with g = gamma[j][i], b = beta[j] and
-`column` the pairs (gamma[l][i], beta[l]) in row order that the kind's
-column reducer keeps; formula and reducer are the kind's entry of
-`FLOAT.cells`.  Every such threshold is non-decreasing in gamma[l][i] and
-in beta[l], so for Godel and Goguen `column_scan` hands a cell only the
-column's Pareto front (`fuzzrel.algebra.front`), the pairs no other pair
-beats in both entries: the max over the front is the max over the column,
-and a column of m rows usually keeps only a few pairs.  The
-theta filters gamma[j][i] <= gamma[l][i] keep their max on the front too,
-because the pair that dominates the cell's own row passes the filter.
+threshold of (gamma[l][i], beta[l]), so a kind supplies only a function
+that returns the cells of one column, its entry of `FLOAT.cells`.  Every
+such threshold is non-decreasing in gamma[l][i] and in beta[l], so a
+column's max is attained on its Pareto front (`fuzzrel.algebra.front`), the
+pairs no other pair beats in both entries; a column of m rows usually
+keeps only a few.  The theta filters gamma[j][i] <= gamma[l][i] keep their
+max on the front too, because the pair that dominates the cell's own row
+passes the filter.  The Goguen and Lukasiewicz entries are a
+`fuzzrel.algebra.Kernel`: a cell formula `cell(g, b, column)`, with g =
+gamma[j][i], b = beta[j] and `column` the pairs (gamma[l][i], beta[l]) in
+row order that the kind's column reducer keeps, mapped down the column.
+The Godel entry computes its whole column in one sweep.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -47,6 +48,28 @@ exactly on the computed floats and a `borderline` flag is raised whenever a
 decision sits within BORDERLINE_EPS of the tie, letting callers know the
 verdict is numerically fragile.
 
+A Godel column costs two sorts and about two threshold evaluations per row,
+and its floats are the full scan's, bit for bit:
+
+- theta.  Sort the column's pairs by (g, b) descending, stably.  The pairs
+  with gamma[l][i] >= g lie before or level with the cell's own, and those
+  level with it and after it have no greater b; so the running max of b
+  down that order, less g, is theta.  Subtracting the same g is monotone,
+  so this is the full scan's max(beta[l] - g); of equal b the running max
+  keeps the first row's, as the scan does, which decides the sign of a
+  zero theta.
+- zeta depends on beta[j] = b alone.  Along the front in sweep order g
+  strictly falls and b strictly rises, so A_l = fl(fl(bl - b)^+) / 2 never
+  falls and B_l = fl(gl - b)^+ never rises: rounding is monotone.  The
+  float test A_l >= B_l is therefore false, then true, and the threshold
+  min(A_l, B_l) is A_l before its first true index p and B_l from p on,
+  so zeta = max(A_{p-1}, B_p), the full scan's float.
+- In exact arithmetic A_l >= B_l iff b >= min(gl, 2 gl - bl), a bound that
+  falls along the front, so p never moves right while b increases.  The
+  column visits the distinct values of beta in increasing order and walks
+  p from where it was, testing the float A >= B at every step; the walk's
+  length is amortised, and its result never depends on that.
+
 Goguen, adapted to the product t-norm:
 
     theta[j][i] = max over {l : gamma[j][i] <= gamma[l][i], gamma[l][i] > 0}
@@ -58,6 +81,17 @@ Goguen, adapted to the product t-norm:
 On supporting cells theta <= zeta always holds, so tau_j is also the min of
 the zetas; the row rule checks that both forms agree and raises
 InvariantViolation when they do not.
+
+The Goguen cell makes no `goguen_threshold` call.  For g = gamma[j][i] > 0,
+a pair with 0 < gl < g has fl(g / gl) >= 1, so its term (bl - g / gl)^+ is
+0, and the terms of the other pairs with gl > 0 are those of theta.  A max
+commutes with max, and with min against a constant, so
+
+    zeta = max(theta^+, min(max_l R_l, 1 - b)),
+    R_l  = (bl gl - g b)^+ / (g + gl) over the pairs with gl > 0,
+
+by the same float operations as `goguen_threshold`, and with its subnormal
+underflow (ROADMAP item 5).  For g = 0 every threshold, and zeta, is 0.
 
 Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
 
@@ -79,17 +113,18 @@ window is proven wide enough for the float cell to be the full scan's, bit
 for bit.  A Lukasiewicz cell then costs one threshold.
 
 `distance_report` looks the system's kind up once in `FLOAT.cells`, for its
-cell formula and column reducer, and once in `_ROW_RULES`, for its row rule;
-it evaluates every cell by `column_scan`, lets the row rule turn each row's
-cells into a `RowDiagnostics` from `base_row` and aggregates the rows into
-a `ChebyshevReport`.  `checked_cell` evaluates one cell by the same entry of
-`FLOAT.cells` for the public `*_cell` functions, which check the system's
-kind first as the `*_distance` functions do.
+column of cells, and once in `_ROW_RULES`, for its row rule; it evaluates
+every cell by `column_scan`, lets the row rule turn each row's cells into a
+`RowDiagnostics` and aggregates the rows into a `ChebyshevReport`.
+`checked_cell` takes one cell of the column that the same entry of
+`FLOAT.cells` returns, for the public `*_cell` functions, which check the
+system's kind first as the `*_distance` functions do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (
@@ -171,8 +206,9 @@ def least(candidates) -> tuple[int | None, float]:
 
 def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     """Diagnostics of a row, attainable and not borderline; tau and its
-    column are the `least` of the (column, value) `candidates`.  Godel rows
-    amend the attainability fields with `dataclasses.replace`."""
+    column are the `least` of the (column, value) `candidates`.  The Goguen
+    and Lukasiewicz rows are these; the Godel row rule builds its rows in
+    its own pass."""
     argmin, tau = least(candidates)
     one_minus_beta = 1.0 - system.beta[row]
     return RowDiagnostics(
@@ -187,53 +223,67 @@ def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
     )
 
 
-def _supported_row(system, j: int, cells: tuple) -> RowDiagnostics:
-    """Row whose tau is the least max(theta, zeta) over its supporting cells."""
-    return base_row(
-        system,
-        j,
-        cells,
-        ((i, c.zeta if c.zeta > c.theta else c.theta) for i, c in enumerate(cells) if c.support),
-    )
-
-
 def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    row = _supported_row(system, j, cells)
-    tau, nabla_j, one_minus_beta = row.tau_j, row.nabla_j, row.one_minus_beta
+    """Row whose tau is the least max(theta, zeta) over its supporting cells,
+    with the attainability of nabla_j, in one pass over the cells.
 
-    nabla_tilde = min((c.zeta for c in cells if c.support and c.theta < c.zeta), default=1.0)
+    The pass keeps tau and its first column, nabla_tilde_j, whether some
+    cell at the least value so far is a robust witness (its theta clears
+    its zeta by BORDERLINE_EPS, so its value is its zeta), and the least
+    value of a borderline cell, compared with tau + BORDERLINE_EPS at the
+    end.
+    """
+    argmin, tau, nabla_tilde, witness, low = None, 1.0, 1.0, False, math.inf
+    for i, cell in enumerate(cells):
+        if cell.support:
+            theta, zeta = cell.theta, cell.zeta
+            value = zeta if zeta > theta else theta
+            robust = theta <= zeta - BORDERLINE_EPS
+            if argmin is None or value < tau:
+                argmin, tau, witness = i, value, robust
+            elif value == tau and robust:
+                witness = True
+            if theta < zeta and zeta < nabla_tilde:
+                nabla_tilde = zeta
+            if cell.borderline and value < low:
+                low = value
+    one_minus_beta = 1.0 - system.beta[j]
+    nabla_j = tau if tau < one_minus_beta else one_minus_beta
     attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
 
     # Fragility: a theta/zeta tie at the value deciding tau, or a near miss
     # in either comparison that ruled the row non-attainable.  A row
     # certified attainable by some cell that clears the strictness test with
     # margin is immune to tie flips elsewhere.
-    robustly_attainable = attainable and (
-        nabla_j == one_minus_beta
-        or any(
-            cell.support
-            and cell.zeta == tau
-            and cell.theta <= cell.zeta - BORDERLINE_EPS
-            for cell in cells
-        )
-    )
-    borderline = not robustly_attainable and any(
-        cell.borderline and max(cell.theta, cell.zeta) <= tau + BORDERLINE_EPS
-        for cell in cells
-        if cell.support
-    )
+    robustly_attainable = attainable and (nabla_j == one_minus_beta or witness)
+    borderline = not robustly_attainable and low <= tau + BORDERLINE_EPS
     if not attainable:
         borderline = (
             borderline
             or abs(nabla_tilde - nabla_j) <= BORDERLINE_EPS
             or abs(one_minus_beta - tau) <= BORDERLINE_EPS
         )
-
-    return replace(row, attainable=attainable, borderline=borderline, nabla_tilde_j=nabla_tilde)
+    return RowDiagnostics(
+        row=j,
+        nabla_j=nabla_j,
+        tau_j=tau,
+        one_minus_beta=one_minus_beta,
+        attainable=attainable,
+        argmin_col=argmin,
+        borderline=borderline,
+        cells=cells,
+        nabla_tilde_j=nabla_tilde,
+    )
 
 
 def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    row = _supported_row(system, j, cells)
+    """Row whose tau is the least max(theta, zeta) over its supporting cells."""
+    row = base_row(
+        system,
+        j,
+        cells,
+        ((i, c.zeta if c.zeta > c.theta else c.theta) for i, c in enumerate(cells) if c.support),
+    )
     # theta <= zeta on supporting cells, so the min of the zetas is an
     # equivalent form of tau (up to one ulp when a tie is split by float
     # rounding).
@@ -313,9 +363,7 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     TypeError and a pair outside the system's matrix IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    kernel = FLOAT.cells[system.kind]
-    column = kernel.column(tuple(zip([entry[col] for entry in system.gamma], system.beta)))
-    return kernel.cell(system.gamma[row][col], system.beta[row], column)
+    return FLOAT.cells[system.kind]([entry[col] for entry in system.gamma], system.beta)[row]
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

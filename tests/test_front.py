@@ -3,18 +3,20 @@
 `algebra.column_scan` hands every cell only the pairs of its column that
 its kind's reducer keeps: the Pareto-maximal pairs (`front`) for the min
 and product kinds, the pairs of greatest key (`top_pairs`) for the
-Lukasiewicz kinds.  That is exact because every threshold a cell takes its
-max over is monotone in the column pair, and each Lukasiewicz threshold in
-its key alone; `TestMonotone` checks the orientation of each in exact
-rationals.  `TestAgainstFullScan` runs the solvers once pruned and once
-`unpruned`, with every reducer of the kernel tables replaced by
-`whole_column`, on systems built to hold ties: duplicate rows and columns,
-equal (g, b) pairs in a column, all-zero columns, beta entries of 0 or 1
-and gamma == beta, and on Lukasiewicz systems whose column keys tie to
-within a few ulps.  `exact_maxt_distance` reduces its columns by the same
-table for its float filter and exact fallback; unpruned, it keeps the
-filter but every column whole.  Its comparison with the full exact scan,
-with no filter, is in `test_exact_maxt.py`.
+Lukasiewicz kinds; the Godel report column sweeps its front in one pass.
+That is exact because every threshold a cell takes its max over is
+monotone in the column pair, and each Lukasiewicz threshold in its key
+alone; `TestMonotone` checks the orientation of each in exact rationals.
+`TestAgainstFullScan` runs the solvers once pruned and once `unpruned`,
+with every reducer of the kernel tables replaced by `whole_column` and the
+Godel report column by a brute-force scan, on systems built to hold ties:
+duplicate rows and columns, equal (g, b) pairs in a column, all-zero
+columns, beta entries of 0 or 1 and gamma == beta, and on Lukasiewicz
+systems whose column keys tie to within a few ulps.  `exact_maxt_distance`
+reduces its columns by the same table for its float filter and exact
+fallback; unpruned, it keeps the filter but every column whole.  Its
+comparison with the full exact scan, with no filter, is in
+`test_exact_maxt.py`.
 `TestLeast` pins the tie rule of the row minimum that reads those cells.
 """
 
@@ -37,10 +39,11 @@ from fuzzrel import (
     luka_cell,
     maxt_distance,
 )
-from fuzzrel.algebra import FLOAT, column_scan, front
+from fuzzrel.algebra import FLOAT, Kernel, column_scan, front
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import least
 from helpers import tied_systems
+from test_kernels import cell_references
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 
@@ -66,14 +69,21 @@ def full_scan(matrix, rhs, kernel):
 @contextmanager
 def unpruned():
     """Replace every reducer of the kernel tables, the report cells and the
-    max-t cells of `FLOAT` and `EXACT`, by `whole_column`: the reports,
-    `checked_cell`, both max-t distances and the filter of
-    `exact_maxt_distance` then see whole columns."""
-    tables = (FLOAT.cells, EXACT.cells, FLOAT.maxt_cells, EXACT.maxt_cells)
+    max-t cells of `FLOAT` and `EXACT`, by `whole_column`, and the Godel
+    report column, which sweeps the whole column with no cell formula, by
+    the brute-force Godel cell of `test_kernels.cell_references` over the
+    whole column: the reports, `checked_cell`, both max-t distances and the
+    filter of `exact_maxt_distance` then see whole columns."""
     with ExitStack() as stack:
-        for table in tables:
-            whole = {kind: kernel._replace(column=whole_column) for kind, kernel in table.items()}
-            stack.enter_context(mock.patch.dict(table, whole))
+        for ar in (FLOAT, EXACT):
+            for table in (ar.cells, ar.maxt_cells):
+                whole = {
+                    kind: kernel._replace(column=whole_column)
+                    for kind, kernel in table.items() if isinstance(kernel, Kernel)
+                }
+                stack.enter_context(mock.patch.dict(table, whole))
+            godel = Kernel(cell_references(ar)[GODEL], whole_column)
+            stack.enter_context(mock.patch.dict(ar.cells, {GODEL: godel}))
         yield
 
 

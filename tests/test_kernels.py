@@ -5,9 +5,10 @@ part of its thresholds and cell formulas as a conditional and every max
 over a column as a loop, for speed.  Each must return what the builtin form
 returns, down to the sign of a zero and the number type, in floats and in
 Fractions: the references below are the formulas as the docstrings state
-them, written with builtin min/max.  The Lukasiewicz column reducers are
-checked against a brute-force scan of the keys and against the cells of
-whole columns.
+them, written with builtin min/max.  The Godel report column, which has no
+cell formula of its own, is checked against those references scanning the
+whole column.  The Lukasiewicz column reducers are checked against a
+brute-force scan of the keys and against the cells of whole columns.
 """
 
 from fractions import Fraction
@@ -111,7 +112,8 @@ def columns(grid, seed: int, count: int):
 
 
 def cell_references(ar):
-    """The report cells of `ar`, written with builtin min and max."""
+    """The report cells of `ar`, written with builtin min and max: each a max
+    over the whole column."""
     zero = ar.zero
     one = type(zero)(1)
 
@@ -133,7 +135,7 @@ def cell_references(ar):
 
 
 @both_types
-@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("kind", [GOGUEN, LUKA], ids=lambda kind: kind.value)
 def test_cell_stats_match_builtin_form(ar, grid, kind):
     cell, reference = ar.cells[kind].cell, cell_references(ar)[kind]
     rng = random.Random(4)
@@ -145,6 +147,36 @@ def test_cell_stats_match_builtin_form(ar, grid, kind):
         got, want = cell(g, b, column), reference(g, b, column)
         if not same(got, want):
             found.append((g, b, column, got, want))
+    assert found == []
+
+
+def godel_columns(grid, seed: int, count: int):
+    """Columns for the Godel sweep: every 1-row column of `grid`, then
+    columns whose gamma entries are all zero (of either sign in floats),
+    columns of a few pairs that share two g values, so that equal-g groups
+    are large, and the random `columns`, which repeat pairs."""
+    yield from (((g, b),) for g in grid for b in grid)
+    zeros = [g for g in grid if g == 0]
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple((rng.choice(zeros), rng.choice(grid)) for _ in range(rng.randint(2, 6)))
+        gs = rng.sample(grid, 2)
+        yield tuple((rng.choice(gs), rng.choice(grid)) for _ in range(rng.randint(2, 8)))
+    yield from columns(grid, seed, count)
+
+
+@both_types
+def test_godel_column_matches_whole_column_scan(ar, grid):
+    # the Godel entry computes a whole column in one sweep; every cell must
+    # be the brute-force max over the whole column, down to the sign of a
+    # zero theta
+    column, reference = ar.cells[GODEL], cell_references(ar)[GODEL]
+    found = []
+    for pairs in godel_columns(grid, 7, 2000 if ar is FLOAT else 400):
+        got = column(*zip(*pairs))
+        want = tuple(reference(g, b, pairs) for g, b in pairs)
+        if repr(got) != repr(want):
+            found.append((pairs, got, want))
     assert found == []
 
 
