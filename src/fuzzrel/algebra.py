@@ -18,11 +18,14 @@ the closed sup-norm ball of radius delta around v inside the unit cube.
 
 These formulas, together with every scalar threshold and every cell
 formula of both system families, are written once in `arithmetic`, over the
-zero and one of a number type (no numeric literal appears inside it).  Each
-family's cells form a table with one entry per kind, which returns the
-cells of a column: `Arithmetic.cells` for the min-implication reports,
-whose records `GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are
-defined here, and `Arithmetic.maxt_cells` for the max-t distances.
+zero and one of a number type (no numeric literal appears inside it).  The
+kind-dependent ones are tables with one entry per kind, looked up once per
+call: the scalar t-norms and residua; each composition, a loop over the
+rows with the kind's t-norm or residuum inline; and each family's cells,
+whose entry returns the cells of a column: `Arithmetic.cells` for the
+min-implication reports, whose records `GodelCellStats`, `GoguenCellStats`
+and `LukaCellStats` are defined here, and `Arithmetic.maxt_cells` for the
+max-t distances.
 `column_scan` is the one loop over the cells of a system.  Every entry but
 the Godel report's is a `Kernel`, which reduces each column once, by its
 reducer, `front` or, for the Lukasiewicz kinds, `top_pairs`, and maps its
@@ -283,12 +286,23 @@ def column_scan(matrix, rhs, cells) -> tuple:
     return tuple(zip(*[cells(column, rhs) for column in zip(*matrix)]))
 
 
-def _width_check(name: str, matrix: Matrix, vec: Vector) -> None:
-    if not matrix or len(matrix[0]) != len(vec):
-        raise DimensionMismatch(
-            f"{name}: matrix has {len(matrix[0]) if matrix else 0} columns, "
-            f"vector has {len(vec)} entries"
+def _width_error(name: str, matrix: Matrix, vec: Vector) -> DimensionMismatch:
+    """The DimensionMismatch of the composition `name` when `matrix` has no
+    row, `vec` has no entry or a row has another length than `vec`; a
+    ragged matrix is named by its first such row.  Each composition tests
+    `{*map(len, matrix)} != {len(vec)}` in line, with no call, and builds
+    this error only when the test fails."""
+    if len(set(map(len, matrix))) > 1:
+        row = next(i for i, entries in enumerate(matrix) if len(entries) != len(vec))
+        return DimensionMismatch(
+            f"{name}: row {row} has {len(matrix[row])} entries, vector has {len(vec)}"
         )
+    if not vec:
+        return DimensionMismatch(f"{name}: vector has no entries")
+    return DimensionMismatch(
+        f"{name}: matrix has {len(matrix[0]) if matrix else 0} columns, "
+        f"vector has {len(vec)} entries"
+    )
 
 
 def arithmetic(zero, one, window) -> Arithmetic:
@@ -302,17 +316,21 @@ def arithmetic(zero, one, window) -> Arithmetic:
     `top_pairs`).  Each kind-dependent formula is a table with one entry per
     ImplicationKind, looked up once per call.
     """
-    # The scalar formulas run m n k times per system, so they are written
-    # without builtin calls: a two-argument min(a, b) as `b if b < a else a`
-    # and max(a, b) as `b if b > a else a`, the builtins' own tie rules (the
-    # first argument is kept unless the second is strictly smaller or
-    # larger), and a max over a column as a loop that replaces its best only
-    # on a strictly greater value, so the first of equal values still wins.
-    # Measured with timeit, min(a, b) against the conditional costs 219/66
-    # ns on Python 3.10, 229/31 ns on 3.11, 302/27 ns on 3.12 and 68/33 ns
-    # on 3.13; max(<generator>) over 5 floats costs 846 ns on 3.11.  For
-    # the same reason they write a positive part as `x if x > zero else
-    # zero`, the body of `pos`, in place of a call to it.
+    # The scalar formulas run m n k times per system, and the compositions m
+    # n times per closure, so they are written without builtin calls: a
+    # two-argument min(a, b) as `b if b < a else a` and max(a, b) as `b if b
+    # > a else a`, the builtins' own tie rules (the first argument is kept
+    # unless the second is strictly smaller or larger), and a max over a
+    # column or a row as a loop that replaces its best only on a strictly
+    # greater value, so the first of equal values still wins.  Measured with
+    # timeit, min(a, b) against the conditional costs 219/66 ns on Python
+    # 3.10, 229/31 ns on 3.11, 302/27 ns on 3.12 and 68/33 ns on 3.13;
+    # max(<generator>) over 5 floats costs 846 ns on 3.11, and a 5×5
+    # Lukasiewicz max_t_compose 8.8 us as max(map(t_norm, row, vec)) per row
+    # against 5.1 us as the loop (3.11, shared 2-core host; a list
+    # comprehension per row read 8.9 us).  For the same reason they write a
+    # positive part as `x if x > zero else zero`, the body of `pos`, in
+    # place of a call to it.
     two = one + one
     godel, goguen, luka = ImplicationKind
 
@@ -345,17 +363,87 @@ def arithmetic(zero, one, window) -> Arithmetic:
         """Apply the residual implicator selected by `kind`."""
         return residua[checked_kind(kind)](x, y)
 
+    # The two compositions of each kind, one loop over the rows with the
+    # t-norm or residuum of `t_norms` / `residua` written inline.  Each row
+    # starts from its first term and replaces its best only on a strictly
+    # greater (max) or smaller (min) term, the tie rule of the builtins, so
+    # every result, a NaN or an out-of-range term's included, is that of
+    # max(map(t_norms[kind], row, vec)) or min(map(residua[kind], row,
+    # vec)).  The Goguen max-t row is that form itself, with the product
+    # as `operator.mul`, which makes no Python call per entry either.
+    def godel_max_t(matrix, vec):
+        out = []
+        for row in matrix:
+            best = None
+            for x, y in zip(row, vec):
+                t = x if x < y else y
+                if best is None or t > best:
+                    best = t
+            out.append(best)
+        return tuple(out)
+
+    def goguen_max_t(matrix, vec):
+        return tuple([max(map(operator.mul, row, vec)) for row in matrix])
+
+    def luka_max_t(matrix, vec):
+        out = []
+        for row in matrix:
+            best = None
+            for x, y in zip(row, vec):
+                t = x + y - one
+                t = t if t > zero else zero
+                if best is None or t > best:
+                    best = t
+            out.append(best)
+        return tuple(out)
+
+    def godel_min_impl(matrix, vec):
+        out = []
+        for row in matrix:
+            best = None
+            for x, y in zip(row, vec):
+                t = one if x <= y else y
+                if best is None or t < best:
+                    best = t
+            out.append(best)
+        return tuple(out)
+
+    def goguen_min_impl(matrix, vec):
+        out = []
+        for row in matrix:
+            best = None
+            for x, y in zip(row, vec):
+                t = one if x <= y else y / x
+                if best is None or t < best:
+                    best = t
+            out.append(best)
+        return tuple(out)
+
+    def luka_min_impl(matrix, vec):
+        out = []
+        for row in matrix:
+            best = None
+            for x, y in zip(row, vec):
+                t = one if x <= y else one - x + y
+                if best is None or t < best:
+                    best = t
+            out.append(best)
+        return tuple(out)
+
+    max_t_rows = {godel: godel_max_t, goguen: goguen_max_t, luka: luka_max_t}
+    min_impl_rows = {godel: godel_min_impl, goguen: goguen_min_impl, luka: luka_min_impl}
+
     def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
         """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j])."""
-        _width_check("max_t_compose", matrix, vec)
-        t = t_norms[checked_kind(kind)]
-        return tuple(max(map(t, row, vec)) for row in matrix)
+        if not vec or {*map(len, matrix)} != {len(vec)}:
+            raise _width_error("max_t_compose", matrix, vec)
+        return max_t_rows[checked_kind(kind)](matrix, vec)
 
     def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
         """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i])."""
-        _width_check("min_impl_compose", matrix, vec)
-        r = residua[checked_kind(kind)]
-        return tuple(min(map(r, row, vec)) for row in matrix)
+        if not vec or {*map(len, matrix)} != {len(vec)}:
+            raise _width_error("min_impl_compose", matrix, vec)
+        return min_impl_rows[checked_kind(kind)](matrix, vec)
 
     def solve_and_recompose(gamma: Matrix, kind: ImplicationKind, xi: Vector):
         """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(gamma^t,

@@ -33,8 +33,10 @@ pass encloses every exact quantity in float bounds [lo, hi]:
   v or a Fraction delta rounded to v, lies within half an ulp of v, so it
   lies in [nextafter(v, 0), nextafter(v, 1)], which stays in [0, 1].
 - A shifted bound or a level: the same FLOAT formula (`shifted_bounds`, or
-  `Arithmetic.t_norms` and `Arithmetic.residua` through the two
-  compositions), evaluated at the corners of the bounds of its arguments.  Every t-norm is non-decreasing in both arguments, every
+  the t-norm and residuum of `Arithmetic.t_norms` and `Arithmetic.residua`
+  through the two compositions, whose per-kind loops return what those
+  scalar formulas return), evaluated at the corners of the bounds of its
+  arguments.  Every t-norm is non-decreasing in both arguments, every
   residuum non-increasing in its first and non-decreasing in its second,
   (v - delta)^+ and min(v + delta, 1) are monotone in v and delta, and so
   are max and min.  So the exact value at the exact arguments lies between

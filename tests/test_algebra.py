@@ -329,6 +329,23 @@ class TestCompositions:
         with pytest.raises(DimensionMismatch):
             sup_distance((0.1,), (0.1, 0.2))
 
+    @pytest.mark.parametrize("compose", [max_t_compose, min_impl_compose], ids=lambda f: f.__name__)
+    def test_ragged_matrix(self, compose):
+        # zip would truncate the short row to its first entry
+        name = compose.__name__
+        with pytest.raises(DimensionMismatch, match=f"^{name}: row 1 has 1 entries"):
+            compose(((0.1, 0.2), (0.3,)), ImplicationKind.GODEL, (0.5, 0.5))
+        with pytest.raises(DimensionMismatch, match=f"^{name}: row 0 has 1 entries"):
+            compose(((0.3,), (0.1, 0.2)), ImplicationKind.GODEL, (0.5, 0.5))
+
+    @pytest.mark.parametrize("compose", [max_t_compose, min_impl_compose], ids=lambda f: f.__name__)
+    def test_zero_columns(self, compose):
+        name = compose.__name__
+        with pytest.raises(DimensionMismatch, match=f"^{name}: "):
+            compose(((),), ImplicationKind.GODEL, ())
+        with pytest.raises(DimensionMismatch, match=f"^{name}: "):
+            compose(((), ()), ImplicationKind.LUKASIEWICZ, ())
+
     def test_leq_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match="^leq: "):
             leq((0.1,), (0.1, 0.2))

@@ -8,11 +8,15 @@ Fractions: the references below are the formulas as the docstrings state
 them, written with builtin min/max.  The Godel report column, which has no
 cell formula of its own, is checked against those references scanning the
 whole column.  The Lukasiewicz column reducers are checked against a
-brute-force scan of the keys and against the cells of whole columns.
+brute-force scan of the keys and against the cells of whole columns.  The
+two compositions, a loop per kind, are checked against the builtin `max` /
+`min` mapped over the kind's scalar t-norm or residuum, in floats also on
+NaN and out-of-range entries, which unvalidated callers can pass.
 """
 
 from fractions import Fraction
 from itertools import product
+import math
 import random
 
 import pytest
@@ -250,3 +254,58 @@ def test_reducer_keeps_ties_in_row_order(name):
     assert repr(reducer(tied)) == repr(tied)
     below = (0.5, 0.5) if name == "lukasiewicz" else (0.25, 0.5)
     assert reducer(((1.0, 1.0), below, (1.0, 1.0))) == ((1.0, 1.0), (1.0, 1.0))
+
+
+#: Entries outside the validated domain: a composition called directly
+#: must still return what the builtin form returns on them.
+FLOAT_WILD = (math.nan, 1.5, -0.2)
+
+
+def compositions(grid, seed: int, count: int):
+    """Matrices and vectors over `grid`: each 1×n and m×1 shape up to 6,
+    then random shapes up to 6×6, half of them tie-heavy (entries from two
+    values of the grid) and half with a row repeated."""
+    rng = random.Random(seed)
+
+    def draw(values, m, n):
+        matrix = [tuple(rng.choice(values) for _ in range(n)) for _ in range(m)]
+        return matrix, tuple(rng.choice(values) for _ in range(n))
+
+    for size in range(1, 7):
+        for _ in range(count // 60):
+            yield draw(grid, 1, size)
+            yield draw(grid, size, 1)
+    for _ in range(count):
+        values = rng.sample(grid, 2) if rng.random() < 0.5 else grid
+        matrix, vec = draw(values, rng.randint(1, 6), rng.randint(1, 6))
+        if rng.random() < 0.5:
+            matrix.insert(rng.randrange(len(matrix) + 1), rng.choice(matrix))
+        yield tuple(matrix), vec
+
+
+@pytest.mark.parametrize(
+    "ar, grid",
+    [(FLOAT, FLOAT_GRID), (FLOAT, FLOAT_GRID + FLOAT_WILD), (EXACT, EXACT_GRID)],
+    ids=["float", "float-wild", "exact"],
+)
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_compositions_match_builtin_form(ar, grid, kind):
+    # a Goguen residuum divides by a zero x when y is negative: the loop
+    # must raise where the builtin form raises
+    def outcome(compute):
+        try:
+            return [(type(value), repr(value)) for value in compute()]
+        except ZeroDivisionError:
+            return ZeroDivisionError
+
+    found = [
+        (matrix, vec, aggregate.__name__)
+        for matrix, vec in compositions(grid, 8, 2000 if ar is FLOAT else 400)
+        for compose, aggregate, op in [
+            (ar.max_t_compose, max, ar.t_norms[kind]),
+            (ar.min_impl_compose, min, ar.residua[kind]),
+        ]
+        if outcome(lambda: compose(matrix, kind, vec))
+        != outcome(lambda: [aggregate(map(op, row, vec)) for row in matrix])
+    ]
+    assert found == []

@@ -6,21 +6,35 @@ them.  These tests hash the exact `repr` of every value instead: the max-t
 distances in float and in exact rationals, and each report's nabla, verdict,
 borderline flag and every row's tau_j and argmin_col.  A new digest means
 some output changed; the assertion message lists the new values.
+
+The closure-side pins hash what the two compositions feed on the same
+systems: `check_consistency`, `closure` of a fixed xi, the max-t closure of
+b, the lowest approximation, the bisection oracle over
+`tolerance_membership` and `exact_membership` at nabla.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from fuzzrel import (
+    DEFAULT_TOL,
     ImplicationKind,
     MaxTSystem,
+    bisect_infimum,
+    build_approximation,
+    check_consistency,
+    closure,
     distance_report,
     exact_maxt_distance,
+    exact_membership,
     generate_random_system,
+    maxt_closure,
     maxt_distance,
+    tolerance_membership,
 )
-from helpers import iter_random_systems
+from helpers import iter_random_systems, random_unit_vector
 
 #: Systems per case; sizes are drawn in 1..MAX_DIM.
 COUNT = 30
@@ -59,18 +73,26 @@ def _report_lines(report):
         yield f"  row {row.row} {row.tau_j!r} {row.argmin_col}"
 
 
-def _lines(kind: ImplicationKind, decimals):
+def _systems(kind: ImplicationKind, decimals):
     seed = 500 + list(ImplicationKind).index(kind) * 10 + (decimals is None)
-    for system in iter_random_systems(seed, COUNT, kind, MAX_DIM, decimals):
+    return iter_random_systems(seed, COUNT, kind, MAX_DIM, decimals)
+
+
+def _large_systems(kind: ImplicationKind, decimals):
+    seed = 700 + list(ImplicationKind).index(kind) * 10 + (decimals is None)
+    for index, (m, n) in enumerate(LARGE_SHAPES):
+        yield generate_random_system(m, n, kind, seed + 100 * index, decimals=decimals)
+
+
+def _lines(kind: ImplicationKind, decimals):
+    for system in _systems(kind, decimals):
         maxt = MaxTSystem(system.gamma, system.beta, kind)
         yield f"maxt {maxt_distance(maxt)!r} {exact_maxt_distance(maxt)!r}"
         yield from _report_lines(distance_report(system))
 
 
 def _large_lines(kind: ImplicationKind, decimals):
-    seed = 700 + list(ImplicationKind).index(kind) * 10 + (decimals is None)
-    for index, (m, n) in enumerate(LARGE_SHAPES):
-        system = generate_random_system(m, n, kind, seed + 100 * index, decimals=decimals)
+    for system in _large_systems(kind, decimals):
         yield f"maxt {maxt_distance(MaxTSystem(system.gamma, system.beta, kind))!r}"
         yield from _report_lines(distance_report(system))
 
@@ -87,3 +109,69 @@ def test_large_distances_bit_exact(kind, decimals):
     lines = "\n".join(_large_lines(ImplicationKind(kind), decimals))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == PINNED_LARGE[kind, decimals], lines
+
+
+#: Pins of `_closure_lines` over the systems of PINNED.
+PINNED_CLOSURE = {
+    ("godel", 2): "23cce28b5557ff243f86412c31b9c70ab1fe948c6bb95678aab693c4560564d9",
+    ("godel", None): "d7b16347d58c2be5210b439b2c1235a32fb6163296e1b25cfad459d9c5d9b066",
+    ("goguen", 2): "5b712a35de98f4ab45adee8ec9980fb8e6173a33cf19a6df3358bc5c626ff572",
+    ("goguen", None): "52b693e538b95e0389a335826ca1a9beebe767ab9ec045e8b2744ea9c78e4529",
+    ("lukasiewicz", 2): "e1487ece1d9b8dffc44f80284e6b1b5b938d57e924c61f1868b592eaf717d469",
+    ("lukasiewicz", None): "4aa864a2f3cdcaee6672ebb1b7d07f687bcd3aeb9d1edfe85ffcc1e854d35fd3",
+}
+
+#: Pins of `_closure_lines` over the systems of PINNED_LARGE, with the
+#: bisection oracle.
+PINNED_CLOSURE_LARGE = {
+    ("godel", 2): "936c7d58bb912c1b346b98f852c343473373cb182bec4d9812ef7f9b1e09b269",
+    ("godel", None): "682abc3a56a3b82a3f1aa9d1bd58787d4f42dbda2f5fc49280734ba90a52902b",
+    ("goguen", 2): "204ed1df019e1f2feef078848f9f6102a6d16d0638b44383f1f6fb6e34b8f2c3",
+    ("goguen", None): "a292cee62fd5b728533846ba67e5515a66642644c17b8acd12e7d284e622485a",
+    ("lukasiewicz", 2): "53bb709dcb335bb9e35e8e64aead085bdcf0f66abb339a20e5ea3b89e54b74c1",
+    ("lukasiewicz", None): "4301694da184e88174c928b19911714742466e7c529727d85e9c71a9481e0fd5",
+}
+
+
+def _closure_lines(system, seed: int, decimals):
+    """The closure-side outputs of one system; xi is drawn from `seed` with
+    the system's decimals.  The bisection runs on the predicate and slack
+    of `fuzzrel verify`."""
+    result = check_consistency(system)
+    yield f"consistency {result.residual!r} {result.epsilon!r}"
+    xi = random_unit_vector(random.Random(seed), system.m, decimals)
+    yield f"closure {closure(system, xi)!r}"
+    yield f"maxt_closure {maxt_closure(system.gamma, system.kind, system.beta)!r}"
+    report = distance_report(system)
+    approximation = build_approximation(system, report)
+    yield (
+        f"approximation {approximation.status.value} {approximation.lowest_approximation!r}"
+        f" {approximation.approximate_solution!r} {approximation.achieved_distance!r}"
+    )
+    estimate = bisect_infimum(
+        lambda delta: tolerance_membership(system, delta, slack=DEFAULT_TOL)
+    )
+    yield f"bisect {estimate.inf_value!r} {estimate.bracket_width!r} {estimate.member_at_inf}"
+    yield f"exact_membership {exact_membership(system, report.nabla)}"
+
+
+@pytest.mark.parametrize("kind, decimals", list(PINNED_CLOSURE), ids=lambda v: str(v))
+def test_closure_side_bit_exact(kind, decimals):
+    systems = _systems(ImplicationKind(kind), decimals)
+    lines = "\n".join(
+        line for index, system in enumerate(systems)
+        for line in _closure_lines(system, index, decimals)
+    )
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == PINNED_CLOSURE[kind, decimals], lines
+
+
+@pytest.mark.parametrize("kind, decimals", list(PINNED_CLOSURE_LARGE), ids=lambda v: str(v))
+def test_large_closure_side_bit_exact(kind, decimals):
+    systems = _large_systems(ImplicationKind(kind), decimals)
+    lines = "\n".join(
+        line for index, system in enumerate(systems)
+        for line in _closure_lines(system, index, decimals)
+    )
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == PINNED_CLOSURE_LARGE[kind, decimals], lines

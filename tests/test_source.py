@@ -25,8 +25,18 @@ def arithmetic_body() -> ast.FunctionDef:
 #: The functions of `algebra.arithmetic` that run m n k times per system:
 #: six thresholds and the product ratio, `shifted_bounds`, the three max-t
 #: cells, the Goguen and Lukasiewicz report cells and the Godel report
-#: column, which computes a whole column of cells in one sweep.
-HOT = r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|\w+_stats|godel_column"
+#: column, which computes a whole column of cells in one sweep; and the six
+#: compositions, which run m n times per closure.
+HOT = (
+    r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|\w+_stats|godel_column"
+    r"|\w+_max_t|\w+_min_impl"
+)
+
+COMPOSITIONS = {
+    f"{kind}_{composition}"
+    for kind in ("godel", "goguen", "luka")
+    for composition in ("max_t", "min_impl")
+}
 
 
 def hot_formulas() -> list[ast.FunctionDef]:
@@ -34,8 +44,9 @@ def hot_formulas() -> list[ast.FunctionDef]:
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
-    assert len(functions) == 13
+    assert len(functions) == 19
     assert {f.name for f in functions} >= {"godel_column", "goguen_stats", "luka_stats"}
+    assert {f.name for f in functions} >= COMPOSITIONS
     return functions
 
 
@@ -150,5 +161,33 @@ def test_hot_formulas_call_no_pos():
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "pos"
+    ]
+    assert found == []
+
+
+def test_compositions_map_no_scalar_formula():
+    # `max_t_compose` and `min_impl_compose` hand the rows to the loop of
+    # their kind; mapping an entry of `t_norms` or `residua` over a row
+    # would be a Python call per entry again.  Neither reads those tables,
+    # and the only function either maps is `len`, over the rows.
+    def maps_a_formula(node):
+        if isinstance(node, ast.Name):
+            return node.id in ("t_norms", "residua")
+        return (
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "map"
+            and ast.unparse(node.args[0]) != "len"
+        )
+
+    functions = [
+        node for node in ast.walk(arithmetic_body())
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("max_t_compose", "min_impl_compose")
+    ]
+    assert len(functions) == 2
+    found = [
+        f"{function.name}:{node.lineno}: {ast.unparse(node)}"
+        for function in functions
+        for node in ast.walk(function)
+        if maps_a_formula(node)
     ]
     assert found == []
