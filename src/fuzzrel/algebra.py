@@ -36,6 +36,22 @@ run the same formulas in exact rational arithmetic.  A float operand that
 meets a Fraction silently rounds the result to a float, so exact callers
 pass only values of the instance's own type, such as its `zero` as a slack.
 
+Which functions check what:
+
+- `max_t_compose` and `min_impl_compose` of this module validate every
+  entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
+  `DomainError`), then the shapes and the kind.
+- `Arithmetic.max_t_compose` / `min_impl_compose` (`FLOAT.*` included)
+  check the shapes (`DimensionMismatch`) and the kind (`TypeError`), not
+  the entries: the oracle's interval pass and the tests of NaN and
+  out-of-range entries call them so.
+- `Arithmetic.max_t_rows` / `min_impl_rows`, the per-kind loops, and
+  `Arithmetic.solve_and_recompose` check nothing.  They are for a system
+  validated when it was built, whose transpose is kept as `columns` (see
+  `fuzzrel.operators`).
+- `t_norm` and `residuum` check the kind; the thresholds, the cells and
+  `column_scan` check nothing.
+
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
 (the x <= y test inside a residuum) are exact on purpose: the residua are
@@ -79,11 +95,11 @@ def transpose(matrix: Matrix) -> Matrix:
 #: The shared formulas bound to one number type; built by `arithmetic`.
 Arithmetic = namedtuple(
     "Arithmetic",
-    "zero pos t_norms residua t_norm residuum max_t_compose min_impl_compose"
-    " solve_and_recompose maxt_closure"
+    "zero pos t_norms residua t_norm residuum max_t_rows min_impl_rows"
+    " max_t_compose min_impl_compose solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
     " maxprod_threshold maxluka_threshold"
-    " cells maxt_cells maxt_distance",
+    " cells maxt_cells maxt_value maxt_distance",
 )
 
 
@@ -110,6 +126,12 @@ class Kernel(namedtuple("Kernel", "cell column")):
 #: Lukasiewicz reducers of `FLOAT` keep pairs: 8 * 2^-53, derived in
 #: `top_pairs`.
 KEY_WINDOW = 2.0 ** -50
+
+#: The Goguen quotient (x y - u z)^+ / (u + y) of `FLOAT` scales u and y by
+#: QUOTIENT_SCALE when u + y lies below QUOTIENT_FLOOR, where its products
+#: would underflow (see `goguen_threshold`).
+QUOTIENT_FLOOR = 2.0 ** -960
+QUOTIENT_SCALE = 2.0 ** 1000
 
 #: Width of the numeric window around strict-comparison ties inside which
 #: the minimum/infimum classification is reported as fragile.  It stays a
@@ -305,7 +327,7 @@ def _width_error(name: str, matrix: Matrix, vec: Vector) -> DimensionMismatch:
     )
 
 
-def arithmetic(zero, one, window) -> Arithmetic:
+def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     """Bind the shared formulas to the number type of `zero` and `one`.
 
     Every literal the formulas need is derived from these two once, here, so
@@ -313,8 +335,13 @@ def arithmetic(zero, one, window) -> Arithmetic:
     returns a value of that type.  `window`, of the same type, is the width
     within which the Lukasiewicz reducers keep pairs below a column's
     greatest key: KEY_WINDOW in floats, zero in exact arithmetic (see
-    `top_pairs`).  Each kind-dependent formula is a table with one entry per
-    ImplicationKind, looked up once per call.
+    `top_pairs`).  `tiny` and `scale`, of the same type too, guard the
+    Goguen quotient against underflow: a quotient whose denominator lies
+    below `tiny` has its two gamma entries scaled by `scale` first
+    (QUOTIENT_FLOOR and QUOTIENT_SCALE in floats, see `goguen_threshold`;
+    zero and one in exact arithmetic, which never scales).  Each
+    kind-dependent formula is a table with one entry per ImplicationKind,
+    looked up once per call.
     """
     # The scalar formulas run m n k times per system, and the compositions m
     # n times per closure, so they are written without builtin calls: a
@@ -434,22 +461,27 @@ def arithmetic(zero, one, window) -> Arithmetic:
     min_impl_rows = {godel: godel_min_impl, goguen: goguen_min_impl, luka: luka_min_impl}
 
     def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
-        """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j])."""
+        """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j]).
+        Checks the shapes and the kind, not the entries."""
         if not vec or {*map(len, matrix)} != {len(vec)}:
             raise _width_error("max_t_compose", matrix, vec)
         return max_t_rows[checked_kind(kind)](matrix, vec)
 
     def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
-        """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i])."""
+        """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i]).
+        Checks the shapes and the kind, not the entries."""
         if not vec or {*map(len, matrix)} != {len(vec)}:
             raise _width_error("min_impl_compose", matrix, vec)
         return min_impl_rows[checked_kind(kind)](matrix, vec)
 
-    def solve_and_recompose(gamma: Matrix, kind: ImplicationKind, xi: Vector):
-        """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(gamma^t,
-        kind, xi); see `fuzzrel.operators.solve_and_recompose`."""
-        x = max_t_compose(transpose(gamma), kind, xi)
-        return x, min_impl_compose(gamma, kind, x)
+    def solve_and_recompose(gamma: Matrix, columns: Matrix, kind: ImplicationKind, xi: Vector):
+        """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(columns,
+        kind, xi), where `columns` is gamma^t; see
+        `fuzzrel.operators.solve_and_recompose`.  Unchecked: it calls the
+        kind's loops directly, for a validated system's prepared `columns`,
+        its ImplicationKind and an `xi` with one entry per row of gamma."""
+        x = max_t_rows[kind](columns, xi)
+        return x, min_impl_rows[kind](gamma, x)
 
     def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
         """max_t_compose(a, kind, min_impl_compose(a^t, kind, c)); see
@@ -485,11 +517,32 @@ def arithmetic(zero, one, window) -> Arithmetic:
 
         The zero cases make the division total; no epsilon-regularisation is
         applied.
+
+        The quotient does not change when u and y are scaled by a common
+        factor, so when u + y lies below `tiny` both are scaled by `scale`
+        first: in floats by 2^1000 below 2^-960, which is exact, as u, y <
+        2^-960 then and the scaled sum stays below 2^40 (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 2).  Without it both products
+        underflow when u and y are subnormal.  Bound, with eps = 2^-53 and
+        s = 2^-1075, for the scaled operands u', y' and D' = u' + y': each
+        product rounds by eps relative plus s, their difference by eps
+        relative (exactly when it is subnormal), so the numerator errs by at
+        most (2 eps + eps^2)(x y' + u' z) + 3 s; D' rounds by eps relative;
+        and x y' + u' z <= D' as x, z <= 1, so the quotient r <= 1 and the
+        float quotient, which rounds once more, errs by at most 4 eps +
+        O(eps^2) + 3 s / D' + s.  D' >= 2^-960 on either branch (a scaled D'
+        is at least 2^-74), so 3 s / D' + s < 2^-112 and the float quotient
+        lies within 5 eps of the exact quotient of its float arguments.  The cap 1 - z, the max and (.)^+
+        add no error beyond the eps / 2 of 1 - z.  Where no product
+        underflows, the scaled branch returns the unscaled value, bit for
+        bit: scaling by a power of two commutes with rounding.
         """
         if u == zero or y == zero:
             return zero
-        a, b = x * y - u * z, one - z
-        a = (a if a > zero else zero) / (u + y)
+        a, b, d = x * y - u * z, one - z, u + y
+        if d < tiny:
+            a, d = x * (y * scale) - (u * scale) * z, d * scale
+        a = (a if a > zero else zero) / d
         a = b if b < a else a
         b = x - u / y
         b = b if b > zero else zero
@@ -612,13 +665,18 @@ def arithmetic(zero, one, window) -> Arithmetic:
 
     # Cell (j, i) of a Goguen or Lukasiewicz report, from g = gamma[j][i], b
     # = beta[j] and the pairs (gamma[l][i], beta[l]) of column i that the
-    # kind's reducer keeps.
+    # kind's reducer keeps.  The Goguen quotient is `goguen_threshold`'s,
+    # with its rescale below `tiny` and its error bound.
     def goguen_stats(g, b, column):
         theta = ratio = None
         for gl, bl in column:
             if gl > zero:
-                t = bl * gl - g * b
-                t = (t if t > zero else zero) / (g + gl)
+                d = g + gl
+                if d < tiny:
+                    t, d = bl * (gl * scale) - (g * scale) * b, d * scale
+                else:
+                    t = bl * gl - g * b
+                t = (t if t > zero else zero) / d
                 if ratio is None or t > ratio:
                     ratio = t
                 if g <= gl:
@@ -694,22 +752,24 @@ def arithmetic(zero, one, window) -> Arithmetic:
         luka: Kernel(luka_maxt_cell, maxluka_column),
     }
 
+    def maxt_value(rows):
+        """The max-t distance from the rows of its cells: the greatest row
+        minimum, and at least zero."""
+        return max(zero, *map(min, rows))
+
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
         max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
-        kernel = maxt_cells[checked_kind(kind)]
-        return max(zero, *map(min, column_scan(a, b, kernel)))
+        return maxt_value(column_scan(a, b, maxt_cells[checked_kind(kind)]))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))
 
 
-FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW)
+FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE)
 pos = FLOAT.pos
 t_norm = FLOAT.t_norm
 residuum = FLOAT.residuum
-max_t_compose = FLOAT.max_t_compose
-min_impl_compose = FLOAT.min_impl_compose
 shifted_bounds = FLOAT.shifted_bounds
 
 
@@ -832,6 +892,32 @@ def unit_system(system, matrix: str, vector: str) -> None:
     checked_kind(system.kind)
     object.__setattr__(system, matrix, rows)
     object.__setattr__(system, vector, rhs)
+
+
+def _unit_operands(matrix, vec) -> tuple[Matrix, Vector]:
+    """`matrix` and `vec` with every entry validated as by `unit_vector`,
+    named `matrix[i][j]` and `vector[j]`; the shapes are left to the
+    composition, whose own check names them."""
+    rows = tuple(_unit_row(row, "matrix", i) for i, row in _entries(matrix, "matrix"))
+    return rows, _unit_row(vec, "vector")
+
+
+def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
+    """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j]).
+
+    Every entry is validated like an entry of a system, then the shapes and
+    the kind are checked by `FLOAT.max_t_compose`."""
+    matrix, vec = _unit_operands(matrix, vec)
+    return FLOAT.max_t_compose(matrix, kind, vec)
+
+
+def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
+    """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i]).
+
+    Every entry is validated like an entry of a system, then the shapes and
+    the kind are checked by `FLOAT.min_impl_compose`."""
+    matrix, vec = _unit_operands(matrix, vec)
+    return FLOAT.min_impl_compose(matrix, kind, vec)
 
 
 def sup_distance(u: Vector, v: Vector) -> float:

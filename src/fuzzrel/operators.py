@@ -33,19 +33,30 @@ attempt at solving for it:
 It is inflationary (xi <= closure(xi)), increasing and idempotent, and its
 fixed points are exactly the consistent right-hand sides.  `maxt_closure` is
 the analogous map for a `MaxTSystem`'s matrix, used for cross-validation.
+
+A system is prepared when it is built: its entries, shapes and kind are
+validated once, and its matrix's transpose is kept as the field `columns`,
+which is outside `__init__`, `repr`, equality and hashing.  The closure
+steps here and the oracle's `tolerance_membership` run the kind's
+composition loops on `gamma` and `columns` through
+`FLOAT.solve_and_recompose`, with no transpose and no shape or kind check
+per call.  A `MaxTSystem` also keeps its float max-t cells, `float_cells`,
+scanned on first use: `fuzzrel.report.maxt_distance` and
+`fuzzrel.oracle.exact_maxt_distance` share that one scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     FLOAT,
     ImplicationKind,
     Matrix,
     Vector,
-    max_t_compose,
+    column_scan,
     sup_distance,
     transpose,
     unit_matrix,
@@ -68,9 +79,12 @@ class FuzzySystem:
     gamma: Matrix
     beta: Vector
     kind: ImplicationKind
+    #: gamma^t, computed once when the system is built.
+    columns: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unit_system(self, "gamma", "beta")
+        object.__setattr__(self, "columns", transpose(self.gamma))
 
     @property
     def m(self) -> int:
@@ -88,9 +102,19 @@ class MaxTSystem:
     a: Matrix
     b: Vector
     kind: ImplicationKind
+    #: a^t, computed once when the system is built.
+    columns: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         unit_system(self, "a", "b")
+        object.__setattr__(self, "columns", transpose(self.a))
+
+    @cached_property
+    def float_cells(self) -> Matrix:
+        """The float max-t cells, row by row: column_scan(a, b,
+        FLOAT.maxt_cells[kind]), computed on first use and kept, so that
+        `maxt_distance` and `exact_maxt_distance` share one scan."""
+        return column_scan(self.a, self.b, FLOAT.maxt_cells[self.kind])
 
     @property
     def n(self) -> int:
@@ -117,14 +141,18 @@ class ConsistencyResult:
 
 def potential_solution(system: FuzzySystem) -> Vector:
     """Greatest-solution candidate epsilon = max_t_compose(gamma^t, kind, beta)."""
-    return max_t_compose(transpose(system.gamma), system.kind, system.beta)
+    return FLOAT.max_t_rows[system.kind](system.columns, system.beta)
 
 
 def solve_and_recompose(system: FuzzySystem, xi: Vector) -> tuple[Vector, Vector]:
     """(x, closure(xi)): the greatest candidate solution x = max_t_compose(
     gamma^t, kind, xi) for right-hand side `xi`, and the right-hand side
-    min_impl_compose(gamma, kind, x) it realises."""
-    return FLOAT.solve_and_recompose(system.gamma, system.kind, xi)
+    min_impl_compose(gamma, kind, x) it realises.  Only the length of `xi`
+    is checked: the system's shapes and kind were checked when it was
+    built, and its entries are the caller's to validate."""
+    if len(xi) != system.m:
+        raise DimensionMismatch(f"xi has {len(xi)} entries, expected {system.m}")
+    return FLOAT.solve_and_recompose(system.gamma, system.columns, system.kind, xi)
 
 
 def check_consistency(system: FuzzySystem, tol: float = DEFAULT_TOL) -> ConsistencyResult:
@@ -150,10 +178,7 @@ def closure(system: FuzzySystem, xi: Vector) -> Vector:
     consistent right-hand side.  Each entry of `xi` is validated like an
     entry of beta.
     """
-    xi = unit_vector(xi, "xi")
-    if len(xi) != system.m:
-        raise DimensionMismatch(f"xi has {len(xi)} entries, expected {system.m}")
-    return solve_and_recompose(system, xi)[1]
+    return solve_and_recompose(system, unit_vector(xi, "xi"))[1]
 
 
 def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:

@@ -85,8 +85,7 @@ from math import nextafter
 from typing import Callable
 
 from .algebra import (
-    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, column_scan, leq, transpose,
-    unit,
+    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, transpose, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -126,22 +125,31 @@ def tolerance_membership(
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
     return _membership(
-        FLOAT, system.gamma, system.beta, system.kind, unit(delta, "delta"), row, slack
+        FLOAT, system.gamma, system.columns, system.beta, system.kind, unit(delta, "delta"),
+        row, slack,
     )
 
 
-def _membership(ar: Arithmetic, gamma, beta, kind, delta, row, slack) -> bool:
+def _membership(ar: Arithmetic, gamma, columns, beta, kind, delta, row, slack) -> bool:
+    """The membership test of `tolerance_membership` on the instance `ar`,
+    for a validated system: `columns` is gamma^t and `kind` an
+    ImplicationKind, which `ar.solve_and_recompose` does not check.  The
+    whole test is `leq(image, upper, slack)`, written as a loop with no
+    generator, since a bisection runs it about 33 times per system."""
     if row is not None:
         row = checked_index(row, len(beta), "row", "rows")
     lower, upper = ar.shifted_bounds(beta, delta)
-    _, image = ar.solve_and_recompose(gamma, kind, lower)
-    if row is None:
-        return leq(image, upper, slack)
-    return image[row] <= upper[row] + slack
+    _, image = ar.solve_and_recompose(gamma, columns, kind, lower)
+    if row is not None:
+        return image[row] <= upper[row] + slack
+    for a, b in zip(image, upper):
+        if not a <= b + slack:
+            return False
+    return True
 
 
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
-EXACT = arithmetic(Fraction(0), Fraction(1), Fraction(0))
+EXACT = arithmetic(Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
 
 def _exact(value) -> Fraction:
@@ -188,9 +196,9 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     delta outside [0, 1] raises DomainError, as in `tolerance_membership`.
 
     The result is that of the full exact evaluation, _membership(EXACT,
-    _exact_matrix(gamma), _exact_vector(beta), kind, delta, row,
-    EXACT.zero), computed by the interval pass and per-row exact fallback
-    of the module docstring.  The inner level is x = max_t_compose(gamma^t,
+    _exact_matrix(gamma), _exact_matrix(gamma^t), _exact_vector(beta),
+    kind, delta, row, EXACT.zero), computed by the interval pass and
+    per-row exact fallback of the module docstring.  The inner level is x = max_t_compose(gamma^t,
     kind, lower), the outer one image = min_impl_compose(gamma, kind, x),
     and row i holds when image[i] <= upper[i].  The pass evaluates the
     FLOAT t-norm at the low and the high ends of its arguments and the
@@ -360,7 +368,8 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
 
     1. `column_scan` over the kind's float reducer and cell formula in
        `FLOAT.maxt_cells` gives the float cells F[i][j], their row minima
-       f_i and R = max_i f_i.
+       f_i and R = max_i f_i.  The scan is the system's `float_cells`, run
+       once per system and shared with `fuzzrel.report.maxt_distance`.
     2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
        cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
@@ -429,7 +438,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     """
     a, b, kind = system.a, system.b, system.kind
     kernel = FLOAT.maxt_cells[kind]
-    rows = column_scan(a, b, kernel)
+    rows = system.float_cells
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
     kept = [

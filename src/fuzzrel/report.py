@@ -352,9 +352,10 @@ def maxt_distance(system: MaxTSystem) -> float:
     `fuzzrel.oracle.exact_maxt_distance` gives the same formulas' exact value
     on rationals: it scans these float cells and re-evaluates in Fractions
     only those within twice a proven error bound of a row minimum, in the
-    rows within twice that bound of the max.
+    rows within twice that bound of the max.  Both read the system's
+    `float_cells`, which it scans once.
     """
-    return FLOAT.maxt_distance(system.a, system.b, system.kind)
+    return FLOAT.maxt_value(system.float_cells)
 
 
 def checked_cell(system: FuzzySystem, row: int, col: int):

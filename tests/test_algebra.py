@@ -346,6 +346,17 @@ class TestCompositions:
         with pytest.raises(DimensionMismatch, match=f"^{name}: "):
             compose(((), ()), ImplicationKind.LUKASIEWICZ, ())
 
+    def test_entries_validated(self):
+        # the public compositions validate every entry like an entry of a
+        # system: unvalidated, a negative Goguen y raises a bare
+        # ZeroDivisionError, and a NaN with a 2.0 returns (0.19999999999999996,)
+        with pytest.raises(DomainError, match=r"^vector\[0\]: -0\.2 is outside \[0, 1\]$"):
+            min_impl_compose(((0.0,),), ImplicationKind.GOGUEN, (-0.2,))
+        with pytest.raises(DomainError, match=r"^matrix\[0\]\[0\]: NaN "):
+            max_t_compose(((math.nan, 0.5),), ImplicationKind.LUKASIEWICZ, (2.0, 0.7))
+        with pytest.raises(DomainError, match=r"^vector\[0\]: 2\.0 is outside \[0, 1\]$"):
+            max_t_compose(((0.3, 0.5),), ImplicationKind.LUKASIEWICZ, (2.0, 0.7))
+
     def test_leq_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match="^leq: "):
             leq((0.1,), (0.1, 0.2))

@@ -176,10 +176,10 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["agree"] is False
 
-    @pytest.mark.xfail(strict=True, reason="goguen_threshold underflows on subnormal gamma entries")
     def test_subnormal_goguen_agrees(self, capsys, tmp_path):
-        # test_goguen.py::TestSubnormalGamma: the report gives 0.5, the
-        # oracle 0.3, so verify prints "agree": false and exits 2
+        # test_goguen.py::TestSubnormalGamma: without its rescale the Goguen
+        # quotient underflows, the report reads 0.5 against the oracle's
+        # 0.3 and verify prints "agree": false
         path = write_doc(tmp_path, "subnormal.json", {
             "implication": "goguen",
             "gamma": [[5e-324], [5e-324]],

@@ -31,7 +31,7 @@ from fuzzrel import (
     exact_maxt_membership,
     exact_membership,
 )
-from fuzzrel.algebra import leq
+from fuzzrel.algebra import leq, transpose
 from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector, _membership
 from test_exact_maxt import pooled_entries, wide_entries, with_examples
 from test_front import NO_SHRINK, tied_systems
@@ -108,10 +108,11 @@ def deltas(matrix, rhs, kind, k):
 def test_exact_membership_is_the_full_evaluation(entries, kind, k):
     system = FuzzySystem(*entries, kind)
     gamma, beta = _exact_matrix(system.gamma), _exact_vector(system.beta)
+    columns = transpose(gamma)
     for delta in deltas(*entries, kind, k):
         snapped = _exact_delta(delta)
         for row in (None, *range(system.m)):
-            full = _membership(EXACT, gamma, beta, kind, snapped, row, EXACT.zero)
+            full = _membership(EXACT, gamma, columns, beta, kind, snapped, row, EXACT.zero)
             assert exact_membership(system, delta, row) is full, (delta, row)
 
 

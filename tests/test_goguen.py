@@ -1,5 +1,7 @@
 """Goguen-kind distance: cell statistics, closed form, guaranteed attainment."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -136,13 +138,35 @@ class TestGoguenInvariants:
         assert (x * y - u * z) / (u + y) > margin
 
 
-#: A Goguen system with subnormal gamma entries: the exact distance is 0.3,
-#: but the report gives 0.5.  In `goguen_threshold` both products of (x*y -
-#: u*z)^+ / (u + y) underflow when u and y are subnormal, and its cap 1 - z
-#: does not bound that error (the max-product ratio is capped by (y - z)^+,
-#: which does).  The error is 9.9e-5 at 1e-320 and 2.0e-6 at 1e-318; normal
-#: entries are not affected.
+#: A Goguen system with subnormal gamma entries: the exact distance is 0.3.
+#: Both products of the quotient (x*y - u*z)^+ / (u + y) underflow when u
+#: and y are subnormal, and its cap 1 - z does not bound that error (the
+#: max-product ratio is capped by (y - z)^+, which does): unguarded, the
+#: report reads 0.5 here, and errs by 9.9e-5 at 1e-320 and 2.0e-6 at
+#: 1e-318.  The quotient scales u and y by a power of two first when u + y
+#: is tiny, which leaves normal entries bit for bit as they are unscaled.
 SUBNORMAL_GAMMA = (((5e-324,), (5e-324,)), (0.2, 0.8))
+
+#: The subnormal values of `subnormal_systems`.
+SUBNORMALS = (5e-324, 4.4e-323, 1e-320, 1e-315, 1e-310, 2.2e-308)
+
+
+def subnormal_systems(seed: int, count: int):
+    """Goguen systems, dims 1..5, 2-decimal entries, with each gamma entry
+    replaced with probability 0.4 by one subnormal value per system.  The
+    shortest decimal of a subnormal differs from its float by up to 1.2%,
+    so the quotient of two different subnormals differs between the float
+    and the exact reading; one value per system keeps such quotients at 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n, tiny = rng.randint(1, 5), rng.randint(1, 5), rng.choice(SUBNORMALS)
+
+        def entry():
+            return tiny if rng.random() < 0.4 else round(rng.random(), 2)
+
+        gamma = tuple(tuple(entry() for _ in range(n)) for _ in range(m))
+        beta = tuple(round(rng.random(), 2) for _ in range(m))
+        yield FuzzySystem(gamma, beta, ImplicationKind.GOGUEN)
 
 
 class TestSubnormalGamma:
@@ -151,8 +175,19 @@ class TestSubnormalGamma:
         assert exact_membership(system, 0.3)
         assert not exact_membership(system, 0.299)
 
-    @pytest.mark.xfail(strict=True, reason="goguen_threshold underflows on subnormal gamma entries")
     def test_distance_agrees_with_the_oracle(self):
         system = FuzzySystem(*SUBNORMAL_GAMMA, ImplicationKind.GOGUEN)
         estimate = bisect_infimum(lambda delta: tolerance_membership(system, delta))
         assert goguen_distance(system).nabla == pytest.approx(estimate.inf_value, abs=1e-8)
+
+    def test_report_is_the_exact_distance(self):
+        # exact, not against the float bisection, whose Goguen residuum y / x
+        # errs by up to 2e-5 on a subnormal max-t image.  exact_membership
+        # snaps a float delta to 12 decimals, so "at nabla" reads nabla +
+        # 1e-11; an unguarded quotient fails here in about 5% of the systems
+        system = FuzzySystem(*SUBNORMAL_GAMMA, ImplicationKind.GOGUEN)
+        assert exact_membership(system, goguen_distance(system).nabla)
+        for system in (system, *subnormal_systems(5, 300)):
+            nabla = goguen_distance(system).nabla
+            assert exact_membership(system, min(nabla + 1e-11, 1.0)), system
+            assert nabla < 1e-6 or not exact_membership(system, nabla - 1e-6), system

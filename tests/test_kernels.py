@@ -22,7 +22,7 @@ import random
 import pytest
 
 from fuzzrel import ImplicationKind
-from fuzzrel.algebra import FLOAT, KEY_WINDOW
+from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import BORDERLINE_EPS, GodelCellStats, GoguenCellStats, LukaCellStats
 
@@ -43,6 +43,7 @@ def references(ar):
     zero = ar.zero
     one = type(zero)(1)
     two = one + one
+    floor, scale = (QUOTIENT_FLOOR, QUOTIENT_SCALE) if ar is FLOAT else (zero, one)
 
     def pos(x):
         return max(zero, x)
@@ -53,6 +54,9 @@ def references(ar):
     def goguen(u, x, y, z):
         if u == zero or y == zero:
             return zero
+        if u + y < floor:
+            # the common rescale of the quotient's gamma entries, as in the formula
+            u, y = u * scale, y * scale
         return max(pos(x - u / y), min(pos(x * y - u * z) / (u + y), one - z))
 
     def luka(u, v, x, y):

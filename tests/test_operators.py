@@ -1,5 +1,7 @@
-"""Consistency decisions and the closure-map laws."""
+"""Consistency decisions, the closure-map laws and the prepared systems."""
 
+import dataclasses
+import pickle
 import random
 import re
 
@@ -10,10 +12,13 @@ from fuzzrel import (
     DomainError,
     FuzzySystem,
     ImplicationKind,
+    MaxTSystem,
     check_consistency,
     closure,
+    exact_maxt_distance,
     max_t_compose,
     maxt_closure,
+    maxt_distance,
     potential_solution,
     sup_distance,
     transpose,
@@ -181,3 +186,59 @@ class TestClosureLaws:
             xi = random_unit_vector(rng, system.m, decimals=None)
             projected = FuzzySystem(system.gamma, closure(system, xi), system.kind)
             assert check_consistency(projected).consistent
+
+
+#: A 2x3 matrix and a right-hand side, of either system.
+PREPARED = (((0.6, 0.49, 0.3), (0.26, 0.9, 0.0)), (0.1, 0.4))
+SYSTEMS = [FuzzySystem, MaxTSystem]
+
+
+def matrix_of(system):
+    return system.gamma if isinstance(system, FuzzySystem) else system.a
+
+
+class TestPreparedSystem:
+    """Both systems keep their matrix's transpose as `columns`, built once."""
+
+    @pytest.mark.parametrize("cls", SYSTEMS, ids=lambda cls: cls.__name__)
+    def test_columns_outside_init_repr_and_equality(self, cls):
+        system = cls(*PREPARED, ImplicationKind.GOGUEN)
+        assert system.columns == transpose(matrix_of(system))
+        (columns,) = [f for f in dataclasses.fields(cls) if f.name == "columns"]
+        assert (columns.init, columns.repr, columns.compare) == (False, False, False)
+        assert "columns" not in repr(system)
+        with pytest.raises(TypeError):
+            cls(*PREPARED, ImplicationKind.GOGUEN, columns=((0.6, 0.26),))
+        twin = cls(*PREPARED, ImplicationKind.GOGUEN)
+        object.__setattr__(twin, "columns", ())
+        assert twin == system and hash(twin) == hash(system)
+
+    @pytest.mark.parametrize("cls", SYSTEMS, ids=lambda cls: cls.__name__)
+    def test_replace_and_pickle_round_trip(self, cls):
+        system = cls(*PREPARED, ImplicationKind.LUKASIEWICZ)
+        if cls is MaxTSystem:
+            maxt_distance(system)  # a kept scan travels with the pickle
+        swapped = ((0.2, 0.7, 1.0), (0.0, 0.5, 0.5))
+        changes = {"gamma": swapped} if cls is FuzzySystem else {"a": swapped}
+        for copy in (dataclasses.replace(system), pickle.loads(pickle.dumps(system))):
+            assert copy == system and hash(copy) == hash(system)
+            assert copy.columns == transpose(matrix_of(system))
+        replaced = dataclasses.replace(system, **changes)
+        assert replaced.columns == transpose(swapped)
+
+    def test_maxt_distances_share_one_scan(self, monkeypatch):
+        from fuzzrel import algebra, operators
+
+        calls, scan = [], algebra.column_scan
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(operators, "column_scan", counted)
+        monkeypatch.setattr(algebra, "column_scan", counted)
+        for kind in ImplicationKind:
+            system = MaxTSystem(*PREPARED, kind)
+            delta = maxt_distance(system)
+            assert float(exact_maxt_distance(system)) == pytest.approx(delta, abs=1e-12)
+        assert len(calls) == len(ImplicationKind)

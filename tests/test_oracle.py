@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzrel import (
     Attainability,
@@ -14,14 +15,24 @@ from fuzzrel import (
     PredicateNotUpClosed,
     bisect_infimum,
     check_consistency,
+    closure,
+    distance_report,
     generate_random_system,
     godel_distance,
     sample_consistent_rhs,
+    shifted_bounds,
     sup_distance,
     tolerance_membership,
 )
+from fuzzrel.algebra import leq
 from fuzzrel.oracle import exact_maxt_membership, exact_membership
-from helpers import iter_random_systems
+from helpers import iter_random_systems, tied_systems
+from test_exact_maxt import pooled_entries, wide_entries
+from test_front import NO_SHRINK
+
+#: Entries at which a branch of a residuum or a clamp shows: both ends of
+#: [0, 1], the least subnormal, the float below one and 0.5.
+EDGE_VALUES = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
 
 
 class TestToleranceMembership:
@@ -98,6 +109,28 @@ class TestExactMembership:
         maxt = MaxTSystem(infimum_godel.gamma, infimum_godel.beta, infimum_godel.kind)
         with pytest.raises(DomainError, match="delta"):
             exact_maxt_membership(maxt, delta)
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@given(
+    st.one_of(wide_entries(max_dim=12), tied_systems(max_dim=12), pooled_entries(EDGE_VALUES)),
+    st.sampled_from(list(ImplicationKind)),
+    st.integers(0, 120),
+)
+def test_tolerance_membership_is_the_closure_inequality(entries, kind, k):
+    # the membership test runs the closure on the system's prepared columns
+    # with no check; it must still be leq(closure(lower), upper, slack), on
+    # ties, subnormals, 0.0 and 1.0 entries and 1 x n and m x 1 shapes
+    system = FuzzySystem(*entries, kind)
+    nabla = distance_report(system).nabla
+    for delta in (nabla, max(nabla - 1e-12, 0.0), k / 120):
+        lower, upper = shifted_bounds(system.beta, delta)
+        image = closure(system, lower)
+        for slack in (0.0, 1e-9):
+            assert tolerance_membership(system, delta, slack=slack) is leq(image, upper, slack)
+            for j in range(system.m):
+                want = leq((image[j],), (upper[j],), slack)
+                assert tolerance_membership(system, delta, row=j, slack=slack) is want
 
 
 class TestBisectInfimum:

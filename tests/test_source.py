@@ -191,3 +191,35 @@ def test_compositions_map_no_scalar_formula():
         if maps_a_formula(node)
     ]
     assert found == []
+
+
+def test_membership_path_transposes_nothing():
+    # the float membership test runs about 33 times per bisection on one
+    # system, so it reads the system's prepared `columns`: neither
+    # `tolerance_membership`, `_membership` nor `Arithmetic.solve_and_recompose`
+    # transposes a matrix, by `transpose` or by zip(*...)
+    functions = [
+        node for node in parsed("oracle.py").body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("tolerance_membership", "_membership")
+    ] + [
+        node for node in ast.walk(arithmetic_body())
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_and_recompose"
+    ]
+    assert len(functions) == 3
+
+    def transposes(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = ast.unparse(node.func).split(".")[-1]
+        return name == "transpose" or (
+            name == "zip" and any(isinstance(arg, ast.Starred) for arg in node.args)
+        )
+
+    found = [
+        f"{function.name}:{node.lineno}: {ast.unparse(node)}"
+        for function in functions
+        for node in ast.walk(function)
+        if transposes(node)
+    ]
+    assert found == []
