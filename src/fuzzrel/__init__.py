@@ -11,7 +11,7 @@ Quick start::
         kind=ImplicationKind.GODEL,
     )
     check_consistency(system)      # inconsistent, residual 0.16
-    distance_report(system).nabla  # 0.15
+    distance_report(system).nabla  # 0.15000000000000002
 """
 
 from .algebra import (

@@ -36,21 +36,15 @@ run the same formulas in exact rational arithmetic.  A float operand that
 meets a Fraction silently rounds the result to a float, so exact callers
 pass only values of the instance's own type, such as its `zero` as a slack.
 
-Which functions check what:
-
-- `max_t_compose` and `min_impl_compose` of this module validate every
-  entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
-  `DomainError`), then the shapes and the kind.
-- `Arithmetic.max_t_compose` / `min_impl_compose` (`FLOAT.*` included)
-  check the shapes (`DimensionMismatch`) and the kind (`TypeError`), not
-  the entries: the oracle's interval pass and the tests of NaN and
-  out-of-range entries call them so.
-- `Arithmetic.max_t_rows` / `min_impl_rows`, the per-kind loops, and
-  `Arithmetic.solve_and_recompose` check nothing.  They are for a system
-  validated when it was built, whose transpose is kept as `columns` (see
-  `fuzzrel.operators`).
-- `t_norm` and `residuum` check the kind; the thresholds, the cells and
-  `column_scan` check nothing.
+Which functions check what.  The public functions of this module check
+their operands: `max_t_compose` and `min_impl_compose` validate every
+entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
+`DomainError`), then the shapes (`DimensionMismatch`), then the kind
+(`TypeError`); `t_norm` and `residuum` check the kind.  An `Arithmetic`
+checks nothing: its tables, `solve_and_recompose`, `maxt_closure`,
+`maxt_distance`, the thresholds, the cells and `column_scan` are for a
+system validated when it was built, whose transpose is kept as `columns`
+(see `fuzzrel.operators`), or for operands of the same guarantees.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -95,8 +89,7 @@ def transpose(matrix: Matrix) -> Matrix:
 #: The shared formulas bound to one number type; built by `arithmetic`.
 Arithmetic = namedtuple(
     "Arithmetic",
-    "zero pos t_norms residua t_norm residuum max_t_rows min_impl_rows"
-    " max_t_compose min_impl_compose solve_and_recompose maxt_closure"
+    "zero pos t_norms residua max_t_rows min_impl_rows solve_and_recompose maxt_closure"
     " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
     " maxprod_threshold maxluka_threshold"
     " cells maxt_cells maxt_value maxt_distance",
@@ -237,9 +230,10 @@ def top_pairs(pairs, keys, window) -> tuple:
     The Lukasiewicz reducers of `arithmetic` keep a column this way.  In
     exact arithmetic `luka_threshold` depends on its column pair (gl, bl)
     only through the key gl + bl - 1, and `maxluka_threshold` on its pair
-    (y, z) only through y - z, non-decreasing in both (ROADMAP item 2): the
-    pairs of greatest key attain the column's max, and `EXACT` keeps them
-    with a window of zero.  `FLOAT` keeps every pair within KEY_WINDOW =
+    (y, z) only through y - z, and neither decreases as its key grows,
+    since each takes the key through sums, (.)^+, halving, min and max,
+    which are all non-decreasing: the pairs of greatest key attain the
+    column's max, and `EXACT` keeps them with a window of zero.  `FLOAT` keeps every pair within KEY_WINDOW =
     2^-50 = 8 eps of the greatest float key, eps = 2^-53.  Why that keeps
     both the float cell and the exact one:
 
@@ -284,13 +278,15 @@ def top_pairs(pairs, keys, window) -> tuple:
     return tuple([pair for pair, key in zip(pairs, keys) if key >= floor])
 
 
-def column_scan(matrix, rhs, cells) -> tuple:
+def column_scan(columns, rhs, cells) -> tuple:
     """Rows of cells, for any number type: cell (j, i) of column i.
 
+    `columns` are the columns of the matrix, such as a system's prepared
+    `columns`; a matrix passed in their place is read as its own transpose.
     `cells(us, xs)` is a table entry, `Arithmetic.cells` or
     `Arithmetic.maxt_cells`, which returns the cells of a column from its
-    matrix entries `us` and the right-hand side `xs`, in row order; the
-    columns are transposed to rows.
+    entries `us` and the right-hand side `xs`, in row order; the columns of
+    cells are transposed to rows.
 
     Every cell formula is a max over its column of thresholds that are
     monotone in the pair, so a column needs only its pairs that can attain
@@ -305,26 +301,7 @@ def column_scan(matrix, rhs, cells) -> tuple:
     order: the cells keep the first of equal values, so the order decides
     which of 0.0 and -0.0 a cell reports.
     """
-    return tuple(zip(*[cells(column, rhs) for column in zip(*matrix)]))
-
-
-def _width_error(name: str, matrix: Matrix, vec: Vector) -> DimensionMismatch:
-    """The DimensionMismatch of the composition `name` when `matrix` has no
-    row, `vec` has no entry or a row has another length than `vec`; a
-    ragged matrix is named by its first such row.  Each composition tests
-    `{*map(len, matrix)} != {len(vec)}` in line, with no call, and builds
-    this error only when the test fails."""
-    if len(set(map(len, matrix))) > 1:
-        row = next(i for i, entries in enumerate(matrix) if len(entries) != len(vec))
-        return DimensionMismatch(
-            f"{name}: row {row} has {len(matrix[row])} entries, vector has {len(vec)}"
-        )
-    if not vec:
-        return DimensionMismatch(f"{name}: vector has no entries")
-    return DimensionMismatch(
-        f"{name}: matrix has {len(matrix[0]) if matrix else 0} columns, "
-        f"vector has {len(vec)} entries"
-    )
+    return tuple(zip(*[cells(column, rhs) for column in columns]))
 
 
 def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
@@ -381,14 +358,6 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         goguen: lambda x, y: one if x <= y else y / x,
         luka: lambda x, y: one if x <= y else one - x + y,
     }
-
-    def t_norm(kind: ImplicationKind, x, y):
-        """Apply the t-norm selected by `kind`."""
-        return t_norms[checked_kind(kind)](x, y)
-
-    def residuum(kind: ImplicationKind, x, y):
-        """Apply the residual implicator selected by `kind`."""
-        return residua[checked_kind(kind)](x, y)
 
     # The two compositions of each kind, one loop over the rows with the
     # t-norm or residuum of `t_norms` / `residua` written inline.  Each row
@@ -460,20 +429,6 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     max_t_rows = {godel: godel_max_t, goguen: goguen_max_t, luka: luka_max_t}
     min_impl_rows = {godel: godel_min_impl, goguen: goguen_min_impl, luka: luka_min_impl}
 
-    def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
-        """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j]).
-        Checks the shapes and the kind, not the entries."""
-        if not vec or {*map(len, matrix)} != {len(vec)}:
-            raise _width_error("max_t_compose", matrix, vec)
-        return max_t_rows[checked_kind(kind)](matrix, vec)
-
-    def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
-        """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i]).
-        Checks the shapes and the kind, not the entries."""
-        if not vec or {*map(len, matrix)} != {len(vec)}:
-            raise _width_error("min_impl_compose", matrix, vec)
-        return min_impl_rows[checked_kind(kind)](matrix, vec)
-
     def solve_and_recompose(gamma: Matrix, columns: Matrix, kind: ImplicationKind, xi: Vector):
         """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(columns,
         kind, xi), where `columns` is gamma^t; see
@@ -486,7 +441,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
         """max_t_compose(a, kind, min_impl_compose(a^t, kind, c)); see
         `fuzzrel.operators.maxt_closure`."""
-        return max_t_compose(a, kind, min_impl_compose(transpose(a), kind, c))
+        return max_t_rows[kind](a, min_impl_rows[kind](transpose(a), c))
 
     def shifted_bounds(vec: Vector, delta) -> tuple[Vector, Vector]:
         """Componentwise lower/upper shift of `vec` by `delta`, clipped to [0, 1].
@@ -760,7 +715,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
         """Chebyshev distance of `b` to the consistent right-hand sides of the
         max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
-        return maxt_value(column_scan(a, b, maxt_cells[checked_kind(kind)]))
+        return maxt_value(column_scan(transpose(a), b, maxt_cells[kind]))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))
@@ -768,9 +723,17 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
 FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE)
 pos = FLOAT.pos
-t_norm = FLOAT.t_norm
-residuum = FLOAT.residuum
 shifted_bounds = FLOAT.shifted_bounds
+
+
+def t_norm(kind: ImplicationKind, x, y):
+    """Apply the t-norm selected by `kind`."""
+    return FLOAT.t_norms[checked_kind(kind)](x, y)
+
+
+def residuum(kind: ImplicationKind, x, y):
+    """Apply the residual implicator selected by `kind`."""
+    return FLOAT.residua[checked_kind(kind)](x, y)
 
 
 def unit(value, name: str = "value") -> float:
@@ -894,30 +857,42 @@ def unit_system(system, matrix: str, vector: str) -> None:
     object.__setattr__(system, vector, rhs)
 
 
-def _unit_operands(matrix, vec) -> tuple[Matrix, Vector]:
-    """`matrix` and `vec` with every entry validated as by `unit_vector`,
-    named `matrix[i][j]` and `vector[j]`; the shapes are left to the
-    composition, whose own check names them."""
+def _operands(name: str, matrix, vec, kind) -> tuple[Matrix, Vector, ImplicationKind]:
+    """The operands of the composition `name`, checked in this order: every
+    entry validated as by `unit_vector`, named `matrix[i][j]` and
+    `vector[j]`; then the shapes, a DimensionMismatch naming `name` when the
+    matrix has no row, the vector no entry or a row another length than the
+    vector (a ragged matrix is named by its first such row); then the kind."""
     rows = tuple(_unit_row(row, "matrix", i) for i, row in _entries(matrix, "matrix"))
-    return rows, _unit_row(vec, "vector")
+    vec = _unit_row(vec, "vector")
+    widths = {*map(len, rows)}
+    if len(widths) > 1:
+        row = next(i for i, entries in enumerate(rows) if len(entries) != len(vec))
+        raise DimensionMismatch(
+            f"{name}: row {row} has {len(rows[row])} entries, vector has {len(vec)}"
+        )
+    if not vec:
+        raise DimensionMismatch(f"{name}: vector has no entries")
+    if widths != {len(vec)}:
+        raise DimensionMismatch(
+            f"{name}: matrix has {len(rows[0]) if rows else 0} columns, "
+            f"vector has {len(vec)} entries"
+        )
+    return rows, vec, checked_kind(kind)
 
 
 def max_t_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
     """Row-wise max of t-norms: out[i] = max_j T(matrix[i][j], vec[j]).
-
-    Every entry is validated like an entry of a system, then the shapes and
-    the kind are checked by `FLOAT.max_t_compose`."""
-    matrix, vec = _unit_operands(matrix, vec)
-    return FLOAT.max_t_compose(matrix, kind, vec)
+    Checks its operands (`_operands`), then runs the loop of its kind."""
+    matrix, vec, kind = _operands("max_t_compose", matrix, vec, kind)
+    return FLOAT.max_t_rows[kind](matrix, vec)
 
 
 def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vector:
     """Row-wise min of residua: out[j] = min_i (matrix[j][i] -> vec[i]).
-
-    Every entry is validated like an entry of a system, then the shapes and
-    the kind are checked by `FLOAT.min_impl_compose`."""
-    matrix, vec = _unit_operands(matrix, vec)
-    return FLOAT.min_impl_compose(matrix, kind, vec)
+    Checks its operands (`_operands`), then runs the loop of its kind."""
+    matrix, vec, kind = _operands("min_impl_compose", matrix, vec, kind)
+    return FLOAT.min_impl_rows[kind](matrix, vec)
 
 
 def sup_distance(u: Vector, v: Vector) -> float:

@@ -36,13 +36,17 @@ the analogous map for a `MaxTSystem`'s matrix, used for cross-validation.
 
 A system is prepared when it is built: its entries, shapes and kind are
 validated once, and its matrix's transpose is kept as the field `columns`,
-which is outside `__init__`, `repr`, equality and hashing.  The closure
-steps here and the oracle's `tolerance_membership` run the kind's
-composition loops on `gamma` and `columns` through
-`FLOAT.solve_and_recompose`, with no transpose and no shape or kind check
-per call.  A `MaxTSystem` also keeps its float max-t cells, `float_cells`,
-scanned on first use: `fuzzrel.report.maxt_distance` and
-`fuzzrel.oracle.exact_maxt_distance` share that one scan.
+which is outside `__init__`, `repr`, equality and hashing.  Nothing
+downstream checks or lays the system out again.  The closure steps here
+and the oracle's `tolerance_membership` run the kind's composition loops
+on `gamma` and `columns` through `FLOAT.solve_and_recompose`, and every
+scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
+and `checked_cell`, `MaxTSystem.float_cells` and
+`fuzzrel.oracle.exact_maxt_distance`.  A `MaxTSystem` keeps its float
+max-t cells, `float_cells`, scanned on first use:
+`fuzzrel.report.maxt_distance` and `exact_maxt_distance` share that scan.
+`maxt_closure`, which takes a bare matrix, checks its operands and its
+kind itself.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .algebra import (
     ImplicationKind,
     Matrix,
     Vector,
+    checked_kind,
     column_scan,
     sup_distance,
     transpose,
@@ -111,10 +116,10 @@ class MaxTSystem:
 
     @cached_property
     def float_cells(self) -> Matrix:
-        """The float max-t cells, row by row: column_scan(a, b,
+        """The float max-t cells, row by row: column_scan(columns, b,
         FLOAT.maxt_cells[kind]), computed on first use and kept, so that
         `maxt_distance` and `exact_maxt_distance` share one scan."""
-        return column_scan(self.a, self.b, FLOAT.maxt_cells[self.kind])
+        return column_scan(self.columns, self.b, FLOAT.maxt_cells[self.kind])
 
     @property
     def n(self) -> int:
@@ -186,10 +191,11 @@ def maxt_closure(a: Matrix, kind: ImplicationKind, c: Vector) -> Vector:
 
     maxt_closure(c) = max_t_compose(a, kind, min_impl_compose(a^t, kind, c)).
     Fixed points are exactly the right-hand sides of consistent max-t systems.
-    Each entry of `a` and `c` is validated like an entry of a system.
+    Each entry of `a` and `c` is validated like an entry of a system, then
+    the length of `c` and the kind are checked.
     """
     a = unit_matrix(a, "a")
     c = unit_vector(c, "c")
     if len(c) != len(a):
         raise DimensionMismatch(f"c has {len(c)} entries, expected {len(a)}")
-    return FLOAT.maxt_closure(a, kind, c)
+    return FLOAT.maxt_closure(a, checked_kind(kind), c)

@@ -269,10 +269,10 @@ def _level(residual: bool, kind, lo_rows, hi_rows, v_lo, v_hi):
     enclosed by lo_rows, hi_rows and the vector enclosed by v_lo, v_hi.  A
     residuum falls in its matrix argument, so its low corner takes hi_rows."""
     if residual:
-        compose, low_rows, high_rows = FLOAT.min_impl_compose, hi_rows, lo_rows
+        compose, low_rows, high_rows = FLOAT.min_impl_rows[kind], hi_rows, lo_rows
     else:
-        compose, low_rows, high_rows = FLOAT.max_t_compose, lo_rows, hi_rows
-    return _padded(compose(low_rows, kind, v_lo), compose(high_rows, kind, v_hi))
+        compose, low_rows, high_rows = FLOAT.max_t_rows[kind], lo_rows, hi_rows
+    return _padded(compose(low_rows, v_lo), compose(high_rows, v_hi))
 
 
 def _attaining(residual: bool, kind, hi_row, v_lo, v_hi, lo, hi) -> list[int]:
@@ -436,7 +436,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     Every cell thus errs by less than 8 eps; ETA = 16 eps = 2^-49 leaves a
     factor of two for the second-order terms.
     """
-    a, b, kind = system.a, system.b, system.kind
+    a, b, columns, kind = system.a, system.b, system.columns, system.kind
     kernel = FLOAT.maxt_cells[kind]
     rows = system.float_cells
     lows = tuple(map(min, rows))
@@ -448,7 +448,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     ]
     exact_columns = {}
     for j in {j for _, cells in kept for j in cells}:
-        pairs = kernel.column(tuple(zip([row[j] for row in a], b)))
+        pairs = kernel.column(tuple(zip(columns[j], b)))
         exact_columns[j] = tuple((_exact(y), _exact(z)) for y, z in pairs)
     cell = EXACT.maxt_cells[kind].cell
     best = EXACT.zero

@@ -90,8 +90,10 @@ commutes with max, and with min against a constant, so
     zeta = max(theta^+, min(max_l R_l, 1 - b)),
     R_l  = (bl gl - g b)^+ / (g + gl) over the pairs with gl > 0,
 
-by the same float operations as `goguen_threshold`, and with its subnormal
-underflow (ROADMAP item 5).  For g = 0 every threshold, and zeta, is 0.
+by the same float operations as `goguen_threshold`, its rescale included:
+g and gl are scaled by QUOTIENT_SCALE when g + gl lies below
+QUOTIENT_FLOOR, so subnormal entries do not underflow.  For g = 0 every
+threshold, and zeta, is 0.
 
 Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
 
@@ -319,7 +321,7 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
     fragile too.
     """
     rule = _ROW_RULES[system.kind]
-    cells = column_scan(system.gamma, system.beta, FLOAT.cells[system.kind])
+    cells = column_scan(system.columns, system.beta, FLOAT.cells[system.kind])
     rows = tuple(rule(system, j, row) for j, row in enumerate(cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
@@ -364,7 +366,7 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     TypeError and a pair outside the system's matrix IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    return FLOAT.cells[system.kind]([entry[col] for entry in system.gamma], system.beta)[row]
+    return FLOAT.cells[system.kind](system.columns[col], system.beta)[row]
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

@@ -154,7 +154,7 @@ def test_equals_full_exact_scan(system):
 @settings(max_examples=120, deadline=None)
 @given(systems)
 def test_cell_error_within_eta(system):
-    cells = column_scan(system.a, system.b, FLOAT.maxt_cells[system.kind])
+    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind])
     exact = full_scan(
         _exact_matrix(system.a), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
     )

@@ -40,7 +40,7 @@ from fuzzrel import (
     luka_cell,
     maxt_distance,
 )
-from fuzzrel.algebra import FLOAT, Kernel, column_scan, front
+from fuzzrel.algebra import FLOAT, Kernel, column_scan, front, transpose
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import least
 from helpers import tied_systems
@@ -63,8 +63,9 @@ def whole_column(pairs):
 
 
 def full_scan(matrix, rhs, kernel):
-    """The column scan without pruning: every cell sees every pair."""
-    return column_scan(matrix, rhs, kernel._replace(column=whole_column))
+    """The column scan of `matrix` without pruning: every cell sees every
+    pair."""
+    return column_scan(transpose(matrix), rhs, kernel._replace(column=whole_column))
 
 
 @contextmanager
@@ -226,7 +227,7 @@ def fresh(system):
 
 def maxt_outputs(system):
     """The float cells and both distances of a max-t system."""
-    cells = column_scan(system.a, system.b, FLOAT.maxt_cells[system.kind])
+    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind])
     return cells, maxt_distance(system), exact_maxt_distance(system)
 
 

@@ -306,10 +306,10 @@ def test_compositions_match_builtin_form(ar, grid, kind):
         (matrix, vec, aggregate.__name__)
         for matrix, vec in compositions(grid, 8, 2000 if ar is FLOAT else 400)
         for compose, aggregate, op in [
-            (ar.max_t_compose, max, ar.t_norms[kind]),
-            (ar.min_impl_compose, min, ar.residua[kind]),
+            (ar.max_t_rows[kind], max, ar.t_norms[kind]),
+            (ar.min_impl_rows[kind], min, ar.residua[kind]),
         ]
-        if outcome(lambda: compose(matrix, kind, vec))
+        if outcome(lambda: compose(matrix, vec))
         != outcome(lambda: [aggregate(map(op, row, vec)) for row in matrix])
     ]
     assert found == []

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import fuzzrel
+import fuzzrel.algebra
 from fuzzrel import ImplicationKind
 
 PACKAGE = Path(fuzzrel.__file__).parent
@@ -165,24 +166,27 @@ def test_hot_formulas_call_no_pos():
     assert found == []
 
 
-def test_compositions_map_no_scalar_formula():
-    # `max_t_compose` and `min_impl_compose` hand the rows to the loop of
-    # their kind; mapping an entry of `t_norms` or `residua` over a row
-    # would be a Python call per entry again.  Neither reads those tables,
-    # and the only function either maps is `len`, over the rows.
-    def maps_a_formula(node):
-        if isinstance(node, ast.Name):
-            return node.id in ("t_norms", "residua")
-        return (
-            isinstance(node, ast.Call) and ast.unparse(node.func) == "map"
-            and ast.unparse(node.args[0]) != "len"
-        )
-
-    functions = [
-        node for node in ast.walk(arithmetic_body())
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("max_t_compose", "min_impl_compose")
+def module_functions(module: str, names) -> list[ast.FunctionDef]:
+    """The functions of `module` named in `names`: top-level functions and
+    the methods of its classes."""
+    return [
+        node for top in parsed(module).body
+        for node in ([top] if isinstance(top, ast.FunctionDef) else getattr(top, "body", []))
+        if isinstance(node, ast.FunctionDef) and node.name in names
     ]
+
+
+def test_compositions_map_no_scalar_formula():
+    # the public `max_t_compose` and `min_impl_compose` check their operands
+    # and hand the rows to the loop of their kind; mapping an entry of
+    # `t_norms` or `residua` over a row would be a Python call per entry
+    # again.  Neither reads those tables nor maps anything.
+    def maps_a_formula(node):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return ast.unparse(node).split(".")[-1] in ("t_norms", "residua")
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "map"
+
+    functions = module_functions("algebra.py", ("max_t_compose", "min_impl_compose"))
     assert len(functions) == 2
     found = [
         f"{function.name}:{node.lineno}: {ast.unparse(node)}"
@@ -193,33 +197,97 @@ def test_compositions_map_no_scalar_formula():
     assert found == []
 
 
-def test_membership_path_transposes_nothing():
-    # the float membership test runs about 33 times per bisection on one
-    # system, so it reads the system's prepared `columns`: neither
-    # `tolerance_membership`, `_membership` nor `Arithmetic.solve_and_recompose`
-    # transposes a matrix, by `transpose` or by zip(*...)
-    functions = [
-        node for node in parsed("oracle.py").body
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("tolerance_membership", "_membership")
-    ] + [
-        node for node in ast.walk(arithmetic_body())
-        if isinstance(node, ast.FunctionDef) and node.name == "solve_and_recompose"
-    ]
-    assert len(functions) == 3
-
-    def transposes(node):
-        if not isinstance(node, ast.Call):
-            return False
-        name = ast.unparse(node.func).split(".")[-1]
-        return name == "transpose" or (
-            name == "zip" and any(isinstance(arg, ast.Starred) for arg in node.args)
-        )
-
+def test_arithmetic_checks_nothing():
+    # operands are checked once, at the public boundary: by the public
+    # functions of `algebra` and when a system is built.  An `Arithmetic`
+    # runs on what those checked, so `arithmetic` calls no check, and the
+    # middle tier of shape- and kind-checked compositions stays deleted.
+    checks = {"checked_kind", "checked_index", "_operands", "_width_error", "unit", "_unit_row"}
     found = [
+        f"algebra.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(arithmetic_body())
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in checks
+    ]
+    assert found == []
+    assert not {"max_t_compose", "min_impl_compose", "t_norm", "residuum"} & {
+        *fuzzrel.algebra.Arithmetic._fields
+    }
+
+
+def transposes(node) -> bool:
+    """Whether `node` lays a matrix out as columns again: a call to
+    `transpose` or zip(*...), a comprehension that takes one entry of every
+    row (`[row[j] for row in matrix]`), or a `column_scan` of anything but
+    prepared `columns`."""
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and len(node.generators) == 1:
+        target, elt = node.generators[0].target, node.elt
+        return (
+            isinstance(target, ast.Name) and isinstance(elt, ast.Subscript)
+            and isinstance(elt.value, ast.Name) and elt.value.id == target.id
+        )
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func).split(".")[-1]
+    if name == "column_scan":
+        return not ast.unparse(node.args[0]).endswith(".columns")
+    return name == "transpose" or (
+        name == "zip" and any(isinstance(arg, ast.Starred) for arg in node.args)
+    )
+
+
+def transposing(functions) -> list[str]:
+    return [
         f"{function.name}:{node.lineno}: {ast.unparse(node)}"
         for function in functions
         for node in ast.walk(function)
         if transposes(node)
     ]
-    assert found == []
+
+
+def test_membership_path_transposes_nothing():
+    # the float membership test runs about 33 times per bisection on one
+    # system, so it reads the system's prepared `columns`: neither
+    # `tolerance_membership`, `_membership` nor `Arithmetic.solve_and_recompose`
+    # transposes a matrix
+    functions = module_functions("oracle.py", ("tolerance_membership", "_membership")) + [
+        node for node in ast.walk(arithmetic_body())
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_and_recompose"
+    ]
+    assert len(functions) == 3
+    assert transposing(functions) == []
+
+
+def test_cell_scans_transpose_nothing():
+    # every scan of a system's cells reads the columns the system laid out
+    # when it was built
+    functions = (
+        module_functions("report.py", ("distance_report", "checked_cell"))
+        + module_functions("operators.py", ("float_cells",))
+        + module_functions("oracle.py", ("exact_maxt_distance",))
+    )
+    assert len(functions) == 4
+    assert transposing(functions) == []
+
+
+#: The public surface of `fuzzrel`: a name added, renamed or dropped fails here.
+PUBLIC = [
+    "Attainability", "ApproximationResult", "ApproximationStatus", "ChebyshevReport",
+    "ConsistencyResult", "DEFAULT_TOL", "DimensionMismatch", "DomainError", "FuzzrelError",
+    "FuzzySystem", "GodelCellStats", "GoguenCellStats", "ImplicationKind", "KindMismatch",
+    "LukaCellStats", "Matrix", "MaxTSystem", "NearApproximation", "OracleEstimate",
+    "PredicateNotUpClosed", "ReportMismatch", "RowDiagnostics", "Vector", "bisect_infimum",
+    "build_approximation", "check_consistency", "closure", "distance_report",
+    "exact_maxt_distance", "exact_maxt_membership", "exact_membership",
+    "generate_random_system", "godel_cell", "godel_distance", "godel_threshold",
+    "goguen_cell", "goguen_distance", "goguen_threshold", "luka_cell", "luka_distance",
+    "luka_threshold", "max_t_compose", "maxluka_threshold", "maxprod_ratio",
+    "maxprod_threshold", "maxt_closure", "maxt_distance", "min_impl_compose",
+    "near_approximation", "potential_solution", "residuum", "sample_consistent_rhs",
+    "shifted_bounds", "sup_distance", "t_norm", "tolerance_membership", "transpose", "unit",
+    "unit_matrix", "unit_vector", "verify_lowest",
+]
+
+
+def test_public_surface_is_pinned():
+    assert fuzzrel.__all__ == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(fuzzrel, name)] == []
