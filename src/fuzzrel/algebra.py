@@ -40,11 +40,14 @@ Which functions check what.  The public functions of this module check
 their operands: `max_t_compose` and `min_impl_compose` validate every
 entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 `DomainError`), then the shapes (`DimensionMismatch`), then the kind
-(`TypeError`); `t_norm` and `residuum` check the kind.  An `Arithmetic`
-checks nothing: its tables, `solve_and_recompose`, `maxt_closure`,
-`maxt_distance`, the thresholds, the cells and `column_scan` are for a
-system validated when it was built, whose transpose is kept as `columns`
-(see `fuzzrel.operators`), or for operands of the same guarantees.
+(`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
+then check the kind; `shifted_bounds` validates its vector by the
+`unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
+An `Arithmetic` checks nothing: its tables, `solve_and_recompose`,
+`maxt_closure`, `maxt_distance`, `shifted_bounds`, the thresholds, the
+cells and `column_scan` are for a system validated when it was built,
+whose transpose is kept as `columns` (see `fuzzrel.operators`), or for
+operands of the same guarantees.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -723,17 +726,27 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
 FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE)
 pos = FLOAT.pos
-shifted_bounds = FLOAT.shifted_bounds
 
 
 def t_norm(kind: ImplicationKind, x, y):
-    """Apply the t-norm selected by `kind`."""
+    """Apply the t-norm selected by `kind` to `x` and `y`, each validated by
+    `unit` before the kind is checked."""
+    x, y = unit(x, "x"), unit(y, "y")
     return FLOAT.t_norms[checked_kind(kind)](x, y)
 
 
 def residuum(kind: ImplicationKind, x, y):
-    """Apply the residual implicator selected by `kind`."""
+    """Apply the residual implicator selected by `kind` to `x` and `y`, each
+    validated by `unit` before the kind is checked."""
+    x, y = unit(x, "x"), unit(y, "y")
     return FLOAT.residua[checked_kind(kind)](x, y)
+
+
+def shifted_bounds(vec: Vector, delta) -> tuple[Vector, Vector]:
+    """Componentwise lower/upper shift of `vec` by `delta`, clipped to
+    [0, 1]: `FLOAT.shifted_bounds` of `vec`, validated by `unit_vector`
+    (entries named `vector[j]`), and `delta`, validated by `unit`."""
+    return FLOAT.shifted_bounds(unit_vector(vec, "vector"), unit(delta, "delta"))
 
 
 def unit(value, name: str = "value") -> float:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import Vector, shifted_bounds, sup_distance, unit
+from .algebra import FLOAT, Vector, sup_distance, unit
 from .errors import DomainError, ReportMismatch
 from .operators import DEFAULT_TOL, FuzzySystem, closure, solve_and_recompose
 from .report import Attainability, ChebyshevReport
@@ -86,7 +86,7 @@ def build_approximation(system: FuzzySystem, report: ChebyshevReport) -> Approxi
         )
     if report.verdict is not Attainability.MINIMUM:
         raise ReportMismatch("report carries no attainability verdict")
-    lower, _ = shifted_bounds(system.beta, report.nabla)
+    lower, _ = FLOAT.shifted_bounds(system.beta, report.nabla)
     solution, lowest = solve_and_recompose(system, lower)
     achieved = sup_distance(system.beta, lowest)
     return ApproximationResult(
@@ -101,7 +101,7 @@ def near_approximation(system: FuzzySystem, delta: float) -> NearApproximation:
     vector lands farther than delta (+ DEFAULT_TOL) from beta, as one at or
     below the distance may, raises DomainError."""
     delta = unit(delta, "delta")
-    lower, _ = shifted_bounds(system.beta, delta)
+    lower, _ = FLOAT.shifted_bounds(system.beta, delta)
     solution, vector = solve_and_recompose(system, lower)
     achieved = sup_distance(system.beta, vector)
     if achieved > delta + DEFAULT_TOL:
@@ -146,7 +146,7 @@ def verify_lowest(
         raise ReportMismatch(
             f"lowest approximation has {len(lowest)} entries, system has {system.m}"
         )
-    lower, upper = shifted_bounds(system.beta, nabla)
+    lower, upper = FLOAT.shifted_bounds(system.beta, nabla)
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         candidate = tuple(

@@ -42,8 +42,10 @@ and the oracle's `tolerance_membership` run the kind's composition loops
 on `gamma` and `columns` through `FLOAT.solve_and_recompose`, and every
 scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
 and `checked_cell`, `MaxTSystem.float_cells` and
-`fuzzrel.oracle.exact_maxt_distance`.  A `MaxTSystem` keeps its float
-max-t cells, `float_cells`, scanned on first use:
+`fuzzrel.oracle.exact_maxt_distance`.  The exact membership tests,
+`fuzzrel.oracle.exact_membership` and `exact_maxt_membership`, read
+`columns` for the inner level of their interval pass.  A `MaxTSystem`
+keeps its float max-t cells, `float_cells`, scanned on first use:
 `fuzzrel.report.maxt_distance` and `exact_maxt_distance` share that scan.
 `maxt_closure`, which takes a bare matrix, checks its operands and its
 kind itself.

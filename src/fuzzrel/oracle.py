@@ -27,34 +27,51 @@ for the rows it leaves open (interval enclosure: Moore, Interval Analysis,
 1966).  Each closure is two levels, an inner composition over the columns
 of one shifted bound and an outer one over the rows, and row i holds when
 one side, the outer level or a shifted bound, is at most the other.  The
-pass encloses every exact quantity in float bounds [lo, hi]:
+pass reads the matrix as floats, the system's rows for the outer level and
+its prepared `columns` for the inner one, and bounds only the vectors:
 
-- An entry or float(delta), v.  Its exact reading, the shortest decimal of
-  v or a Fraction delta rounded to v, lies within half an ulp of v, so it
-  lies in [nextafter(v, 0), nextafter(v, 1)], which stays in [0, 1].
-- A shifted bound or a level: the same FLOAT formula (`shifted_bounds`, or
-  the t-norm and residuum of `Arithmetic.t_norms` and `Arithmetic.residua`
-  through the two compositions, whose per-kind loops return what those
-  scalar formulas return), evaluated at the corners of the bounds of its
-  arguments.  Every t-norm is non-decreasing in both arguments, every
-  residuum non-increasing in its first and non-decreasing in its second,
-  (v - delta)^+ and min(v + delta, 1) are monotone in v and delta, and so
-  are max and min.  So the exact value at the exact arguments lies between
-  the exact values at the low corner and at the high corner.  This holds
-  across a branch point with no case split: where x <= y may go either way,
-  the low corner of a residuum takes the high x and the low y, hence its
-  low branch, and the high corner its high branch; the Goguen quotient y/x
-  is enclosed by the same two corners.
-- Rounding.  At a corner, every argument is a float in [0, 1] and the float
-  result differs from the exact one by one or two roundings, eps = 2^-53:
-  x y and y / x by eps plus an underflow term of at most 2^-1075, (x + y -
-  1)^+ by eps, since fl(x + y) - 1 is exact where it is not negative, 1 - x
-  + y by 1.5 eps, and v - delta and v + delta by eps; min, max, (.)^+ and every comparison are
-  exact.  So each is within 2 eps of its exact corner value.  The low bound
-  is fl(r - W) and the high bound fl(r + W), W = MEMBERSHIP_PAD = 2^-50 = 8
-  eps, each of which rounds by at most eps once more, and both are then
-  clamped to [0, 1], where every exact quantity lies.  As 8 eps > 2 eps +
-  eps, each bound is on its side of the exact value.
+- the shifts of beta by delta, from one `FLOAT.shifted_bounds(rhs,
+  float(delta))`, each float value r widened to a low bound fl(r - W) and
+  a high bound fl(r + W), W = MEMBERSHIP_PAD = 2^-50 = 8 eps, eps = 2^-53;
+- each level, the FLOAT composition of the float matrix with the low and
+  with the high bound of its vector (the per-kind loops return what the
+  scalar t-norms and residua of `Arithmetic.t_norms` and
+  `Arithmetic.residua` return), widened the same way.
+
+Every bound is then clamped to [0, 1], where every exact quantity lies.
+Every t-norm and every residuum is non-decreasing in its vector argument,
+and so are max and min, so the low bound of a vector gives the low bound
+of its level.  Why the bounds hold:
+
+- Reading error.  The exact reading of an entry or of a beta value, its
+  shortest decimal, and that of delta, a Fraction that float(delta) rounds
+  to nearest, lie within half an ulp of the float: at most eps/2, relative
+  for a normal float, 2^-1075 for a subnormal one.
+- Margin.  Every padded bound lies at least 4.5 eps outside its exact
+  value, or is clamped at 0 or 1.  The 8 eps pad loses eps to its own
+  rounding, at most 2 eps to the formula's rounding and eps/2 to reading a
+  matrix entry: x y and y / x round once and may underflow by 2^-1075,
+  (x + y - 1)^+ rounds once, as fl(x + y) - 1 is exact where it is not
+  negative, 1 - x + y by 1.5 eps, and a shift by eps, to which reading v
+  and delta add eps; min, max, (.)^+ and every comparison are exact.
+- Away from the jump.  Reading a matrix entry x exactly, as X, moves a
+  formula by at most eps/2: the t-norms and 1 - x + y are 1-Lipschitz in
+  x, and on its branch x > y the Goguen quotient y / x is at most 1, so
+  its error is relative.
+- At the jump x == v of a residuum at a vector bound v, the margin is
+  larger than the reading error, so the float branch is one the exact
+  value allows:
+  - at the low bound, x <= v with v unclamped implies X < V exactly, so
+    both are 1; for x > v the exact value is 1 or the branch formula at
+    X > V, at least the float one less eps/2 and the rounding;
+  - at the high bound, x > v with v unclamped implies X > V, so both take
+    the branch formula, and the float one at v > V is at least the exact
+    one less eps/2 and the rounding; for x <= v the float value is 1;
+  - a clamped bound gives the formula's extreme, which is on the right
+    side: at 0 the residuum is 1 only at x = 0 = X, at 1 it is 1;
+  - a subnormal x lies below every unclamped bound, which is at least
+    2^-102, the ulp of W, so the Goguen quotient reads a subnormal x only
+    at a low bound clamped to 0, where it is 0.
 
 A row whose bounds do not overlap is decided: it holds when the high bound
 of the smaller side is at most the low bound of the larger, and it fails
@@ -80,12 +97,11 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
-from math import nextafter
+from itertools import chain
 from typing import Callable
 
 from .algebra import (
-    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, transpose, unit,
+    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -198,16 +214,17 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     The result is that of the full exact evaluation, _membership(EXACT,
     _exact_matrix(gamma), _exact_matrix(gamma^t), _exact_vector(beta),
     kind, delta, row, EXACT.zero), computed by the interval pass and
-    per-row exact fallback of the module docstring.  The inner level is x = max_t_compose(gamma^t,
-    kind, lower), the outer one image = min_impl_compose(gamma, kind, x),
-    and row i holds when image[i] <= upper[i].  The pass evaluates the
-    FLOAT t-norm at the low and the high ends of its arguments and the
-    residuum at (high x, low y) and (low x, high y), since the t-norm rises
-    in both and the residuum falls in x and rises in y; each bound is
-    padded by MEMBERSHIP_PAD = 2^-50, more than the 3 * 2^-53 that one
-    formula and the padding itself round by.  So the bounds enclose the
-    exact values, a decided row has its exact verdict, and an open row is
-    evaluated in Fractions over every term that can attain its min or max.
+    per-row exact fallback of the module docstring.  The inner level is x =
+    max_t_compose(gamma^t, kind, lower), the outer one image =
+    min_impl_compose(gamma, kind, x), and row i holds when image[i] <=
+    upper[i].  The pass reads gamma and the system's `columns` as floats
+    and bounds only the vectors: lower and upper from one float shift, and
+    each level at the low and at the high bound of its vector, each bound
+    padded by MEMBERSHIP_PAD = 2^-50.  That leaves every bound at least 4.5
+    * 2^-53 outside its exact value, more than reading an entry exactly
+    moves a formula or its branch, so a decided row has its exact verdict
+    and an open row is evaluated in Fractions over every term that can
+    attain its min or max.
 
     For inputs stated in a few decimals, whose derived thresholds live on a
     coarse decimal grid, the answer is exact.  For arbitrary floats it is
@@ -215,7 +232,7 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     """
     delta = _exact_delta(delta)
     rows = range(system.m) if row is None else (checked_index(row, system.m, "row", "rows"),)
-    return _decided(system.gamma, system.beta, system.kind, delta, False, rows)
+    return _decided(system.gamma, system.columns, system.beta, system.kind, delta, False, rows)
 
 
 def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
@@ -231,79 +248,67 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     by the interval pass and per-row exact fallback of the module docstring.
     The inner level is y = min_impl_compose(a^t, kind, upper), the outer one
     c = max_t_compose(a, kind, y), and row i holds when lower[i] <= c[i].
-    The residuum is evaluated at (high x, low y) and (low x, high y) and
-    the t-norm at the low and the high ends of its arguments, each bound
-    padded by MEMBERSHIP_PAD = 2^-50; as in `exact_membership`, monotonicity
-    and the padding make the bounds enclose the exact values, so decided
-    rows and the exact fallback give the full evaluation's verdict.
+    As in `exact_membership`, the pass reads `a` and the system's `columns`
+    as floats and bounds only the vectors, each bound padded by
+    MEMBERSHIP_PAD = 2^-50, so decided rows and the exact fallback give the
+    full evaluation's verdict.
     """
     delta = _exact_delta(delta)
-    return _decided(system.a, system.b, system.kind, delta, True, range(system.n))
+    return _decided(system.a, system.columns, system.b, system.kind, delta, True, range(system.n))
 
 
 #: Padding of every bound of the interval pass behind `exact_membership` and
 #: `exact_maxt_membership`: 8 * 2^-53, against at most 2 * 2^-53 for the
-#: rounding of one scalar formula and 2^-53 for that of the padding itself
-#: (derived in the module docstring).
+#: rounding of one scalar formula, 2^-53 for that of the padding itself and
+#: 2^-54 for reading an entry, which leaves a margin of 4.5 * 2^-53 (derived
+#: in the module docstring).
 MEMBERSHIP_PAD = 2.0 ** -50
 
 
-def _enclosure(values) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Float bounds (lo, hi) of the exact readings of floats in [0, 1]: their
-    neighbouring floats towards 0 and towards 1, so that 0 and 1 are their
-    own bounds."""
-    return tuple(map(nextafter, values, repeat(0.0))), tuple(map(nextafter, values, repeat(1.0)))
-
-
 def _padded(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Float results at the low and high corners, widened by MEMBERSHIP_PAD
-    and clamped to [0, 1]: bounds of the exact values."""
+    """`lo` widened down and `hi` up by MEMBERSHIP_PAD, clamped to [0, 1]:
+    bounds of the exact values, when `lo` and `hi` are the float results at
+    the low and the high bounds of their arguments."""
     return (
         tuple(max(v - MEMBERSHIP_PAD, 0.0) for v in lo),
         tuple(min(v + MEMBERSHIP_PAD, 1.0) for v in hi),
     )
 
 
-def _level(residual: bool, kind, lo_rows, hi_rows, v_lo, v_hi):
-    """Bounds of min_impl_compose (`residual`) or max_t_compose of the matrix
-    enclosed by lo_rows, hi_rows and the vector enclosed by v_lo, v_hi.  A
-    residuum falls in its matrix argument, so its low corner takes hi_rows."""
-    if residual:
-        compose, low_rows, high_rows = FLOAT.min_impl_rows[kind], hi_rows, lo_rows
-    else:
-        compose, low_rows, high_rows = FLOAT.max_t_rows[kind], lo_rows, hi_rows
-    return _padded(compose(low_rows, v_lo), compose(high_rows, v_hi))
+def _level(residual: bool, kind, rows, v_lo, v_hi):
+    """Bounds of min_impl_compose (`residual`) or max_t_compose of the float
+    matrix `rows` and the vector bounded by v_lo, v_hi: the composition at
+    each bound of the vector, padded."""
+    compose = (FLOAT.min_impl_rows if residual else FLOAT.max_t_rows)[kind]
+    return _padded(compose(rows, v_lo), compose(rows, v_hi))
 
 
-def _attaining(residual: bool, kind, hi_row, v_lo, v_hi, lo, hi) -> list[int]:
-    """The terms of one entry of a `_level`, enclosed in [lo, hi], whose own
+def _attaining(residual: bool, kind, row, v_lo, v_hi, lo, hi) -> list[int]:
+    """The terms of one entry of a `_level`, bounded by [lo, hi], whose own
     bounds let them attain its exact min (`residual`) or max: a term of a
     min whose low bound is at most hi, a term of a max whose high bound is
-    at least lo.  Both bounds take hi_row: the low corner of a residuum and
-    the high corner of a t-norm."""
+    at least lo.  A residuum's low bound is taken at v_lo, a t-norm's high
+    bound at v_hi, both on the float `row` of the matrix."""
     if residual:
-        terms = map(FLOAT.residua[kind], hi_row, v_lo)
+        terms = map(FLOAT.residua[kind], row, v_lo)
         return [k for k, t in enumerate(terms) if t - MEMBERSHIP_PAD <= hi]
-    terms = map(FLOAT.t_norms[kind], hi_row, v_hi)
+    terms = map(FLOAT.t_norms[kind], row, v_hi)
     return [k for k, t in enumerate(terms) if t + MEMBERSHIP_PAD >= lo]
 
 
-def _decided(matrix, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
+def _decided(matrix, columns, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
     """Whether every row in `rows` satisfies the closure inequality of
     `exact_membership` (maxt False) or `exact_maxt_membership` (maxt True),
     in exact arithmetic: the interval pass decides what it can and the
-    undecided rows are evaluated in Fractions over their attaining terms."""
-    d_lo, d_hi = nextafter(float(delta), 0.0), nextafter(float(delta), 1.0)
-    b_lo, b_hi = _enclosure(rhs)
-    lo_rows, hi_rows = zip(*map(_enclosure, matrix))
-    lo_columns, hi_columns = transpose(lo_rows), transpose(hi_rows)
-    lower = _padded(FLOAT.shifted_bounds(b_lo, d_hi)[0], FLOAT.shifted_bounds(b_hi, d_lo)[0])
-    upper = _padded(FLOAT.shifted_bounds(b_lo, d_lo)[1], FLOAT.shifted_bounds(b_hi, d_hi)[1])
+    undecided rows are evaluated in Fractions over their attaining terms.
+    `columns` is the matrix's transpose, as the system keeps it."""
+    lower, upper = FLOAT.shifted_bounds(rhs, float(delta))
+    lower, upper = _padded(lower, lower), _padded(upper, upper)
     # The closure level by level: the inner one over columns of the shift,
     # the outer one over rows; the max-t closure takes the residua first.
     shift, bound = (upper, lower) if maxt else (lower, upper)
-    inner = _level(maxt, kind, lo_columns, hi_columns, *shift)
-    outer = _level(not maxt, kind, lo_rows, hi_rows, *inner)
+    inner = _level(maxt, kind, columns, *shift)
+    outer = _level(not maxt, kind, matrix, *inner)
     small, big = (bound, outer) if maxt else (outer, bound)
     undecided = []
     for i in rows:
@@ -317,11 +322,11 @@ def _decided(matrix, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
     # an undecided row, the terms that can attain the inner entries those
     # read, and only the entries and right-hand sides all of them touch.
     outer_terms = [
-        (i, _attaining(not maxt, kind, hi_rows[i], *inner, outer[0][i], outer[1][i]))
+        (i, _attaining(not maxt, kind, matrix[i], *inner, outer[0][i], outer[1][i]))
         for i in undecided
     ]
     inner_terms = {
-        j: _attaining(maxt, kind, hi_columns[j], *shift, inner[0][j], inner[1][j])
+        j: _attaining(maxt, kind, columns[j], *shift, inner[0][j], inner[1][j])
         for _, terms in outer_terms
         for j in terms
     }

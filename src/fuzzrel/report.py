@@ -286,9 +286,8 @@ def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
         cells,
         ((i, c.zeta if c.zeta > c.theta else c.theta) for i, c in enumerate(cells) if c.support),
     )
-    # theta <= zeta on supporting cells, so the min of the zetas is an
-    # equivalent form of tau (up to one ulp when a tie is split by float
-    # rounding).
+    # `goguen_stats` returns zeta >= theta^+ on supporting cells, so the
+    # min of the zetas is tau, bit for bit; the check guards that invariant.
     _, tau_via_zeta = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
     if not abs(row.tau_j - tau_via_zeta) <= 1e-12:
         raise InvariantViolation(

@@ -282,6 +282,33 @@ class TestKindChecked:
             call("godel")
 
 
+class TestScalarOperandsValidated:
+    # unvalidated, a negative Goguen y divides by zero, a NaN with a 2.0
+    # makes a Lukasiewicz t-norm of 0.0, a negative delta swaps the shifted
+    # bounds and a NaN entry passes through one of them
+    def test_residuum(self):
+        with pytest.raises(DomainError, match=r"^y: -0\.2 is outside \[0, 1\]$"):
+            residuum(ImplicationKind.GOGUEN, 0.0, -0.2)
+
+    def test_t_norm(self):
+        with pytest.raises(DomainError, match="^x: NaN is not a unit-interval value$"):
+            t_norm(ImplicationKind.LUKASIEWICZ, math.nan, 2.0)
+        with pytest.raises(DomainError, match=r"^y: 2\.0 is outside \[0, 1\]$"):
+            t_norm(ImplicationKind.LUKASIEWICZ, 0.5, 2.0)
+
+    def test_shifted_bounds_delta(self):
+        with pytest.raises(DomainError, match=r"^delta: -3\.0 is outside \[0, 1\]$"):
+            shifted_bounds((0.5,), -3)
+
+    def test_shifted_bounds_vector(self):
+        with pytest.raises(DomainError, match=r"^vector\[1\]: NaN is not a unit-interval"):
+            shifted_bounds((0.5, math.nan), 0.1)
+
+    def test_entries_checked_before_the_kind(self):
+        with pytest.raises(DomainError, match="^x: "):
+            t_norm("godel", math.nan, 0.5)
+
+
 class TestNumberTypes:
     def test_float_results_are_floats_and_never_negative_zero(self):
         # CLI JSON renders 0.0 and 1.0; an int literal or -0.0 would change it

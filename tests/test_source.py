@@ -269,6 +269,48 @@ def test_cell_scans_transpose_nothing():
     assert transposing(functions) == []
 
 
+def test_exact_membership_transposes_nothing():
+    # the interval pass of `exact_membership` and `exact_maxt_membership`
+    # reads the matrix as floats, its rows and the system's prepared
+    # `columns`; only the vectors get bounds
+    names = ("exact_membership", "exact_maxt_membership", "_decided", "_level", "_attaining")
+    functions = module_functions("oracle.py", names)
+    assert len(functions) == 5
+    assert transposing(functions) == []
+    reads = [
+        function.name for function in functions
+        if any(ast.unparse(node) == "system.columns" for node in ast.walk(function))
+    ]
+    assert reads == ["exact_membership", "exact_maxt_membership"]
+
+
+def test_decided_shifts_once():
+    # one two-sided shift of the right-hand side by float(delta) gives both
+    # vector bounds of the interval pass
+    (decided,) = module_functions("oracle.py", ("_decided",))
+    shifts = [
+        node.lineno for node in ast.walk(decided)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "FLOAT.shifted_bounds"
+    ]
+    assert len(shifts) == 1
+
+
+def test_oracle_encloses_no_entry():
+    # no entry of a matrix is enclosed between its neighbouring floats
+    tree = parsed("oracle.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    imported = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "_enclosure" not in defined
+    assert "nextafter" not in imported
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "nextafter" for node in ast.walk(tree)
+    )
+
+
 #: The public surface of `fuzzrel`: a name added, renamed or dropped fails here.
 PUBLIC = [
     "Attainability", "ApproximationResult", "ApproximationStatus", "ChebyshevReport",
