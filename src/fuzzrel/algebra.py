@@ -21,11 +21,13 @@ formula of both system families, are written once in `arithmetic`, over the
 zero and one of a number type (no numeric literal appears inside it).  The
 kind-dependent ones are tables with one entry per kind, looked up once per
 call: the scalar t-norms and residua; each composition, a loop over the
-rows with the kind's t-norm or residuum inline; and each family's cells,
-whose entry returns the cells of a column: `Arithmetic.cells` for the
-min-implication reports, whose records `GodelCellStats`, `GoguenCellStats`
-and `LukaCellStats` are defined here, and `Arithmetic.maxt_cells` for the
-max-t distances.
+rows with the kind's t-norm or residuum inline; the membership test of the
+bisection oracle, `Arithmetic.membership`, a loop of the same kind over a
+system's column fronts and rows; and each family's cells, whose entry
+returns the cells of a column: `Arithmetic.cells` for the min-implication
+reports, whose records `GodelCellStats`, `GoguenCellStats` and
+`LukaCellStats` are defined here, and `Arithmetic.maxt_cells` for the max-t
+distances.
 `column_scan` is the one loop over the cells of a system.  Every entry but
 the Godel report's is a `Kernel`, which reduces each column once, by its
 reducer, `front` or, for the Lukasiewicz kinds, `top_pairs`, and maps its
@@ -43,11 +45,12 @@ entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 (`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
 then check the kind; `shifted_bounds` validates its vector by the
 `unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
-An `Arithmetic` checks nothing: its tables, `solve_and_recompose`,
-`maxt_closure`, `maxt_distance`, `shifted_bounds`, the thresholds, the
-cells and `column_scan` are for a system validated when it was built,
-whose transpose is kept as `columns` (see `fuzzrel.operators`), or for
-operands of the same guarantees.
+An `Arithmetic` checks nothing: its tables, `membership` among them,
+`solve_and_recompose`, `maxt_closure`, `maxt_distance`, `shifted_bounds`,
+the thresholds, the cells and `column_scan` are for a system validated
+when it was built, whose transpose is kept as `columns` and whose column
+fronts as `fronts` (see `fuzzrel.operators`), or for operands of the same
+guarantees.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -92,9 +95,9 @@ def transpose(matrix: Matrix) -> Matrix:
 #: The shared formulas bound to one number type; built by `arithmetic`.
 Arithmetic = namedtuple(
     "Arithmetic",
-    "zero pos t_norms residua max_t_rows min_impl_rows solve_and_recompose maxt_closure"
-    " shifted_bounds godel_threshold goguen_threshold luka_threshold maxprod_ratio"
-    " maxprod_threshold maxluka_threshold"
+    "zero pos t_norms residua max_t_rows min_impl_rows membership solve_and_recompose"
+    " maxt_closure shifted_bounds godel_threshold goguen_threshold luka_threshold"
+    " maxprod_ratio maxprod_threshold maxluka_threshold"
     " cells maxt_cells maxt_value maxt_distance",
 )
 
@@ -431,6 +434,72 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
     max_t_rows = {godel: godel_max_t, goguen: goguen_max_t, luka: luka_max_t}
     min_impl_rows = {godel: godel_min_impl, goguen: goguen_min_impl, luka: luka_min_impl}
+
+    # The membership test of `fuzzrel.oracle.tolerance_membership`, one loop
+    # per kind: is min_impl_compose(gamma, kind, x) <= upper + slack, with x
+    # = max_t_compose(gamma^t, kind, lower)?  `fronts` holds, per column i,
+    # the pairs (gamma[l][i], l) of the rows l on its front (a system's
+    # `fronts`), so x[i] is the kind's t-norm maxed over those rows only;
+    # then each row of gamma stops at its first residuum <= upper[j] +
+    # slack, and the test fails at the first row with none.  The oracle
+    # docstring states why the verdict is the plain closure's, bit for bit.
+    def godel_membership(gamma, fronts, lower, upper, slack):
+        x = []
+        for column in fronts:
+            best = None
+            for g, l in column:
+                t = lower[l]
+                t = g if g < t else t
+                if best is None or t > best:
+                    best = t
+            x.append(best)
+        for row, u in zip(gamma, upper):
+            u = u + slack
+            for g, y in zip(row, x):
+                if (one if g <= y else y) <= u:
+                    break
+            else:
+                return False
+        return True
+
+    def goguen_membership(gamma, fronts, lower, upper, slack):
+        x = []
+        for column in fronts:
+            best = None
+            for g, l in column:
+                t = g * lower[l]
+                if best is None or t > best:
+                    best = t
+            x.append(best)
+        for row, u in zip(gamma, upper):
+            u = u + slack
+            for g, y in zip(row, x):
+                if (one if g <= y else y / g) <= u:
+                    break
+            else:
+                return False
+        return True
+
+    def luka_membership(gamma, fronts, lower, upper, slack):
+        x = []
+        for column in fronts:
+            best = None
+            for g, l in column:
+                t = g + lower[l] - one
+                t = t if t > zero else zero
+                if best is None or t > best:
+                    best = t
+            x.append(best)
+        for row, u in zip(gamma, upper):
+            u = u + slack
+            for g, y in zip(row, x):
+                if (one if g <= y else one - g + y) <= u:
+                    break
+            else:
+                return False
+        return True
+
+    membership = {godel: godel_membership, goguen: goguen_membership, luka: luka_membership}
 
     def solve_and_recompose(gamma: Matrix, columns: Matrix, kind: ImplicationKind, xi: Vector):
         """(x, min_impl_compose(gamma, kind, x)) with x = max_t_compose(columns,

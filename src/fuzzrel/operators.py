@@ -38,9 +38,13 @@ A system is prepared when it is built: its entries, shapes and kind are
 validated once, and its matrix's transpose is kept as the field `columns`,
 which is outside `__init__`, `repr`, equality and hashing.  Nothing
 downstream checks or lays the system out again.  The closure steps here
-and the oracle's `tolerance_membership` run the kind's composition loops
-on `gamma` and `columns` through `FLOAT.solve_and_recompose`, and every
-scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
+run the kind's composition loops on `gamma` and `columns` through
+`FLOAT.solve_and_recompose`.  A `FuzzySystem` keeps the rising `front` of
+each column's pairs (gamma[l][i], beta[l]) as `fronts`, built on first use:
+its only reader is the oracle's `tolerance_membership`, which runs
+`FLOAT.membership` on `gamma` and `fronts` about 33 times per bisection,
+so the closure steps, the reports and the approximations never build it.
+Every scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
 and `checked_cell`, `MaxTSystem.float_cells` and
 `fuzzrel.oracle.exact_maxt_distance`.  The exact membership tests,
 `fuzzrel.oracle.exact_membership` and `exact_maxt_membership`, read
@@ -64,6 +68,7 @@ from .algebra import (
     Vector,
     checked_kind,
     column_scan,
+    front,
     sup_distance,
     transpose,
     unit_matrix,
@@ -92,6 +97,19 @@ class FuzzySystem:
     def __post_init__(self):
         unit_system(self, "gamma", "beta")
         object.__setattr__(self, "columns", transpose(self.gamma))
+
+    @cached_property
+    def fronts(self) -> tuple:
+        """Per column i, the pairs (gamma[l][i], l) of the rows l on the
+        rising `front` of the pairs (gamma[l][i], beta[l]), in row order,
+        computed on first use and kept: the membership test of the bisection
+        oracle reads them.  Of equal pairs `front` keeps the first, so its
+        row is the pair's first index in the column."""
+        fronts = []
+        for column in self.columns:
+            pairs = tuple(zip(column, self.beta))
+            fronts.append(tuple([(g, pairs.index((g, b))) for g, b in front(pairs)]))
+        return tuple(fronts)
 
     @property
     def m(self) -> int:

@@ -7,6 +7,32 @@ path that never looks at cell statistics: the set of workable tolerances
 
 is upward closed and contains 1, so its infimum (which equals the Chebyshev
 distance) can be bracketed by plain bisection on `tolerance_membership`.
+
+Each test needs only a yes or no, so `tolerance_membership` does not
+evaluate the closure.  It runs `FLOAT.membership[kind]`, which computes the
+inner level x = max_t_compose(gamma^t, kind, lower) over each column's
+front rows only, the system's `fronts`, and then stops each row at its
+first residuum at most upper[j] + slack.  Its verdict is that of
+leq(closure(system, lower), upper, slack), bit for bit:
+
+- The front keeps x exact.  Every float t-norm, fl(min(g, y)), fl(g y) and
+  fl(fl(g + y) - 1)^+, is non-decreasing in both arguments, and lower[l] =
+  fl(beta[l] - delta)^+ is non-decreasing in beta[l], since rounding is
+  monotone.  So a row whose pair (gamma[l][i], beta[l]) is dominated by a
+  pair on the rising front of column i (Kung, Luccio and Preparata, JACM
+  1975) never has a greater term, and the max over the front equals the
+  max over the column.
+- Signs of zero.  No term is -0.0: a validated entry is not -0.0, lower is
+  +0.0 or positive, and neither a product nor (.)^+ of such values is
+  -0.0.  So equal values are equal bits, and which of equal terms a max
+  keeps does not matter.
+- The early stop.  min_i r_i <= c holds iff some r_i <= c.  Both tests
+  compare the same floats exactly, and a validated system holds no NaN.
+- Subnormal Goguen entries.  The float operations are the same ones, so
+  they underflow exactly as the closure's do.
+
+`_membership`, the same test by full evaluation through
+`solve_and_recompose`, stays as the reference of the exact tests below.
 `generate_random_system` and `sample_consistent_rhs` supply deterministic
 random instances for agreement suites.
 
@@ -136,22 +162,27 @@ def tolerance_membership(
     `slack` absorbs float drift when the two sides are equal in exact
     arithmetic, which happens systematically at the distance itself.  A
     slack that is not finite and non-negative raises ValueError: NaN would
-    make every delta fail, and an infinite slack every delta hold.
+    make every delta fail, and an infinite slack every delta hold.  The
+    test runs `FLOAT.membership[kind]` on the system's `fronts`, which
+    returns the verdict of the full closure (module docstring).
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
-    return _membership(
-        FLOAT, system.gamma, system.columns, system.beta, system.kind, unit(delta, "delta"),
-        row, slack,
-    )
+    lower, upper = FLOAT.shifted_bounds(system.beta, unit(delta, "delta"))
+    gamma = system.gamma
+    if row is not None:
+        row = checked_index(row, len(gamma), "row", "rows")
+        gamma, upper = (gamma[row],), (upper[row],)
+    return FLOAT.membership[system.kind](gamma, system.fronts, lower, upper, slack)
 
 
 def _membership(ar: Arithmetic, gamma, columns, beta, kind, delta, row, slack) -> bool:
-    """The membership test of `tolerance_membership` on the instance `ar`,
-    for a validated system: `columns` is gamma^t and `kind` an
-    ImplicationKind, which `ar.solve_and_recompose` does not check.  The
-    whole test is `leq(image, upper, slack)`, written as a loop with no
-    generator, since a bisection runs it about 33 times per system."""
+    """The membership test of `tolerance_membership` by full evaluation on
+    the instance `ar`, for a validated system: `columns` is gamma^t and
+    `kind` an ImplicationKind, which `ar.solve_and_recompose` does not
+    check.  It is the reference that the exact membership tests are
+    compared with, not the bisection's hot path, which reads the column
+    fronts instead (`Arithmetic.membership`)."""
     if row is not None:
         row = checked_index(row, len(beta), "row", "rows")
     lower, upper = ar.shifted_bounds(beta, delta)
@@ -270,8 +301,8 @@ def _padded(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
     bounds of the exact values, when `lo` and `hi` are the float results at
     the low and the high bounds of their arguments."""
     return (
-        tuple(max(v - MEMBERSHIP_PAD, 0.0) for v in lo),
-        tuple(min(v + MEMBERSHIP_PAD, 1.0) for v in hi),
+        tuple([w if (w := v - MEMBERSHIP_PAD) > 0.0 else 0.0 for v in lo]),
+        tuple([1.0 if 1.0 < (w := v + MEMBERSHIP_PAD) else w for v in hi]),
     )
 
 

@@ -11,7 +11,8 @@ whole column.  The Lukasiewicz column reducers are checked against a
 brute-force scan of the keys and against the cells of whole columns.  The
 two compositions, a loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
-NaN and out-of-range entries, which unvalidated callers can pass.
+NaN and out-of-range entries, which unvalidated callers can pass; so are
+the membership loops, on validated entries.
 """
 
 from fractions import Fraction
@@ -312,4 +313,30 @@ def test_compositions_match_builtin_form(ar, grid, kind):
         if outcome(lambda: compose(matrix, vec))
         != outcome(lambda: [aggregate(map(op, row, vec)) for row in matrix])
     ]
+    assert found == []
+
+
+@both_types
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_membership_matches_builtin_form(ar, grid, kind):
+    # the membership loop writes the kind's t-norm and residuum inline and
+    # stops each row at its first deciding residuum: on whole columns as
+    # fronts, its verdict is the builtin form's, max over `t_norms` for the
+    # inner level and min over `residua` for each row, at every bound
+    rng = random.Random(9)
+    slacks = (ar.zero, type(ar.zero)(1) / 8)
+    found = []
+    for gamma, _ in compositions(grid, 9, 2000 if ar is FLOAT else 400):
+        lower = tuple(abs(rng.choice(grid)) for _ in gamma)
+        upper = tuple(abs(rng.choice(grid)) for _ in gamma)
+        fronts = tuple(
+            tuple((g, l) for l, g in enumerate(column)) for column in zip(*gamma)
+        )
+        x = [max(ar.t_norms[kind](g, lower[l]) for g, l in column) for column in fronts]
+        for slack in slacks:
+            want = all(
+                min(map(ar.residua[kind], row, x)) <= u + slack for row, u in zip(gamma, upper)
+            )
+            if ar.membership[kind](gamma, fronts, lower, upper, slack) is not want:
+                found.append((gamma, lower, upper, slack))
     assert found == []

@@ -13,16 +13,20 @@ from fuzzrel import (
     FuzzySystem,
     ImplicationKind,
     MaxTSystem,
+    build_approximation,
     check_consistency,
     closure,
+    distance_report,
     exact_maxt_distance,
     max_t_compose,
     maxt_closure,
     maxt_distance,
     potential_solution,
     sup_distance,
+    tolerance_membership,
     transpose,
 )
+from fuzzrel.algebra import front
 from helpers import iter_random_systems, random_unit_vector
 
 
@@ -242,3 +246,60 @@ class TestPreparedSystem:
             delta = maxt_distance(system)
             assert float(exact_maxt_distance(system)) == pytest.approx(delta, abs=1e-12)
         assert len(calls) == len(ImplicationKind)
+
+
+#: A 3x2 system whose column 0 holds the pair (0.6, 0.4) in rows 0 and 1.
+TIED = (((0.6, 0.3), (0.6, 0.8), (0.2, 0.5)), (0.4, 0.4, 0.7))
+
+
+def fronts_of(system):
+    """The rising `front` of each column's pairs (gamma[l][i], beta[l])."""
+    return [front(tuple(zip(column, system.beta))) for column in system.columns]
+
+
+class TestFronts:
+    """A `FuzzySystem` keeps its column fronts as `fronts`, built on first
+    use by the membership test of the bisection oracle only."""
+
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_fronts_are_the_column_fronts_as_row_indices(self, kind):
+        system = FuzzySystem(*TIED, kind)
+        # of the equal pairs of column 0 the first row is kept
+        assert system.fronts == (((0.6, 0), (0.2, 2)), ((0.8, 1), (0.5, 2)))
+        for i, (column, pairs) in enumerate(zip(system.fronts, fronts_of(system))):
+            assert tuple((system.gamma[l][i], system.beta[l]) for _, l in column) == pairs
+            assert [g for g, _ in column] == [system.gamma[l][i] for _, l in column]
+        for system in iter_random_systems(606, 100, kind=kind):
+            for i, column in enumerate(system.fronts):
+                want = fronts_of(system)[i]
+                assert tuple((system.gamma[l][i], system.beta[l]) for _, l in column) == want
+
+    def test_not_a_field_and_outside_repr_and_equality(self):
+        system = FuzzySystem(*TIED, ImplicationKind.GODEL)
+        assert "fronts" not in {f.name for f in dataclasses.fields(FuzzySystem)}
+        system.fronts
+        assert "fronts" not in repr(system)
+        twin = FuzzySystem(*TIED, ImplicationKind.GODEL)
+        twin.__dict__["fronts"] = ()
+        assert twin == system and hash(twin) == hash(system)
+
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_built_by_the_membership_test_only(self, kind):
+        # solve-large and screen-small run these steps and nothing else
+        system = FuzzySystem(*TIED, kind)
+        assert "fronts" not in vars(system)
+        check_consistency(system)
+        closure(system, system.beta)
+        potential_solution(system)
+        build_approximation(system, distance_report(system))
+        assert "fronts" not in vars(system)
+        tolerance_membership(system, 0.5)
+        assert "fronts" in vars(system)
+
+    def test_replace_with_another_beta_gets_its_own(self):
+        system = FuzzySystem(*TIED, ImplicationKind.GOGUEN)
+        system.fronts
+        replaced = dataclasses.replace(system, beta=(0.9, 0.4, 0.1))
+        assert "fronts" not in vars(replaced)
+        assert replaced.fronts == (((0.6, 0),), ((0.3, 0), (0.8, 1)))
+        assert system.fronts == (((0.6, 0), (0.2, 2)), ((0.8, 1), (0.5, 2)))

@@ -25,9 +25,10 @@ from fuzzrel import (
     tolerance_membership,
 )
 from fuzzrel.algebra import leq
+from fuzzrel.cli import MEMBERSHIP_SLACK
 from fuzzrel.oracle import exact_maxt_membership, exact_membership
 from helpers import iter_random_systems, tied_systems
-from test_exact_maxt import pooled_entries, wide_entries
+from test_exact_maxt import pooled_entries, wide_entries, with_examples
 from test_front import NO_SHRINK
 
 #: Entries at which a branch of a residuum or a clamp shows: both ends of
@@ -111,22 +112,53 @@ class TestExactMembership:
             exact_maxt_membership(maxt, delta)
 
 
+GODEL, GOGUEN, LUKA = ImplicationKind
+
+#: (entries, kind, grid point) whose columns exercise the fronts that
+#: `tolerance_membership` reads: equal (g, beta) pairs in one column (rows 0
+#: and 1 of column 0), an all-zero column, beta entries 0.0 and 1.0, and a
+#: Goguen column with the entry 5e-324, each at a delta of the 1/120 grid.
+FRONT_EXAMPLES = (
+    ((((0.6, 0.3), (0.6, 0.8), (0.2, 0.5)), (0.4, 0.4, 0.7)), GODEL, 30),
+    ((((0.6, 0.3), (0.6, 0.8), (0.2, 0.5)), (0.4, 0.4, 0.7)), LUKA, 30),
+    ((((0.0, 0.7), (0.0, 0.2), (0.0, 0.9)), (0.3, 0.6, 0.1)), GOGUEN, 40),
+    ((((0.5, 0.9), (0.8, 0.1), (0.3, 0.3)), (0.0, 1.0, 0.5)), GODEL, 12),
+    ((((0.5, 0.9), (0.8, 0.1), (0.3, 0.3)), (0.0, 1.0, 0.5)), LUKA, 60),
+    ((((5e-324, 0.4), (0.7, 5e-324), (5e-324, 1.0)), (0.8, 0.2, 0.5)), GOGUEN, 7),
+)
+
+
 @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@with_examples(FRONT_EXAMPLES)
 @given(
     st.one_of(wide_entries(max_dim=12), tied_systems(max_dim=12), pooled_entries(EDGE_VALUES)),
     st.sampled_from(list(ImplicationKind)),
     st.integers(0, 120),
 )
 def test_tolerance_membership_is_the_closure_inequality(entries, kind, k):
-    # the membership test runs the closure on the system's prepared columns
-    # with no check; it must still be leq(closure(lower), upper, slack), on
-    # ties, subnormals, 0.0 and 1.0 entries and 1 x n and m x 1 shapes
+    # the membership test reads only the front rows of each column and stops
+    # each row at its first deciding residuum; it must still be
+    # leq(closure(lower), upper, slack) of the plain closure, which reads no
+    # front, on ties, subnormals, 0.0 and 1.0 entries and 1 x n and m x 1
+    # shapes, at the distance, the floats next to it and every delta a
+    # bisection probes
     system = FuzzySystem(*entries, kind)
     nabla = distance_report(system).nabla
-    for delta in (nabla, max(nabla - 1e-12, 0.0), k / 120):
+    probed = []
+
+    def predicate(delta):
+        probed.append(delta)
+        return tolerance_membership(system, delta, slack=MEMBERSHIP_SLACK)
+
+    bisect_infimum(predicate)
+    deltas = {
+        nabla, max(nabla - 1e-12, 0.0), math.nextafter(nabla, 0), math.nextafter(nabla, 1),
+        k / 120, *probed,
+    }
+    for delta in deltas:
         lower, upper = shifted_bounds(system.beta, delta)
         image = closure(system, lower)
-        for slack in (0.0, 1e-9):
+        for slack in (0.0, MEMBERSHIP_SLACK):
             assert tolerance_membership(system, delta, slack=slack) is leq(image, upper, slack)
             for j in range(system.m):
                 want = leq((image[j],), (upper[j],), slack)

@@ -26,12 +26,15 @@ def arithmetic_body() -> ast.FunctionDef:
 #: The functions of `algebra.arithmetic` that run m n k times per system:
 #: six thresholds and the product ratio, `shifted_bounds`, the three max-t
 #: cells, the Goguen and Lukasiewicz report cells and the Godel report
-#: column, which computes a whole column of cells in one sweep; and the six
-#: compositions, which run m n times per closure.
+#: column, which computes a whole column of cells in one sweep; the six
+#: compositions, which run m n times per closure; and the three membership
+#: tests, which run about 33 times per bisection.
 HOT = (
     r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|\w+_stats|godel_column"
-    r"|\w+_max_t|\w+_min_impl"
+    r"|\w+_max_t|\w+_min_impl|\w+_membership"
 )
+
+MEMBERSHIP_LOOPS = {f"{kind}_membership" for kind in ("godel", "goguen", "luka")}
 
 COMPOSITIONS = {
     f"{kind}_{composition}"
@@ -45,9 +48,9 @@ def hot_formulas() -> list[ast.FunctionDef]:
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
-    assert len(functions) == 19
+    assert len(functions) == 22
     assert {f.name for f in functions} >= {"godel_column", "goguen_stats", "luka_stats"}
-    assert {f.name for f in functions} >= COMPOSITIONS
+    assert {f.name for f in functions} >= COMPOSITIONS | MEMBERSHIP_LOOPS
     return functions
 
 
@@ -246,15 +249,30 @@ def transposing(functions) -> list[str]:
 
 def test_membership_path_transposes_nothing():
     # the float membership test runs about 33 times per bisection on one
-    # system, so it reads the system's prepared `columns`: neither
-    # `tolerance_membership`, `_membership` nor `Arithmetic.solve_and_recompose`
-    # transposes a matrix
+    # system, so it reads what the system keeps: neither
+    # `tolerance_membership`, `_membership`, `Arithmetic.solve_and_recompose`
+    # nor the membership loops of `Arithmetic.membership` transposes a matrix
     functions = module_functions("oracle.py", ("tolerance_membership", "_membership")) + [
         node for node in ast.walk(arithmetic_body())
-        if isinstance(node, ast.FunctionDef) and node.name == "solve_and_recompose"
+        if isinstance(node, ast.FunctionDef)
+        and node.name in {"solve_and_recompose", *MEMBERSHIP_LOOPS}
     ]
-    assert len(functions) == 3
+    assert len(functions) == 6
     assert transposing(functions) == []
+
+
+def test_tolerance_membership_evaluates_no_closure():
+    # a bisection needs only a yes or no per delta: `tolerance_membership`
+    # runs the membership loop over the system's column fronts and leaves
+    # the full evaluation, `_membership` on `solve_and_recompose`, to the
+    # exact tests as their reference
+    (function,) = module_functions("oracle.py", ("tolerance_membership",))
+    called = {
+        ast.unparse(node.func).split(".")[-1]
+        for node in ast.walk(function) if isinstance(node, ast.Call)
+    }
+    assert not called & {"_membership", "solve_and_recompose"}
+    assert "system.fronts" in {ast.unparse(node) for node in ast.walk(function)}
 
 
 def test_cell_scans_transpose_nothing():
