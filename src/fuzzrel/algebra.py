@@ -23,15 +23,18 @@ kind-dependent ones are tables with one entry per kind, looked up once per
 call: the scalar t-norms and residua; each composition, a loop over the
 rows with the kind's t-norm or residuum inline; the membership test of the
 bisection oracle, `Arithmetic.membership`, a loop of the same kind over a
-system's column fronts and rows; and each family's cells, whose entry
-returns the cells of a column: `Arithmetic.cells` for the min-implication
-reports, whose records `GodelCellStats`, `GoguenCellStats` and
-`LukaCellStats` are defined here, and `Arithmetic.maxt_cells` for the max-t
-distances.
-`column_scan` is the one loop over the cells of a system.  Every entry but
-the Godel report's is a `Kernel`, which reduces each column once, by its
-reducer, `front` or, for the Lukasiewicz kinds, `top_pairs`, and maps its
-cell formula down it; the Godel report column is one sweep.  `FLOAT`
+system's column fronts and rows, which shifts beta by delta where it reads
+it; and each family's cells, whose entry returns the cells of a column:
+`Arithmetic.cells` for the min-implication reports, whose records
+`GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are defined here,
+and `Arithmetic.maxt_cells` for the max-t distances.
+`column_scan` is the one loop over the cells of a system.  Each column
+reduces its pairs once, by `front` or, for the Lukasiewicz kinds,
+`top_pairs`.  A report entry is a column function, `godel_column`,
+`goguen_column` or `luka_column`: one sweep down the column with its
+threshold written out, which builds the column's records with one C-level
+map.  A max-t entry is a `Kernel`, which maps its cell formula down the
+column; the oracle's exact max-t distance reads its two parts.  `FLOAT`
 binds the formulas to floats and supplies this module's public functions
 and the cells of `fuzzrel.report`; the oracle binds them to `Fraction` to
 run the same formulas in exact rational arithmetic.  A float operand that
@@ -98,21 +101,22 @@ Arithmetic = namedtuple(
     "zero pos t_norms residua max_t_rows min_impl_rows membership solve_and_recompose"
     " maxt_closure shifted_bounds godel_threshold goguen_threshold luka_threshold"
     " maxprod_ratio maxprod_threshold maxluka_threshold"
-    " cells maxt_cells maxt_value maxt_distance",
+    " luka_top cells maxt_cells maxt_value maxt_distance",
 )
 
 
 class Kernel(namedtuple("Kernel", "cell column")):
-    """A cell formula `cell(u, x, column)` and the reducer `column(pairs)`
-    that keeps the pairs of a column at which the cell's max can be
-    attained.
+    """A max-t cell formula `cell(u, x, column)` and the reducer
+    `column(pairs)` that keeps the pairs of a column at which the cell's max
+    can be attained.
 
     Called as `kernel(us, xs)` on the entries `us` of a matrix column and
     the right-hand side `xs`, it returns the column's cells in row order: it
     reduces the pairs (us[l], xs[l]) once and maps the cell formula down
-    the column.  Every entry of the tables `Arithmetic.cells` and
-    `Arithmetic.maxt_cells` is called so by `column_scan`; the Godel report
-    entry is a plain function that computes its column in one sweep.
+    the column.  The entries of `Arithmetic.maxt_cells` are kernels, so
+    that `fuzzrel.oracle.exact_maxt_distance` can reduce a column and
+    evaluate single cells; the report entries of `Arithmetic.cells` are
+    plain column functions.
     """
 
     __slots__ = ()
@@ -142,6 +146,11 @@ BORDERLINE_EPS = 1e-9
 # The cell records are named tuples, not dataclasses: a report builds m n of
 # them, and a tuple costs half as much to build as a frozen dataclass.  They
 # iterate and compare equal to plain tuples, and `_replace` amends a field.
+# The report columns of `arithmetic` build them with one C-level map per
+# column, `map(partial(tuple.__new__, record), fields)`, and never call the
+# record's generated Python-level `__new__`: 40 000 `GodelCellStats(...)`
+# calls, one 200x200 report, take 14.8 ms, and the same map over their
+# field tuples 8.6 ms (Python 3.11, shared 2-core host).
 class GodelCellStats(NamedTuple):
     """Statistics of one Godel (row, column) cell.
 
@@ -168,6 +177,11 @@ class LukaCellStats(NamedTuple):
     """Statistic of one Lukasiewicz (row, column) cell."""
 
     zeta: float
+
+
+godel_record, goguen_record, luka_record = (
+    partial(tuple.__new__, record) for record in (GodelCellStats, GoguenCellStats, LukaCellStats)
+)
 
 
 def checked_kind(kind) -> ImplicationKind:
@@ -203,9 +217,9 @@ def front(pairs, rising: bool = True) -> tuple:
     non-decreasing in g, and in b or in -b by the orientation, is attained
     on the front: each pair dropped is dominated by a kept pair whose value
     is at least as high.  The kept pairs stay in their order, so `max` still
-    keeps the first of equal values.  It is the column reducer of the
-    Goguen report (rising) and of the max-min and max-product cells
-    (falling); the Godel report column runs the same sweep itself, and the
+    keeps the first of equal values.  It is the column reducer of
+    `goguen_column` (rising) and of the max-min and max-product cells
+    (falling); `godel_column` runs the same sweep itself, and the
     Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
 
     One stable sort by (g, b) descending, or by (g, -b) for the falling
@@ -247,7 +261,7 @@ def top_pairs(pairs, keys, window) -> tuple:
       most eps / 2 when |r| < 1 and by at most eps otherwise; min, max,
       (.)^+, halving and every comparison are non-decreasing.  The key of a
       pair is computed as the threshold computes it: P = fl(bl - fl(1 -
-      gl)), its term x - v, for the report cells `cells[LUKASIEWICZ]`,
+      gl)), its term x - v, for the report column `luka_column`,
       and P = fl(y - z) for the max-t cells.  It lies within eps / 2 of
       the exact difference p of the two floats it subtracts, since |p| <=
       1.
@@ -296,16 +310,19 @@ def column_scan(columns, rhs, cells) -> tuple:
 
     Every cell formula is a max over its column of thresholds that are
     monotone in the pair, so a column needs only its pairs that can attain
-    it.  A `Kernel` reduces each column once, to the `front` of the pairs
-    in the orientation in which its thresholds rise (Goguen, max-min and
-    max-product) or to `top_pairs` (the Lukasiewicz kinds), and maps its
-    cell formula down it: O(m log m), or O(m) for `top_pairs`, per column
-    plus O(m k), with k the number of kept pairs (k = 1 for nearly every
-    Lukasiewicz column), in place of O(m^2).  The Godel report column costs
-    O(m log m) for its two sorts plus about 2 m threshold evaluations, by
-    one sweep (`fuzzrel.report` states why).  The kept pairs stay in row
-    order: the cells keep the first of equal values, so the order decides
-    which of 0.0 and -0.0 a cell reports.
+    it.  Each entry reduces a column once, to the `front` of the pairs in
+    the orientation in which its thresholds rise (Goguen, max-min and
+    max-product) or to `top_pairs` (the Lukasiewicz kinds), and then runs
+    its cells over the kept pairs: O(m log m), or O(m) for `top_pairs`, per
+    column plus O(m k), with k the number of kept pairs (k = 1 for nearly
+    every Lukasiewicz column), in place of O(m^2).  The Goguen and
+    Lukasiewicz report columns run that pair loop in one frame per column,
+    with the per-pair and per-cell terms of their thresholds computed once;
+    a max-t `Kernel` calls its cell formula once per cell.  The Godel report
+    column costs O(m log m) for its two sorts plus about 2 m threshold
+    evaluations, by one sweep (`fuzzrel.report` states why).  The kept
+    pairs stay in row order: the cells keep the first of equal values, so
+    the order decides which of 0.0 and -0.0 a cell reports.
     """
     return tuple(zip(*[cells(column, rhs) for column in columns]))
 
@@ -437,24 +454,30 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
     # The membership test of `fuzzrel.oracle.tolerance_membership`, one loop
     # per kind: is min_impl_compose(gamma, kind, x) <= upper + slack, with x
-    # = max_t_compose(gamma^t, kind, lower)?  `fronts` holds, per column i,
-    # the pairs (gamma[l][i], l) of the rows l on its front (a system's
-    # `fronts`), so x[i] is the kind's t-norm maxed over those rows only;
-    # then each row of gamma stops at its first residuum <= upper[j] +
-    # slack, and the test fails at the first row with none.  The oracle
-    # docstring states why the verdict is the plain closure's, bit for bit.
-    def godel_membership(gamma, fronts, lower, upper, slack):
+    # = max_t_compose(gamma^t, kind, lower) and lower, upper =
+    # shifted_bounds(beta, delta)?  `fronts` holds, per column i, the pairs
+    # (gamma[l][i], l) of the rows l on its front (a system's `fronts`), so
+    # x[i] is the kind's t-norm maxed over those rows only, each shifting
+    # its beta[l] down where it reads it; then each row of `gamma`, whose
+    # beta entries are `rhs`, shifts its own up and stops at its first
+    # residuum <= that + slack, and the test fails at the first row with
+    # none.  The shifts are `shifted_bounds`' own float operations, in its
+    # order, computed only where they are read.  The oracle docstring
+    # states why the verdict is the plain closure's, bit for bit.
+    def godel_membership(gamma, fronts, beta, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
             for g, l in column:
-                t = lower[l]
+                t = beta[l] - delta
+                t = t if t > zero else zero
                 t = g if g < t else t
                 if best is None or t > best:
                     best = t
             x.append(best)
-        for row, u in zip(gamma, upper):
-            u = u + slack
+        for row, u in zip(gamma, rhs):
+            u = u + delta
+            u = (one if one < u else u) + slack
             for g, y in zip(row, x):
                 if (one if g <= y else y) <= u:
                     break
@@ -462,17 +485,19 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                 return False
         return True
 
-    def goguen_membership(gamma, fronts, lower, upper, slack):
+    def goguen_membership(gamma, fronts, beta, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
             for g, l in column:
-                t = g * lower[l]
+                t = beta[l] - delta
+                t = g * (t if t > zero else zero)
                 if best is None or t > best:
                     best = t
             x.append(best)
-        for row, u in zip(gamma, upper):
-            u = u + slack
+        for row, u in zip(gamma, rhs):
+            u = u + delta
+            u = (one if one < u else u) + slack
             for g, y in zip(row, x):
                 if (one if g <= y else y / g) <= u:
                     break
@@ -480,18 +505,20 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                 return False
         return True
 
-    def luka_membership(gamma, fronts, lower, upper, slack):
+    def luka_membership(gamma, fronts, beta, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
             for g, l in column:
-                t = g + lower[l] - one
+                t = beta[l] - delta
+                t = g + (t if t > zero else zero) - one
                 t = t if t > zero else zero
                 if best is None or t > best:
                     best = t
             x.append(best)
-        for row, u in zip(gamma, upper):
-            u = u + slack
+        for row, u in zip(gamma, rhs):
+            u = u + delta
+            u = (one if one < u else u) + slack
             for g, y in zip(row, x):
                 if (one if g <= y else one - g + y) <= u:
                     break
@@ -617,12 +644,12 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         b = b if b > a else a
         return b if b < x else x
 
-    def luka_column(pairs):
+    def luka_top(pairs):
         """The pairs (gl, bl) of a min-implication Lukasiewicz column whose
         key bl - (1 - gl) is within `window` of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [bl - (one - gl) for gl, bl in pairs], window)
 
-    def maxluka_column(pairs):
+    def maxluka_top(pairs):
         """The pairs (y, z) of a max-Lukasiewicz column whose key y - z is
         within `window` of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [y - z for y, z in pairs], window)
@@ -685,24 +712,34 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         for g, b, theta in zip(us, xs, thetas):
             zeta = zetas[b]
             support = g > zero
-            cells.append(GodelCellStats(
-                theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS
-            ))
-        return tuple(cells)
+            cells.append((theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS))
+        return tuple(map(godel_record, cells))
 
-    # Cell (j, i) of a Goguen or Lukasiewicz report, from g = gamma[j][i], b
-    # = beta[j] and the pairs (gamma[l][i], beta[l]) of column i that the
-    # kind's reducer keeps.  The Goguen quotient is `goguen_threshold`'s,
-    # with its rescale below `tiny` and its error bound.
-    def goguen_stats(g, b, column):
-        theta = ratio = None
-        for gl, bl in column:
-            if gl > zero:
+    def goguen_column(us, xs):
+        """The Goguen cells of a column, from its gamma entries `us` and the
+        right-hand side `xs`, in row order.
+
+        The pairs (gl, bl) of the column's rising `front` with gl > 0, each
+        with its product bl gl, are read by every cell (g, b): theta is the
+        max of bl - g / gl over those with g <= gl, and a supporting cell
+        (g > 0) takes zeta = max(theta^+, min(max R, 1 - b)) over the
+        quotients R = (bl gl - g b)^+ / (g + gl), `goguen_threshold`'s, with
+        its rescale below `tiny` and its error bound.  Each product is
+        computed once, per pair or per cell, by the float operation and on
+        the operands the per-pair formula has, so every cell is that
+        formula's, bit for bit.
+        """
+        kept = [(gl, bl, bl * gl) for gl, bl in front(tuple(zip(us, xs))) if gl > zero]
+        cells = []
+        for g, b in zip(us, xs):
+            theta = ratio = None
+            gb = g * b
+            for gl, bl, p in kept:
                 d = g + gl
                 if d < tiny:
                     t, d = bl * (gl * scale) - (g * scale) * b, d * scale
                 else:
-                    t = bl * gl - g * b
+                    t = p - gb
                 t = (t if t > zero else zero) / d
                 if ratio is None or t > ratio:
                     ratio = t
@@ -710,32 +747,52 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                     t = bl - g / gl
                     if theta is None or t > theta:
                         theta = t
-        if g > zero:
-            if theta is None:
-                # A supporting cell always dominates its own row, so the
-                # empty-set convention theta = 0 is only ever reachable on
-                # non-supporting cells.
-                raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
-            zeta = one - b
-            zeta = ratio if ratio < zeta else zeta
-            floor = theta if theta > zero else zero
-            return GoguenCellStats(theta, zeta if zeta > floor else floor, True)
-        return GoguenCellStats(zero if theta is None else theta, zero, False)
+            if g > zero:
+                if theta is None:
+                    # A supporting cell always dominates its own row, so the
+                    # empty-set convention theta = 0 is only ever reachable
+                    # on non-supporting cells.
+                    raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
+                zeta = one - b
+                zeta = ratio if ratio < zeta else zeta
+                floor = theta if theta > zero else zero
+                cells.append((theta, zeta if zeta > floor else floor, True))
+            else:
+                cells.append((zero if theta is None else theta, zero, False))
+        return tuple(map(goguen_record, cells))
 
-    def luka_stats(g, b, column):
-        u = one - g
-        zeta = None
-        for gl, bl in column:
-            t = luka_threshold(u, one - gl, bl, b)
-            if zeta is None or t > zeta:
-                zeta = t
-        return LukaCellStats(zeta)
+    def luka_column(us, xs):
+        """The Lukasiewicz cells of a column, from its gamma entries `us`
+        and the right-hand side `xs`, in row order.
 
-    cells = {
-        godel: godel_column,
-        goguen: Kernel(goguen_stats, front),
-        luka: Kernel(luka_stats, luka_column),
-    }
+        Each cell (g, b) is the max of `luka_threshold(1 - g, 1 - gl, bl,
+        b)` over the pairs (gl, bl) that `luka_top` keeps, nearly always
+        one, written out: the term (bl - (1 - gl))^+ of a pair and (1 - g -
+        b)^+ of a cell are computed once each, by the threshold's own float
+        operations, so every cell is the threshold's, bit for bit.
+        """
+        kept = [
+            (one - gl, bl, a if (a := bl - (one - gl)) > zero else zero)
+            for gl, bl in luka_top(tuple(zip(us, xs)))
+        ]
+        zetas = []
+        for g, y in zip(us, xs):
+            u = one - g
+            c = u - y
+            c = c if c > zero else zero
+            zeta = None
+            for v, x, a in kept:
+                t = x - y + u - v
+                t = (t if t > zero else zero) / two
+                t = t if t < a else a
+                t = t if t > c else c
+                if zeta is None or t > zeta:
+                    zeta = t
+            zetas.append(zeta)
+        return tuple(map(luka_record, zip(zetas)))
+
+    # The cells of a min-implication report, one column per call.
+    cells = {godel: godel_column, goguen: goguen_column, luka: luka_column}
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
     # pairs (a[k][j], b[k]) of column j that the kind's reducer keeps.  Every
@@ -776,7 +833,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     maxt_cells = {
         godel: Kernel(godel_maxt_cell, falling),
         goguen: Kernel(goguen_maxt_cell, falling),
-        luka: Kernel(luka_maxt_cell, maxluka_column),
+        luka: Kernel(luka_maxt_cell, maxluka_top),
     }
 
     def maxt_value(rows):

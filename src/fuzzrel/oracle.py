@@ -12,7 +12,10 @@ Each test needs only a yes or no, so `tolerance_membership` does not
 evaluate the closure.  It runs `FLOAT.membership[kind]`, which computes the
 inner level x = max_t_compose(gamma^t, kind, lower) over each column's
 front rows only, the system's `fronts`, and then stops each row at its
-first residuum at most upper[j] + slack.  Its verdict is that of
+first residuum at most upper[j] + slack, with lower, upper =
+shifted_bounds(beta, delta).  It computes lower[l] only at front rows and
+upper[j] only at the rows it visits, by the float operations of
+`shifted_bounds`, so each is the same float.  Its verdict is that of
 leq(closure(system, lower), upper, slack), bit for bit:
 
 - The front keeps x exact.  Every float t-norm, fl(min(g, y)), fl(g y) and
@@ -168,12 +171,13 @@ def tolerance_membership(
     """
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
-    lower, upper = FLOAT.shifted_bounds(system.beta, unit(delta, "delta"))
-    gamma = system.gamma
+    delta = unit(delta, "delta")
+    beta = system.beta
+    gamma, rhs = system.gamma, beta
     if row is not None:
         row = checked_index(row, len(gamma), "row", "rows")
-        gamma, upper = (gamma[row],), (upper[row],)
-    return FLOAT.membership[system.kind](gamma, system.fronts, lower, upper, slack)
+        gamma, rhs = (gamma[row],), (beta[row],)
+    return FLOAT.membership[system.kind](gamma, system.fronts, beta, rhs, delta, slack)
 
 
 def _membership(ar: Arithmetic, gamma, columns, beta, kind, delta, row, slack) -> bool:

@@ -19,11 +19,13 @@ column's max is attained on its Pareto front (`fuzzrel.algebra.front`), the
 pairs no other pair beats in both entries; a column of m rows usually
 keeps only a few.  The theta filters gamma[j][i] <= gamma[l][i] keep their
 max on the front too, because the pair that dominates the cell's own row
-passes the filter.  The Goguen and Lukasiewicz entries are a
-`fuzzrel.algebra.Kernel`: a cell formula `cell(g, b, column)`, with g =
-gamma[j][i], b = beta[j] and `column` the pairs (gamma[l][i], beta[l]) in
-row order that the kind's column reducer keeps, mapped down the column.
-The Godel entry computes its whole column in one sweep.
+passes the filter.  Each entry is a column function `f(us, xs)` of the
+column's gamma entries and beta: it reduces the pairs (gamma[l][i],
+beta[l]) once, by the kind's reducer, and computes the cell of every row
+g = gamma[j][i], b = beta[j] over the kept pairs in one frame, with the
+kind's threshold written out; it builds the column's records with one
+C-level map, with no Python-level call per cell.  The Godel entry computes
+its whole column in one sweep.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -93,7 +95,11 @@ commutes with max, and with min against a constant, so
 by the same float operations as `goguen_threshold`, its rescale included:
 g and gl are scaled by QUOTIENT_SCALE when g + gl lies below
 QUOTIENT_FLOOR, so subnormal entries do not underflow.  For g = 0 every
-threshold, and zeta, is 0.
+threshold, and zeta, is 0.  The column drops the front pairs with gl = 0
+and computes each bl gl once per pair and g b once per cell: the same
+float products of the same operands, so the cells are bit-identical to a
+per-pair evaluation.  The row rule takes tau and the least zeta in one
+pass.
 
 Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
 
@@ -112,7 +118,9 @@ of `FLOAT.cells[LUKASIEWICZ]` (`fuzzrel.algebra.top_pairs`) keeps the pairs
 whose float key beta[l] - (1 - gamma[l][i]) is within KEY_WINDOW = 2^-50 of
 the column's greatest, nearly always one pair, in O(m) with no sort; the
 window is proven wide enough for the float cell to be the full scan's, bit
-for bit.  A Lukasiewicz cell then costs one threshold.
+for bit.  A Lukasiewicz cell then costs one threshold, written out in the
+column's loop, with (p)^+ computed once per kept pair and s^+ once per
+cell.
 
 `distance_report` looks the system's kind up once in `FLOAT.cells`, for its
 column of cells, and once in `_ROW_RULES`, for its row rule; it evaluates
@@ -206,12 +214,11 @@ def least(candidates) -> tuple[int | None, float]:
     return argmin, tau
 
 
-def base_row(system, row: int, cells: tuple, candidates) -> RowDiagnostics:
-    """Diagnostics of a row, attainable and not borderline; tau and its
-    column are the `least` of the (column, value) `candidates`.  The Goguen
-    and Lukasiewicz rows are these; the Godel row rule builds its rows in
-    its own pass."""
-    argmin, tau = least(candidates)
+def base_row(system, row: int, cells: tuple, argmin: int | None, tau: float) -> RowDiagnostics:
+    """Diagnostics of a row, attainable and not borderline, whose tau is
+    `tau`, first attained at column `argmin` (None and 1.0 when no column
+    qualifies).  The Goguen and Lukasiewicz rows are these; the Godel row
+    rule builds its rows in its own pass."""
     one_minus_beta = 1.0 - system.beta[row]
     return RowDiagnostics(
         row=row,
@@ -279,25 +286,30 @@ def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
 
 
 def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    """Row whose tau is the least max(theta, zeta) over its supporting cells."""
-    row = base_row(
-        system,
-        j,
-        cells,
-        ((i, c.zeta if c.zeta > c.theta else c.theta) for i, c in enumerate(cells) if c.support),
-    )
-    # `goguen_stats` returns zeta >= theta^+ on supporting cells, so the
-    # min of the zetas is tau, bit for bit; the check guards that invariant.
-    _, tau_via_zeta = least((i, c.zeta) for i, c in enumerate(cells) if c.support)
-    if not abs(row.tau_j - tau_via_zeta) <= 1e-12:
-        raise InvariantViolation(
-            f"row {j}: tau {row.tau_j!r} differs from the least zeta {tau_via_zeta!r}"
-        )
-    return row
+    """Row whose tau is the least max(theta, zeta) over its supporting cells.
+
+    One pass keeps tau with its first column, as `least` does, and the
+    least zeta of the same cells.  The Goguen column returns zeta >=
+    theta^+ on supporting cells, so the two agree, bit for bit; the check
+    guards that invariant."""
+    argmin, tau, low = None, 1.0, 1.0
+    for i, (theta, zeta, support) in enumerate(cells):
+        if support:
+            value = zeta if zeta > theta else theta
+            if argmin is None:
+                argmin, tau, low = i, value, zeta
+            else:
+                if value < tau:
+                    argmin, tau = i, value
+                if zeta < low:
+                    low = zeta
+    if not abs(tau - low) <= 1e-12:
+        raise InvariantViolation(f"row {j}: tau {tau!r} differs from the least zeta {low!r}")
+    return base_row(system, j, cells, argmin, tau)
 
 
 def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    return base_row(system, j, cells, enumerate(cell.zeta for cell in cells))
+    return base_row(system, j, cells, *least(enumerate(cell.zeta for cell in cells)))
 
 
 #: Each kind's row rule `row(system, j, cells)`, which turns the cells of

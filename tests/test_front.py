@@ -8,8 +8,9 @@ That is exact because every threshold a cell takes its max over is
 monotone in the column pair, and each Lukasiewicz threshold in its key
 alone; `TestMonotone` checks the orientation of each in exact rationals.
 `TestAgainstFullScan` runs the solvers once pruned and once `unpruned`,
-with every reducer of the kernel tables replaced by `whole_column` and the
-Godel report column by a brute-force scan, on systems built to hold ties:
+with every reducer of the max-t kernels replaced by `whole_column` and each
+report column, Godel, Goguen and Lukasiewicz, by a brute-force scan of its
+cells over the whole column, on systems built to hold ties:
 duplicate rows and columns, equal (g, b) pairs in a column, all-zero
 columns, beta entries of 0 or 1 and gamma == beta, and on Lukasiewicz
 systems whose column keys tie to within a few ulps.  `exact_maxt_distance`
@@ -70,22 +71,23 @@ def full_scan(matrix, rhs, kernel):
 
 @contextmanager
 def unpruned():
-    """Replace every reducer of the kernel tables, the report cells and the
-    max-t cells of `FLOAT` and `EXACT`, by `whole_column`, and the Godel
-    report column, which sweeps the whole column with no cell formula, by
-    the brute-force Godel cell of `test_kernels.cell_references` over the
-    whole column: the reports, `checked_cell`, both max-t distances and the
-    filter of `exact_maxt_distance` then see whole columns."""
+    """Replace every reducer of the max-t kernels of `FLOAT` and `EXACT` by
+    `whole_column`, and each report column, which reduces its column
+    itself with no cell formula of its own, by the brute-force cells of
+    `test_kernels.cell_references` over the whole column: the reports,
+    `checked_cell`, both max-t distances and the filter of
+    `exact_maxt_distance` then see whole columns."""
     with ExitStack() as stack:
         for ar in (FLOAT, EXACT):
-            for table in (ar.cells, ar.maxt_cells):
-                whole = {
-                    kind: kernel._replace(column=whole_column)
-                    for kind, kernel in table.items() if isinstance(kernel, Kernel)
-                }
-                stack.enter_context(mock.patch.dict(table, whole))
-            godel = Kernel(cell_references(ar)[GODEL], whole_column)
-            stack.enter_context(mock.patch.dict(ar.cells, {GODEL: godel}))
+            whole = {
+                kind: kernel._replace(column=whole_column)
+                for kind, kernel in ar.maxt_cells.items()
+            }
+            stack.enter_context(mock.patch.dict(ar.maxt_cells, whole))
+            brute = {
+                kind: Kernel(cell, whole_column) for kind, cell in cell_references(ar).items()
+            }
+            stack.enter_context(mock.patch.dict(ar.cells, brute))
         yield
 
 

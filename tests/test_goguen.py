@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from fuzzrel import (
     Attainability,
     FuzzySystem,
+    GoguenCellStats,
     ImplicationKind,
     KindMismatch,
     bisect_infimum,
@@ -17,6 +18,8 @@ from fuzzrel import (
     goguen_threshold,
     tolerance_membership,
 )
+from fuzzrel.errors import InvariantViolation
+from fuzzrel.report import _goguen_row
 from helpers import iter_random_systems
 
 # subnormal floats underflow products catastrophically and cannot arise
@@ -120,6 +123,17 @@ class TestGoguenInvariants:
             report = goguen_distance(system)
             assert report.verdict is Attainability.MINIMUM
             assert tolerance_membership(system, report.nabla, slack=SLACK)
+
+    def test_row_rule_checks_tau_against_the_least_zeta(self):
+        # the row rule takes tau and the least zeta in one pass; a supporting
+        # cell whose theta exceeds its zeta breaks the column's invariant
+        system = FuzzySystem(((0.5, 0.5),), (0.2,), ImplicationKind.GOGUEN)
+        cells = (GoguenCellStats(0.1, 0.3, True), GoguenCellStats(0.4, 0.2, True))
+        with pytest.raises(InvariantViolation, match="least zeta 0.2"):
+            _goguen_row(system, 0, cells)
+        cells = (GoguenCellStats(0.9, 0.0, False), *cells[:1], GoguenCellStats(0.0, 0.3, True))
+        row = _goguen_row(system, 0, cells)
+        assert (row.tau_j, row.argmin_col, row.nabla_j) == (0.3, 1, 0.3)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),

@@ -5,14 +5,18 @@ part of its thresholds and cell formulas as a conditional and every max
 over a column as a loop, for speed.  Each must return what the builtin form
 returns, down to the sign of a zero and the number type, in floats and in
 Fractions: the references below are the formulas as the docstrings state
-them, written with builtin min/max.  The Godel report column, which has no
-cell formula of its own, is checked against those references scanning the
-whole column.  The Lukasiewicz column reducers are checked against a
-brute-force scan of the keys and against the cells of whole columns.  The
-two compositions, a loop per kind, are checked against the builtin `max` /
+them, written with builtin min/max.  The report entries compute a whole
+column of cells per call, with no cell formula of their own, so every cell
+of each is checked against those references scanning the whole column, on
+random columns and on columns that reach the Goguen rescale, all-zero gamma
+columns and cells with a zero entry; their records are of the record type
+itself.  The Lukasiewicz column reducers are checked against a brute-force
+scan of the keys and against the cells of whole columns.  The two
+compositions, a loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
 NaN and out-of-range entries, which unvalidated callers can pass; so are
-the membership loops, on validated entries.
+the membership loops, on validated entries, against the same loops over
+`shifted_bounds`.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ import random
 import pytest
 
 from fuzzrel import ImplicationKind
-from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE
+from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE, front
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import BORDERLINE_EPS, GodelCellStats, GoguenCellStats, LukaCellStats
 
@@ -143,24 +147,8 @@ def cell_references(ar):
     return {GODEL: godel, GOGUEN: goguen, LUKA: luka}
 
 
-@both_types
-@pytest.mark.parametrize("kind", [GOGUEN, LUKA], ids=lambda kind: kind.value)
-def test_cell_stats_match_builtin_form(ar, grid, kind):
-    cell, reference = ar.cells[kind].cell, cell_references(ar)[kind]
-    rng = random.Random(4)
-    found = []
-    for column in columns(grid, 1, 3000 if ar is FLOAT else 600):
-        # a cell's column holds a pair that dominates the cell's own pair,
-        # so the Godel theta is never a max over an empty set
-        g, b = rng.choice(column)
-        got, want = cell(g, b, column), reference(g, b, column)
-        if not same(got, want):
-            found.append((g, b, column, got, want))
-    assert found == []
-
-
-def godel_columns(grid, seed: int, count: int):
-    """Columns for the Godel sweep: every 1-row column of `grid`, then
+def report_columns(grid, seed: int, count: int):
+    """Columns for the report entries: every 1-row column of `grid`, then
     columns whose gamma entries are all zero (of either sign in floats),
     columns of a few pairs that share two g values, so that equal-g groups
     are large, and the random `columns`, which repeat pairs."""
@@ -174,19 +162,69 @@ def godel_columns(grid, seed: int, count: int):
     yield from columns(grid, seed, count)
 
 
+def column_mismatches(ar, kind, pairs_of_columns) -> list:
+    """The columns on which the report entry of `kind` differs from the
+    brute-force cells over the whole column, by `repr`: value, sign of a
+    zero, number type and record type.  The float Goguen quotient is
+    monotone in the column pair only up to rounding, so the float Goguen
+    column is compared over the `front` it reads; `test_front.py` compares
+    that pruning with the whole column on systems, within a few ulps."""
+    column, reference = ar.cells[kind], cell_references(ar)[kind]
+    found = []
+    for pairs in pairs_of_columns:
+        got = column(*zip(*pairs))
+        read = front(pairs) if kind is GOGUEN and ar is FLOAT else pairs
+        want = tuple(reference(g, b, read) for g, b in pairs)
+        if repr(got) != repr(want):
+            found.append((pairs, got, want))
+    return found
+
+
+@both_types
+@pytest.mark.parametrize("kind", [GOGUEN, LUKA], ids=lambda kind: kind.value)
+def test_cell_stats_match_builtin_form(ar, grid, kind):
+    # the Goguen and Lukasiewicz entries compute a whole column per call,
+    # as the Godel one does: every cell must be the brute-force max over the
+    # whole column (the float Goguen one over the front it reads)
+    columns_ = report_columns(grid, 1, 2000 if ar is FLOAT else 400)
+    assert column_mismatches(ar, kind, columns_) == []
+
+
 @both_types
 def test_godel_column_matches_whole_column_scan(ar, grid):
     # the Godel entry computes a whole column in one sweep; every cell must
     # be the brute-force max over the whole column, down to the sign of a
     # zero theta
-    column, reference = ar.cells[GODEL], cell_references(ar)[GODEL]
-    found = []
-    for pairs in godel_columns(grid, 7, 2000 if ar is FLOAT else 400):
-        got = column(*zip(*pairs))
-        want = tuple(reference(g, b, pairs) for g, b in pairs)
-        if repr(got) != repr(want):
-            found.append((pairs, got, want))
-    assert found == []
+    columns_ = report_columns(grid, 7, 2000 if ar is FLOAT else 400)
+    assert column_mismatches(ar, GODEL, columns_) == []
+
+
+#: Float columns at the edges of the report entries: (g, b) pairs with
+#: subnormal g and gl, whose Goguen quotient takes the rescale below
+#: QUOTIENT_FLOOR; normal and subnormal entries mixed; all-zero gamma
+#: columns; and cells with g == 0 beside supporting ones.
+EDGE_COLUMNS = (
+    ((5e-324, 0.2), (5e-324, 0.8)),
+    ((1e-310, 0.3), (5e-324, 0.9), (2.2e-308, 0.5), (1e-320, 0.1)),
+    ((2.0**-1000, 0.25), (2.0**-970, 0.75), (0.5, 0.5)),
+    ((5e-324, 0.6), (0.4, 0.3), (1e-315, 0.95), (0.0, 1.0)),
+    ((0.0, 0.2), (0.0, 0.7), (0.0, 0.0)),
+    ((0.0, 1.0),),
+    ((0.0, 0.5), (0.3, 0.4), (0.0, 0.9), (0.8, 0.1)),
+    ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+)
+
+
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_report_columns_at_the_edges(kind):
+    rescaled = [
+        pairs for pairs in EDGE_COLUMNS
+        if any(0.0 < g + gl < QUOTIENT_FLOOR for g, _ in pairs for gl, _ in pairs if gl > 0.0)
+    ]
+    assert len(rescaled) == 4
+    assert column_mismatches(FLOAT, kind, EDGE_COLUMNS) == []
+    exact = [tuple((Fraction(g), Fraction(b)) for g, b in pairs) for pairs in EDGE_COLUMNS]
+    assert column_mismatches(EXACT, kind, exact) == []
 
 
 def maxt_references(ar):
@@ -220,14 +258,23 @@ def test_maxt_cells_match_builtin_form(ar, grid):
 
 def reducers(ar):
     """Each Lukasiewicz reducer of `ar` with its key of a pair, its window
-    and a cell formula whose max it keeps, cell(u, x, column)."""
+    and a cell formula whose max it keeps, cell(u, x, column): the reducer
+    `luka_top` of the report column, whose cells are the brute-force ones
+    of `cell_references`, and that of the max-Lukasiewicz kernel."""
     one = type(ar.zero)(1)
     window = KEY_WINDOW if ar is FLOAT else ar.zero
-    luka, maxluka = ar.cells[LUKA], ar.maxt_cells[LUKA]
+    maxluka = ar.maxt_cells[LUKA]
     return {
-        "lukasiewicz": (luka.column, lambda g, b: b - (one - g), window, luka.cell),
+        "lukasiewicz": (ar.luka_top, lambda g, b: b - (one - g), window, cell_references(ar)[LUKA]),
         "max-lukasiewicz": (maxluka.column, lambda y, z: y - z, window, maxluka.cell),
     }
+
+
+@both_types
+def test_lukasiewicz_column_reads_its_reducer(ar, grid):
+    # the reducer checked below is the one the report column calls
+    column = ar.cells[LUKA]
+    assert ar.luka_top in [cell.cell_contents for cell in column.__closure__]
 
 
 @both_types
@@ -319,24 +366,28 @@ def test_compositions_match_builtin_form(ar, grid, kind):
 @both_types
 @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
 def test_membership_matches_builtin_form(ar, grid, kind):
-    # the membership loop writes the kind's t-norm and residuum inline and
-    # stops each row at its first deciding residuum: on whole columns as
-    # fronts, its verdict is the builtin form's, max over `t_norms` for the
-    # inner level and min over `residua` for each row, at every bound
+    # the membership loop shifts beta where it reads it, writes the kind's
+    # t-norm and residuum inline and stops each row at its first deciding
+    # residuum: on whole columns as fronts, its verdict is the builtin
+    # form's, max over `t_norms` of the lower bound for the inner level and
+    # min over `residua` against the upper bound for each row, with the
+    # bounds of `shifted_bounds`, for all rows and for each single row
     rng = random.Random(9)
     slacks = (ar.zero, type(ar.zero)(1) / 8)
     found = []
     for gamma, _ in compositions(grid, 9, 2000 if ar is FLOAT else 400):
-        lower = tuple(abs(rng.choice(grid)) for _ in gamma)
-        upper = tuple(abs(rng.choice(grid)) for _ in gamma)
+        beta = tuple(abs(rng.choice(grid)) for _ in gamma)
+        delta = abs(rng.choice(grid))
+        lower, upper = ar.shifted_bounds(beta, delta)
         fronts = tuple(
             tuple((g, l) for l, g in enumerate(column)) for column in zip(*gamma)
         )
         x = [max(ar.t_norms[kind](g, lower[l]) for g, l in column) for column in fronts]
         for slack in slacks:
-            want = all(
-                min(map(ar.residua[kind], row, x)) <= u + slack for row, u in zip(gamma, upper)
-            )
-            if ar.membership[kind](gamma, fronts, lower, upper, slack) is not want:
-                found.append((gamma, lower, upper, slack))
+            holds = [min(map(ar.residua[kind], row, x)) <= u + slack for row, u in zip(gamma, upper)]
+            if ar.membership[kind](gamma, fronts, beta, beta, delta, slack) is not all(holds):
+                found.append((gamma, beta, delta, slack))
+            j = rng.randrange(len(gamma))
+            if ar.membership[kind]((gamma[j],), fronts, beta, (beta[j],), delta, slack) is not holds[j]:
+                found.append((gamma, beta, delta, slack, j))
     assert found == []

@@ -25,21 +25,22 @@ def arithmetic_body() -> ast.FunctionDef:
 
 #: The functions of `algebra.arithmetic` that run m n k times per system:
 #: six thresholds and the product ratio, `shifted_bounds`, the three max-t
-#: cells, the Goguen and Lukasiewicz report cells and the Godel report
-#: column, which computes a whole column of cells in one sweep; the six
-#: compositions, which run m n times per closure; and the three membership
-#: tests, which run about 33 times per bisection.
+#: cells and the three report columns, each of which computes a whole column
+#: of cells per call; the six compositions, which run m n times per closure;
+#: and the three membership tests, which run about 33 times per bisection.
 HOT = (
-    r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|\w+_stats|godel_column"
+    r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|(godel|goguen|luka)_column"
     r"|\w+_max_t|\w+_min_impl|\w+_membership"
 )
 
-MEMBERSHIP_LOOPS = {f"{kind}_membership" for kind in ("godel", "goguen", "luka")}
+KINDS = ("godel", "goguen", "luka")
+
+REPORT_COLUMNS = {f"{kind}_column" for kind in KINDS}
+
+MEMBERSHIP_LOOPS = {f"{kind}_membership" for kind in KINDS}
 
 COMPOSITIONS = {
-    f"{kind}_{composition}"
-    for kind in ("godel", "goguen", "luka")
-    for composition in ("max_t", "min_impl")
+    f"{kind}_{composition}" for kind in KINDS for composition in ("max_t", "min_impl")
 }
 
 
@@ -49,9 +50,16 @@ def hot_formulas() -> list[ast.FunctionDef]:
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
     assert len(functions) == 22
-    assert {f.name for f in functions} >= {"godel_column", "goguen_stats", "luka_stats"}
-    assert {f.name for f in functions} >= COMPOSITIONS | MEMBERSHIP_LOOPS
+    assert {f.name for f in functions} >= REPORT_COLUMNS | COMPOSITIONS | MEMBERSHIP_LOOPS
     return functions
+
+
+def calls(function: ast.FunctionDef) -> list[tuple[int, str]]:
+    """(line, last dotted name of the callee) of every call in `function`."""
+    return [
+        (node.lineno, ast.unparse(node.func).split(".")[-1])
+        for node in ast.walk(function) if isinstance(node, ast.Call)
+    ]
 
 
 def test_no_assert_statements():
@@ -126,6 +134,26 @@ def test_report_calls_no_threshold():
         and re.fullmatch(r"\w+_threshold|maxprod_ratio", ast.unparse(node.func).split(".")[-1])
     ]
     assert found == []
+
+
+def test_report_columns_call_no_threshold_and_no_record():
+    # each report column writes its thresholds out, with the per-pair and
+    # per-cell terms computed once, and builds its records with one C-level
+    # map per column (`godel_record` and its kin), never by a call to a
+    # record type's generated `__new__` per cell
+    columns = [f for f in hot_formulas() if f.name in REPORT_COLUMNS]
+    assert len(columns) == 3
+    records = {"GodelCellStats", "GoguenCellStats", "LukaCellStats", "_make"}
+    found = [
+        f"{function.name}:{line}: {name}"
+        for function in columns
+        for line, name in calls(function)
+        if re.fullmatch(r"\w+_threshold|maxprod_ratio", name) or name in records
+    ]
+    assert found == []
+    assert all(
+        any(name == "map" for _, name in calls(function)) for function in columns
+    )
 
 
 def test_hot_formulas_call_no_builtin_min_max():
