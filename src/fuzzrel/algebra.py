@@ -24,10 +24,13 @@ call: the scalar t-norms and residua; each composition, a loop over the
 rows with the kind's t-norm or residuum inline; the membership test of the
 bisection oracle, `Arithmetic.membership`, a loop of the same kind over a
 system's column fronts and rows, which shifts beta by delta where it reads
-it; and each family's cells, whose entry returns the cells of a column:
+it; each family's cells, whose entry returns the cells of a column:
 `Arithmetic.cells` for the min-implication reports, whose records
 `GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are defined here,
-and `Arithmetic.maxt_cells` for the max-t distances.
+and `Arithmetic.maxt_cells` for the max-t distances; and the row rules of
+the reports, `Arithmetic.row_rules`, whose entry turns the cells of one row
+into its `RowDiagnostics`, defined here too.  `fuzzrel.report` aggregates
+the rows, on either instance, into a report.
 `column_scan` is the one loop over the cells of a system.  Each column
 reduces its pairs once, by `front` or, for the Lukasiewicz kinds,
 `top_pairs`.  A report entry is a column function, `godel_column`,
@@ -36,10 +39,11 @@ threshold written out, which builds the column's records with one C-level
 map.  A max-t entry is a `Kernel`, which maps its cell formula down the
 column; the oracle's exact max-t distance reads its two parts.  `FLOAT`
 binds the formulas to floats and supplies this module's public functions
-and the cells of `fuzzrel.report`; the oracle binds them to `Fraction` to
-run the same formulas in exact rational arithmetic.  A float operand that
-meets a Fraction silently rounds the result to a float, so exact callers
-pass only values of the instance's own type, such as its `zero` as a slack.
+and the cells and row rules of `fuzzrel.report`; the oracle binds them to
+`Fraction` to run the same formulas in exact rational arithmetic.  A float
+operand that meets a Fraction silently rounds the result to a float, so
+exact callers pass only values of the instance's own type, such as its
+`zero` as a slack.
 
 Which functions check what.  The public functions of this module check
 their operands: `max_t_compose` and `min_impl_compose` validate every
@@ -48,9 +52,9 @@ entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 (`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
 then check the kind; `shifted_bounds` validates its vector by the
 `unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
-An `Arithmetic` checks nothing: its tables, `membership` among them,
-`solve_and_recompose`, `maxt_closure`, `maxt_distance`, `shifted_bounds`,
-the thresholds, the cells and `column_scan` are for a system validated
+An `Arithmetic` checks nothing: its tables, `membership` and `row_rules`
+among them, `solve_and_recompose`, `maxt_closure`, `shifted_bounds`, the
+thresholds, the cells and `column_scan` are for a system validated
 when it was built, whose transpose is kept as `columns` and whose column
 fronts as `fronts` (see `fuzzrel.operators`), or for operands of the same
 guarantees.
@@ -67,9 +71,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, InvariantViolation
@@ -101,7 +106,7 @@ Arithmetic = namedtuple(
     "zero pos t_norms residua max_t_rows min_impl_rows membership solve_and_recompose"
     " maxt_closure shifted_bounds godel_threshold goguen_threshold luka_threshold"
     " maxprod_ratio maxprod_threshold maxluka_threshold"
-    " luka_top cells maxt_cells maxt_value maxt_distance",
+    " luka_top cells row_rules maxt_cells maxt_value",
 )
 
 
@@ -137,10 +142,16 @@ QUOTIENT_FLOOR = 2.0 ** -960
 QUOTIENT_SCALE = 2.0 ** 1000
 
 #: Width of the numeric window around strict-comparison ties inside which
-#: the minimum/infimum classification is reported as fragile.  It stays a
-#: float in every instance of `arithmetic`: it is only compared, and a
-#: Fraction compares with a float exactly.
+#: the minimum/infimum classification is reported as fragile.  `arithmetic`
+#: binds it to its number type once, for the sums the Godel row rule takes
+#: with it; a Fraction compares with a float exactly, so a comparison may
+#: read it as it is.
 BORDERLINE_EPS = 1e-9
+
+#: Greatest gap between the Goguen row rule's tau and its least zeta that it
+#: takes for agreement.  It is only compared, so it stays a float in every
+#: instance of `arithmetic`.
+GOGUEN_ROW_TOL = 1e-12
 
 
 # The cell records are named tuples, not dataclasses: a report builds m n of
@@ -177,6 +188,33 @@ class LukaCellStats(NamedTuple):
     """Statistic of one Lukasiewicz (row, column) cell."""
 
     zeta: float
+
+
+@dataclass(frozen=True)
+class RowDiagnostics:
+    """Per-row breakdown of the distance computation.
+
+    nabla_j = min(one_minus_beta, tau_j) is the least tolerance that makes
+    row `row` satisfiable.  tau_j aggregates the per-column cell statistics
+    (convention: one when no column supports the row).  For the Godel kind,
+    nabla_tilde_j is the least tolerance known to be achieved on the row
+    (convention one when no column certifies achievement) and `attainable`
+    records whether nabla_j itself is achieved; for the other kinds
+    attainability always holds.  `borderline` marks rows whose
+    minimum/infimum classification hinges on a comparison within
+    BORDERLINE_EPS, i.e. is numerically fragile.  The values are of the
+    number type of the `arithmetic` instance whose row rule built the row.
+    """
+
+    row: int
+    nabla_j: float
+    tau_j: float
+    one_minus_beta: float
+    attainable: bool
+    argmin_col: int | None
+    borderline: bool
+    cells: tuple
+    nabla_tilde_j: float | None = None
 
 
 godel_record, goguen_record, luka_record = (
@@ -332,7 +370,9 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
     Every literal the formulas need is derived from these two once, here, so
     the functions never mix number types: given operands of that type, each
-    returns a value of that type.  `window`, of the same type, is the width
+    returns a value of that type.  BORDERLINE_EPS, which the Godel row rule
+    adds and subtracts, is read as that type once too: a float keeps its
+    bits and a Fraction is exact.  `window`, of the same type, is the width
     within which the Lukasiewicz reducers keep pairs below a column's
     greatest key: KEY_WINDOW in floats, zero in exact arithmetic (see
     `top_pairs`).  `tiny` and `scale`, of the same type too, guard the
@@ -359,6 +399,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     # positive part as `x if x > zero else zero`, the body of `pos`, in
     # place of a call to it.
     two = one + one
+    eps = type(one)(BORDERLINE_EPS)
     godel, goguen, luka = ImplicationKind
 
     def pos(x):
@@ -712,7 +753,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         for g, b, theta in zip(us, xs, thetas):
             zeta = zetas[b]
             support = g > zero
-            cells.append((theta, zeta, support, support and abs(theta - zeta) <= BORDERLINE_EPS))
+            cells.append((theta, zeta, support, support and abs(theta - zeta) <= eps))
         return tuple(map(godel_record, cells))
 
     def goguen_column(us, xs):
@@ -794,6 +835,93 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     # The cells of a min-implication report, one column per call.
     cells = {godel: godel_column, goguen: goguen_column, luka: luka_column}
 
+    # The row rules of a min-implication report, `rule(j, b, cells)`: the
+    # RowDiagnostics of row j, whose beta entry is b, from its cells by the
+    # kind's entry of `cells`; `fuzzrel.report` states their formulas.  Each
+    # takes the first column of least value as the row's argmin; a row that
+    # no column qualifies for has argmin None and tau one.
+    def godel_row(j, b, cells):
+        """Row whose tau is the least max(theta, zeta) over its supporting
+        cells, with the attainability of nabla_j, in one pass over the cells.
+
+        The pass keeps tau and its first column, nabla_tilde_j, whether some
+        cell at the least value so far is a robust witness (its theta clears
+        its zeta by BORDERLINE_EPS, so its value is its zeta), and the least
+        value of a borderline cell (None while there is none), compared with
+        tau + BORDERLINE_EPS at the end.
+        """
+        argmin, tau, nabla_tilde, witness, low = None, one, one, False, None
+        for i, (theta, zeta, support, near) in enumerate(cells):
+            if support:
+                value = zeta if zeta > theta else theta
+                robust = theta <= zeta - eps
+                if argmin is None or value < tau:
+                    argmin, tau, witness = i, value, robust
+                elif value == tau and robust:
+                    witness = True
+                if theta < zeta and zeta < nabla_tilde:
+                    nabla_tilde = zeta
+                if near and (low is None or value < low):
+                    low = value
+        one_minus_beta = one - b
+        nabla_j = tau if tau < one_minus_beta else one_minus_beta
+        attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
+
+        # Fragility: a theta/zeta tie at the value deciding tau, or a near
+        # miss in either comparison that ruled the row non-attainable.  A row
+        # certified attainable by some cell that clears the strictness test
+        # with margin, or by tau >= 1 - beta, is not flagged for tie flips
+        # elsewhere, though a tie that rounding alone makes can still flip
+        # in exact arithmetic (`tests/test_exact_report.py` pins the cases).
+        robustly_attainable = attainable and (nabla_j == one_minus_beta or witness)
+        borderline = not robustly_attainable and low is not None and low <= tau + eps
+        if not attainable:
+            borderline = (
+                borderline
+                or abs(nabla_tilde - nabla_j) <= eps
+                or abs(one_minus_beta - tau) <= eps
+            )
+        return RowDiagnostics(
+            j, nabla_j, tau, one_minus_beta, attainable, argmin, borderline, cells, nabla_tilde
+        )
+
+    def goguen_row(j, b, cells):
+        """Row whose tau is the least max(theta, zeta) over its supporting
+        cells.
+
+        One pass keeps tau with its first column and the least zeta of the
+        same cells.  The Goguen column returns zeta >= theta^+ on supporting
+        cells, so the two agree, bit for bit; the check guards that
+        invariant."""
+        argmin, tau, low = None, one, one
+        for i, (theta, zeta, support) in enumerate(cells):
+            if support:
+                value = zeta if zeta > theta else theta
+                if argmin is None:
+                    argmin, tau, low = i, value, zeta
+                else:
+                    if value < tau:
+                        argmin, tau = i, value
+                    if zeta < low:
+                        low = zeta
+        if not abs(tau - low) <= GOGUEN_ROW_TOL:
+            raise InvariantViolation(f"row {j}: tau {tau!r} differs from the least zeta {low!r}")
+        one_minus_beta = one - b
+        nabla_j = tau if tau < one_minus_beta else one_minus_beta
+        return RowDiagnostics(j, nabla_j, tau, one_minus_beta, True, argmin, False, cells)
+
+    def luka_row(j, b, cells):
+        """Row whose tau is the least zeta over all its cells.  The cells are
+        1-tuples, so flattening them gives the zetas; `min` and `index` both
+        keep the first of equal values."""
+        zetas = [*chain.from_iterable(cells)]
+        tau = min(zetas)
+        one_minus_beta = one - b
+        nabla_j = tau if tau < one_minus_beta else one_minus_beta
+        return RowDiagnostics(j, nabla_j, tau, one_minus_beta, True, zetas.index(tau), False, cells)
+
+    row_rules = {godel: godel_row, goguen: goguen_row, luka: luka_row}
+
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
     # pairs (a[k][j], b[k]) of column j that the kind's reducer keeps.  Every
     # threshold here is non-decreasing in a[k][j] and non-increasing in b[k],
@@ -840,11 +968,6 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         """The max-t distance from the rows of its cells: the greatest row
         minimum, and at least zero."""
         return max(zero, *map(min, rows))
-
-    def maxt_distance(a: Matrix, b: Vector, kind: ImplicationKind):
-        """Chebyshev distance of `b` to the consistent right-hand sides of the
-        max-t system with matrix `a` (see `fuzzrel.report.maxt_distance`)."""
-        return maxt_value(column_scan(transpose(a), b, maxt_cells[kind]))
 
     scope = locals()
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))

@@ -34,10 +34,11 @@ leq(closure(system, lower), upper, slack), bit for bit:
 - Subnormal Goguen entries.  The float operations are the same ones, so
   they underflow exactly as the closure's do.
 
-`_membership`, the same test by full evaluation through
-`solve_and_recompose`, stays as the reference of the exact tests below.
-`generate_random_system` and `sample_consistent_rhs` supply deterministic
-random instances for agreement suites.
+The test suite keeps the same test by full evaluation through
+`Arithmetic.solve_and_recompose`, on either instance, as the reference of
+the exact tests below.  `generate_random_system` and
+`sample_consistent_rhs` supply deterministic random instances for
+agreement suites.
 
 The exact functions read every entry as the rational value of its shortest
 round-tripping decimal and run the shared formulas on `EXACT`, the Fraction
@@ -130,7 +131,7 @@ from itertools import chain
 from typing import Callable
 
 from .algebra import (
-    FLOAT, Arithmetic, ImplicationKind, arithmetic, checked_index, unit,
+    FLOAT, ImplicationKind, arithmetic, checked_index, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -180,25 +181,6 @@ def tolerance_membership(
     return FLOAT.membership[system.kind](gamma, system.fronts, beta, rhs, delta, slack)
 
 
-def _membership(ar: Arithmetic, gamma, columns, beta, kind, delta, row, slack) -> bool:
-    """The membership test of `tolerance_membership` by full evaluation on
-    the instance `ar`, for a validated system: `columns` is gamma^t and
-    `kind` an ImplicationKind, which `ar.solve_and_recompose` does not
-    check.  It is the reference that the exact membership tests are
-    compared with, not the bisection's hot path, which reads the column
-    fronts instead (`Arithmetic.membership`)."""
-    if row is not None:
-        row = checked_index(row, len(beta), "row", "rows")
-    lower, upper = ar.shifted_bounds(beta, delta)
-    _, image = ar.solve_and_recompose(gamma, columns, kind, lower)
-    if row is not None:
-        return image[row] <= upper[row] + slack
-    for a, b in zip(image, upper):
-        if not a <= b + slack:
-            return False
-    return True
-
-
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
 EXACT = arithmetic(Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
@@ -246,9 +228,11 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     digits and deciding the closure inequality in Fraction arithmetic.  A
     delta outside [0, 1] raises DomainError, as in `tolerance_membership`.
 
-    The result is that of the full exact evaluation, _membership(EXACT,
-    _exact_matrix(gamma), _exact_matrix(gamma^t), _exact_vector(beta),
-    kind, delta, row, EXACT.zero), computed by the interval pass and
+    The result is that of the full exact evaluation, image <= upper with
+    lower, upper = EXACT.shifted_bounds(_exact_vector(beta), delta) and
+    image the second result of EXACT.solve_and_recompose(
+    _exact_matrix(gamma), _exact_matrix(gamma^t), kind, lower), at row `row`
+    or at every row when it is None, computed by the interval pass and
     per-row exact fallback of the module docstring.  The inner level is x =
     max_t_compose(gamma^t, kind, lower), the outer one image =
     min_impl_compose(gamma, kind, x), and row i holds when image[i] <=
@@ -400,9 +384,10 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
 
     The result is the value of the formulas of `maxt_distance` on the
     Fraction instance `EXACT`, with entries read as their shortest
-    round-tripping decimals, i.e. EXACT.maxt_distance(_exact_matrix(a),
-    _exact_vector(b), kind); it places the attainment test exactly on the
-    threshold, where float evaluation cannot be trusted.  It is computed by
+    round-tripping decimals, i.e. EXACT.maxt_value(column_scan(
+    _exact_matrix(a^t), _exact_vector(b), EXACT.maxt_cells[kind])); it
+    places the attainment test exactly on the threshold, where float
+    evaluation cannot be trusted.  It is computed by
     a float filter with an exact fallback (Fortune and Van Wyk, ACM TOG 1996;
     Shewchuk, DCG 1997):
 

@@ -4,13 +4,15 @@
 `maxt_distance` gives the distance of a max-t-norm `MaxTSystem`, the
 cross-validation family (its formulas are in its docstring).  Both read
 their cells through `fuzzrel.algebra.column_scan`, and the thresholds and
-cell formulas of both are written once in `fuzzrel.algebra.arithmetic`,
-for any number type; this module reads their float instance, `FLOAT`, and
-adds the row rules, which run on floats.
+cell formulas of both, and the row rules of the first, are written once
+in `fuzzrel.algebra.arithmetic`, for any number type.  This module keeps
+the report skeleton, which runs on either instance, and the public entry
+points, which read the float instance, `FLOAT`.
 
 The three min-implication kinds differ only in the formula of their cell
-statistics and in the rule that turns a row's cells into its tau_j; one
-column scan and one report skeleton serve all three.  Every cell statistic
+statistics and in the rule that turns a row's cells into its tau_j, their
+entries of `Arithmetic.cells` and `Arithmetic.row_rules`; one column scan
+and one report skeleton serve all three.  Every cell statistic
 of cell (j, i) is a max over the rows l of column i of a kind-specific
 threshold of (gamma[l][i], beta[l]), so a kind supplies only a function
 that returns the cells of one column, its entry of `FLOAT.cells`.  Every
@@ -122,26 +124,28 @@ for bit.  A Lukasiewicz cell then costs one threshold, written out in the
 column's loop, with (p)^+ computed once per kept pair and s^+ once per
 cell.
 
-`distance_report` looks the system's kind up once in `FLOAT.cells`, for its
-column of cells, and once in `_ROW_RULES`, for its row rule; it evaluates
-every cell by `column_scan`, lets the row rule turn each row's cells into a
-`RowDiagnostics` and aggregates the rows into a `ChebyshevReport`.
-`checked_cell` takes one cell of the column that the same entry of
-`FLOAT.cells` returns, for the public `*_cell` functions, which check the
-system's kind first as the `*_distance` functions do.
+The skeleton, `_report(ar, kind, columns, beta)`, looks the kind up once
+in `ar.cells`, for its column of cells, and once in `ar.row_rules`, for its
+row rule; it evaluates every cell by `column_scan`, lets the row rule turn
+each row's cells into a `RowDiagnostics` and aggregates the rows into a
+`ChebyshevReport`.  Every value it builds is of the number type of `ar`:
+the literals are the instance's own, and BORDERLINE_EPS is only compared
+here.  `distance_report` runs it on `FLOAT` and the system's prepared
+`columns`.  `checked_cell` takes one cell of the column that the kind's
+entry of `FLOAT.cells` returns, for the public `*_cell` functions, which
+check the system's kind first as the `*_distance` functions do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import (
     BORDERLINE_EPS, FLOAT, GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats,
-    checked_index, column_scan,
+    RowDiagnostics, checked_index, column_scan,
 )
-from .errors import InvariantViolation, KindMismatch
+from .errors import KindMismatch
 from .operators import FuzzySystem, MaxTSystem
 
 godel_threshold = FLOAT.godel_threshold
@@ -161,32 +165,6 @@ class Attainability(Enum):
 
 
 @dataclass(frozen=True)
-class RowDiagnostics:
-    """Per-row breakdown of the distance computation.
-
-    nabla_j = min(one_minus_beta, tau_j) is the least tolerance that makes
-    row `row` satisfiable.  tau_j aggregates the per-column cell statistics
-    (convention: 1.0 when no column supports the row).  For the Godel kind,
-    nabla_tilde_j is the least tolerance known to be achieved on the row
-    (convention 1.0 when no column certifies achievement) and `attainable`
-    records whether nabla_j itself is achieved; for the other kinds
-    attainability always holds.  `borderline` marks rows whose
-    minimum/infimum classification hinges on a comparison within 1e-9,
-    i.e. is numerically fragile.
-    """
-
-    row: int
-    nabla_j: float
-    tau_j: float
-    one_minus_beta: float
-    attainable: bool
-    argmin_col: int | None
-    borderline: bool
-    cells: tuple
-    nabla_tilde_j: float | None = None
-
-
-@dataclass(frozen=True)
 class ChebyshevReport:
     """Chebyshev distance of a right-hand side to the consistent set.
 
@@ -203,126 +181,10 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def least(candidates) -> tuple[int | None, float]:
-    """The first (column, value) pair of least value among `candidates`, or
-    (None, 1.0) when there are none.  A loop, not `min` with a key: on the
-    few candidates of a small row it costs less than half as much."""
-    argmin, tau = None, 1.0
-    for i, value in candidates:
-        if argmin is None or value < tau:
-            argmin, tau = i, value
-    return argmin, tau
-
-
-def base_row(system, row: int, cells: tuple, argmin: int | None, tau: float) -> RowDiagnostics:
-    """Diagnostics of a row, attainable and not borderline, whose tau is
-    `tau`, first attained at column `argmin` (None and 1.0 when no column
-    qualifies).  The Goguen and Lukasiewicz rows are these; the Godel row
-    rule builds its rows in its own pass."""
-    one_minus_beta = 1.0 - system.beta[row]
-    return RowDiagnostics(
-        row=row,
-        nabla_j=tau if tau < one_minus_beta else one_minus_beta,
-        tau_j=tau,
-        one_minus_beta=one_minus_beta,
-        attainable=True,
-        argmin_col=argmin,
-        borderline=False,
-        cells=cells,
-    )
-
-
-def _godel_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    """Row whose tau is the least max(theta, zeta) over its supporting cells,
-    with the attainability of nabla_j, in one pass over the cells.
-
-    The pass keeps tau and its first column, nabla_tilde_j, whether some
-    cell at the least value so far is a robust witness (its theta clears
-    its zeta by BORDERLINE_EPS, so its value is its zeta), and the least
-    value of a borderline cell, compared with tau + BORDERLINE_EPS at the
-    end.
-    """
-    argmin, tau, nabla_tilde, witness, low = None, 1.0, 1.0, False, math.inf
-    for i, cell in enumerate(cells):
-        if cell.support:
-            theta, zeta = cell.theta, cell.zeta
-            value = zeta if zeta > theta else theta
-            robust = theta <= zeta - BORDERLINE_EPS
-            if argmin is None or value < tau:
-                argmin, tau, witness = i, value, robust
-            elif value == tau and robust:
-                witness = True
-            if theta < zeta and zeta < nabla_tilde:
-                nabla_tilde = zeta
-            if cell.borderline and value < low:
-                low = value
-    one_minus_beta = 1.0 - system.beta[j]
-    nabla_j = tau if tau < one_minus_beta else one_minus_beta
-    attainable = nabla_j == one_minus_beta or nabla_j == nabla_tilde
-
-    # Fragility: a theta/zeta tie at the value deciding tau, or a near miss
-    # in either comparison that ruled the row non-attainable.  A row
-    # certified attainable by some cell that clears the strictness test with
-    # margin is immune to tie flips elsewhere.
-    robustly_attainable = attainable and (nabla_j == one_minus_beta or witness)
-    borderline = not robustly_attainable and low <= tau + BORDERLINE_EPS
-    if not attainable:
-        borderline = (
-            borderline
-            or abs(nabla_tilde - nabla_j) <= BORDERLINE_EPS
-            or abs(one_minus_beta - tau) <= BORDERLINE_EPS
-        )
-    return RowDiagnostics(
-        row=j,
-        nabla_j=nabla_j,
-        tau_j=tau,
-        one_minus_beta=one_minus_beta,
-        attainable=attainable,
-        argmin_col=argmin,
-        borderline=borderline,
-        cells=cells,
-        nabla_tilde_j=nabla_tilde,
-    )
-
-
-def _goguen_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    """Row whose tau is the least max(theta, zeta) over its supporting cells.
-
-    One pass keeps tau with its first column, as `least` does, and the
-    least zeta of the same cells.  The Goguen column returns zeta >=
-    theta^+ on supporting cells, so the two agree, bit for bit; the check
-    guards that invariant."""
-    argmin, tau, low = None, 1.0, 1.0
-    for i, (theta, zeta, support) in enumerate(cells):
-        if support:
-            value = zeta if zeta > theta else theta
-            if argmin is None:
-                argmin, tau, low = i, value, zeta
-            else:
-                if value < tau:
-                    argmin, tau = i, value
-                if zeta < low:
-                    low = zeta
-    if not abs(tau - low) <= 1e-12:
-        raise InvariantViolation(f"row {j}: tau {tau!r} differs from the least zeta {low!r}")
-    return base_row(system, j, cells, argmin, tau)
-
-
-def _luka_row(system: FuzzySystem, j: int, cells: tuple) -> RowDiagnostics:
-    return base_row(system, j, cells, *least(enumerate(cell.zeta for cell in cells)))
-
-
-#: Each kind's row rule `row(system, j, cells)`, which turns the cells of
-#: row j, by the kind's entry of `FLOAT.cells`, into its `RowDiagnostics`.
-_ROW_RULES = {
-    ImplicationKind.GODEL: _godel_row,
-    ImplicationKind.GOGUEN: _goguen_row,
-    ImplicationKind.LUKASIEWICZ: _luka_row,
-}
-
-
-def distance_report(system: FuzzySystem) -> ChebyshevReport:
-    """Chebyshev distance report of `system`, by the solver of its kind.
+def _report(ar, kind: ImplicationKind, columns, beta) -> ChebyshevReport:
+    """Chebyshev distance report, on the instance `ar`, of the system of
+    kind `kind` whose matrix has the columns `columns` and whose right-hand
+    side is `beta`, both of the number type of `ar`.
 
     nabla is the max of the row distances.  The verdict is MINIMUM when
     every row at nabla is attainable.  Rows strictly below the max cannot
@@ -331,9 +193,9 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
     rounding could change the verdict, so such near-ties are reported as
     fragile too.
     """
-    rule = _ROW_RULES[system.kind]
-    cells = column_scan(system.columns, system.beta, FLOAT.cells[system.kind])
-    rows = tuple(rule(system, j, row) for j, row in enumerate(cells))
+    rule = ar.row_rules[kind]
+    cells = column_scan(columns, beta, ar.cells[kind])
+    rows = tuple(map(rule, range(len(beta)), beta, cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM
@@ -345,7 +207,13 @@ def distance_report(system: FuzzySystem) -> ChebyshevReport:
         and abs(r.nabla_j - nabla) <= BORDERLINE_EPS
         for r in rows
     )
-    return ChebyshevReport(system.kind, nabla, verdict, rows, borderline)
+    return ChebyshevReport(kind, nabla, verdict, rows, borderline)
+
+
+def distance_report(system: FuzzySystem) -> ChebyshevReport:
+    """Chebyshev distance report of `system`, by the solver of its kind: the
+    skeleton `_report` on `FLOAT` and the system's prepared `columns`."""
+    return _report(FLOAT, system.kind, system.columns, system.beta)
 
 
 def maxt_distance(system: MaxTSystem) -> float:

@@ -1,4 +1,6 @@
-"""Deterministic random-instance streams for agreement and property suites."""
+"""Deterministic random-instance streams for agreement and property suites,
+and the full-evaluation membership test that the exact ones are compared
+with."""
 
 import random
 
@@ -27,6 +29,23 @@ def iter_random_systems(
         seed = master.randrange(2**32)
         chosen = kind if kind is not None else kinds[index % len(kinds)]
         yield generate_random_system(m, n, chosen, seed, decimals=decimals)
+
+
+def full_membership(ar, gamma, columns, beta, kind, delta, row, slack) -> bool:
+    """The membership test of `fuzzrel.oracle.tolerance_membership` by full
+    evaluation on the instance `ar` (`FLOAT` or `EXACT`): image <= upper +
+    slack at row `row`, or at every row when `row` is None, with lower,
+    upper = ar.shifted_bounds(beta, delta) and image the closure of lower by
+    `ar.solve_and_recompose`.  `columns` is gamma^t, `kind` an
+    ImplicationKind and `row` an index of gamma, none of them checked.  It
+    is the reference of the exact membership tests, not the bisection's
+    path, which reads the system's column fronts instead
+    (`Arithmetic.membership`)."""
+    lower, upper = ar.shifted_bounds(beta, delta)
+    _, image = ar.solve_and_recompose(gamma, columns, kind, lower)
+    if row is not None:
+        return image[row] <= upper[row] + slack
+    return all(a <= b + slack for a, b in zip(image, upper))
 
 
 def random_unit_vector(rng: random.Random, length: int, decimals: int | None = 2):

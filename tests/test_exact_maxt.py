@@ -146,7 +146,9 @@ def with_examples(examples):
 def test_equals_full_exact_scan(system):
     filtered = exact_maxt_distance(system)
     with unpruned():
-        full = EXACT.maxt_distance(_exact_matrix(system.a), _exact_vector(system.b), system.kind)
+        full = EXACT.maxt_value(column_scan(
+            _exact_matrix(system.columns), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
+        ))
     assert type(filtered) is Fraction
     assert filtered == full
 

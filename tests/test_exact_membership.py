@@ -4,7 +4,7 @@ evaluation.
 Both decide their closure inequality by an interval pass in floats and
 evaluate in Fractions only the rows it leaves undecided, over the terms that
 can still attain a min or a max.  Here every verdict is compared with the
-full exact evaluation, written out: `_membership` on EXACT for
+full exact evaluation, written out: `helpers.full_membership` on EXACT for
 `exact_membership`, at every `row=` and at row None, and `leq(lower,
 EXACT.maxt_closure(a, kind, upper))` for `exact_maxt_membership`.
 
@@ -32,7 +32,8 @@ from fuzzrel import (
     exact_membership,
 )
 from fuzzrel.algebra import leq, transpose
-from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector, _membership
+from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector
+from helpers import full_membership
 from test_exact_maxt import pooled_entries, wide_entries, with_examples
 from test_front import NO_SHRINK, tied_systems
 
@@ -121,7 +122,7 @@ def test_exact_membership_is_the_full_evaluation(entries, kind, k):
     for delta in deltas(*entries, kind, k):
         snapped = _exact_delta(delta)
         for row in (None, *range(system.m)):
-            full = _membership(EXACT, gamma, columns, beta, kind, snapped, row, EXACT.zero)
+            full = full_membership(EXACT, gamma, columns, beta, kind, snapped, row, EXACT.zero)
             assert exact_membership(system, delta, row) is full, (delta, row)
 
 

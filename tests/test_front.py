@@ -18,7 +18,6 @@ reduces its columns by the same table for its float filter and exact
 fallback; unpruned, it keeps the filter but every column whole.  Its
 comparison with the full exact scan, with no filter, is in
 `test_exact_maxt.py`.
-`TestLeast` pins the tie rule of the row minimum that reads those cells.
 """
 
 import dataclasses
@@ -43,7 +42,6 @@ from fuzzrel import (
 )
 from fuzzrel.algebra import FLOAT, Kernel, column_scan, front, transpose
 from fuzzrel.oracle import EXACT
-from fuzzrel.report import least
 from helpers import tied_systems
 from test_kernels import cell_references
 
@@ -165,18 +163,6 @@ class TestFront:
 
     def test_empty(self):
         assert front(()) == ()
-
-
-class TestLeast:
-    def test_first_of_equal_values(self):
-        assert least([(0, 0.4), (1, 0.2), (2, 0.2)]) == (1, 0.2)
-
-    def test_zero_signs_keep_the_first(self):
-        argmin, tau = least([(3, 0.5), (4, -0.0), (5, 0.0)])
-        assert argmin == 4 and math.copysign(1.0, tau) == -1.0
-
-    def test_no_candidates(self):
-        assert least(iter(())) == (None, 1.0)
 
 
 #: Near-tied Lukasiewicz entries at which keeping only the pairs of greatest

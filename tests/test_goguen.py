@@ -1,6 +1,7 @@
 """Goguen-kind distance: cell statistics, closed form, guaranteed attainment."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -18,8 +19,9 @@ from fuzzrel import (
     goguen_threshold,
     tolerance_membership,
 )
+from fuzzrel.algebra import FLOAT
 from fuzzrel.errors import InvariantViolation
-from fuzzrel.report import _goguen_row
+from fuzzrel.oracle import EXACT
 from helpers import iter_random_systems
 
 # subnormal floats underflow products catastrophically and cannot arise
@@ -126,14 +128,24 @@ class TestGoguenInvariants:
 
     def test_row_rule_checks_tau_against_the_least_zeta(self):
         # the row rule takes tau and the least zeta in one pass; a supporting
-        # cell whose theta exceeds its zeta breaks the column's invariant
-        system = FuzzySystem(((0.5, 0.5),), (0.2,), ImplicationKind.GOGUEN)
-        cells = (GoguenCellStats(0.1, 0.3, True), GoguenCellStats(0.4, 0.2, True))
-        with pytest.raises(InvariantViolation, match="least zeta 0.2"):
-            _goguen_row(system, 0, cells)
-        cells = (GoguenCellStats(0.9, 0.0, False), *cells[:1], GoguenCellStats(0.0, 0.3, True))
-        row = _goguen_row(system, 0, cells)
-        assert (row.tau_j, row.argmin_col, row.nabla_j) == (0.3, 1, 0.3)
+        # cell whose theta exceeds its zeta breaks the column's invariant.
+        # Both instances run the same rule, each in its own number type.
+        for ar in (FLOAT, EXACT):
+            rule, tenth = ar.row_rules[ImplicationKind.GOGUEN], type(ar.zero)(1) / 10
+            cells = (
+                GoguenCellStats(tenth, 3 * tenth, True),
+                GoguenCellStats(4 * tenth, 2 * tenth, True),
+            )
+            with pytest.raises(InvariantViolation, match=re.escape(f"least zeta {2 * tenth!r}")):
+                rule(0, 2 * tenth, cells)
+            cells = (
+                GoguenCellStats(9 * tenth, ar.zero, False),
+                cells[0],
+                GoguenCellStats(ar.zero, 3 * tenth, True),
+            )
+            row = rule(0, 2 * tenth, cells)
+            assert (row.tau_j, row.argmin_col, row.nabla_j) == (3 * tenth, 1, 3 * tenth)
+            assert type(row.one_minus_beta) is type(ar.zero)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),

@@ -16,7 +16,14 @@ compositions, a loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
 NaN and out-of-range entries, which unvalidated callers can pass; so are
 the membership loops, on validated entries, against the same loops over
-`shifted_bounds`.
+`shifted_bounds`.  The row rules of `Arithmetic.row_rules` are pinned on
+hand-made rows: ties, rows with no supporting column and the number type
+of every field.
+
+Every random stream here is a `random.Random` with a fixed seed per test.
+Under `--hypothesis-seed` the `seeds` fixture mixes that seed into each
+one, so runs under other seeds draw other columns; without it the streams
+are the same on every run.
 """
 
 from fractions import Fraction
@@ -41,6 +48,15 @@ EXACT_GRID = tuple(Fraction(k, 8) for k in range(9))
 both_types = pytest.mark.parametrize(
     "ar, grid", [(FLOAT, FLOAT_GRID), (EXACT, EXACT_GRID)], ids=["float", "exact"]
 )
+
+
+@pytest.fixture
+def seeds(pytestconfig):
+    """`seeds(seed)`: the seed of a test's random stream `seed`, which is
+    `seed` itself unless `--hypothesis-seed` is given, and otherwise a
+    string that mixes that seed in."""
+    given = pytestconfig.getoption("--hypothesis-seed")
+    return lambda seed: seed if given is None else f"{given}/{seed}"
 
 
 def references(ar):
@@ -111,7 +127,7 @@ def test_scalar_formula_matches_builtin_form(ar, grid, name):
     assert found == []
 
 
-def columns(grid, seed: int, count: int):
+def columns(grid, seed, count: int):
     """Random columns of 1-6 pairs from `grid`, about half of them holding
     a pair twice, so ties between equal thresholds are frequent."""
     rng = random.Random(seed)
@@ -147,7 +163,7 @@ def cell_references(ar):
     return {GODEL: godel, GOGUEN: goguen, LUKA: luka}
 
 
-def report_columns(grid, seed: int, count: int):
+def report_columns(grid, seed, count: int):
     """Columns for the report entries: every 1-row column of `grid`, then
     columns whose gamma entries are all zero (of either sign in floats),
     columns of a few pairs that share two g values, so that equal-g groups
@@ -182,20 +198,20 @@ def column_mismatches(ar, kind, pairs_of_columns) -> list:
 
 @both_types
 @pytest.mark.parametrize("kind", [GOGUEN, LUKA], ids=lambda kind: kind.value)
-def test_cell_stats_match_builtin_form(ar, grid, kind):
+def test_cell_stats_match_builtin_form(ar, grid, kind, seeds):
     # the Goguen and Lukasiewicz entries compute a whole column per call,
     # as the Godel one does: every cell must be the brute-force max over the
     # whole column (the float Goguen one over the front it reads)
-    columns_ = report_columns(grid, 1, 2000 if ar is FLOAT else 400)
+    columns_ = report_columns(grid, seeds(1), 2000 if ar is FLOAT else 400)
     assert column_mismatches(ar, kind, columns_) == []
 
 
 @both_types
-def test_godel_column_matches_whole_column_scan(ar, grid):
+def test_godel_column_matches_whole_column_scan(ar, grid, seeds):
     # the Godel entry computes a whole column in one sweep; every cell must
     # be the brute-force max over the whole column, down to the sign of a
     # zero theta
-    columns_ = report_columns(grid, 7, 2000 if ar is FLOAT else 400)
+    columns_ = report_columns(grid, seeds(7), 2000 if ar is FLOAT else 400)
     assert column_mismatches(ar, GODEL, columns_) == []
 
 
@@ -227,6 +243,47 @@ def test_report_columns_at_the_edges(kind):
     assert column_mismatches(EXACT, kind, exact) == []
 
 
+instances = pytest.mark.parametrize("ar", [FLOAT, EXACT], ids=["float", "exact"])
+
+
+@instances
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_row_rules_keep_the_first_of_equal_values(ar, kind):
+    # tau is the least value of the row and its argmin the first column
+    # that takes it; every value is of the instance's own number type
+    one = type(ar.zero)(1)
+    quarter, half = one / 4, one / 2
+    values = (half, quarter, quarter)
+    cells = {
+        GODEL: [GodelCellStats(ar.zero, value, True, False) for value in values],
+        GOGUEN: [GoguenCellStats(ar.zero, value, True) for value in values],
+        LUKA: [LukaCellStats(value) for value in values],
+    }[kind]
+    row = ar.row_rules[kind](3, one / 8, tuple(cells))
+    assert (row.row, row.argmin_col, row.tau_j, row.nabla_j) == (3, 1, quarter, quarter)
+    assert row.one_minus_beta == one - one / 8
+    assert row.attainable and not row.borderline
+    assert row.cells == tuple(cells)
+    assert {type(row.tau_j), type(row.nabla_j), type(row.one_minus_beta)} == {type(one)}
+
+
+@instances
+@pytest.mark.parametrize("kind", [GODEL, GOGUEN], ids=lambda kind: kind.value)
+def test_row_rules_without_a_supporting_column(ar, kind):
+    # a row whose cells all have a zero entry has no argmin and tau one, so
+    # its distance is 1 - beta, attained; a Lukasiewicz row reads every
+    # column, so it always has one
+    one = type(ar.zero)(1)
+    cell = {
+        GODEL: GodelCellStats(-one / 2, ar.zero, False, False),
+        GOGUEN: GoguenCellStats(ar.zero, ar.zero, False),
+    }[kind]
+    row = ar.row_rules[kind](0, one / 4, (cell, cell))
+    assert row.argmin_col is None and row.tau_j == one and type(row.tau_j) is type(one)
+    assert row.nabla_j == row.one_minus_beta == one - one / 4
+    assert row.attainable and not row.borderline
+
+
 def maxt_references(ar):
     one = type(ar.zero)(1)
     pos = lambda x: max(ar.zero, x)
@@ -242,13 +299,13 @@ def maxt_references(ar):
 
 
 @both_types
-def test_maxt_cells_match_builtin_form(ar, grid):
-    rng = random.Random(2)
+def test_maxt_cells_match_builtin_form(ar, grid, seeds):
+    rng = random.Random(seeds(2))
     references_by_kind = maxt_references(ar)
     found = []
     for kind, (cell, _) in ar.maxt_cells.items():
         reference = references_by_kind[kind.value]
-        for column in columns(grid, 3, 1500 if ar is FLOAT else 300):
+        for column in columns(grid, seeds(3), 1500 if ar is FLOAT else 300):
             u, x = rng.choice(grid), rng.choice(grid)
             got, want = cell(u, x, column), reference(u, x, column)
             if not same(got, want):
@@ -279,11 +336,11 @@ def test_lukasiewicz_column_reads_its_reducer(ar, grid):
 
 @both_types
 @pytest.mark.parametrize("name", list(reducers(FLOAT)))
-def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name):
+def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name, seeds):
     reducer, key, window, cell = reducers(ar)[name]
-    rng = random.Random(6)
+    rng = random.Random(seeds(6))
     found = []
-    for column in columns(grid, 5, 3000 if ar is FLOAT else 600):
+    for column in columns(grid, seeds(5), 3000 if ar is FLOAT else 600):
         top = max(key(*pair) for pair in column)
         want = tuple(pair for pair in column if key(*pair) >= top - window)
         kept = reducer(column)
@@ -313,7 +370,7 @@ def test_reducer_keeps_ties_in_row_order(name):
 FLOAT_WILD = (math.nan, 1.5, -0.2)
 
 
-def compositions(grid, seed: int, count: int):
+def compositions(grid, seed, count: int):
     """Matrices and vectors over `grid`: each 1×n and m×1 shape up to 6,
     then random shapes up to 6×6, half of them tie-heavy (entries from two
     values of the grid) and half with a row repeated."""
@@ -341,7 +398,7 @@ def compositions(grid, seed: int, count: int):
     ids=["float", "float-wild", "exact"],
 )
 @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
-def test_compositions_match_builtin_form(ar, grid, kind):
+def test_compositions_match_builtin_form(ar, grid, kind, seeds):
     # a Goguen residuum divides by a zero x when y is negative: the loop
     # must raise where the builtin form raises
     def outcome(compute):
@@ -352,7 +409,7 @@ def test_compositions_match_builtin_form(ar, grid, kind):
 
     found = [
         (matrix, vec, aggregate.__name__)
-        for matrix, vec in compositions(grid, 8, 2000 if ar is FLOAT else 400)
+        for matrix, vec in compositions(grid, seeds(8), 2000 if ar is FLOAT else 400)
         for compose, aggregate, op in [
             (ar.max_t_rows[kind], max, ar.t_norms[kind]),
             (ar.min_impl_rows[kind], min, ar.residua[kind]),
@@ -365,17 +422,17 @@ def test_compositions_match_builtin_form(ar, grid, kind):
 
 @both_types
 @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
-def test_membership_matches_builtin_form(ar, grid, kind):
+def test_membership_matches_builtin_form(ar, grid, kind, seeds):
     # the membership loop shifts beta where it reads it, writes the kind's
     # t-norm and residuum inline and stops each row at its first deciding
     # residuum: on whole columns as fronts, its verdict is the builtin
     # form's, max over `t_norms` of the lower bound for the inner level and
     # min over `residua` against the upper bound for each row, with the
     # bounds of `shifted_bounds`, for all rows and for each single row
-    rng = random.Random(9)
+    rng = random.Random(seeds(9))
     slacks = (ar.zero, type(ar.zero)(1) / 8)
     found = []
-    for gamma, _ in compositions(grid, 9, 2000 if ar is FLOAT else 400):
+    for gamma, _ in compositions(grid, seeds(9), 2000 if ar is FLOAT else 400):
         beta = tuple(abs(rng.choice(grid)) for _ in gamma)
         delta = abs(rng.choice(grid))
         lower, upper = ar.shifted_bounds(beta, delta)

@@ -26,16 +26,19 @@ def arithmetic_body() -> ast.FunctionDef:
 #: The functions of `algebra.arithmetic` that run m n k times per system:
 #: six thresholds and the product ratio, `shifted_bounds`, the three max-t
 #: cells and the three report columns, each of which computes a whole column
-#: of cells per call; the six compositions, which run m n times per closure;
-#: and the three membership tests, which run about 33 times per bisection.
+#: of cells per call; the three row rules, each a loop over a row's n
+#: cells; the six compositions, which run m n times per closure; and the
+#: three membership tests, which run about 33 times per bisection.
 HOT = (
     r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|(godel|goguen|luka)_column"
-    r"|\w+_max_t|\w+_min_impl|\w+_membership"
+    r"|(godel|goguen|luka)_row|\w+_max_t|\w+_min_impl|\w+_membership"
 )
 
 KINDS = ("godel", "goguen", "luka")
 
 REPORT_COLUMNS = {f"{kind}_column" for kind in KINDS}
+
+ROW_RULES = {f"{kind}_row" for kind in KINDS}
 
 MEMBERSHIP_LOOPS = {f"{kind}_membership" for kind in KINDS}
 
@@ -49,8 +52,10 @@ def hot_formulas() -> list[ast.FunctionDef]:
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
-    assert len(functions) == 22
-    assert {f.name for f in functions} >= REPORT_COLUMNS | COMPOSITIONS | MEMBERSHIP_LOOPS
+    assert len(functions) == 25
+    assert {f.name for f in functions} >= (
+        REPORT_COLUMNS | ROW_RULES | COMPOSITIONS | MEMBERSHIP_LOOPS
+    )
     return functions
 
 
@@ -73,16 +78,35 @@ def test_no_assert_statements():
     assert found == []
 
 
+def numeric_literals(module: str, tree: ast.AST) -> list[str]:
+    return [
+        f"{module}:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+    ]
+
+
 def test_no_numeric_literals_in_arithmetic():
     # every literal of the shared formulas derives from `zero` and `one`; a
-    # float literal would silently round each Fraction result of oracle.EXACT
-    found = [
-        f"algebra.py:{node.lineno}: {node.value!r}"
-        for node in ast.walk(arithmetic_body())
-        if isinstance(node, ast.Constant)
-        and type(node.value) in (int, float)
-    ]
-    assert found == []
+    # float literal would silently round each Fraction result of oracle.EXACT.
+    # The row rules are among them: they unpack their cells by field rather
+    # than subscript them, which would take an int literal
+    hot_formulas()
+    assert numeric_literals("algebra.py", arithmetic_body()) == []
+
+
+def test_report_has_no_numeric_literal():
+    # the report skeleton runs on `FLOAT` and `EXACT` alike, so every value
+    # it builds comes from its instance's row rules; a literal in `report`,
+    # or anything from `math`, would be a float-only rule growing back there
+    tree = parsed("report.py")
+    assert numeric_literals("report.py", tree) == []
+    imported = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "math" not in imported
 
 
 def formulas_written(module: str) -> list[str]:
@@ -117,9 +141,10 @@ def test_oracle_writes_no_formula():
 
 
 def test_report_writes_no_formula():
-    # the report reads its cells from `FLOAT.cells` and keeps only the row
-    # rules, in a table; a lambda or a branch on the kind there would be a
-    # cell formula or a row rule outside its table
+    # the report reads its cells and row rules from the tables of an
+    # `Arithmetic` and keeps only the skeleton that aggregates the rows; a
+    # lambda or a branch on the kind there would be a cell formula or a row
+    # rule outside its table
     assert formulas_written("report.py") == []
 
 
@@ -248,8 +273,9 @@ def test_arithmetic_checks_nothing():
 def transposes(node) -> bool:
     """Whether `node` lays a matrix out as columns again: a call to
     `transpose` or zip(*...), a comprehension that takes one entry of every
-    row (`[row[j] for row in matrix]`), or a `column_scan` of anything but
-    prepared `columns`."""
+    row (`[row[j] for row in matrix]`), or a call to `column_scan` or to the
+    report skeleton `_report` whose columns argument is neither a system's
+    prepared `columns` nor the skeleton's own parameter `columns`."""
     if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and len(node.generators) == 1:
         target, elt = node.generators[0].target, node.elt
         return (
@@ -259,8 +285,9 @@ def transposes(node) -> bool:
     if not isinstance(node, ast.Call):
         return False
     name = ast.unparse(node.func).split(".")[-1]
-    if name == "column_scan":
-        return not ast.unparse(node.args[0]).endswith(".columns")
+    if name in ("column_scan", "_report"):
+        columns = ast.unparse(node.args[0 if name == "column_scan" else 2])
+        return not (columns == "columns" or columns.endswith(".columns"))
     return name == "transpose" or (
         name == "zip" and any(isinstance(arg, ast.Starred) for arg in node.args)
     )
@@ -278,22 +305,22 @@ def transposing(functions) -> list[str]:
 def test_membership_path_transposes_nothing():
     # the float membership test runs about 33 times per bisection on one
     # system, so it reads what the system keeps: neither
-    # `tolerance_membership`, `_membership`, `Arithmetic.solve_and_recompose`
-    # nor the membership loops of `Arithmetic.membership` transposes a matrix
-    functions = module_functions("oracle.py", ("tolerance_membership", "_membership")) + [
+    # `tolerance_membership`, `Arithmetic.solve_and_recompose` nor the
+    # membership loops of `Arithmetic.membership` transposes a matrix
+    functions = module_functions("oracle.py", ("tolerance_membership",)) + [
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef)
         and node.name in {"solve_and_recompose", *MEMBERSHIP_LOOPS}
     ]
-    assert len(functions) == 6
+    assert len(functions) == 5
     assert transposing(functions) == []
 
 
 def test_tolerance_membership_evaluates_no_closure():
     # a bisection needs only a yes or no per delta: `tolerance_membership`
     # runs the membership loop over the system's column fronts and leaves
-    # the full evaluation, `_membership` on `solve_and_recompose`, to the
-    # exact tests as their reference
+    # the full evaluation on `solve_and_recompose` to the tests, as the
+    # reference of the exact membership tests
     (function,) = module_functions("oracle.py", ("tolerance_membership",))
     called = {
         ast.unparse(node.func).split(".")[-1]
@@ -305,14 +332,16 @@ def test_tolerance_membership_evaluates_no_closure():
 
 def test_cell_scans_transpose_nothing():
     # every scan of a system's cells reads the columns the system laid out
-    # when it was built
+    # when it was built; `distance_report` hands them to the skeleton
     functions = (
-        module_functions("report.py", ("distance_report", "checked_cell"))
+        module_functions("report.py", ("_report", "distance_report", "checked_cell"))
         + module_functions("operators.py", ("float_cells",))
         + module_functions("oracle.py", ("exact_maxt_distance",))
     )
-    assert len(functions) == 4
+    assert len(functions) == 5
     assert transposing(functions) == []
+    (report,) = module_functions("report.py", ("distance_report",))
+    assert "system.columns" in {ast.unparse(node) for node in ast.walk(report)}
 
 
 def test_exact_membership_transposes_nothing():
