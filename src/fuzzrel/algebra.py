@@ -18,7 +18,7 @@ the closed sup-norm ball of radius delta around v inside the unit cube.
 
 These formulas, together with every scalar threshold and every cell
 formula of both system families, are written once in `arithmetic`, over the
-zero and one of a number type (no numeric literal appears inside it).  The
+one of a number type (no numeric literal appears inside it).  The
 kind-dependent ones are tables with one entry per kind, looked up once per
 call: the scalar t-norms and residua; each composition, a loop over the
 rows with the kind's t-norm or residuum inline; the membership test of the
@@ -130,14 +130,13 @@ class Kernel(namedtuple("Kernel", "cell column")):
         return tuple(map(self.cell, us, xs, repeat(self.column(tuple(zip(us, xs))))))
 
 
-#: Width of the window below a column's greatest float key within which the
-#: Lukasiewicz reducers of `FLOAT` keep pairs: 8 * 2^-53, derived in
-#: `top_pairs`.
+#: Width of the window below a column's greatest key within which the
+#: Lukasiewicz reducers keep pairs: 8 * 2^-53, derived in `top_pairs`.
 KEY_WINDOW = 2.0 ** -50
 
-#: The Goguen quotient (x y - u z)^+ / (u + y) of `FLOAT` scales u and y by
-#: QUOTIENT_SCALE when u + y lies below QUOTIENT_FLOOR, where its products
-#: would underflow (see `goguen_threshold`).
+#: The Goguen quotient (x y - u z)^+ / (u + y) scales u and y by
+#: QUOTIENT_SCALE when u + y lies below QUOTIENT_FLOOR, where its float
+#: products would underflow (see `goguen_threshold`).
 QUOTIENT_FLOOR = 2.0 ** -960
 QUOTIENT_SCALE = 2.0 ** 1000
 
@@ -147,11 +146,6 @@ QUOTIENT_SCALE = 2.0 ** 1000
 #: with it; a Fraction compares with a float exactly, so a comparison may
 #: read it as it is.
 BORDERLINE_EPS = 1e-9
-
-#: Greatest gap between the Goguen row rule's tau and its least zeta that it
-#: takes for agreement.  It is only compared, so it stays a float in every
-#: instance of `arithmetic`.
-GOGUEN_ROW_TOL = 1e-12
 
 
 # The cell records are named tuples, not dataclasses: a report builds m n of
@@ -291,8 +285,9 @@ def top_pairs(pairs, keys, window) -> tuple:
     (y, z) only through y - z, and neither decreases as its key grows,
     since each takes the key through sums, (.)^+, halving, min and max,
     which are all non-decreasing: the pairs of greatest key attain the
-    column's max, and `EXACT` keeps them with a window of zero.  `FLOAT` keeps every pair within KEY_WINDOW =
-    2^-50 = 8 eps of the greatest float key, eps = 2^-53.  Why that keeps
+    column's max, so an exact reducer keeps it with any window.  Every
+    instance keeps each pair within KEY_WINDOW = 2^-50 = 8 eps of the
+    greatest key, eps = 2^-53, which is what floats need.  Why that keeps
     both the float cell and the exact one:
 
     - Rounding.  A real r with |r| <= 2 rounds to the nearest float by at
@@ -365,23 +360,22 @@ def column_scan(columns, rhs, cells) -> tuple:
     return tuple(zip(*[cells(column, rhs) for column in columns]))
 
 
-def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
-    """Bind the shared formulas to the number type of `zero` and `one`.
+def arithmetic(one) -> Arithmetic:
+    """Bind the shared formulas to the number type of `one`.
 
-    Every literal the formulas need is derived from these two once, here, so
+    Every literal the formulas need is derived from `one` once, here, so
     the functions never mix number types: given operands of that type, each
-    returns a value of that type.  BORDERLINE_EPS, which the Godel row rule
-    adds and subtracts, is read as that type once too: a float keeps its
-    bits and a Fraction is exact.  `window`, of the same type, is the width
+    returns a value of that type.  The guards are read as that type once
+    too, a float keeping its bits and a Fraction exact: BORDERLINE_EPS,
+    which the Godel row rule adds and subtracts; KEY_WINDOW, the width
     within which the Lukasiewicz reducers keep pairs below a column's
-    greatest key: KEY_WINDOW in floats, zero in exact arithmetic (see
-    `top_pairs`).  `tiny` and `scale`, of the same type too, guard the
-    Goguen quotient against underflow: a quotient whose denominator lies
-    below `tiny` has its two gamma entries scaled by `scale` first
-    (QUOTIENT_FLOOR and QUOTIENT_SCALE in floats, see `goguen_threshold`;
-    zero and one in exact arithmetic, which never scales).  Each
-    kind-dependent formula is a table with one entry per ImplicationKind,
-    looked up once per call.
+    greatest key (`top_pairs`); and QUOTIENT_FLOOR and QUOTIENT_SCALE, below
+    which the Goguen quotient scales its two gamma entries
+    (`goguen_threshold`).  Floats need them; exact arithmetic does not, and
+    its values do not change under them: a Goguen quotient does not change
+    under a common scale, and the pairs of greatest key are always kept.
+    Each kind-dependent formula is a table with one entry per
+    ImplicationKind, looked up once per call.
     """
     # The scalar formulas run m n k times per system, and the compositions m
     # n times per closure, so they are written without builtin calls: a
@@ -398,8 +392,10 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     # comprehension per row read 8.9 us).  For the same reason they write a
     # positive part as `x if x > zero else zero`, the body of `pos`, in
     # place of a call to it.
-    two = one + one
-    eps = type(one)(BORDERLINE_EPS)
+    zero, two = one - one, one + one
+    eps, window, tiny, scale = map(
+        type(one), (BORDERLINE_EPS, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE)
+    )
     godel, goguen, luka = ImplicationKind
 
     def pos(x):
@@ -497,20 +493,20 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     # per kind: is min_impl_compose(gamma, kind, x) <= upper + slack, with x
     # = max_t_compose(gamma^t, kind, lower) and lower, upper =
     # shifted_bounds(beta, delta)?  `fronts` holds, per column i, the pairs
-    # (gamma[l][i], l) of the rows l on its front (a system's `fronts`), so
-    # x[i] is the kind's t-norm maxed over those rows only, each shifting
-    # its beta[l] down where it reads it; then each row of `gamma`, whose
+    # (gamma[l][i], beta[l]) on its front (a system's `fronts`), so x[i] is
+    # the kind's t-norm maxed over those pairs only, each shifting its
+    # beta[l] down where it reads it; then each row of `gamma`, whose
     # beta entries are `rhs`, shifts its own up and stops at its first
     # residuum <= that + slack, and the test fails at the first row with
     # none.  The shifts are `shifted_bounds`' own float operations, in its
     # order, computed only where they are read.  The oracle docstring
     # states why the verdict is the plain closure's, bit for bit.
-    def godel_membership(gamma, fronts, beta, rhs, delta, slack):
+    def godel_membership(gamma, fronts, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
-            for g, l in column:
-                t = beta[l] - delta
+            for g, b in column:
+                t = b - delta
                 t = t if t > zero else zero
                 t = g if g < t else t
                 if best is None or t > best:
@@ -526,12 +522,12 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                 return False
         return True
 
-    def goguen_membership(gamma, fronts, beta, rhs, delta, slack):
+    def goguen_membership(gamma, fronts, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
-            for g, l in column:
-                t = beta[l] - delta
+            for g, b in column:
+                t = b - delta
                 t = g * (t if t > zero else zero)
                 if best is None or t > best:
                     best = t
@@ -546,12 +542,12 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                 return False
         return True
 
-    def luka_membership(gamma, fronts, beta, rhs, delta, slack):
+    def luka_membership(gamma, fronts, rhs, delta, slack):
         x = []
         for column in fronts:
             best = None
-            for g, l in column:
-                t = beta[l] - delta
+            for g, b in column:
+                t = b - delta
                 t = g + (t if t > zero else zero) - one
                 t = t if t > zero else zero
                 if best is None or t > best:
@@ -614,8 +610,9 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         applied.
 
         The quotient does not change when u and y are scaled by a common
-        factor, so when u + y lies below `tiny` both are scaled by `scale`
-        first: in floats by 2^1000 below 2^-960, which is exact, as u, y <
+        factor, so when u + y lies below QUOTIENT_FLOOR = 2^-960 both are
+        scaled by QUOTIENT_SCALE = 2^1000 first; in exact arithmetic that
+        returns the same value.  In floats the scaling is exact, as u, y <
         2^-960 then and the scaled sum stays below 2^40 (Higham, Accuracy and
         Stability of Numerical Algorithms, ch. 2).  Without it both products
         underflow when u and y are subnormal.  Bound, with eps = 2^-53 and
@@ -687,12 +684,12 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
     def luka_top(pairs):
         """The pairs (gl, bl) of a min-implication Lukasiewicz column whose
-        key bl - (1 - gl) is within `window` of the greatest (`top_pairs`)."""
+        key bl - (1 - gl) is within KEY_WINDOW of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [bl - (one - gl) for gl, bl in pairs], window)
 
     def maxluka_top(pairs):
         """The pairs (y, z) of a max-Lukasiewicz column whose key y - z is
-        within `window` of the greatest (`top_pairs`)."""
+        within KEY_WINDOW of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [y - z for y, z in pairs], window)
 
     # The cells of a min-implication report; `fuzzrel.report` states their
@@ -765,7 +762,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
         max of bl - g / gl over those with g <= gl, and a supporting cell
         (g > 0) takes zeta = max(theta^+, min(max R, 1 - b)) over the
         quotients R = (bl gl - g b)^+ / (g + gl), `goguen_threshold`'s, with
-        its rescale below `tiny` and its error bound.  Each product is
+        its rescale below QUOTIENT_FLOOR and its error bound.  Each product is
         computed once, per pair or per cell, by the float operation and on
         the operands the per-pair formula has, so every cell is that
         formula's, bit for bit.
@@ -891,8 +888,8 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
 
         One pass keeps tau with its first column and the least zeta of the
         same cells.  The Goguen column returns zeta >= theta^+ on supporting
-        cells, so the two agree, bit for bit; the check guards that
-        invariant."""
+        cells, so the two are the same value, bit for bit; the check guards
+        that invariant."""
         argmin, tau, low = None, one, one
         for i, (theta, zeta, support) in enumerate(cells):
             if support:
@@ -904,7 +901,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
                         argmin, tau = i, value
                     if zeta < low:
                         low = zeta
-        if not abs(tau - low) <= GOGUEN_ROW_TOL:
+        if tau != low:
             raise InvariantViolation(f"row {j}: tau {tau!r} differs from the least zeta {low!r}")
         one_minus_beta = one - b
         nabla_j = tau if tau < one_minus_beta else one_minus_beta
@@ -973,7 +970,7 @@ def arithmetic(zero, one, window, tiny, scale) -> Arithmetic:
     return Arithmetic(*(scope[name] for name in Arithmetic._fields))
 
 
-FLOAT = arithmetic(0.0, 1.0, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE)
+FLOAT = arithmetic(1.0)
 pos = FLOAT.pos
 
 

@@ -40,10 +40,11 @@ which is outside `__init__`, `repr`, equality and hashing.  Nothing
 downstream checks or lays the system out again.  The closure steps here
 run the kind's composition loops on `gamma` and `columns` through
 `FLOAT.solve_and_recompose`.  A `FuzzySystem` keeps the rising `front` of
-each column's pairs (gamma[l][i], beta[l]) as `fronts`, built on first use:
-its only reader is the oracle's `tolerance_membership`, which runs
-`FLOAT.membership` on `gamma` and `fronts` about 33 times per bisection,
-so the closure steps, the reports and the approximations never build it.
+each column's pairs (gamma[l][i], beta[l]) as `fronts`, the kept pairs
+themselves, built on first use: its only reader is the oracle's
+`tolerance_membership`, which runs `FLOAT.membership` on `gamma` and
+`fronts` about 33 times per bisection, so the closure steps, the reports
+and the approximations never build it.
 Every scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
 and `checked_cell`, `MaxTSystem.float_cells` and
 `fuzzrel.oracle.exact_maxt_distance`.  The exact membership tests,
@@ -100,16 +101,10 @@ class FuzzySystem:
 
     @cached_property
     def fronts(self) -> tuple:
-        """Per column i, the pairs (gamma[l][i], l) of the rows l on the
-        rising `front` of the pairs (gamma[l][i], beta[l]), in row order,
-        computed on first use and kept: the membership test of the bisection
-        oracle reads them.  Of equal pairs `front` keeps the first, so its
-        row is the pair's first index in the column."""
-        fronts = []
-        for column in self.columns:
-            pairs = tuple(zip(column, self.beta))
-            fronts.append(tuple([(g, pairs.index((g, b))) for g, b in front(pairs)]))
-        return tuple(fronts)
+        """Per column i, the rising `front` of its pairs (gamma[l][i],
+        beta[l]), in row order, computed on first use and kept: the
+        membership test of the bisection oracle reads them."""
+        return tuple([front(tuple(zip(column, self.beta))) for column in self.columns])
 
     @property
     def m(self) -> int:

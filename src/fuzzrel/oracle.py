@@ -11,10 +11,10 @@ distance) can be bracketed by plain bisection on `tolerance_membership`.
 Each test needs only a yes or no, so `tolerance_membership` does not
 evaluate the closure.  It runs `FLOAT.membership[kind]`, which computes the
 inner level x = max_t_compose(gamma^t, kind, lower) over each column's
-front rows only, the system's `fronts`, and then stops each row at its
-first residuum at most upper[j] + slack, with lower, upper =
-shifted_bounds(beta, delta).  It computes lower[l] only at front rows and
-upper[j] only at the rows it visits, by the float operations of
+front pairs (gamma[l][i], beta[l]) only, the system's `fronts`, and then
+stops each row at its first residuum at most upper[j] + slack, with lower,
+upper = shifted_bounds(beta, delta).  It computes lower[l] only at front
+pairs and upper[j] only at the rows it visits, by the float operations of
 `shifted_bounds`, so each is the same float.  Its verdict is that of
 leq(closure(system, lower), upper, slack), bit for bit:
 
@@ -173,16 +173,15 @@ def tolerance_membership(
     if not 0.0 <= slack < math.inf:
         raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
     delta = unit(delta, "delta")
-    beta = system.beta
-    gamma, rhs = system.gamma, beta
+    gamma, rhs = system.gamma, system.beta
     if row is not None:
         row = checked_index(row, len(gamma), "row", "rows")
-        gamma, rhs = (gamma[row],), (beta[row],)
-    return FLOAT.membership[system.kind](gamma, system.fronts, beta, rhs, delta, slack)
+        gamma, rhs = (gamma[row],), (rhs[row],)
+    return FLOAT.membership[system.kind](gamma, system.fronts, rhs, delta, slack)
 
 
 #: The shared formulas of `fuzzrel.algebra` in exact rational arithmetic.
-EXACT = arithmetic(Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+EXACT = arithmetic(Fraction(1))
 
 
 def _exact(value) -> Fraction:
@@ -406,13 +405,13 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
        shortest decimal is strictly increasing, so the decimal pairs have
        their front in the same rows.  For max-Lukasiewicz it is
        `fuzzrel.algebra.top_pairs`, which keeps every pair whose float key
-       a[k][j] - b[k] lies within KEY_WINDOW = 2^-50 of the greatest.  The
-       exact threshold depends on the pair only through the exact key, and
-       does not decrease with it; the decimal pair of greatest exact key
-       has a float key within 3 * 2^-53 of the greatest float key, so it
-       is kept (derived in `top_pairs`).
-       The result is max(0, max over kept rows of the min over their kept
-       cells).
+       a[k][j] - b[k] lies within 2^-50 of the greatest.  The exact
+       threshold depends on the pair only through the exact key, and does
+       not decrease with it; the decimal pair of greatest exact key has a
+       float key within 3 * 2^-53 of the greatest float key, so it is kept
+       (derived in `top_pairs`).
+       The result is EXACT.maxt_value of the kept rows, each holding its
+       kept cells: max(0, the greatest of their minima).
 
     Why this is the full exact scan.  Let e_i = min_j E[i][j], so that
     |e_i - f_i| <= ETA.  If row i attains max_i e_i and row r attains R, then
@@ -476,11 +475,11 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         pairs = kernel.column(tuple(zip(columns[j], b)))
         exact_columns[j] = tuple((_exact(y), _exact(z)) for y, z in pairs)
     cell = EXACT.maxt_cells[kind].cell
-    best = EXACT.zero
+    exact_rows = []
     for i, cells in kept:
         x = _exact(b[i])
-        best = max(best, min(cell(_exact(a[i][j]), x, exact_columns[j]) for j in cells))
-    return best
+        exact_rows.append([cell(_exact(a[i][j]), x, exact_columns[j]) for j in cells])
+    return EXACT.maxt_value(exact_rows)
 
 
 #: Most bisection splits `bisect_infimum` makes, enough for bracket widths

@@ -138,6 +138,12 @@ class TestGoguenInvariants:
             )
             with pytest.raises(InvariantViolation, match=re.escape(f"least zeta {2 * tenth!r}")):
                 rule(0, 2 * tenth, cells)
+            # the column gives tau and the least zeta as the same value, so
+            # a gap of 2^-45, below any float tolerance, breaks it too
+            gap = type(ar.zero)(2.0**-45)
+            near = (GoguenCellStats(2 * tenth + gap, 2 * tenth, True), cells[0])
+            with pytest.raises(InvariantViolation, match=re.escape(f"least zeta {2 * tenth!r}")):
+                rule(0, 2 * tenth, near)
             cells = (
                 GoguenCellStats(9 * tenth, ar.zero, False),
                 cells[0],

@@ -11,8 +11,11 @@ of each is checked against those references scanning the whole column, on
 random columns and on columns that reach the Goguen rescale, all-zero gamma
 columns and cells with a zero entry; their records are of the record type
 itself.  The Lukasiewicz column reducers are checked against a brute-force
-scan of the keys and against the cells of whole columns.  The two
-compositions, a loop per kind, are checked against the builtin `max` /
+scan of the keys and against the cells of whole columns, also on columns
+whose keys differ by less than their window, in floats and in Fractions:
+both instances keep the same window, and rescale the Goguen quotient below
+the same floor, which the edge columns check.  The two compositions, a
+loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
 NaN and out-of-range entries, which unvalidated callers can pass; so are
 the membership loops, on validated entries, against the same loops over
@@ -27,7 +30,7 @@ are the same on every run.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 import math
 import random
 
@@ -64,7 +67,7 @@ def references(ar):
     zero = ar.zero
     one = type(zero)(1)
     two = one + one
-    floor, scale = (QUOTIENT_FLOOR, QUOTIENT_SCALE) if ar is FLOAT else (zero, one)
+    floor, scale = map(type(zero), (QUOTIENT_FLOOR, QUOTIENT_SCALE))
 
     def pos(x):
         return max(zero, x)
@@ -231,15 +234,29 @@ EDGE_COLUMNS = (
 )
 
 
+def rescaled(ar, columns) -> list[int]:
+    """The indices of the `columns` on which the Goguen report column of
+    `ar` takes its rescale: some quotient's denominator g + gl lies in (0,
+    tiny), where `tiny` is the floor that column reads, checked to be
+    QUOTIENT_FLOOR in the instance's type, and so is its scale."""
+    column = ar.cells[GOGUEN]
+    guards = dict(zip(column.__code__.co_freevars, [c.cell_contents for c in column.__closure__]))
+    tiny, scale = guards["tiny"], guards["scale"]
+    assert same(tiny, type(ar.zero)(QUOTIENT_FLOOR))
+    assert same(scale, type(ar.zero)(QUOTIENT_SCALE))
+    return [
+        k for k, pairs in enumerate(columns)
+        if any(0 < g + gl < tiny for g, _ in pairs for gl, _ in pairs if gl > 0)
+    ]
+
+
 @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
 def test_report_columns_at_the_edges(kind):
-    rescaled = [
-        pairs for pairs in EDGE_COLUMNS
-        if any(0.0 < g + gl < QUOTIENT_FLOOR for g, _ in pairs for gl, _ in pairs if gl > 0.0)
-    ]
-    assert len(rescaled) == 4
-    assert column_mismatches(FLOAT, kind, EDGE_COLUMNS) == []
+    # the exact readings of the same 4 columns take the rescale too
     exact = [tuple((Fraction(g), Fraction(b)) for g, b in pairs) for pairs in EDGE_COLUMNS]
+    assert len(rescaled(FLOAT, EDGE_COLUMNS)) == 4
+    assert rescaled(EXACT, exact) == rescaled(FLOAT, EDGE_COLUMNS)
+    assert column_mismatches(FLOAT, kind, EDGE_COLUMNS) == []
     assert column_mismatches(EXACT, kind, exact) == []
 
 
@@ -319,7 +336,7 @@ def reducers(ar):
     `luka_top` of the report column, whose cells are the brute-force ones
     of `cell_references`, and that of the max-Lukasiewicz kernel."""
     one = type(ar.zero)(1)
-    window = KEY_WINDOW if ar is FLOAT else ar.zero
+    window = type(one)(KEY_WINDOW)
     maxluka = ar.maxt_cells[LUKA]
     return {
         "lukasiewicz": (ar.luka_top, lambda g, b: b - (one - g), window, cell_references(ar)[LUKA]),
@@ -334,13 +351,34 @@ def test_lukasiewicz_column_reads_its_reducer(ar, grid):
     assert ar.luka_top in [cell.cell_contents for cell in column.__closure__]
 
 
+def near_columns(number, seed, count: int):
+    """Random columns of 2-6 pairs of the type `number`: each column draws
+    one pair (g, b) of k/8 values and moves each entry of each pair from it
+    by up to 8 * 2^-53, so that the keys of a column differ by less than
+    2^-49 and often by less than KEY_WINDOW = 2^-50, which the k/8 of
+    EXACT_GRID never do.  Every entry is exactly a float value."""
+    rng = random.Random(seed)
+    tick = Fraction(1, 2**53)
+    for _ in range(count):
+        g, b = Fraction(rng.randint(1, 7), 8), Fraction(rng.randint(1, 7), 8)
+        yield tuple(
+            (number(g + rng.randint(-8, 8) * tick), number(b + rng.randint(-8, 8) * tick))
+            for _ in range(rng.randint(2, 6))
+        )
+
+
 @both_types
 @pytest.mark.parametrize("name", list(reducers(FLOAT)))
 def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name, seeds):
+    # on the grid and on columns of near keys, where the window decides
+    # which pairs are kept: a pair below the greatest key is kept in some
+    # columns and dropped in others
     reducer, key, window, cell = reducers(ar)[name]
     rng = random.Random(seeds(6))
-    found = []
-    for column in columns(grid, seeds(5), 3000 if ar is FLOAT else 600):
+    found, below, dropped = [], 0, 0
+    count = 3000 if ar is FLOAT else 600
+    near = list(near_columns(type(ar.zero), seeds(10), count // 3))
+    for k, column in enumerate(chain(near, columns(grid, seeds(5), count))):
         top = max(key(*pair) for pair in column)
         want = tuple(pair for pair in column if key(*pair) >= top - window)
         kept = reducer(column)
@@ -349,7 +387,11 @@ def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name, seeds):
         u, x = rng.choice(grid), rng.choice(grid)
         if not same(cell(u, x, kept), cell(u, x, column)):
             found.append((u, x, column, kept))
+        if k < len(near):
+            below += any(key(*pair) < top for pair in kept)
+            dropped += len(kept) < len(column)
     assert found == []
+    assert below > 0 and dropped > 0
 
 
 @pytest.mark.parametrize("name", list(reducers(FLOAT)))
@@ -436,15 +478,13 @@ def test_membership_matches_builtin_form(ar, grid, kind, seeds):
         beta = tuple(abs(rng.choice(grid)) for _ in gamma)
         delta = abs(rng.choice(grid))
         lower, upper = ar.shifted_bounds(beta, delta)
-        fronts = tuple(
-            tuple((g, l) for l, g in enumerate(column)) for column in zip(*gamma)
-        )
-        x = [max(ar.t_norms[kind](g, lower[l]) for g, l in column) for column in fronts]
+        fronts = tuple(tuple(zip(column, beta)) for column in zip(*gamma))
+        x = [max(map(ar.t_norms[kind], column, lower)) for column in zip(*gamma)]
         for slack in slacks:
             holds = [min(map(ar.residua[kind], row, x)) <= u + slack for row, u in zip(gamma, upper)]
-            if ar.membership[kind](gamma, fronts, beta, beta, delta, slack) is not all(holds):
+            if ar.membership[kind](gamma, fronts, beta, delta, slack) is not all(holds):
                 found.append((gamma, beta, delta, slack))
             j = rng.randrange(len(gamma))
-            if ar.membership[kind]((gamma[j],), fronts, beta, (beta[j],), delta, slack) is not holds[j]:
+            if ar.membership[kind]((gamma[j],), fronts, (beta[j],), delta, slack) is not holds[j]:
                 found.append((gamma, beta, delta, slack, j))
     assert found == []

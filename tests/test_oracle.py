@@ -136,7 +136,7 @@ FRONT_EXAMPLES = (
     st.integers(0, 120),
 )
 def test_tolerance_membership_is_the_closure_inequality(entries, kind, k):
-    # the membership test reads only the front rows of each column and stops
+    # the membership test reads only the front pairs of each column and stops
     # each row at its first deciding residuum; it must still be
     # leq(closure(lower), upper, slack) of the plain closure, which reads no
     # front, on ties, subnormals, 0.0 and 1.0 entries and 1 x n and m x 1

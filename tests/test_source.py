@@ -87,7 +87,7 @@ def numeric_literals(module: str, tree: ast.AST) -> list[str]:
 
 
 def test_no_numeric_literals_in_arithmetic():
-    # every literal of the shared formulas derives from `zero` and `one`; a
+    # every literal of the shared formulas derives from `one`; a
     # float literal would silently round each Fraction result of oracle.EXACT.
     # The row rules are among them: they unpack their cells by field rather
     # than subscript them, which would take an int literal
@@ -138,6 +138,24 @@ def test_oracle_writes_no_formula():
     # per-kind tables of FLOAT and EXACT; a lambda or a branch on the kind
     # there would be a second copy of some t-norm or residuum
     assert formulas_written("oracle.py") == []
+
+
+def test_arithmetic_derives_its_own_guards():
+    # `arithmetic(one)` reads every guard of the formulas, the key window and
+    # the quotient rescale among them, as the type of `one`, so no instance
+    # names one: the oracle's EXACT is arithmetic(Fraction(1)).  The
+    # membership loops read beta from the front pairs themselves
+    parameters = arithmetic_body().args
+    assert [a.arg for a in parameters.posonlyargs + parameters.args] == ["one"]
+    assert (parameters.vararg, parameters.kwonlyargs, parameters.kwarg) == (None, [], None)
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    named = [name for name in ("KEY_WINDOW", "QUOTIENT_FLOOR", "QUOTIENT_SCALE") if name in source]
+    assert named == []
+    loops = [
+        [a.arg for a in node.args.args] for node in ast.walk(arithmetic_body())
+        if isinstance(node, ast.FunctionDef) and node.name in MEMBERSHIP_LOOPS
+    ]
+    assert loops == [["gamma", "fronts", "rhs", "delta", "slack"]] * 3
 
 
 def test_report_writes_no_formula():
