@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -1020,14 +1021,22 @@ def unit(value, name: str = "value") -> float:
     return x
 
 
+#: Iterables that are not arrays: a string or a byte string would be read
+#: as its characters or bytes, a mapping as its keys, a set in no fixed order.
+_NOT_ARRAYS = (str, bytes, bytearray, Mapping, Set)
+
+
 def _entries(values, name: str, row: int | None = None):
-    """enumerate(values); a value that is not a sequence is a DomainError
-    naming `name`, or `name[row]` for a row of a matrix."""
-    try:
-        return enumerate(values)
-    except TypeError:
-        where = name if row is None else f"{name}[{row}]"
-        raise DomainError(f"{where}: expected an array, got {type(values).__name__}") from None
+    """enumerate(values); a value that is not an array, whether not iterable
+    or one of `_NOT_ARRAYS`, is a DomainError naming `name`, or `name[row]`
+    for a row of a matrix.  Iterators are arrays, read once."""
+    if not isinstance(values, _NOT_ARRAYS):
+        try:
+            return enumerate(values)
+        except TypeError:
+            pass
+    where = name if row is None else f"{name}[{row}]"
+    raise DomainError(f"{where}: expected an array, got {type(values).__name__}")
 
 
 _FLOATS = {float}

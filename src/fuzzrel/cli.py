@@ -27,25 +27,14 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 
+# The layers every subcommand runs.  Each handler imports the others it
+# runs, `report`, `approximation` and `oracle`, so a process compiles only
+# the layers of its subcommand.
 from .algebra import ImplicationKind, unit
-from .approximation import (
-    ApproximationStatus,
-    build_approximation,
-    near_approximation,
-)
 from .errors import FuzzrelError, InvariantViolation
 from .operators import DEFAULT_TOL, ConsistencyResult, FuzzySystem, MaxTSystem, check_consistency
-from .oracle import (
-    bisect_infimum,
-    exact_maxt_distance,
-    exact_maxt_membership,
-    generate_random_system,
-    tolerance_membership,
-)
-from .report import ChebyshevReport, distance_report, maxt_distance
 
 #: Slack used when the oracle re-tests membership exactly at a computed
 #: distance, where the two sides of the comparison are equal in exact
@@ -129,8 +118,10 @@ def _consistency_payload(result: ConsistencyResult) -> dict:
     return {"consistent": result.consistent, "residual": result.residual}
 
 
-def _distance(args) -> tuple[FuzzySystem, ChebyshevReport, dict]:
+def _distance(args) -> tuple:
     """The system of --input, its distance report and the `distance` payload."""
+    from .report import distance_report
+
     system, payload = _read_system(args.input, FuzzySystem, "gamma", "beta")
     report = distance_report(system)
     per_row = []
@@ -169,6 +160,8 @@ def _cmd_distance(args) -> tuple[int, dict]:
 
 
 def _cmd_approx(args) -> tuple[int, dict]:
+    from .approximation import ApproximationStatus, build_approximation, near_approximation
+
     system, report, payload = _distance(args)
     if args.delta is not None:
         if args.delta <= report.nabla:
@@ -199,6 +192,9 @@ def _cmd_approx(args) -> tuple[int, dict]:
 
 
 def _cmd_maxt_distance(args) -> tuple[int, dict]:
+    from .oracle import exact_maxt_distance, exact_maxt_membership
+    from .report import maxt_distance
+
     system, payload = _read_system(args.input, MaxTSystem, "a", "b")
     payload.update(
         delta=maxt_distance(system),
@@ -208,6 +204,8 @@ def _cmd_maxt_distance(args) -> tuple[int, dict]:
 
 
 def _oracle_nabla(system: FuzzySystem, oracle_tol: float):
+    from .oracle import bisect_infimum, tolerance_membership
+
     return bisect_infimum(
         lambda d: tolerance_membership(system, d, slack=MEMBERSHIP_SLACK),
         tol=oracle_tol,
@@ -216,6 +214,8 @@ def _oracle_nabla(system: FuzzySystem, oracle_tol: float):
 
 def _comparison(system: FuzzySystem, oracle_tol: float) -> dict:
     """The closed-form nabla of `system` against the oracle's estimate."""
+    from .report import distance_report
+
     formula = distance_report(system).nabla
     oracle = _oracle_nabla(system, oracle_tol).inf_value
     return {"nabla_formula": formula, "nabla_oracle": oracle, "difference": abs(formula - oracle)}
@@ -249,6 +249,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
         raise CliError("--random: expected M N [TRIALS]")
     if m < 1 or n < 1 or trials < 1:
         raise CliError("--random: M, N and TRIALS must be positive")
+
+    import random
+
+    from .oracle import generate_random_system
 
     master = random.Random(args.seed)
     disagreements = 0

@@ -87,10 +87,35 @@ class TestUnitValidation:
             unit_matrix(0.5, "gamma")
         with pytest.raises(DomainError, match=r"^gamma\[0\]: "):
             unit_matrix([0.5, 0.2], "gamma")
-        with pytest.raises(DomainError, match=r"^gamma\[0\]\[0\]: expected a number, got str$"):
+        with pytest.raises(DomainError, match=r"^gamma\[0\]: expected an array, got str$"):
             unit_matrix(["0.5"], "gamma")
         with pytest.raises(DomainError, match=r"^beta: "):
             unit_vector(0.5, "beta")
+
+    @pytest.mark.parametrize(
+        "value", ["0.5", b"\x01", bytearray(b"\x01"), {0.5: 1}, {0.5}, frozenset({0.5})],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_string_bytes_mapping_or_set_is_no_array(self, value):
+        # each is iterable, but would be read as its characters, bytes or
+        # keys, or in no set order: a row, a matrix or a vector of it is
+        # named as no array, on the per-entry path the bulk check leaves it to
+        got = rf"expected an array, got {type(value).__name__}$"
+        godel = ImplicationKind.GODEL
+        with pytest.raises(DomainError, match=rf"^gamma\[1\]: {got}"):
+            FuzzySystem([[0.5], value], [0.1, 0.2], godel)
+        with pytest.raises(DomainError, match=rf"^gamma: {got}"):
+            FuzzySystem(value, [0.1], godel)
+        with pytest.raises(DomainError, match=rf"^beta: {got}"):
+            FuzzySystem([[0.5]], value, godel)
+        with pytest.raises(DomainError, match=rf"^matrix\[0\]: {got}"):
+            max_t_compose([value], godel, [0.5])
+        with pytest.raises(DomainError, match=rf"^vector: {got}"):
+            min_impl_compose([[0.5]], godel, value)
+
+    def test_iterators_are_arrays(self):
+        system = FuzzySystem(iter([iter([0.5, 0.25])]), iter([0.1]), ImplicationKind.GODEL)
+        assert (system.gamma, system.beta) == (((0.5, 0.25),), (0.1,))
 
 
 def reference_row(values, where):

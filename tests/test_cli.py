@@ -387,6 +387,17 @@ class TestValidation:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {field}: ")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"gamma": ["0.5"], "beta": [0.1]}, "gamma[0]: expected an array, got str"),
+        ({"gamma": [[0.5]], "beta": {"x": 0.1}}, "beta: expected an array, got dict"),
+    ], ids=["string-row", "object-beta"])
+    def test_string_or_object_is_no_array(self, capsys, tmp_path, fields, message):
+        # a JSON string or object is iterable, but neither is an array: it
+        # is named whole, not read as characters or keys
+        path = write_doc(tmp_path, "bad.json", {"implication": "godel", **fields})
+        code, out, err = run_cli(capsys, "check", "--input", path)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("text, message", [
         ("[0.5]", "top-level value must be a JSON object"),
         ('{"gamma": [[0.5]], "beta": [0.5]}', "implication: required string field"),
@@ -509,7 +520,7 @@ class TestFlags:
         def broken(system):
             raise InvariantViolation("tau disagrees")
 
-        monkeypatch.setattr(cli, "distance_report", broken)
+        monkeypatch.setattr("fuzzrel.report.distance_report", broken)
         code, _, err = run_cli(capsys, "distance", "--input", attained_doc)
         assert code == 2
         assert "tau disagrees" in err
