@@ -16,7 +16,9 @@ Quick start::
 Names load on first use: `import fuzzrel` imports none of its submodules,
 and reading a public name, or a submodule such as `fuzzrel.oracle`, imports
 the submodule that defines it.  So a `fuzzrel` process compiles only the
-layers its subcommand runs.
+layers its subcommand runs.  The public names are the keys of one table,
+`_ORIGIN`, from each name to its submodule, and `__all__` is those keys
+sorted.
 """
 
 from importlib import import_module
@@ -47,70 +49,7 @@ _ORIGIN = {
 
 __version__ = "0.1.0"
 
-
-__all__ = [
-    "Attainability",
-    "ApproximationResult",
-    "ApproximationStatus",
-    "ChebyshevReport",
-    "ConsistencyResult",
-    "DEFAULT_TOL",
-    "DimensionMismatch",
-    "DomainError",
-    "FuzzrelError",
-    "FuzzySystem",
-    "GodelCellStats",
-    "GoguenCellStats",
-    "ImplicationKind",
-    "KindMismatch",
-    "LukaCellStats",
-    "Matrix",
-    "MaxTSystem",
-    "NearApproximation",
-    "OracleEstimate",
-    "PredicateNotUpClosed",
-    "ReportMismatch",
-    "RowDiagnostics",
-    "Vector",
-    "bisect_infimum",
-    "build_approximation",
-    "check_consistency",
-    "closure",
-    "distance_report",
-    "exact_maxt_distance",
-    "exact_maxt_membership",
-    "exact_membership",
-    "generate_random_system",
-    "godel_cell",
-    "godel_distance",
-    "godel_threshold",
-    "goguen_cell",
-    "goguen_distance",
-    "goguen_threshold",
-    "luka_cell",
-    "luka_distance",
-    "luka_threshold",
-    "max_t_compose",
-    "maxluka_threshold",
-    "maxprod_ratio",
-    "maxprod_threshold",
-    "maxt_closure",
-    "maxt_distance",
-    "min_impl_compose",
-    "near_approximation",
-    "potential_solution",
-    "residuum",
-    "sample_consistent_rhs",
-    "shifted_bounds",
-    "sup_distance",
-    "t_norm",
-    "tolerance_membership",
-    "transpose",
-    "unit",
-    "unit_matrix",
-    "unit_vector",
-    "verify_lowest",
-]
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name: str):

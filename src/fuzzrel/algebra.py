@@ -1164,9 +1164,12 @@ def min_impl_compose(matrix: Matrix, kind: ImplicationKind, vec: Vector) -> Vect
 
 
 def sup_distance(u: Vector, v: Vector) -> float:
-    """Sup-norm distance max_i |u[i] - v[i]|."""
+    """Sup-norm distance max_i |u[i] - v[i]| of two vectors of one length,
+    at least 1; other lengths raise DimensionMismatch."""
     if len(u) != len(v):
         raise DimensionMismatch(f"sup_distance: lengths {len(u)} and {len(v)} differ")
+    if not u:
+        raise DimensionMismatch("sup_distance: vectors have no entries")
     return max(abs(a - b) for a, b in zip(u, v))
 
 

@@ -61,14 +61,17 @@ pass reads the matrix as floats, the system's rows for the outer level and
 its prepared `columns` for the inner one, and bounds only the vectors:
 
 - the shifts of beta by delta, from one `FLOAT.shifted_bounds(rhs,
-  float(delta))`, each float value r widened to a low bound fl(r - W) and
-  a high bound fl(r + W), W = MEMBERSHIP_PAD = 2^-50 = 8 eps, eps = 2^-53;
+  float(delta))`, each shift padded down to its low and up to its high
+  bound;
 - each level, the FLOAT composition of the float matrix with the low and
   with the high bound of its vector (the per-kind loops return what the
   scalar t-norms and residua of `Arithmetic.t_norms` and
-  `Arithmetic.residua` return), widened the same way.
+  `Arithmetic.residua` return), the one at the low bound padded down and
+  the one at the high bound up.
 
-Every bound is then clamped to [0, 1], where every exact quantity lies.
+The pad is `FLOAT.shifted_bounds(v, W)`, W = MEMBERSHIP_PAD = 2^-50 = 8 eps,
+eps = 2^-53: each float value r goes to a low bound fl(r - W) and a high
+bound fl(r + W), clamped to [0, 1], where every exact quantity lies.
 Every t-norm and every residuum is non-decreasing in its vector argument,
 and so are max and min, so the low bound of a vector gives the low bound
 of its level.  Why the bounds hold:
@@ -235,14 +238,7 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     per-row exact fallback of the module docstring.  The inner level is x =
     max_t_compose(gamma^t, kind, lower), the outer one image =
     min_impl_compose(gamma, kind, x), and row i holds when image[i] <=
-    upper[i].  The pass reads gamma and the system's `columns` as floats
-    and bounds only the vectors: lower and upper from one float shift, and
-    each level at the low and at the high bound of its vector, each bound
-    padded by MEMBERSHIP_PAD = 2^-50.  That leaves every bound at least 4.5
-    * 2^-53 outside its exact value, more than reading an entry exactly
-    moves a formula or its branch, so a decided row has its exact verdict
-    and an open row is evaluated in Fractions over every term that can
-    attain its min or max.
+    upper[i].
 
     For inputs stated in a few decimals, whose derived thresholds live on a
     coarse decimal grid, the answer is exact.  For arbitrary floats it is
@@ -266,39 +262,26 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     by the interval pass and per-row exact fallback of the module docstring.
     The inner level is y = min_impl_compose(a^t, kind, upper), the outer one
     c = max_t_compose(a, kind, y), and row i holds when lower[i] <= c[i].
-    As in `exact_membership`, the pass reads `a` and the system's `columns`
-    as floats and bounds only the vectors, each bound padded by
-    MEMBERSHIP_PAD = 2^-50, so decided rows and the exact fallback give the
-    full evaluation's verdict.
     """
     delta = _exact_delta(delta)
     return _decided(system.a, system.columns, system.b, system.kind, delta, True, range(system.n))
 
 
-#: Padding of every bound of the interval pass behind `exact_membership` and
-#: `exact_maxt_membership`: 8 * 2^-53, against at most 2 * 2^-53 for the
-#: rounding of one scalar formula, 2^-53 for that of the padding itself and
-#: 2^-54 for reading an entry, which leaves a margin of 4.5 * 2^-53 (derived
-#: in the module docstring).
+#: The pad of every bound of the interval pass, 8 * 2^-53 (module docstring).
 MEMBERSHIP_PAD = 2.0 ** -50
 
 
-def _padded(lo, hi) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """`lo` widened down and `hi` up by MEMBERSHIP_PAD, clamped to [0, 1]:
-    bounds of the exact values, when `lo` and `hi` are the float results at
-    the low and the high bounds of their arguments."""
-    return (
-        tuple([w if (w := v - MEMBERSHIP_PAD) > 0.0 else 0.0 for v in lo]),
-        tuple([1.0 if 1.0 < (w := v + MEMBERSHIP_PAD) else w for v in hi]),
-    )
+def _pad(v) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """`v` padded down and up by MEMBERSHIP_PAD, in [0, 1] (module docstring)."""
+    return FLOAT.shifted_bounds(v, MEMBERSHIP_PAD)
 
 
 def _level(residual: bool, kind, rows, v_lo, v_hi):
     """Bounds of min_impl_compose (`residual`) or max_t_compose of the float
     matrix `rows` and the vector bounded by v_lo, v_hi: the composition at
-    each bound of the vector, padded."""
+    each bound of the vector, the low one padded down and the high one up."""
     compose = (FLOAT.min_impl_rows if residual else FLOAT.max_t_rows)[kind]
-    return _padded(compose(rows, v_lo), compose(rows, v_hi))
+    return _pad(compose(rows, v_lo))[0], _pad(compose(rows, v_hi))[1]
 
 
 def _attaining(residual: bool, kind, row, v_lo, v_hi, lo, hi) -> list[int]:
@@ -320,8 +303,7 @@ def _decided(matrix, columns, rhs, kind, delta: Fraction, maxt: bool, rows) -> b
     in exact arithmetic: the interval pass decides what it can and the
     undecided rows are evaluated in Fractions over their attaining terms.
     `columns` is the matrix's transpose, as the system keeps it."""
-    lower, upper = FLOAT.shifted_bounds(rhs, float(delta))
-    lower, upper = _padded(lower, lower), _padded(upper, upper)
+    lower, upper = map(_pad, FLOAT.shifted_bounds(rhs, float(delta)))
     # The closure level by level: the inner one over columns of the shift,
     # the outer one over rows; the max-t closure takes the residua first.
     shift, bound = (upper, lower) if maxt else (lower, upper)

@@ -380,6 +380,9 @@ class TestCompositions:
             min_impl_compose(((0.1, 0.2),), ImplicationKind.GODEL, (0.5, 0.5, 0.5))
         with pytest.raises(DimensionMismatch):
             sup_distance((0.1,), (0.1, 0.2))
+        # max() over no entries would raise a bare ValueError
+        with pytest.raises(DimensionMismatch, match="^sup_distance: vectors have no entries$"):
+            sup_distance((), ())
 
     @pytest.mark.parametrize("compose", [max_t_compose, min_impl_compose], ids=lambda f: f.__name__)
     def test_ragged_matrix(self, compose):

@@ -388,6 +388,20 @@ def test_decided_shifts_once():
     assert len(shifts) == 1
 
 
+def test_oracle_writes_no_clamp():
+    # the interval pass pads through `FLOAT.shifted_bounds`, so a conditional
+    # with a 0.0 or a 1.0 branch in `oracle` is a second copy of its clamps
+    def clamps(node):
+        return isinstance(node, ast.IfExp) and any(
+            isinstance(branch, ast.Constant) and branch.value in (0.0, 1.0)
+            for branch in (node.body, node.orelse)
+        )
+
+    tree = parsed("oracle.py")
+    assert [f"oracle.py:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree) if clamps(node)] == []
+
+
 def test_oracle_encloses_no_entry():
     # no entry of a matrix is enclosed between its neighbouring floats
     tree = parsed("oracle.py")
@@ -406,7 +420,7 @@ def test_oracle_encloses_no_entry():
 
 #: The public surface of `fuzzrel`: a name added, renamed or dropped fails here.
 PUBLIC = [
-    "Attainability", "ApproximationResult", "ApproximationStatus", "ChebyshevReport",
+    "ApproximationResult", "ApproximationStatus", "Attainability", "ChebyshevReport",
     "ConsistencyResult", "DEFAULT_TOL", "DimensionMismatch", "DomainError", "FuzzrelError",
     "FuzzySystem", "GodelCellStats", "GoguenCellStats", "ImplicationKind", "KindMismatch",
     "LukaCellStats", "Matrix", "MaxTSystem", "NearApproximation", "OracleEstimate",
@@ -425,4 +439,5 @@ PUBLIC = [
 
 def test_public_surface_is_pinned():
     assert fuzzrel.__all__ == PUBLIC
+    assert set(fuzzrel._ORIGIN) == set(PUBLIC)
     assert [name for name in PUBLIC if not hasattr(fuzzrel, name)] == []
