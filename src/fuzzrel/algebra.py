@@ -52,12 +52,20 @@ entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 (`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
 then check the kind; `shifted_bounds` validates its vector by the
 `unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
-An `Arithmetic` checks nothing: its tables, `membership` and `row_rules`
-among them, `solve_and_recompose`, `maxt_closure`, `shifted_bounds`, the
-thresholds, the cells and `column_scan` are for a system validated
-when it was built, whose transpose is kept as `columns` and whose column
-fronts as `fronts` (see `fuzzrel.operators`), or for operands of the same
-guarantees.
+A system is checked when it is built, by `unit_system`: first by one bulk
+pass over the whole system, a fixed number of C-level passes whatever its
+size, which keeps a system of lists or tuples of plain floats in [0, 1] as
+it is; any other system goes the per-row way of `unit_matrix` and
+`unit_vector`, whose rows go in bulk or, failing that, entry by entry
+through `unit`, so values and errors are those of one `unit` call per
+entry.  `checked_tolerance` is the one guard of the tolerance and slack
+arguments of `fuzzrel.operators`, `fuzzrel.approximation` and
+`fuzzrel.oracle`.  An `Arithmetic` checks nothing: its tables,
+`membership` and `row_rules` among them, `solve_and_recompose`,
+`maxt_closure`, `shifted_bounds`, the thresholds, the cells and
+`column_scan` are for a system validated when it was built, whose
+transpose is kept as `columns` and whose column fronts as `fronts` (see
+`fuzzrel.operators`), or for operands of the same guarantees.
 
 All functions are pure and all aggregates are tuples, so values are
 immutable and safe to share between threads.  Branch-selecting comparisons
@@ -75,7 +83,7 @@ from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, InvariantViolation
@@ -239,6 +247,22 @@ def checked_index(index, size: int, name: str, unit: str) -> int:
     if not 0 <= index < size:
         raise IndexError(f"{name} {index} out of range for {size} {unit}")
     return index
+
+
+def checked_tolerance(value, name: str, positive: bool = False):
+    """`value` itself when it is a finite number at least 0, or above 0 when
+    `positive`.  Anything else raises ValueError naming `name`: NaN, an
+    infinity, a bool, which would be read as 0 or 1, and a value that the
+    comparison with a float cannot order, such as a string, None or a
+    Decimal NaN."""
+    try:
+        if not isinstance(value, bool) and (
+                0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+            return value
+    except (TypeError, ArithmeticError):
+        pass
+    sign = "positive" if positive else "non-negative"
+    raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
 def front(pairs, rising: bool = True) -> tuple:
@@ -1040,31 +1064,40 @@ def _entries(values, name: str, row: int | None = None):
 
 
 _FLOATS = {float}
+_ARRAYS = {tuple, list}
 
 
-def _kept(values) -> bool:
-    """Whether `unit` would return every entry of the list or tuple `values`
-    unchanged: each entry is exactly a float, none is NaN, none is negative
-    or -0.0, and none exceeds 1.
+def _kept(arrays) -> bool:
+    """Whether `unit` would return every entry of `arrays`, lists or tuples
+    each non-empty unless it is the only one, unchanged: each entry is
+    exactly a float, none is NaN, none is negative or -0.0, and none exceeds
+    1.
 
-    min and max skip a NaN that is not first, so NaN is found by the sum,
-    which is finite for floats in [0, 1].  A row whose least entry is not
-    positive has its signs read: that rejects -0.0, which `0.0 <= lo` would
-    let through, and every negative entry.  An empty row has no float type.
+    One C-level pass per property runs over all entries at once, whatever
+    the number of arrays: the set of their types, the sum, the greatest
+    entry and the least.  min and max skip a NaN that is not first, so NaN
+    is found by the sum, which is finite for floats in [0, 1] and is tested
+    first.  When the least entry is not positive, the signs are read of the
+    arrays whose own least entry is not positive, and of no other, in one
+    pass: that rejects -0.0, which `0.0 <= lo` would let through, and every
+    negative entry.  A lone empty array has no float type.
     """
-    if {*map(type, values)} != _FLOATS:
+    if {*map(type, chain.from_iterable(arrays))} != _FLOATS:
         return False
-    lo = min(values)
-    total = sum(values)
-    return (max(values) <= 1.0 and total == total
-            and (lo > 0.0 or min(map(math.copysign, repeat(1.0), values)) > 0.0))
+    total = sum(chain.from_iterable(arrays))
+    if not (total == total and max(chain.from_iterable(arrays)) <= 1.0):
+        return False
+    if min(chain.from_iterable(arrays)) > 0.0:
+        return True
+    signed = compress(arrays, map(operator.le, map(min, arrays), repeat(0.0)))
+    return min(map(math.copysign, repeat(1.0), chain.from_iterable(signed))) > 0.0
 
 
 def _unit_row(values, name: str, row: int | None = None) -> Vector:
     """`values` validated as `unit_vector` does, its entries named
     `name[j]`, or `name[row][j]` for a row of a matrix; the empty tuple for
     an empty row."""
-    if (type(values) is tuple or type(values) is list) and _kept(values):
+    if type(values) in _ARRAYS and _kept((values,)):
         return tuple(values)
     where = name if row is None else f"{name}[{row}]"
     return tuple(unit(v, f"{where}[{j}]") for j, v in _entries(values, name, row))
@@ -1074,12 +1107,12 @@ def unit_vector(values, name: str = "vector") -> Vector:
     """Validate a non-empty sequence of unit-interval values.
 
     A list or tuple whose entries are all plain floats in [0, 1] is checked
-    in bulk and kept as a tuple, with no call per entry.  It is exactly what
-    `unit` would return entry by entry, because the bulk check keeps only
-    rows that `unit` returns unchanged: no NaN (which min and max would
-    skip), no -0.0 (which `unit` turns into 0.0 and `>= 0.0` would pass), no
-    float subclass, int or bool (which `unit` converts to float), and
-    nothing outside [0, 1] (which `unit` clamps or rejects).  Any other
+    in bulk, by `_kept`, and kept as a tuple, with no call per entry.  It is
+    exactly what `unit` would return entry by entry, because the bulk check
+    keeps only rows that `unit` returns unchanged: no NaN (which min and max
+    would skip), no -0.0 (which `unit` turns into 0.0 and `>= 0.0` would
+    pass), no float subclass, int or bool (which `unit` converts to float),
+    and nothing outside [0, 1] (which `unit` clamps or rejects).  Any other
     sequence, an iterator included, is read once, entry by entry, by `unit`,
     so its clamping and its errors are unchanged.
     """
@@ -1096,7 +1129,9 @@ def unit_matrix(rows, name: str = "matrix") -> Matrix:
     floats in [0, 1], with no NaN and no -0.0, is kept in bulk, any other
     row goes entry by entry through `unit`.  Rows and the sequence of rows
     are read once.  Errors come in the per-entry order: the first bad entry
-    in row-major order, then rectangularity.
+    in row-major order, then rectangularity.  This per-row path is the
+    fallback of `unit_system` for a system that its whole-system pass does
+    not keep, so a bad entry costs a call per entry in its own row only.
     """
     grid = tuple(_unit_row(row, name, i) for i, row in _entries(rows, name))
     if not grid or not grid[0]:
@@ -1113,13 +1148,29 @@ def unit_matrix(rows, name: str = "matrix") -> Matrix:
 def unit_system(system, matrix: str, vector: str) -> None:
     """Validate a frozen system dataclass in place: its field `matrix` by
     `unit_matrix`, its field `vector` by `unit_vector` with one entry per
-    matrix row, and its `kind` as an ImplicationKind."""
-    rows = unit_matrix(getattr(system, matrix), matrix)
-    rhs = unit_vector(getattr(system, vector), vector)
-    if len(rows) != len(rhs):
-        raise DimensionMismatch(
-            f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
-        )
+    matrix row, and its `kind` as an ImplicationKind.
+
+    The whole system is checked first, in a fixed number of C-level passes
+    whatever its size: the matrix, the vector and every row are lists or
+    tuples, the rows have one width of at least 1, the vector has one entry
+    per row, and `_kept` holds for the vector and the rows together.  Such a
+    system is kept as tuples, with no call per row.  Any other system takes
+    the per-row path, so its values, its errors and their order are
+    unchanged: `unit_matrix`, whose rows go in bulk or entry by entry
+    through `unit`, then `unit_vector`, then the row count.
+    """
+    rows, rhs = getattr(system, matrix), getattr(system, vector)
+    if (type(rows) in _ARRAYS and type(rhs) in _ARRAYS and {*map(type, rows)} <= _ARRAYS
+            and len(rhs) == len(rows) and len({*map(len, rows)}) == 1 and rows[0]
+            and _kept((rhs, *rows))):
+        rows, rhs = tuple(map(tuple, rows)), tuple(rhs)
+    else:
+        rows = unit_matrix(rows, matrix)
+        rhs = unit_vector(rhs, vector)
+        if len(rows) != len(rhs):
+            raise DimensionMismatch(
+                f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
+            )
     checked_kind(system.kind)
     object.__setattr__(system, matrix, rows)
     object.__setattr__(system, vector, rhs)
@@ -1170,7 +1221,7 @@ def sup_distance(u: Vector, v: Vector) -> float:
         raise DimensionMismatch(f"sup_distance: lengths {len(u)} and {len(v)} differ")
     if not u:
         raise DimensionMismatch("sup_distance: vectors have no entries")
-    return max(abs(a - b) for a, b in zip(u, v))
+    return max(map(abs, map(operator.sub, u, v)))
 
 
 def leq(u: Vector, v: Vector, slack: float = 0.0) -> bool:

@@ -20,12 +20,11 @@ that close.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import FLOAT, Vector, sup_distance, unit
+from .algebra import FLOAT, Vector, checked_tolerance, sup_distance, unit
 from .errors import DomainError, ReportMismatch
 from .operators import DEFAULT_TOL, FuzzySystem, closure, solve_and_recompose
 from .report import Attainability, ChebyshevReport
@@ -129,15 +128,14 @@ def verify_lowest(
     member, vacuously so when no sampled vector stays in the band.  Trials
     are keyed by (seed, index) so they are independent and order-insensitive.
     A `trials` that is not a positive int raises ValueError, since no trial
-    would run, and so does a `tol` that is not finite and non-negative, as
-    in `check_consistency`, since NaN or an infinite tol would pass any
-    vector; a result whose lowest vector has another length than beta
-    raises ReportMismatch.
+    would run, and so does a `tol` that is not a finite non-negative number,
+    as in `check_consistency`, since NaN, an infinite tol or True, read as
+    1, would pass any vector; a result whose lowest vector has another
+    length than beta raises ReportMismatch.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
+    checked_tolerance(tol, "tol")
     if result.status is not ApproximationStatus.MINIMUM_ATTAINED:
         raise ValueError("verify_lowest requires a MINIMUM_ATTAINED result")
     nabla = result.achieved_distance

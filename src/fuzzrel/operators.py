@@ -58,7 +58,6 @@ kind itself.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -68,6 +67,7 @@ from .algebra import (
     Matrix,
     Vector,
     checked_kind,
+    checked_tolerance,
     column_scan,
     front,
     sup_distance,
@@ -181,10 +181,10 @@ def check_consistency(system: FuzzySystem, tol: float = DEFAULT_TOL) -> Consiste
     Equivalent to testing closure(beta) == beta: the system is consistent
     iff recomposing the candidate epsilon reproduces beta, up to `tol` in
     sup norm.  The residual is reported so callers can re-judge borderline
-    inputs with their own threshold.
+    inputs with their own threshold.  A `tol` that is not a finite
+    non-negative number, a bool included, raises ValueError.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
+    checked_tolerance(tol, "tol")
     epsilon, recomposed = solve_and_recompose(system, system.beta)
     residual = sup_distance(recomposed, system.beta)
     return ConsistencyResult(residual <= tol, epsilon, residual)

@@ -124,7 +124,6 @@ the full exact evaluation on `_exact_matrix` and `_exact_vector`.
 
 from __future__ import annotations
 
-import math
 import random
 
 from dataclasses import dataclass
@@ -134,7 +133,7 @@ from itertools import chain
 from typing import Callable
 
 from .algebra import (
-    FLOAT, ImplicationKind, arithmetic, checked_index, unit,
+    FLOAT, ImplicationKind, arithmetic, checked_index, checked_tolerance, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
@@ -168,13 +167,13 @@ def tolerance_membership(
     componentwise when `row` is None and on the single component otherwise.
     `slack` absorbs float drift when the two sides are equal in exact
     arithmetic, which happens systematically at the distance itself.  A
-    slack that is not finite and non-negative raises ValueError: NaN would
-    make every delta fail, and an infinite slack every delta hold.  The
+    slack that is not a finite non-negative number raises ValueError: NaN
+    would make every delta fail, an infinite slack every delta hold, and a
+    bool would be read as 0 or 1.  The
     test runs `FLOAT.membership[kind]` on the system's `fronts`, which
     returns the verdict of the full closure (module docstring).
     """
-    if not 0.0 <= slack < math.inf:
-        raise ValueError(f"slack must be a finite non-negative number, got {slack!r}")
+    checked_tolerance(slack, "slack")
     delta = unit(delta, "delta")
     gamma, rhs = system.gamma, system.beta
     if row is not None:
@@ -480,10 +479,10 @@ def bisect_infimum(predicate: Callable[[float], bool], tol: float = 1e-9) -> Ora
     The returned inf_value is the shortest decimal inside the final bracket
     rather than a raw dyadic endpoint: thresholds of interest are short
     decimals far more often than dyadics, and evaluating the predicate at
-    such a point makes member_at_inf meaningful.
+    such a point makes member_at_inf meaningful.  A `tol` that is not a
+    finite positive number, a bool included, raises ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    checked_tolerance(tol, "tol", positive=True)
 
     probes = (0.0, 0.25, 0.5, 0.75, 1.0)
     truths = [bool(predicate(p)) for p in probes]

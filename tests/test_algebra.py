@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzrel import (
     DimensionMismatch,
     DomainError,
     FuzzySystem,
     ImplicationKind,
+    MaxTSystem,
     max_t_compose,
     maxt_closure,
     min_impl_compose,
@@ -195,9 +196,72 @@ def grids(draw):
     return [(draw(shapes), row) for row in grid], draw(shapes)
 
 
+def reference_system(matrix, vector, kind, names):
+    """unit_system as one `unit` call per entry: the matrix, then the
+    vector, then the row count, then the kind; the validated matrix, vector
+    and columns."""
+    rows = reference_matrix(matrix, names[0])
+    rhs = reference_vector(vector, names[1])
+    if len(rows) != len(rhs):
+        raise DimensionMismatch(f"{names[0]} has {len(rows)} rows but {names[1]} has {len(rhs)} entries")
+    if not isinstance(kind, ImplicationKind):
+        raise TypeError(f"kind: expected ImplicationKind, got {kind!r}")
+    return rows, rhs, transpose(rows)
+
+
+def built_system(matrix, vector, kind, names):
+    """The matrix, vector and columns of the system class `names[2]` built
+    from `matrix`, `vector` and `kind`."""
+    system = names[2](matrix, vector, kind)
+    return getattr(system, names[0]), getattr(system, names[1]), system.columns
+
+
+def system_outcome(validate, build, names):
+    """What `validate(*build(), names)` returns, as `described`, or the
+    type and message of what it raises."""
+    try:
+        return described(validate(*build(), names))
+    except (DomainError, DimensionMismatch, TypeError) as error:
+        return type(error), str(error)
+
+
+# Entries the bulk pass of a whole system keeps, and single entries it must
+# not keep, which `entries` and `plain` draw too, but more rarely.
+kept = st.one_of(units, st.sampled_from([0.0, 1.0]))
+traps = st.sampled_from([-0.0, math.nan, 0, 1, True, -1e-13, 1.0 + 1e-13, Drifted(0.5)])
+
+
+@st.composite
+def systems(draw):
+    """A matrix and a vector, each with the shape to give it, and the
+    matrix's rows with theirs.  Either the matrix of `grids` and a vector of
+    any entries, with one entry per row, one fewer or one more; or a system
+    of kept entries, lists and tuples, which the bulk pass keeps unless up to
+    two of its entries are replaced by any of `traps`, `entries` or `plain`,
+    or the vector has one entry too few or too many."""
+    arrays = st.sampled_from([list, tuple])
+    if draw(st.booleans()):
+        shaped_rows, outer = draw(grids())
+        size = max(0, len(shaped_rows) + draw(st.integers(-1, 1)))
+        vector = draw(st.lists(st.one_of(entries, plain), min_size=size, max_size=size))
+        return shaped_rows, outer, vector, draw(shapes)
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    grid = [draw(st.lists(kept, min_size=width, max_size=width)) for _ in range(height)]
+    size = height + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    vector = draw(st.lists(kept, min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([array for array in (vector, *grid) if array]))
+        target[draw(st.integers(0, len(target) - 1))] = draw(st.one_of(traps, entries, plain))
+    return [(draw(arrays), row) for row in grid], draw(arrays), vector, draw(arrays)
+
+
+SYSTEMS = [("gamma", "beta", FuzzySystem), ("a", "b", MaxTSystem)]
+
+
 class TestBulkValidation:
-    """unit_vector and unit_matrix return and raise exactly what one `unit`
-    call per entry would, on the rows they check in bulk too."""
+    """unit_vector, unit_matrix and the systems, which unit_system builds,
+    return and raise exactly what one `unit` call per entry would, on the
+    rows and the whole systems they check in bulk too."""
 
     @given(rows, shapes)
     def test_vector_equals_per_entry(self, values, shape):
@@ -241,6 +305,63 @@ class TestBulkValidation:
         system = FuzzySystem(gamma, beta, ImplicationKind.GODEL)
         assert calls == [f"gamma[7][{j}]" for j in range(20)]
         assert system.gamma[7][2] == 1.0 and type(system.gamma[7][2]) is float
+
+    @given(systems(), st.sampled_from([*KINDS, "godel"]))
+    @example(([(list, [0.5, 0.0]), (tuple, [-0.0, 0.3])], tuple, [0.2, 0.0], tuple), KINDS[0])
+    @example(([(tuple, [0.5, 0.0]), (tuple, [0.1, 0.3])], list, [0.2, -0.0], list), KINDS[1])
+    def test_system_equals_per_entry(self, drawn, kind):
+        # a system the bulk pass keeps, and every other one, which goes the
+        # per-row way, is built as one `unit` call per entry would build it
+        shaped_rows, outer, vector, shape = drawn
+
+        def build():
+            return outer([row_shape(row) for row_shape, row in shaped_rows]), shape(vector), kind
+
+        for names in SYSTEMS:
+            assert system_outcome(built_system, build, names) == system_outcome(reference_system, build, names)
+
+    @pytest.mark.parametrize("names", SYSTEMS, ids=lambda names: names[2].__name__)
+    def test_one_bad_entry_goes_per_entry_alone(self, monkeypatch, names):
+        # an int in the vector, or in one row, sends that array alone down
+        # the per-entry path; the other arrays stay in bulk
+        matrix, vector, system = names
+        calls = []
+
+        def counted(value, name="value"):
+            calls.append(name)
+            return unit(value, name)
+
+        monkeypatch.setattr("fuzzrel.algebra.unit", counted)
+        rng = random.Random(21)
+        grid = [[rng.random() for _ in range(6)] for _ in range(5)]
+        rhs = [rng.random() for _ in range(5)]
+        rhs[3] = 1
+        built = system(grid, rhs, ImplicationKind.GOGUEN)
+        assert calls == [f"{vector}[{j}]" for j in range(5)]
+        assert getattr(built, vector)[3] == 1.0 and type(getattr(built, vector)[3]) is float
+        calls.clear()
+        rhs[3], grid[2][4] = 0.5, 0
+        built = system(grid, rhs, ImplicationKind.GOGUEN)
+        assert calls == [f"{matrix}[2][{j}]" for j in range(6)]
+        assert repr(getattr(built, matrix)[2][4]) == "0.0"
+
+
+# Operands of sup_distance beyond the unit interval: NaN, both zeros,
+# infinities, ints and Fractions.
+operands = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan]), st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+)
+
+
+class TestSupDistance:
+    @given(st.lists(st.tuples(operands, operands), min_size=1, max_size=6))
+    def test_equals_the_generator_max(self, pairs):
+        # the C-level reduction takes the same differences in the same order
+        # and keeps the first of equal values, as max over a generator did
+        u, v = map(tuple, zip(*pairs))
+        got, want = sup_distance(u, v), max(abs(a - b) for a, b in zip(u, v))
+        assert (type(got), repr(got)) == (type(want), repr(want))
 
 
 class TestTNorm:

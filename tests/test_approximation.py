@@ -134,6 +134,16 @@ class TestVerifyLowest:
         with pytest.raises(ValueError, match="tol must be a finite non-negative number"):
             verify_lowest(system, highest, trials=200, tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=["true", "str", "none"])
+    def test_tol_must_be_a_number_but_no_bool(self, tol):
+        # True was read as 1, which certified the vector above the lowest
+        system = generate_random_system(3, 3, ImplicationKind.LUKASIEWICZ, 13, decimals=2)
+        result = build_approximation(system, distance_report(system))
+        _, upper = shifted_bounds(system.beta, result.achieved_distance)
+        highest = dataclasses.replace(result, lowest_approximation=closure(system, upper))
+        with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
+            verify_lowest(system, highest, trials=200, tol=tol)
+
     @pytest.mark.parametrize("trials", [-3, 0, 2.0, True, "5"])
     def test_trials_must_be_a_positive_int(self, consistent_godel, trials):
         result = build_approximation(consistent_godel, godel_distance(consistent_godel))

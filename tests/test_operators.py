@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from decimal import Decimal
 import random
 import re
 
@@ -91,6 +92,18 @@ class TestCheckConsistency:
         # an infinite tolerance would declare every system consistent
         with pytest.raises(ValueError, match="tol"):
             check_consistency(inconsistent_godel, tol=float("inf"))
+
+    @pytest.mark.parametrize(
+        "tol", [True, False, "1e-9", None, Decimal("NaN")], ids=["true", "false", "str", "none", "decimal-nan"]
+    )
+    def test_bool_or_unordered_tolerance_rejected(self, inconsistent_godel, tol):
+        # True was read as 1 and declared this system, residual 0.16,
+        # consistent; a string or None raised the comparison's TypeError,
+        # and a Decimal NaN decimal.InvalidOperation
+        with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
+            check_consistency(inconsistent_godel, tol=tol)
+        assert check_consistency(inconsistent_godel, tol=1).consistent
+        assert not check_consistency(inconsistent_godel, tol=0).consistent
 
 
 class TestClosure:

@@ -75,6 +75,14 @@ class TestToleranceMembership:
         with pytest.raises(ValueError, match="slack"):
             tolerance_membership(inconsistent_godel, 0.0, row=0, slack=slack)
 
+    @pytest.mark.parametrize("slack", [True, "1e-9", None], ids=["true", "str", "none"])
+    def test_slack_must_be_a_number_but_no_bool(self, inconsistent_godel, slack):
+        # True was read as 1, so delta 0 passed on a system at distance
+        # 0.15; a string or None raised the comparison's TypeError
+        with pytest.raises(ValueError, match=r"^slack must be a finite non-negative number, got "):
+            tolerance_membership(inconsistent_godel, 0.0, slack=slack)
+        assert tolerance_membership(inconsistent_godel, 0.0, slack=1)
+
     def test_nan_slack_is_not_reported_as_a_predicate_fault(self, inconsistent_godel):
         # it used to surface as PredicateNotUpClosed("predicate must hold at 1.0")
         with pytest.raises(ValueError, match="slack"):
@@ -211,6 +219,15 @@ class TestBisectInfimum:
     def test_rejects_non_finite_tolerance(self, tol):
         calls = []
         with pytest.raises(ValueError, match="tol"):
+            bisect_infimum(lambda d: calls.append(d) or d >= 0.3, tol=tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", [True, "1e-9", None], ids=["true", "str", "none"])
+    def test_rejects_bool_or_unordered_tolerance(self, tol):
+        # tol=True stopped at the probe bracket [0, 0.25] and returned
+        # inf_value 0.0 for a predicate that holds from 0.3 on
+        calls = []
+        with pytest.raises(ValueError, match=r"^tol must be a finite positive number, got "):
             bisect_infimum(lambda d: calls.append(d) or d >= 0.3, tol=tol)
         assert calls == []
 
