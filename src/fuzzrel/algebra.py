@@ -33,17 +33,20 @@ into its `RowDiagnostics`, defined here too.  `fuzzrel.report` aggregates
 the rows, on either instance, into a report.
 `column_scan` is the one loop over the cells of a system.  Each column
 reduces its pairs once, by `front` or, for the Lukasiewicz kinds,
-`top_pairs`.  A report entry is a column function, `godel_column`,
-`goguen_column` or `luka_column`: one sweep down the column with its
-threshold written out, which builds the column's records with one C-level
-map.  A max-t entry is a `Kernel`, which maps its cell formula down the
-column; the oracle's exact max-t distance reads its two parts.  `FLOAT`
-binds the formulas to floats and supplies this module's public functions
-and the cells and row rules of `fuzzrel.report`; the oracle binds them to
-`Fraction` to run the same formulas in exact rational arithmetic.  A float
-operand that meets a Fraction silently rounds the result to a float, so
-exact callers pass only values of the instance's own type, such as its
-`zero` as a slack.
+`top_pairs`.  Every front of a system sorts one order of its right-hand
+side, `beta_order`, computed once per system, by the column's own entries.
+A report entry, `godel_column`, `goguen_column` or `luka_column`, takes a
+system's right-hand side, computes what its columns share (the order, and
+for Godel the right-hand side's levels), and returns the function of one
+column: one sweep down the column with its threshold written out, which
+builds the column's records with one C-level map.  A max-t entry is a
+`Kernel`, which maps its cell formula down the column; the oracle's exact
+max-t distance reads its two parts.  `FLOAT` binds the formulas to floats
+and supplies this module's public functions and the cells and row rules
+of `fuzzrel.report`; the oracle binds them to `Fraction` to run the same
+formulas in exact rational arithmetic.  A float operand that meets a
+Fraction silently rounds the result to a float, so exact callers pass
+only values of the instance's own type, such as its `zero` as a slack.
 
 Which functions check what.  The public functions of this module check
 their operands: `max_t_compose` and `min_impl_compose` validate every
@@ -120,23 +123,27 @@ Arithmetic = namedtuple(
 
 
 class Kernel(namedtuple("Kernel", "cell column")):
-    """A max-t cell formula `cell(u, x, column)` and the reducer
-    `column(pairs)` that keeps the pairs of a column at which the cell's max
-    can be attained.
+    """A max-t cell formula `cell(u, x, column)` and its reducer: for the
+    right-hand side `xs` of a system, `column(xs)` returns the function that
+    keeps the pairs (us[l], xs[l]) of a matrix column `us` at which the
+    cell's max can be attained, and computes once what every column shares,
+    the order of `xs` for a falling `front`.
 
-    Called as `kernel(us, xs)` on the entries `us` of a matrix column and
-    the right-hand side `xs`, it returns the column's cells in row order: it
-    reduces the pairs (us[l], xs[l]) once and maps the cell formula down
-    the column.  The entries of `Arithmetic.maxt_cells` are kernels, so
-    that `fuzzrel.oracle.exact_maxt_distance` can reduce a column and
-    evaluate single cells; the report entries of `Arithmetic.cells` are
-    plain column functions.
+    Called as `kernel(xs)`, it returns the function of a column's entries
+    `us` that gives the column's cells in row order: it reduces the pairs
+    once and maps the cell formula down the column, O(m log m) for the sort
+    of the front plus one cell formula over the kept pairs per cell.  The
+    entries of `Arithmetic.maxt_cells` are kernels, so that
+    `fuzzrel.oracle.exact_maxt_distance` can reduce a column and evaluate
+    single cells; the report entries of `Arithmetic.cells` are plain
+    functions of `xs` of the same kind.
     """
 
     __slots__ = ()
 
-    def __call__(self, us, xs) -> tuple:
-        return tuple(map(self.cell, us, xs, repeat(self.column(tuple(zip(us, xs))))))
+    def __call__(self, xs):
+        cell, reduce = self.cell, self.column(xs)
+        return lambda us: tuple(map(cell, us, xs, repeat(reduce(us))))
 
 
 #: Width of the window below a column's greatest key within which the
@@ -250,53 +257,70 @@ def checked_index(index, size: int, name: str, unit: str) -> int:
 
 
 def checked_tolerance(value, name: str, positive: bool = False):
-    """`value` itself when it is a finite number at least 0, or above 0 when
-    `positive`.  Anything else raises ValueError naming `name`: NaN, an
-    infinity, a bool, which would be read as 0 or 1, and a value that the
-    comparison with a float cannot order, such as a string, None or a
-    Decimal NaN."""
-    try:
-        if not isinstance(value, bool) and (
-                0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
-            return value
-    except (TypeError, ArithmeticError):
-        pass
+    """`value` itself when it is a real number, finite and at least 0, or
+    above 0 when `positive`.  Anything else raises ValueError naming
+    `name`: NaN, an infinity, a bool, which would be read as 0 or 1, and a
+    value that is not a `numbers.Real`, such as a string, None, a Decimal,
+    which float arithmetic does not take, or numpy's bool, which is no
+    `bool` but orders against a float as 0 or 1.  A plain float is tested
+    at once; `numbers` is imported for any other type only, since
+    `fuzzrel.cli` loads this module and passes floats."""
+    real = type(value) is float
+    if not real:
+        import numbers
+
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and (0.0 < value < math.inf if positive else 0.0 <= value < math.inf):
+        return value
     sign = "positive" if positive else "non-negative"
     raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
-def front(pairs, rising: bool = True) -> tuple:
-    """The Pareto-maximal pairs (g, b) of `pairs`, in their order in `pairs`.
+def beta_order(xs, rising: bool = True) -> list:
+    """The row indices sorted stably by the right-hand side values `xs`:
+    descending for a rising `front` and the Godel sweep, ascending for a
+    falling front.  Every column of a system reads the same order, so a
+    system sorts its right-hand side once and each column reduction sorts
+    that order by the column's own entries."""
+    return sorted(range(len(xs)), key=xs.__getitem__, reverse=rising)
 
-    A pair is maximal when no other pair has both a g at least as high and a
-    b at least as high (`rising`) or as low (not `rising`); of equal pairs
-    the first is kept.  A max over the pairs of a function that is
-    non-decreasing in g, and in b or in -b by the orientation, is attained
-    on the front: each pair dropped is dominated by a kept pair whose value
-    is at least as high.  The kept pairs stay in their order, so `max` still
-    keeps the first of equal values.  It is the column reducer of
-    `goguen_column` (rising) and of the max-min and max-product cells
-    (falling); `godel_column` runs the same sweep itself, and the
-    Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
 
-    One stable sort by (g, b) descending, or by (g, -b) for the falling
-    orientation, puts every pair after the pairs that dominate it; a sweep
-    then keeps each pair whose b beats all b before it.  O(m log m) for m
-    pairs.
+def front(us, xs, rising: bool = True, order=None) -> tuple:
+    """The Pareto-maximal pairs (us[l], xs[l]) of a column `us` and the
+    right-hand side `xs`, in row order.
+
+    A pair (g, b) is maximal when no other pair has both a g at least as
+    high and a b at least as high (`rising`) or as low (not `rising`); of
+    equal pairs the first is kept.  A max over the pairs of a function that
+    is non-decreasing in g, and in b or in -b by the orientation, is
+    attained on the front: each pair dropped is dominated by a kept pair
+    whose value is at least as high.  The kept pairs stay in their order,
+    so `max` still keeps the first of equal values.  It is the column
+    reducer of `goguen_column` and of `FuzzySystem.fronts` (rising) and of
+    the max-min and max-product cells (falling); `godel_column` runs the
+    same sweep itself, and the Lukasiewicz kinds keep fewer pairs, by
+    `top_pairs`.
+
+    `order` is `beta_order(xs, rising)`, which a system computes once for
+    all its columns; without it the front sorts `xs` itself.  One stable
+    sort of that order by g descending, with the column's own entries as
+    the keys, is the stable sort of the pairs by (g, b) descending, or by
+    (g, -b) for the falling orientation: of equal g the order of b, and of
+    equal pairs the row order, stays.  It puts every pair after the pairs
+    that dominate it, and a sweep then keeps each pair whose b beats all b
+    before it.  O(m log m) for m pairs.
     """
-    if rising:
-        order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
-    else:
-        order = sorted(range(len(pairs)), key=lambda l: (pairs[l][0], -pairs[l][1]), reverse=True)
+    if order is None:
+        order = beta_order(xs, rising)
     kept = []
     best = None
-    for l in order:
-        b = pairs[l][1]
+    for l in sorted(order, key=us.__getitem__, reverse=True):
+        b = xs[l]
         if best is None or (b > best if rising else b < best):
             kept.append(l)
             best = b
     kept.sort()
-    return tuple(map(pairs.__getitem__, kept))
+    return tuple([(us[l], xs[l]) for l in kept])
 
 
 def top_pairs(pairs, keys, window) -> tuple:
@@ -361,28 +385,32 @@ def column_scan(columns, rhs, cells) -> tuple:
 
     `columns` are the columns of the matrix, such as a system's prepared
     `columns`; a matrix passed in their place is read as its own transpose.
-    `cells(us, xs)` is a table entry, `Arithmetic.cells` or
-    `Arithmetic.maxt_cells`, which returns the cells of a column from its
-    entries `us` and the right-hand side `xs`, in row order; the columns of
-    cells are transposed to rows.
+    `cells` is a table entry, `Arithmetic.cells` or `Arithmetic.maxt_cells`:
+    `cells(rhs)` computes once what the columns share, and returns the
+    function that gives the cells of a column from its entries, in row
+    order; the columns of cells are transposed to rows.
 
     Every cell formula is a max over its column of thresholds that are
     monotone in the pair, so a column needs only its pairs that can attain
     it.  Each entry reduces a column once, to the `front` of the pairs in
     the orientation in which its thresholds rise (Goguen, max-min and
     max-product) or to `top_pairs` (the Lukasiewicz kinds), and then runs
-    its cells over the kept pairs: O(m log m), or O(m) for `top_pairs`, per
-    column plus O(m k), with k the number of kept pairs (k = 1 for nearly
-    every Lukasiewicz column), in place of O(m^2).  The Goguen and
+    its cells over the kept pairs.  The right-hand side is the same in
+    every column, so an entry that sorts sorts it once per system, by
+    `beta_order`, and each front sorts that order by the column's entries
+    alone, with float keys: O(m log m) per column, or O(m) with no sort for
+    `top_pairs`, plus O(m k), with k the number of kept pairs (k = 1 for
+    nearly every Lukasiewicz column), in place of O(m^2).  The Goguen and
     Lukasiewicz report columns run that pair loop in one frame per column,
     with the per-pair and per-cell terms of their thresholds computed once;
     a max-t `Kernel` calls its cell formula once per cell.  The Godel report
-    column costs O(m log m) for its two sorts plus about 2 m threshold
-    evaluations, by one sweep (`fuzzrel.report` states why).  The kept
-    pairs stay in row order: the cells keep the first of equal values, so
-    the order decides which of 0.0 and -0.0 a cell reports.
+    column costs one sort of the system's order plus about 2 m threshold
+    evaluations, by one sweep over the system's right-hand side levels
+    (`fuzzrel.report` states why).  The kept pairs stay in row order: the
+    cells keep the first of equal values, so the order decides which of 0.0
+    and -0.0 a cell reports.
     """
-    return tuple(zip(*[cells(column, rhs) for column in columns]))
+    return tuple(zip(*map(cells(rhs), columns)))
 
 
 def arithmetic(one) -> Arithmetic:
@@ -712,121 +740,155 @@ def arithmetic(one) -> Arithmetic:
         key bl - (1 - gl) is within KEY_WINDOW of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [bl - (one - gl) for gl, bl in pairs], window)
 
-    def maxluka_top(pairs):
-        """The pairs (y, z) of a max-Lukasiewicz column whose key y - z is
-        within KEY_WINDOW of the greatest (`top_pairs`)."""
-        return top_pairs(pairs, [y - z for y, z in pairs], window)
+    def maxluka_top(xs):
+        """The reducer of the max-Lukasiewicz columns of a system whose
+        right-hand side is `xs`: the pairs (y, z) of a column whose key y -
+        z is within KEY_WINDOW of the greatest (`top_pairs`), with no sort,
+        so there is nothing to share between the columns."""
+        return lambda us: top_pairs(tuple(zip(us, xs)), [*map(operator.sub, us, xs)], window)
+
+    def falling(xs):
+        """The reducer of the max-min and max-product columns of a system
+        whose right-hand side is `xs`: the falling `front` of a column's
+        pairs, over the order of xs, ascending, sorted once here."""
+        up = beta_order(xs, False)
+        return lambda us: front(us, xs, False, up)
 
     # The cells of a min-implication report; `fuzzrel.report` states their
-    # formulas and why these evaluations of them are the full scan's.
-    def godel_column(us, xs):
-        """The Godel cells of a column, from its gamma entries `us` and the
-        right-hand side `xs`, in row order.
+    # formulas and why these evaluations of them are the full scan's.  Each
+    # entry takes the right-hand side `xs` of a system, computes what its
+    # columns share once, and returns the function of a column's gamma
+    # entries `us` that gives the column's cells in row order.
+    def godel_column(xs):
+        """The Godel cells of the columns of a system whose right-hand side
+        is `xs`.  The columns share the order `beta_order(xs)` and the
+        distinct values of xs in increasing order, its levels, with the rank
+        of each row's value among them, all computed once here.
 
-        theta: a stable sort of the pairs by (g, b) descending puts every
-        pair l with gl >= g before or level with the cell's own; the running
-        max of bl down that order, of equal values the one of the first row,
-        less g, is theta.  The pairs whose b beats every b before them are
-        the column's front, g falling and b rising.  zeta: along the front A
-        = (bl - b)^+ / 2 never falls and B = (gl - b)^+ never rises, so a
+        theta: the stable sort of that order by g descending is the stable
+        sort of the pairs by (g, b) descending, and puts every pair l with
+        gl >= g before or level with the cell's own; the running max of bl
+        down that order, of equal values the one of the first row, less g,
+        is theta.  The pairs whose b beats every b before them are the
+        column's front, g falling and b rising.  zeta: along the front A =
+        (bl - b)^+ / 2 never falls and B = (gl - b)^+ never rises, so a
         threshold min(A, B) is A before the first pair with A >= B and B
         from it on, and zeta = max(A before it, B at it).  The walk keeps
-        that crossing between `before` and `after`, the stack `below` holding
-        the front before `before` and `above` the front after `after`, and
-        moves it for each right-hand side value in increasing order, testing
-        A >= B at every step.  The sentinels (two, zero) below and (zero,
-        two) above the front have A >= B false and true and contribute a
-        zero A and B.
+        that crossing between `before` and `after`, the stack `below`
+        holding the front before `before` and `above` the front after
+        `after`, and moves it for each level in increasing order, testing A
+        >= B at every step; a cell reads the zeta of its row's rank.  The
+        sentinels (two, zero) below and (zero, two) above the front have A
+        >= B false and true and contribute a zero A and B.
         """
-        pairs = tuple(zip(us, xs))
-        thetas = [None] * len(pairs)
-        below = [(two, zero)]
-        best = first = None
-        for l in sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True):
-            gl, bl = pairs[l]
-            if best is None or bl > best:
-                best, first = bl, l
-                below.append(pairs[l])
-            elif bl == best and l < first:
-                best, first = bl, l
-            thetas[l] = best - gl
-        zetas = {}
-        before, after, above = below.pop(), (zero, two), []
-        for b in sorted(set(xs)):
-            while True:
-                gl, bl = before
-                a = bl - b
-                a = (a if a > zero else zero) / two
-                # A < B at `before`, with B = (gl - b)^+ and A >= 0
-                if a < gl - b:
-                    gl, bl = after
-                    c = gl - b
-                    c = c if c > zero else zero
-                    t = bl - b
-                    if (t if t > zero else zero) / two >= c:
-                        break
-                    below.append(before)
-                    before, after = after, above.pop()
-                else:
-                    above.append(after)
-                    before, after = below.pop(), before
-            zetas[b] = c if c > a else a
-        cells = []
-        for g, b, theta in zip(us, xs, thetas):
-            zeta = zetas[b]
-            support = g > zero
-            cells.append((theta, zeta, support, support and abs(theta - zeta) <= eps))
-        return tuple(map(godel_record, cells))
+        down = beta_order(xs)
+        levels, ranks, last = [], [None] * len(xs), None
+        for l in reversed(down):
+            if xs[l] != last:
+                rank, last = len(levels), xs[l]
+                levels.append(last)
+            ranks[l] = rank
 
-    def goguen_column(us, xs):
-        """The Goguen cells of a column, from its gamma entries `us` and the
-        right-hand side `xs`, in row order.
+        def column(us):
+            thetas = [None] * len(us)
+            below = [(two, zero)]
+            best = first = None
+            for l in sorted(down, key=us.__getitem__, reverse=True):
+                gl, bl = us[l], xs[l]
+                if best is None or bl > best:
+                    best, first = bl, l
+                    below.append((gl, bl))
+                elif bl == best and l < first:
+                    best, first = bl, l
+                thetas[l] = best - gl
+            zetas = []
+            before, after, above = below.pop(), (zero, two), []
+            for b in levels:
+                while True:
+                    gl, bl = before
+                    a = bl - b
+                    a = (a if a > zero else zero) / two
+                    # A < B at `before`, with B = (gl - b)^+ and A >= 0
+                    if a < gl - b:
+                        gl, bl = after
+                        c = gl - b
+                        c = c if c > zero else zero
+                        t = bl - b
+                        if (t if t > zero else zero) / two >= c:
+                            break
+                        below.append(before)
+                        before, after = after, above.pop()
+                    else:
+                        above.append(after)
+                        before, after = below.pop(), before
+                zetas.append(c if c > a else a)
+            cells = []
+            for g, theta, zeta in zip(us, thetas, map(zetas.__getitem__, ranks)):
+                support = g > zero
+                cells.append((theta, zeta, support, support and abs(theta - zeta) <= eps))
+            return tuple(map(godel_record, cells))
 
-        The pairs (gl, bl) of the column's rising `front` with gl > 0, each
-        with its product bl gl, are read by every cell (g, b): theta is the
-        max of bl - g / gl over those with g <= gl, and a supporting cell
-        (g > 0) takes zeta = max(theta^+, min(max R, 1 - b)) over the
-        quotients R = (bl gl - g b)^+ / (g + gl), `goguen_threshold`'s, with
-        its rescale below QUOTIENT_FLOOR and its error bound.  Each product is
-        computed once, per pair or per cell, by the float operation and on
-        the operands the per-pair formula has, so every cell is that
-        formula's, bit for bit.
+        return column
+
+    def goguen_column(xs):
+        """The Goguen cells of the columns of a system whose right-hand side
+        is `xs`.  The columns share the order `beta_order(xs)`, computed
+        once here, which each column's rising `front` sorts by its own
+        entries.
+
+        The pairs (gl, bl) of the column's front with gl > 0, each with its
+        product bl gl, are read by every cell (g, b): theta is the max of bl
+        - g / gl over those with g <= gl, and a supporting cell (g > 0)
+        takes zeta = max(theta^+, min(max R, 1 - b)) over the quotients R =
+        (bl gl - g b)^+ / (g + gl), `goguen_threshold`'s, with its rescale
+        below QUOTIENT_FLOOR and its error bound.  Each product is computed
+        once, per pair or per cell, by the float operation and on the
+        operands the per-pair formula has, so every cell is that formula's,
+        bit for bit.
         """
-        kept = [(gl, bl, bl * gl) for gl, bl in front(tuple(zip(us, xs))) if gl > zero]
-        cells = []
-        for g, b in zip(us, xs):
-            theta = ratio = None
-            gb = g * b
-            for gl, bl, p in kept:
-                d = g + gl
-                if d < tiny:
-                    t, d = bl * (gl * scale) - (g * scale) * b, d * scale
-                else:
-                    t = p - gb
-                t = (t if t > zero else zero) / d
-                if ratio is None or t > ratio:
-                    ratio = t
-                if g <= gl:
-                    t = bl - g / gl
-                    if theta is None or t > theta:
-                        theta = t
-            if g > zero:
-                if theta is None:
-                    # A supporting cell always dominates its own row, so the
-                    # empty-set convention theta = 0 is only ever reachable
-                    # on non-supporting cells.
-                    raise InvariantViolation(f"supporting cell with entry {g!r} dominates no row")
-                zeta = one - b
-                zeta = ratio if ratio < zeta else zeta
-                floor = theta if theta > zero else zero
-                cells.append((theta, zeta if zeta > floor else floor, True))
-            else:
-                cells.append((zero if theta is None else theta, zero, False))
-        return tuple(map(goguen_record, cells))
+        down = beta_order(xs)
 
-    def luka_column(us, xs):
-        """The Lukasiewicz cells of a column, from its gamma entries `us`
-        and the right-hand side `xs`, in row order.
+        def column(us):
+            kept = [(gl, bl, bl * gl) for gl, bl in front(us, xs, True, down) if gl > zero]
+            cells = []
+            for g, b in zip(us, xs):
+                theta = ratio = None
+                gb = g * b
+                for gl, bl, p in kept:
+                    d = g + gl
+                    if d < tiny:
+                        t, d = bl * (gl * scale) - (g * scale) * b, d * scale
+                    else:
+                        t = p - gb
+                    t = (t if t > zero else zero) / d
+                    if ratio is None or t > ratio:
+                        ratio = t
+                    if g <= gl:
+                        t = bl - g / gl
+                        if theta is None or t > theta:
+                            theta = t
+                if g > zero:
+                    if theta is None:
+                        # A supporting cell always dominates its own row, so
+                        # the empty-set convention theta = 0 is only ever
+                        # reachable on non-supporting cells.
+                        raise InvariantViolation(
+                            f"supporting cell with entry {g!r} dominates no row"
+                        )
+                    zeta = one - b
+                    zeta = ratio if ratio < zeta else zeta
+                    floor = theta if theta > zero else zero
+                    cells.append((theta, zeta if zeta > floor else floor, True))
+                else:
+                    cells.append((zero if theta is None else theta, zero, False))
+            return tuple(map(goguen_record, cells))
+
+        return column
+
+    def luka_column(xs):
+        """The Lukasiewicz cells of the columns of a system whose right-hand
+        side is `xs`.  `luka_top` keeps a column's pairs with no sort, so
+        the columns share nothing that is worth computing once.
 
         Each cell (g, b) is the max of `luka_threshold(1 - g, 1 - gl, bl,
         b)` over the pairs (gl, bl) that `luka_top` keeps, nearly always
@@ -834,25 +896,28 @@ def arithmetic(one) -> Arithmetic:
         b)^+ of a cell are computed once each, by the threshold's own float
         operations, so every cell is the threshold's, bit for bit.
         """
-        kept = [
-            (one - gl, bl, a if (a := bl - (one - gl)) > zero else zero)
-            for gl, bl in luka_top(tuple(zip(us, xs)))
-        ]
-        zetas = []
-        for g, y in zip(us, xs):
-            u = one - g
-            c = u - y
-            c = c if c > zero else zero
-            zeta = None
-            for v, x, a in kept:
-                t = x - y + u - v
-                t = (t if t > zero else zero) / two
-                t = t if t < a else a
-                t = t if t > c else c
-                if zeta is None or t > zeta:
-                    zeta = t
-            zetas.append(zeta)
-        return tuple(map(luka_record, zip(zetas)))
+        def column(us):
+            kept = [
+                (one - gl, bl, a if (a := bl - (one - gl)) > zero else zero)
+                for gl, bl in luka_top(tuple(zip(us, xs)))
+            ]
+            zetas = []
+            for g, y in zip(us, xs):
+                u = one - g
+                c = u - y
+                c = c if c > zero else zero
+                zeta = None
+                for v, x, a in kept:
+                    t = x - y + u - v
+                    t = (t if t > zero else zero) / two
+                    t = t if t < a else a
+                    t = t if t > c else c
+                    if zeta is None or t > zeta:
+                        zeta = t
+                zetas.append(zeta)
+            return tuple(map(luka_record, zip(zetas)))
+
+        return column
 
     # The cells of a min-implication report, one column per call.
     cells = {godel: godel_column, goguen: goguen_column, luka: luka_column}
@@ -979,7 +1044,6 @@ def arithmetic(one) -> Arithmetic:
                 best = t
         return best
 
-    falling = partial(front, rising=False)
     maxt_cells = {
         godel: Kernel(godel_maxt_cell, falling),
         goguen: Kernel(goguen_maxt_cell, falling),

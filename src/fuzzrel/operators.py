@@ -66,6 +66,7 @@ from .algebra import (
     ImplicationKind,
     Matrix,
     Vector,
+    beta_order,
     checked_kind,
     checked_tolerance,
     column_scan,
@@ -103,8 +104,11 @@ class FuzzySystem:
     def fronts(self) -> tuple:
         """Per column i, the rising `front` of its pairs (gamma[l][i],
         beta[l]), in row order, computed on first use and kept: the
-        membership test of the bisection oracle reads them."""
-        return tuple([front(tuple(zip(column, self.beta))) for column in self.columns])
+        membership test of the bisection oracle reads them.  Every column's
+        front sorts the one order of beta, `beta_order`, by the column's own
+        entries."""
+        order = beta_order(self.beta)
+        return tuple([front(column, self.beta, True, order) for column in self.columns])
 
     @property
     def m(self) -> int:

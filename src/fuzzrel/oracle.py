@@ -380,7 +380,8 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
     3. Only the kept cells are evaluated, by `EXACT.maxt_cells`, reading as
        Fractions just a[i][j], b[i] and the pairs the float reducer keeps in
-       column j; only the columns of kept cells are reduced again for this.
+       column j; only the columns of kept cells are reduced again for this,
+       by one reducer that sorts b once for all of them.
        The float reducer of the kind serves the exact cell.  For max-min
        and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
@@ -442,7 +443,6 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     factor of two for the second-order terms.
     """
     a, b, columns, kind = system.a, system.b, system.columns, system.kind
-    kernel = FLOAT.maxt_cells[kind]
     rows = system.float_cells
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
@@ -451,10 +451,11 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         for i, low in enumerate(lows)
         if low >= floor
     ]
-    exact_columns = {}
-    for j in {j for _, cells in kept for j in cells}:
-        pairs = kernel.column(tuple(zip(columns[j], b)))
-        exact_columns[j] = tuple((_exact(y), _exact(z)) for y, z in pairs)
+    reduce = FLOAT.maxt_cells[kind].column(b)
+    exact_columns = {
+        j: tuple((_exact(y), _exact(z)) for y, z in reduce(columns[j]))
+        for j in {j for _, cells in kept for j in cells}
+    }
     cell = EXACT.maxt_cells[kind].cell
     exact_rows = []
     for i, cells in kept:

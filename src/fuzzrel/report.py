@@ -21,13 +21,17 @@ column's max is attained on its Pareto front (`fuzzrel.algebra.front`), the
 pairs no other pair beats in both entries; a column of m rows usually
 keeps only a few.  The theta filters gamma[j][i] <= gamma[l][i] keep their
 max on the front too, because the pair that dominates the cell's own row
-passes the filter.  Each entry is a column function `f(us, xs)` of the
-column's gamma entries and beta: it reduces the pairs (gamma[l][i],
-beta[l]) once, by the kind's reducer, and computes the cell of every row
-g = gamma[j][i], b = beta[j] over the kept pairs in one frame, with the
-kind's threshold written out; it builds the column's records with one
-C-level map, with no Python-level call per cell.  The Godel entry computes
-its whole column in one sweep.
+passes the filter.  Each entry `f(xs)` takes beta once per system and
+returns the function of a column's gamma entries `us` that gives its
+cells: it reduces the pairs (gamma[l][i], beta[l]) once, by the kind's
+reducer, and computes the cell of every row g = gamma[j][i], b = beta[j]
+over the kept pairs in one frame, with the kind's threshold written out;
+it builds the column's records with one C-level map, with no
+Python-level call per cell.  Beta is the same in every column, so the
+Godel and Goguen entries sort it once per system (`beta_order`), and
+each column sorts that order by its own gamma entries only.  The
+Lukasiewicz entry sorts nothing.  The Godel entry computes its whole
+column in one sweep.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -52,13 +56,18 @@ exactly on the computed floats and a `borderline` flag is raised whenever a
 decision sits within BORDERLINE_EPS of the tie, letting callers know the
 verdict is numerically fragile.
 
-A Godel column costs two sorts and about two threshold evaluations per row,
-and its floats are the full scan's, bit for bit:
+A Godel column costs one sort and about two threshold evaluations per row,
+and its floats are the full scan's, bit for bit.  What every column of the
+system shares is computed once: the row order of beta, descending, and
+the distinct values of beta in increasing order, its levels, with the
+rank of each row's value among them.
 
-- theta.  Sort the column's pairs by (g, b) descending, stably.  The pairs
-  with gamma[l][i] >= g lie before or level with the cell's own, and those
-  level with it and after it have no greater b; so the running max of b
-  down that order, less g, is theta.  Subtracting the same g is monotone,
+- theta.  Sort the system's order of beta by the column's g, descending,
+  stably: that is the stable sort of the column's pairs by (g, b)
+  descending, as of equal g the order of b, and of equal pairs the row
+  order, stays.  The pairs with gamma[l][i] >= g lie before or level with
+  the cell's own, and those level with it and after it have no greater b;
+  so the running max of b down that order, less g, is theta.  Subtracting the same g is monotone,
   so this is the full scan's max(beta[l] - g); of equal b the running max
   keeps the first row's, as the scan does, which decides the sign of a
   zero theta.
@@ -70,9 +79,10 @@ and its floats are the full scan's, bit for bit:
   so zeta = max(A_{p-1}, B_p), the full scan's float.
 - In exact arithmetic A_l >= B_l iff b >= min(gl, 2 gl - bl), a bound that
   falls along the front, so p never moves right while b increases.  The
-  column visits the distinct values of beta in increasing order and walks
-  p from where it was, testing the float A >= B at every step; the walk's
-  length is amortised, and its result never depends on that.
+  column visits the levels of beta in increasing order and walks p from
+  where it was, testing the float A >= B at every step; the walk's length
+  is amortised, and its result never depends on that.  Each cell reads the
+  zeta of its row's rank.
 
 Goguen, adapted to the product t-norm:
 
@@ -125,15 +135,16 @@ column's loop, with (p)^+ computed once per kept pair and s^+ once per
 cell.
 
 The skeleton, `_report(ar, kind, columns, beta)`, looks the kind up once
-in `ar.cells`, for its column of cells, and once in `ar.row_rules`, for its
-row rule; it evaluates every cell by `column_scan`, lets the row rule turn
-each row's cells into a `RowDiagnostics` and aggregates the rows into a
-`ChebyshevReport`.  Every value it builds is of the number type of `ar`:
+in `ar.cells`, for the cells of its columns, and once in `ar.row_rules`,
+for its row rule; it evaluates every cell by `column_scan`, lets the row
+rule turn each row's cells into a `RowDiagnostics` and aggregates the rows
+into a `ChebyshevReport`.  Every value it builds is of the number type of `ar`:
 the literals are the instance's own, and BORDERLINE_EPS is only compared
 here.  `distance_report` runs it on `FLOAT` and the system's prepared
 `columns`.  `checked_cell` takes one cell of the column that the kind's
-entry of `FLOAT.cells` returns, for the public `*_cell` functions, which
-check the system's kind first as the `*_distance` functions do.
+entry of `FLOAT.cells`, given the system's beta, returns, for the public
+`*_cell` functions, which check the system's kind first as the
+`*_distance` functions do.
 """
 
 from __future__ import annotations
@@ -245,7 +256,7 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     TypeError and a pair outside the system's matrix IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    return FLOAT.cells[system.kind](system.columns[col], system.beta)[row]
+    return FLOAT.cells[system.kind](system.beta)(system.columns[col])[row]
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

@@ -9,6 +9,23 @@ from hypothesis import strategies as st
 from fuzzrel import ImplicationKind, generate_random_system
 
 
+class BoolLike:
+    """A stand-in for numpy's bool True: neither a `bool` nor a
+    `numbers.Real`, yet it orders against a float as 1 does."""
+
+    def __lt__(self, other):
+        return 1 < other
+
+    def __le__(self, other):
+        return 1 <= other
+
+    def __gt__(self, other):
+        return 1 > other
+
+    def __ge__(self, other):
+        return 1 >= other
+
+
 def iter_random_systems(
     master_seed: int,
     count: int,

@@ -112,8 +112,8 @@ def cells_of_every_path(kind):
     return {
         "report": reported_cell(kind),
         "checked_cell": PUBLIC_CELLS[kind](system, 0, 1),
-        "float": FLOAT.cells[kind](column, system.beta)[0],
-        "exact": EXACT.cells[kind](exact_column, (Fraction("0.1"), Fraction("0.4")))[0],
+        "float": FLOAT.cells[kind](system.beta)(column)[0],
+        "exact": EXACT.cells[kind]((Fraction("0.1"), Fraction("0.4")))(exact_column)[0],
     }
 
 

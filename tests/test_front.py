@@ -18,6 +18,13 @@ reduces its columns by the same table for its float filter and exact
 fallback; unpruned, it keeps the filter but every column whole.  Its
 comparison with the full exact scan, with no filter, is in
 `test_exact_maxt.py`.
+
+Every front sorts the one order of its system's right-hand side,
+`beta_order`, by the column's entries alone.  `TestFront` holds that sort
+to the rows a stable sort of each column's pairs by the tuple key (g, b),
+or (g, -b) for a falling front, kept: on columns of equal pairs out of
+row order, of equal g, of equal b and of signed zeros, with the front's
+own order and with the system's, and on random tie-heavy columns.
 """
 
 import dataclasses
@@ -40,10 +47,10 @@ from fuzzrel import (
     luka_cell,
     maxt_distance,
 )
-from fuzzrel.algebra import FLOAT, Kernel, column_scan, front, transpose
+from fuzzrel.algebra import FLOAT, Kernel, beta_order, column_scan, front, transpose
 from fuzzrel.oracle import EXACT
 from helpers import tied_systems
-from test_kernels import cell_references
+from test_kernels import cell_references, split
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 
@@ -56,9 +63,10 @@ ULPS = 2
 CELLS = {GODEL: godel_cell, GOGUEN: goguen_cell, LUKA: luka_cell}
 
 
-def whole_column(pairs):
-    """A reducer without pruning: every pair, in row order."""
-    return tuple(pairs)
+def whole_column(xs):
+    """A reducer without pruning, for the right-hand side `xs`: every pair
+    of a column, in row order."""
+    return lambda us: tuple(zip(us, xs))
 
 
 def full_scan(matrix, rhs, kernel):
@@ -146,23 +154,93 @@ def assert_close(pruned, full, ulps):
         assert pruned == full
 
 
+def tuple_key_rows(pairs, rising=True) -> list:
+    """The rows of `pairs` on their front by the rule of a sort per column
+    with a tuple key: one stable sort of the row indices by (g, b)
+    descending, or by (g, -b) for the falling front, then the sweep that
+    keeps each pair whose b beats every b before it.  `front` sorts the
+    system's order of b by g alone instead; it must keep these rows."""
+    key = pairs.__getitem__ if rising else (lambda l: (pairs[l][0], -pairs[l][1]))
+    kept, best = [], None
+    for l in sorted(range(len(pairs)), key=key, reverse=True):
+        b = pairs[l][1]
+        if best is None or (b > best if rising else b < best):
+            kept.append(l)
+            best = b
+    return sorted(kept)
+
+
+#: Columns of tied pairs, each with the rows its rising and its falling
+#: front keep.  Where two pairs are equal, a kept pair of another row lies
+#: between them, or their zeros differ in sign, so the kept pairs show
+#: which of the two is kept.
+TIED_COLUMNS = {
+    "equal pairs out of row order": (
+        ((0.5, 0.3), (0.9, 0.1), (0.5, 0.3), (0.2, 0.8), (0.2, 0.0), (0.5, 0.0), (0.9, 0.1)),
+        [0, 1, 3],
+        [1, 5],
+    ),
+    "equal g, different b": (
+        ((0.5, 0.2), (0.5, 0.7), (0.3, 0.9), (0.5, 0.4), (0.3, 0.1)),
+        [1, 2],
+        [0, 4],
+    ),
+    "equal b, different g": (
+        ((0.2, 0.5), (0.6, 0.5), (0.4, 0.5), (0.8, 0.1), (0.1, 0.1)),
+        [1, 3],
+        [3],
+    ),
+    "zero entries": (
+        ((0.0, 0.5), (0.3, 0.0), (-0.0, 0.5), (0.3, -0.0), (0.0, 0.0), (-0.0, 0.0)),
+        [0, 1],
+        [1],
+    ),
+}
+
+#: Entries of tie-heavy columns: signed zeros and three values.
+TIE_GRID = (-0.0, 0.0, 0.25, 0.5, 1.0)
+
+
 class TestFront:
     def test_keeps_the_maximal_pairs_in_row_order(self):
         pairs = ((0.2, 0.9), (0.5, 0.5), (0.4, 0.4), (0.9, 0.1), (0.5, 0.3))
-        assert front(pairs) == ((0.2, 0.9), (0.5, 0.5), (0.9, 0.1))
+        assert front(*split(pairs)) == ((0.2, 0.9), (0.5, 0.5), (0.9, 0.1))
 
     def test_falling_keeps_high_g_and_low_b(self):
         pairs = ((0.2, 0.0), (0.5, 0.5), (0.4, 0.4), (0.9, 0.6), (0.5, 0.3))
-        assert front(pairs, rising=False) == ((0.2, 0.0), (0.9, 0.6), (0.5, 0.3))
+        assert front(*split(pairs), rising=False) == ((0.2, 0.0), (0.9, 0.6), (0.5, 0.3))
 
     @pytest.mark.parametrize("rising", [True, False])
     def test_of_equal_pairs_keeps_the_first(self, rising):
         first, second = (0.5, 0.0), (0.5, -0.0)
-        kept = front((first, (0.1, 0.0), second), rising)
+        kept = front(*split((first, (0.1, 0.0), second)), rising)
         assert kept == (first,) and math.copysign(1.0, kept[0][1]) == 1.0
 
     def test_empty(self):
-        assert front(()) == ()
+        assert front((), ()) == ()
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-order", "system-order"])
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    @pytest.mark.parametrize("name", list(TIED_COLUMNS))
+    def test_ties_keep_the_tuple_key_rows(self, name, rising, shared):
+        # the rows are those the sort by a tuple key kept, whether the front
+        # sorts b itself or reads the order a system computed once
+        pairs, rising_rows, falling_rows = TIED_COLUMNS[name]
+        rows = rising_rows if rising else falling_rows
+        assert tuple_key_rows(pairs, rising) == rows
+        us, xs = split(pairs)
+        order = beta_order(xs, rising) if shared else None
+        assert repr(front(us, xs, rising, order)) == repr(tuple(pairs[l] for l in rows))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from(TIE_GRID), st.sampled_from(TIE_GRID)), max_size=9),
+           st.booleans())
+    def test_matches_the_tuple_key_sort(self, pairs, rising):
+        pairs = tuple(pairs)
+        us, xs = split(pairs)
+        want = repr(tuple(pairs[l] for l in tuple_key_rows(pairs, rising)))
+        assert repr(front(us, xs, rising)) == want
+        assert repr(front(us, xs, rising, beta_order(xs, rising))) == want
 
 
 #: Near-tied Lukasiewicz entries at which keeping only the pairs of greatest

@@ -143,6 +143,12 @@ def columns(grid, seed, count: int):
         yield tuple(column)
 
 
+def split(pairs):
+    """The column entries and the right-hand side of a column's `pairs`,
+    the two arguments of the column functions and reducers."""
+    return tuple(g for g, _ in pairs), tuple(b for _, b in pairs)
+
+
 def cell_references(ar):
     """The report cells of `ar`, written with builtin min and max: each a max
     over the whole column."""
@@ -191,8 +197,9 @@ def column_mismatches(ar, kind, pairs_of_columns) -> list:
     column, reference = ar.cells[kind], cell_references(ar)[kind]
     found = []
     for pairs in pairs_of_columns:
-        got = column(*zip(*pairs))
-        read = front(pairs) if kind is GOGUEN and ar is FLOAT else pairs
+        us, xs = split(pairs)
+        got = column(xs)(us)
+        read = front(us, xs) if kind is GOGUEN and ar is FLOAT else pairs
         want = tuple(reference(g, b, read) for g, b in pairs)
         if repr(got) != repr(want):
             found.append((pairs, got, want))
@@ -331,16 +338,22 @@ def test_maxt_cells_match_builtin_form(ar, grid, seeds):
 
 
 def reducers(ar):
-    """Each Lukasiewicz reducer of `ar` with its key of a pair, its window
-    and a cell formula whose max it keeps, cell(u, x, column): the reducer
-    `luka_top` of the report column, whose cells are the brute-force ones
-    of `cell_references`, and that of the max-Lukasiewicz kernel."""
+    """Each Lukasiewicz reducer of `ar`, as a function of a column's pairs,
+    with its key of a pair, its window and a cell formula whose max it
+    keeps, cell(u, x, column): the reducer `luka_top` of the report column,
+    whose cells are the brute-force ones of `cell_references`, and that of
+    the max-Lukasiewicz kernel, built for the column's right-hand side."""
     one = type(ar.zero)(1)
     window = type(one)(KEY_WINDOW)
     maxluka = ar.maxt_cells[LUKA]
+
+    def maxluka_top(pairs):
+        us, xs = split(pairs)
+        return maxluka.column(xs)(us)
+
     return {
         "lukasiewicz": (ar.luka_top, lambda g, b: b - (one - g), window, cell_references(ar)[LUKA]),
-        "max-lukasiewicz": (maxluka.column, lambda y, z: y - z, window, maxluka.cell),
+        "max-lukasiewicz": (maxluka_top, lambda y, z: y - z, window, maxluka.cell),
     }
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 from decimal import Decimal
+from fractions import Fraction
 import random
 import re
 
@@ -28,7 +29,7 @@ from fuzzrel import (
     transpose,
 )
 from fuzzrel.algebra import front
-from helpers import iter_random_systems, random_unit_vector
+from helpers import BoolLike, iter_random_systems, random_unit_vector
 
 
 class TestSystemValidation:
@@ -94,15 +95,20 @@ class TestCheckConsistency:
             check_consistency(inconsistent_godel, tol=float("inf"))
 
     @pytest.mark.parametrize(
-        "tol", [True, False, "1e-9", None, Decimal("NaN")], ids=["true", "false", "str", "none", "decimal-nan"]
+        "tol",
+        [True, False, "1e-9", None, Decimal("NaN"), BoolLike(), Decimal("0.5")],
+        ids=["true", "false", "str", "none", "decimal-nan", "bool-like", "decimal"],
     )
     def test_bool_or_unordered_tolerance_rejected(self, inconsistent_godel, tol):
         # True was read as 1 and declared this system, residual 0.16,
-        # consistent; a string or None raised the comparison's TypeError,
-        # and a Decimal NaN decimal.InvalidOperation
+        # consistent, and so was a stand-in for numpy's bool, which is no
+        # `bool`; a string or None raised the comparison's TypeError, and a
+        # Decimal NaN decimal.InvalidOperation.  No Decimal is a real number
+        # that float arithmetic takes, so none is a tolerance.
         with pytest.raises(ValueError, match=r"^tol must be a finite non-negative number, got "):
             check_consistency(inconsistent_godel, tol=tol)
         assert check_consistency(inconsistent_godel, tol=1).consistent
+        assert check_consistency(inconsistent_godel, tol=Fraction(1, 5)).consistent
         assert not check_consistency(inconsistent_godel, tol=0).consistent
 
 
@@ -267,7 +273,7 @@ TIED = (((0.6, 0.3), (0.6, 0.8), (0.2, 0.5)), (0.4, 0.4, 0.7))
 
 def fronts_of(system):
     """The rising `front` of each column's pairs (gamma[l][i], beta[l])."""
-    return [front(tuple(zip(column, system.beta))) for column in system.columns]
+    return [front(column, system.beta) for column in system.columns]
 
 
 class TestFronts:

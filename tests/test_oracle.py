@@ -1,5 +1,6 @@
 """Membership predicates, bisection bracketing and sampling utilities."""
 
+from decimal import Decimal
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from fuzzrel import (
 from fuzzrel.algebra import leq
 from fuzzrel.cli import MEMBERSHIP_SLACK
 from fuzzrel.oracle import exact_maxt_membership, exact_membership
-from helpers import iter_random_systems, tied_systems
+from helpers import BoolLike, iter_random_systems, tied_systems
 from test_exact_maxt import pooled_entries, wide_entries, with_examples
 from test_front import NO_SHRINK
 
@@ -75,10 +76,15 @@ class TestToleranceMembership:
         with pytest.raises(ValueError, match="slack"):
             tolerance_membership(inconsistent_godel, 0.0, row=0, slack=slack)
 
-    @pytest.mark.parametrize("slack", [True, "1e-9", None], ids=["true", "str", "none"])
+    @pytest.mark.parametrize(
+        "slack", [True, "1e-9", None, BoolLike(), Decimal("0.1")],
+        ids=["true", "str", "none", "bool-like", "decimal"],
+    )
     def test_slack_must_be_a_number_but_no_bool(self, inconsistent_godel, slack):
         # True was read as 1, so delta 0 passed on a system at distance
-        # 0.15; a string or None raised the comparison's TypeError
+        # 0.15, and so was a stand-in for numpy's bool; a string or None
+        # raised the comparison's TypeError, and a Decimal the TypeError of
+        # the membership loop's float sum
         with pytest.raises(ValueError, match=r"^slack must be a finite non-negative number, got "):
             tolerance_membership(inconsistent_godel, 0.0, slack=slack)
         assert tolerance_membership(inconsistent_godel, 0.0, slack=1)
