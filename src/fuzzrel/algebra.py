@@ -39,7 +39,8 @@ A report entry, `godel_column`, `goguen_column` or `luka_column`, takes a
 system's right-hand side, computes what its columns share (the order, and
 for Godel the right-hand side's levels), and returns the function of one
 column: one sweep down the column with its threshold written out, which
-builds the column's records with one C-level map.  A max-t entry is a
+returns plain tuples of each cell's fields; a row builds their records on
+the first read of its `cells` (`RowDiagnostics`).  A max-t entry is a
 `Kernel`, which maps its cell formula down the column; the oracle's exact
 max-t distance reads its two parts.  `FLOAT` binds the formulas to floats
 and supplies this module's public functions and the cells and row rules
@@ -85,7 +86,6 @@ from collections import namedtuple
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain, compress, repeat
 from typing import NamedTuple
 
@@ -164,14 +164,22 @@ QUOTIENT_SCALE = 2.0 ** 1000
 BORDERLINE_EPS = 1e-9
 
 
-# The cell records are named tuples, not dataclasses: a report builds m n of
-# them, and a tuple costs half as much to build as a frozen dataclass.  They
-# iterate and compare equal to plain tuples, and `_replace` amends a field.
-# The report columns of `arithmetic` build them with one C-level map per
-# column, `map(partial(tuple.__new__, record), fields)`, and never call the
-# record's generated Python-level `__new__`: 40 000 `GodelCellStats(...)`
-# calls, one 200x200 report, take 14.8 ms, and the same map over their
-# field tuples 8.6 ms (Python 3.11, shared 2-core host).
+# The cell records are named tuples, not dataclasses: a tuple costs half as
+# much to build as a frozen dataclass.  They iterate and compare equal to
+# plain tuples, and `_replace` amends a field.  The report columns of
+# `arithmetic` build no record: they return plain tuples of each cell's
+# fields, and a row builds its records on the first read of
+# `RowDiagnostics.cells`, with one C-level map per row, `map(tuple.__new__,
+# repeat(record), fields)`, never by the record's generated Python-level
+# `__new__`.  A report whose cells nobody reads builds none.  A record, an
+# instance of a tuple subclass, is allocated anew, counts towards the next
+# garbage collection and stays tracked by the collector; a plain tuple usually
+# comes from the interpreter's free list, which counts nothing, and the first
+# collection that sees it untracks it, since its entries are floats and bools.
+# In 10 s of `solve-large`'s op loop the m n records per report drove 6897
+# generation-0 and 56 full collections, 6.3% of the wall time; with field
+# tuples in their place the loop runs 431 and none, 1.0% (Python 3.11.7,
+# shared 2-core host).
 class GodelCellStats(NamedTuple):
     """Statistics of one Godel (row, column) cell.
 
@@ -200,6 +208,40 @@ class LukaCellStats(NamedTuple):
     zeta: float
 
 
+class _Pending(tuple):
+    """The cells of a row before their first read: the pair (record,
+    fields) of the row's record type and the plain tuples of its cells'
+    fields, which a row rule hands `RowDiagnostics` as its `cells`."""
+
+    __slots__ = ()
+
+
+class _Cells:
+    """The descriptor of the field `RowDiagnostics.cells`.
+
+    It keeps the value in the row's own `__dict__`.  A `_Pending` value
+    becomes the tuple of its records on the first read, built by one
+    C-level map and stored in its place, so later reads return the same
+    tuple; any other value, such as records given to the constructor, is
+    returned as given.  Read on the class it raises AttributeError, which
+    tells `dataclass` that the field has no default.  Two threads that read
+    a row's cells at once may each build its records: both get equal
+    tuples, and the row keeps one.
+    """
+
+    def __get__(self, row, owner=None):
+        if row is None:
+            raise AttributeError("cells")
+        cells = row.__dict__["cells"]
+        if type(cells) is _Pending:
+            record, fields = cells
+            cells = row.__dict__["cells"] = tuple(map(tuple.__new__, repeat(record), fields))
+        return cells
+
+    def __set__(self, row, cells):
+        row.__dict__["cells"] = cells
+
+
 @dataclass(frozen=True)
 class RowDiagnostics:
     """Per-row breakdown of the distance computation.
@@ -214,6 +256,13 @@ class RowDiagnostics:
     minimum/infimum classification hinges on a comparison within
     BORDERLINE_EPS, i.e. is numerically fragile.  The values are of the
     number type of the `arithmetic` instance whose row rule built the row.
+
+    `cells` holds the row's cell records, one per column.  A row rule hands
+    over the plain field tuples of its cells with their record type, and the
+    row builds the records on the first read of `cells` (`_Cells`), so a
+    report whose cells nobody reads builds none; the value, its type and
+    the row's eq, hash, repr, `dataclasses.replace` and copies are those of
+    a row built from the records.  A pickle or copy holds the records.
     """
 
     row: int
@@ -223,13 +272,12 @@ class RowDiagnostics:
     attainable: bool
     argmin_col: int | None
     borderline: bool
-    cells: tuple
+    cells: tuple = _Cells()
     nabla_tilde_j: float | None = None
 
-
-godel_record, goguen_record, luka_record = (
-    partial(tuple.__new__, record) for record in (GodelCellStats, GoguenCellStats, LukaCellStats)
-)
+    def __getstate__(self):
+        """The row's fields, its cells read as records."""
+        return {**self.__dict__, "cells": self.cells}
 
 
 def checked_kind(kind) -> ImplicationKind:
@@ -408,7 +456,10 @@ def column_scan(columns, rhs, cells) -> tuple:
     evaluations, by one sweep over the system's right-hand side levels
     (`fuzzrel.report` states why).  The kept pairs stay in row order: the
     cells keep the first of equal values, so the order decides which of 0.0
-    and -0.0 a cell reports.
+    and -0.0 a cell reports.  A report entry gives each cell as the plain
+    tuple of its record's fields, and builds no record: the row rules hand
+    a row's tuples to `RowDiagnostics`, which builds its records on the
+    first read of its `cells`.
     """
     return tuple(zip(*map(cells(rhs), columns)))
 
@@ -758,7 +809,8 @@ def arithmetic(one) -> Arithmetic:
     # formulas and why these evaluations of them are the full scan's.  Each
     # entry takes the right-hand side `xs` of a system, computes what its
     # columns share once, and returns the function of a column's gamma
-    # entries `us` that gives the column's cells in row order.
+    # entries `us` that gives the column's cells in row order, each the
+    # plain tuple of its record's fields.
     def godel_column(xs):
         """The Godel cells of the columns of a system whose right-hand side
         is `xs`.  The columns share the order `beta_order(xs)` and the
@@ -779,7 +831,10 @@ def arithmetic(one) -> Arithmetic:
         `after`, and moves it for each level in increasing order, testing A
         >= B at every step; a cell reads the zeta of its row's rank.  The
         sentinels (two, zero) below and (zero, two) above the front have A
-        >= B false and true and contribute a zero A and B.
+        >= B false and true and contribute a zero A and B.  Each cell is
+        the plain tuple (theta, zeta, support, borderline), the fields of
+        its `GodelCellStats`, which its row builds on the first read of its
+        `cells`.
         """
         down = beta_order(xs)
         levels, ranks, last = [], [None] * len(xs), None
@@ -826,7 +881,7 @@ def arithmetic(one) -> Arithmetic:
             for g, theta, zeta in zip(us, thetas, map(zetas.__getitem__, ranks)):
                 support = g > zero
                 cells.append((theta, zeta, support, support and abs(theta - zeta) <= eps))
-            return tuple(map(godel_record, cells))
+            return tuple(cells)
 
         return column
 
@@ -844,7 +899,9 @@ def arithmetic(one) -> Arithmetic:
         below QUOTIENT_FLOOR and its error bound.  Each product is computed
         once, per pair or per cell, by the float operation and on the
         operands the per-pair formula has, so every cell is that formula's,
-        bit for bit.
+        bit for bit.  Each cell is the plain tuple (theta, zeta, support),
+        the fields of its `GoguenCellStats`, which its row builds on the
+        first read of its `cells`.
         """
         down = beta_order(xs)
 
@@ -881,7 +938,7 @@ def arithmetic(one) -> Arithmetic:
                     cells.append((theta, zeta if zeta > floor else floor, True))
                 else:
                     cells.append((zero if theta is None else theta, zero, False))
-            return tuple(map(goguen_record, cells))
+            return tuple(cells)
 
         return column
 
@@ -894,7 +951,9 @@ def arithmetic(one) -> Arithmetic:
         b)` over the pairs (gl, bl) that `luka_top` keeps, nearly always
         one, written out: the term (bl - (1 - gl))^+ of a pair and (1 - g -
         b)^+ of a cell are computed once each, by the threshold's own float
-        operations, so every cell is the threshold's, bit for bit.
+        operations, so every cell is the threshold's, bit for bit.  Each
+        cell is the plain 1-tuple (zeta,), the field of its `LukaCellStats`,
+        which its row builds on the first read of its `cells`.
         """
         def column(us):
             kept = [
@@ -915,7 +974,7 @@ def arithmetic(one) -> Arithmetic:
                     if zeta is None or t > zeta:
                         zeta = t
                 zetas.append(zeta)
-            return tuple(map(luka_record, zip(zetas)))
+            return tuple(zip(zetas))
 
         return column
 
@@ -926,7 +985,9 @@ def arithmetic(one) -> Arithmetic:
     # RowDiagnostics of row j, whose beta entry is b, from its cells by the
     # kind's entry of `cells`; `fuzzrel.report` states their formulas.  Each
     # takes the first column of least value as the row's argmin; a row that
-    # no column qualifies for has argmin None and tau one.
+    # no column qualifies for has argmin None and tau one.  Each hands the
+    # row its cells' field tuples with the kind's record type, `_Pending`,
+    # so the records are built only if the row's `cells` are read.
     def godel_row(j, b, cells):
         """Row whose tau is the least max(theta, zeta) over its supporting
         cells, with the attainability of nabla_j, in one pass over the cells.
@@ -969,7 +1030,8 @@ def arithmetic(one) -> Arithmetic:
                 or abs(one_minus_beta - tau) <= eps
             )
         return RowDiagnostics(
-            j, nabla_j, tau, one_minus_beta, attainable, argmin, borderline, cells, nabla_tilde
+            j, nabla_j, tau, one_minus_beta, attainable, argmin, borderline,
+            _Pending((GodelCellStats, cells)), nabla_tilde,
         )
 
     def goguen_row(j, b, cells):
@@ -995,7 +1057,9 @@ def arithmetic(one) -> Arithmetic:
             raise InvariantViolation(f"row {j}: tau {tau!r} differs from the least zeta {low!r}")
         one_minus_beta = one - b
         nabla_j = tau if tau < one_minus_beta else one_minus_beta
-        return RowDiagnostics(j, nabla_j, tau, one_minus_beta, True, argmin, False, cells)
+        return RowDiagnostics(
+            j, nabla_j, tau, one_minus_beta, True, argmin, False, _Pending((GoguenCellStats, cells))
+        )
 
     def luka_row(j, b, cells):
         """Row whose tau is the least zeta over all its cells.  The cells are
@@ -1005,7 +1069,10 @@ def arithmetic(one) -> Arithmetic:
         tau = min(zetas)
         one_minus_beta = one - b
         nabla_j = tau if tau < one_minus_beta else one_minus_beta
-        return RowDiagnostics(j, nabla_j, tau, one_minus_beta, True, zetas.index(tau), False, cells)
+        return RowDiagnostics(
+            j, nabla_j, tau, one_minus_beta, True, zetas.index(tau), False,
+            _Pending((LukaCellStats, cells)),
+        )
 
     row_rules = {godel: godel_row, goguen: goguen_row, luka: luka_row}
 

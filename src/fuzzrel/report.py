@@ -26,8 +26,10 @@ returns the function of a column's gamma entries `us` that gives its
 cells: it reduces the pairs (gamma[l][i], beta[l]) once, by the kind's
 reducer, and computes the cell of every row g = gamma[j][i], b = beta[j]
 over the kept pairs in one frame, with the kind's threshold written out;
-it builds the column's records with one C-level map, with no
-Python-level call per cell.  Beta is the same in every column, so the
+it returns each cell as the plain tuple of its record's fields and builds
+no record.  A row builds its records on the first read of its `cells`,
+with one C-level map per row, so a report whose cells nobody reads builds
+none of its m n records.  Beta is the same in every column, so the
 Godel and Goguen entries sort it once per system (`beta_order`), and
 each column sorts that order by its own gamma entries only.  The
 Lukasiewicz entry sorts nothing.  The Godel entry computes its whole
@@ -142,9 +144,9 @@ into a `ChebyshevReport`.  Every value it builds is of the number type of `ar`:
 the literals are the instance's own, and BORDERLINE_EPS is only compared
 here.  `distance_report` runs it on `FLOAT` and the system's prepared
 `columns`.  `checked_cell` takes one cell of the column that the kind's
-entry of `FLOAT.cells`, given the system's beta, returns, for the public
-`*_cell` functions, which check the system's kind first as the
-`*_distance` functions do.
+entry of `FLOAT.cells`, given the system's beta, returns, and wraps it in
+the kind's record, for the public `*_cell` functions, which check the
+system's kind first as the `*_distance` functions do.
 """
 
 from __future__ import annotations
@@ -250,13 +252,19 @@ def maxt_distance(system: MaxTSystem) -> float:
     return FLOAT.maxt_value(system.float_cells)
 
 
+#: The cell record of each kind.
+_RECORDS = dict(zip(ImplicationKind, (GodelCellStats, GoguenCellStats, LukaCellStats)))
+
+
 def checked_cell(system: FuzzySystem, row: int, col: int):
     """Cell statistics of the (row, col) cell (0-based) of `system`, by the
-    cell formula of its kind; an index that is not an integer raises
-    TypeError and a pair outside the system's matrix IndexError."""
+    cell formula of its kind, as the kind's record; an index that is not an
+    integer raises TypeError and a pair outside the system's matrix
+    IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    return FLOAT.cells[system.kind](system.beta)(system.columns[col])[row]
+    fields = FLOAT.cells[system.kind](system.beta)(system.columns[col])[row]
+    return tuple.__new__(_RECORDS[system.kind], fields)
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

@@ -1,18 +1,30 @@
 """The public cell records of a report: `GodelCellStats`, `GoguenCellStats`
-and `LukaCellStats`.
+and `LukaCellStats`, and the field `RowDiagnostics.cells` that holds them.
 
-They are named tuples: a report builds one per cell, and a tuple costs
-about half as much to build as the frozen dataclasses they replaced.  Their
-field names and order, their `repr` (the dataclasses' own `repr` strings,
-taken from the shared 2x2 system of `conftest.py`), their immutability and
-attribute reads from a report are pinned here.  As tuples they also
-iterate, compare equal to plain tuples and are amended by `_replace`.
-The report columns build them with `tuple.__new__` in one map per column,
-so every path that returns a cell is pinned to the record type itself: a
-report, `checked_cell` through the public `*_cell` functions, and the
-columns of both arithmetic instances, `FLOAT` and `EXACT`.
+They are named tuples: a tuple costs about half as much to build as the
+frozen dataclasses they replaced.  Their field names and order, their
+`repr` (the dataclasses' own `repr` strings, taken from the shared 2x2
+system of `conftest.py`), their immutability and attribute reads from a
+report are pinned here.  As tuples they also iterate, compare equal to
+plain tuples and are amended by `_replace`.
+
+The report columns build no record: they give each cell as the plain tuple
+of its record's fields, and a row builds its records on the first read of
+its `cells`, with `tuple.__new__` in one map per row.  So every public path
+that returns a cell is pinned to the record type itself: a report, on
+`FLOAT` and on `EXACT`, and `checked_cell` through the public `*_cell`
+functions; the columns of both instances are pinned to the plain field
+tuples of those records.  When the records are built changes nothing a
+caller sees: a report row equals, hashes and prints like a row built from
+the records, a second read returns the same tuple, the field stays frozen
+and required, `dataclasses.replace`, `copy.deepcopy` and pickles keep the
+cells, and no pickle names the private type of a row whose cells are not
+read yet.
 """
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -28,8 +40,9 @@ from fuzzrel import (
     goguen_cell,
     luka_cell,
 )
-from fuzzrel.algebra import FLOAT
+from fuzzrel.algebra import FLOAT, RowDiagnostics, transpose
 from fuzzrel.oracle import EXACT
+from fuzzrel.report import _report
 
 from conftest import SHARED_MATRIX
 
@@ -102,18 +115,21 @@ PUBLIC_CELLS = {
 }
 
 
+#: The shared system's right-hand side (0.1, 0.4) and its columns, read as
+#: Fractions from their decimals.
+EXACT_BETA = (Fraction("0.1"), Fraction("0.4"))
+EXACT_COLUMNS = tuple(tuple(map(Fraction, map(str, column))) for column in transpose(SHARED_MATRIX))
+
+
 def cells_of_every_path(kind):
-    """Cell (0, 1) of the shared system with beta (0.1, 0.4) by a report,
-    by `checked_cell`, and by the column of each arithmetic instance, the
-    exact one reading the entries as Fractions."""
+    """Cell (0, 1) of the shared system with beta (0.1, 0.4) by the float
+    report, by `checked_cell`, and by the exact report of the entries read
+    as Fractions."""
     system = FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind)
-    column = tuple(row[1] for row in SHARED_MATRIX)
-    exact_column = tuple(map(Fraction, map(str, column)))
     return {
         "report": reported_cell(kind),
         "checked_cell": PUBLIC_CELLS[kind](system, 0, 1),
-        "float": FLOAT.cells[kind](system.beta)(column)[0],
-        "exact": EXACT.cells[kind]((Fraction("0.1"), Fraction("0.4")))(exact_column)[0],
+        "exact": _report(EXACT, kind, EXACT_COLUMNS, EXACT_BETA).rows[0].cells[1],
     }
 
 
@@ -130,3 +146,116 @@ def test_every_path_returns_the_record(kind):
             assert repr(cell) == text, path
         amended = cell._replace(**{fields[0]: 0.5})
         assert type(amended) is record and amended == (0.5, *cell[1:]), path
+
+
+@kinds
+def test_columns_give_the_fields_of_the_records(kind):
+    # the column of each instance returns plain tuples, bit for bit the
+    # fields of the records that the report of the same instance returns
+    system = FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind)
+    paths = cells_of_every_path(kind)
+    columns = {
+        "float": (FLOAT.cells[kind](system.beta)(system.columns[1])[0], paths["report"]),
+        "exact": (EXACT.cells[kind](EXACT_BETA)(EXACT_COLUMNS[1])[0], paths["exact"]),
+    }
+    for path, (fields, record) in columns.items():
+        assert type(fields) is tuple, path
+        assert repr(fields) == repr(tuple(record)), path
+
+
+def report_of(kind):
+    """A new float report of the shared system with beta (0.1, 0.4), none
+    of whose cells has been read."""
+    return distance_report(FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind))
+
+
+def records_of(kind, row):
+    """The records of row `row` of `report_of(kind)`, built one by one by
+    the public `*_cell` function."""
+    system = FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind)
+    return tuple(PUBLIC_CELLS[kind](system, row, i) for i in range(system.n))
+
+
+def built_from_records(kind, row):
+    """Row `row` of `report_of(kind)`, built from its records."""
+    reported = report_of(kind).rows[row]
+    fields = {f.name: getattr(reported, f.name) for f in dataclasses.fields(RowDiagnostics)}
+    return RowDiagnostics(**{**fields, "cells": records_of(kind, row)})
+
+
+@kinds
+def test_rows_are_those_built_from_records(kind):
+    for j in range(len(SHARED_MATRIX)):
+        built = built_from_records(kind, j)
+        assert report_of(kind).rows[j] == built
+        assert hash(report_of(kind).rows[j]) == hash(built)
+        assert repr(report_of(kind).rows[j]) == repr(built)
+        assert repr(report_of(kind).rows[j].cells) == repr(records_of(kind, j))
+
+
+@kinds
+def test_a_second_read_returns_the_same_cells(kind):
+    record = CELLS[kind][0]
+    row = report_of(kind).rows[0]
+    cells = row.cells
+    assert row.cells is cells
+    assert type(cells) is tuple and {type(cell) for cell in cells} == {record}
+    # a row built from records returns them as given
+    records = records_of(kind, 0)
+    assert dataclasses.replace(row, cells=records).cells is records
+
+
+@kinds
+def test_cells_cannot_be_set(kind):
+    unread, read = report_of(kind).rows[0], report_of(kind).rows[0]
+    cells = read.cells
+    for row in (unread, read):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.cells = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.cells
+    assert read.cells is cells and unread.cells == cells
+
+
+@kinds
+def test_cells_are_required(kind):
+    row = report_of(kind).rows[0]
+    fields = [f.name for f in dataclasses.fields(RowDiagnostics)]
+    assert fields.index("cells") == 7
+    assert dataclasses.fields(RowDiagnostics)[7].default is dataclasses.MISSING
+    given = {name: getattr(row, name) for name in fields if name != "cells"}
+    with pytest.raises(TypeError, match="cells"):
+        RowDiagnostics(**given)
+    with pytest.raises(TypeError, match="cells"):
+        RowDiagnostics(*(given[name] for name in fields[:7]))
+
+
+@kinds
+def test_replace_and_deepcopy_keep_the_cells(kind):
+    record = CELLS[kind][0]
+    want = repr(records_of(kind, 0))
+    for copied in (
+        dataclasses.replace(report_of(kind).rows[0]),
+        copy.deepcopy(report_of(kind).rows[0]),
+        copy.deepcopy(report_of(kind)).rows[0],
+        copy.copy(report_of(kind).rows[0]),
+    ):
+        assert repr(copied.cells) == want
+        assert {type(cell) for cell in copied.cells} == {record}
+
+
+@kinds
+def test_pickles_hold_the_records(kind):
+    # the pickle of a row whose cells are not read yet is that of a row
+    # whose cells are, byte for byte, in every protocol
+    record = CELLS[kind][0]
+    read = report_of(kind)
+    for row in read.rows:
+        row.cells
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        before = pickle.dumps(report_of(kind), protocol)
+        assert before == pickle.dumps(read, protocol)
+        assert b"_Pending" not in before and b"_Cells" not in before
+        loaded = pickle.loads(before)
+        assert loaded == read and repr(loaded) == repr(read)
+        assert {type(cell) for cell in loaded.rows[0].cells} == {record}

@@ -5,7 +5,9 @@ as `Arithmetic.cells`, and binds them to floats (`FLOAT`) and to Fractions
 (`EXACT`).  The float scan of a system must stay close to the exact scan of
 the decimal readings of its entries: theta and zeta within CELL_ETA, and
 the same support, on full-precision, tie-heavy and edge entries (0, the
-subnormals, 2^-53, 1 - 2^-53 and 1) at dims up to 30.
+subnormals, 2^-53, 1 - 2^-53 and 1) at dims up to 30.  The columns give
+each cell as the plain tuple of its record's fields, so the test reads them
+by name through the kind's record.
 """
 
 import sys
@@ -13,12 +15,15 @@ from fractions import Fraction
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from fuzzrel import ImplicationKind
+from fuzzrel import GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats
 from fuzzrel.algebra import FLOAT, column_scan, transpose
 from fuzzrel.oracle import EXACT, _exact_matrix, _exact_vector
 from helpers import tied_systems
 
 GOGUEN = ImplicationKind.GOGUEN
+
+#: The cell record of each kind.
+RECORDS = dict(zip(ImplicationKind, (GodelCellStats, GoguenCellStats, LukaCellStats)))
 
 #: A bound on |float cell - exact cell|, modelled on the max-t bound
 #: `oracle.MAXT_ETA`: each statistic is a max of thresholds of a few sums,
@@ -70,9 +75,10 @@ def test_float_cells_are_near_the_exact_cells(system, kind):
         gamma = without_subnormals(gamma)
     floats = column_scan(transpose(gamma), beta, FLOAT.cells[kind])
     exacts = column_scan(transpose(_exact_matrix(gamma)), _exact_vector(beta), EXACT.cells[kind])
+    record = RECORDS[kind]._make
     found = []
     for j, (float_row, exact_row) in enumerate(zip(floats, exacts)):
-        for i, (cell, exact) in enumerate(zip(float_row, exact_row)):
+        for i, (cell, exact) in enumerate(zip(map(record, float_row), map(record, exact_row))):
             far = [
                 name for name in ("theta", "zeta")
                 if name in cell._fields

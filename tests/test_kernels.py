@@ -9,12 +9,14 @@ them, written with builtin min/max.  The report entries compute a whole
 column of cells per call, with no cell formula of their own, so every cell
 of each is checked against those references scanning the whole column, on
 random columns and on columns that reach the Goguen rescale, all-zero gamma
-columns and cells with a zero entry; their records are of the record type
-itself.  The Lukasiewicz column reducers are checked against a brute-force
-scan of the keys and against the cells of whole columns, also on columns
-whose keys differ by less than their window, in floats and in Fractions:
-both instances keep the same window, and rescale the Goguen quotient below
-the same floor, which the edge columns check.  The two compositions, a
+columns and cells with a zero entry; each cell is the plain tuple of its
+record's fields, since a row builds its records only when its `cells` are
+read (`test_cell_types.py` pins the records of the rows).  The Lukasiewicz
+column reducers are checked against a brute-force scan of the keys and
+against the cells of whole columns, also on columns whose keys differ by
+less than their window, in floats and in Fractions: both instances keep
+the same window, and rescale the Goguen quotient below the same floor,
+which the edge columns check.  The two compositions, a
 loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
 NaN and out-of-range entries, which unvalidated callers can pass; so are
@@ -189,18 +191,19 @@ def report_columns(grid, seed, count: int):
 
 def column_mismatches(ar, kind, pairs_of_columns) -> list:
     """The columns on which the report entry of `kind` differs from the
-    brute-force cells over the whole column, by `repr`: value, sign of a
-    zero, number type and record type.  The float Goguen quotient is
-    monotone in the column pair only up to rounding, so the float Goguen
-    column is compared over the `front` it reads; `test_front.py` compares
-    that pruning with the whole column on systems, within a few ulps."""
+    fields of the brute-force cells over the whole column, by `repr`: value,
+    sign of a zero, number type, and plain tuples, with no record built in
+    the column.  The float Goguen quotient is monotone in the column pair
+    only up to rounding, so the float Goguen column is compared over the
+    `front` it reads; `test_front.py` compares that pruning with the whole
+    column on systems, within a few ulps."""
     column, reference = ar.cells[kind], cell_references(ar)[kind]
     found = []
     for pairs in pairs_of_columns:
         us, xs = split(pairs)
         got = column(xs)(us)
         read = front(us, xs) if kind is GOGUEN and ar is FLOAT else pairs
-        want = tuple(reference(g, b, read) for g, b in pairs)
+        want = tuple(tuple(reference(g, b, read)) for g, b in pairs)
         if repr(got) != repr(want):
             found.append((pairs, got, want))
     return found

@@ -179,24 +179,63 @@ def test_report_calls_no_threshold():
     assert found == []
 
 
+#: The record types of the report cells, and the two ways to build a record
+#: without its generated `__new__`.
+RECORDS = {"GodelCellStats", "GoguenCellStats", "LukaCellStats", "_make", "__new__"}
+
+
+def record_builds() -> list[tuple[str, str, str]]:
+    """(module, innermost function, call) of every call in the package that
+    builds a cell record: a call of a record type, `_make` or `__new__`, or
+    a map or `partial` of one of them."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, module, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call):
+                names = [ast.unparse(child.func)]
+                if names[0] in ("map", "partial") and child.args:
+                    names.append(ast.unparse(child.args[0]))
+                if any(name.split(".")[-1] in RECORDS for name in names):
+                    found.append((module, function, ast.unparse(child)))
+            visit(child, module, function)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
 def test_report_columns_call_no_threshold_and_no_record():
     # each report column writes its thresholds out, with the per-pair and
-    # per-cell terms computed once, and builds its records with one C-level
-    # map per column (`godel_record` and its kin), never by a call to a
-    # record type's generated `__new__` per cell
+    # per-cell terms computed once, and returns the plain tuples of its
+    # cells' fields: it builds no record, by a record type's generated
+    # `__new__` or by a map of `tuple.__new__`; a row builds its records on
+    # the first read of its `cells`
     columns = [f for f in hot_formulas() if f.name in REPORT_COLUMNS]
     assert len(columns) == 3
-    records = {"GodelCellStats", "GoguenCellStats", "LukaCellStats", "_make"}
     found = [
         f"{function.name}:{line}: {name}"
         for function in columns
         for line, name in calls(function)
-        if re.fullmatch(r"\w+_threshold|maxprod_ratio", name) or name in records
+        if re.fullmatch(r"\w+_threshold|maxprod_ratio", name)
+    ]
+    found += [
+        f"{function.name}:{node.lineno}: {ast.unparse(node)}"
+        for function in columns
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (getattr(node, "id", None) or node.attr) in RECORDS | {"_Pending", "partial"}
     ]
     assert found == []
-    assert all(
-        any(name == "map" for _, name in calls(function)) for function in columns
-    )
+    # the one record map of the package is the first read of a row's
+    # `cells`, one map per row; `checked_cell` wraps its one cell
+    assert record_builds() == [
+        ("algebra.py", "__get__", "map(tuple.__new__, repeat(record), fields)"),
+        ("report.py", "checked_cell", "tuple.__new__(_RECORDS[system.kind], fields)"),
+    ]
 
 
 def test_hot_formulas_call_no_builtin_min_max():
