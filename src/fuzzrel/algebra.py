@@ -14,7 +14,9 @@ by every solver in this package:
     min_impl_compose  out[j] = min_i (M[j][i] -> v[i])
 
 and the shifted bounds of a vector, `shifted_bounds(v, delta)`, which bracket
-the closed sup-norm ball of radius delta around v inside the unit cube.
+the closed sup-norm ball of radius delta around v inside the unit cube.  An
+`Arithmetic` also has each side alone, `lower_shift` and `upper_shift`, of
+which `shifted_bounds` is the pair, for callers that read one side only.
 
 These formulas, together with every scalar threshold and every cell
 formula of both system families, are written once in `arithmetic`, over the
@@ -23,8 +25,10 @@ kind-dependent ones are tables with one entry per kind, looked up once per
 call: the scalar t-norms and residua; each composition, a loop over the
 rows with the kind's t-norm or residuum inline; the membership test of the
 bisection oracle, `Arithmetic.membership`, a loop of the same kind over a
-system's column fronts and rows, which shifts beta by delta where it reads
-it; each family's cells, whose entry returns the cells of a column:
+system's rows, which computes the solution entry of a column from the
+column's front when a row first reads it, so that a column no row reaches
+is never reduced, and shifts beta by delta where it reads it; each
+family's cells, whose entry returns the cells of a column:
 `Arithmetic.cells` for the min-implication reports, whose records
 `GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are defined here,
 and `Arithmetic.maxt_cells` for the max-t distances; and the row rules of
@@ -66,7 +70,7 @@ entry.  `checked_tolerance` is the one guard of the tolerance and slack
 arguments of `fuzzrel.operators`, `fuzzrel.approximation` and
 `fuzzrel.oracle`.  An `Arithmetic` checks nothing: its tables,
 `membership` and `row_rules` among them, `solve_and_recompose`,
-`maxt_closure`, `shifted_bounds`, the thresholds, the cells and
+`maxt_closure`, the shifts, the thresholds, the cells and
 `column_scan` are for a system validated when it was built, whose
 transpose is kept as `columns` and whose column fronts as `fronts` (see
 `fuzzrel.operators`), or for operands of the same guarantees.
@@ -101,11 +105,21 @@ CLAMP_EPS = 1e-12
 
 
 class ImplicationKind(Enum):
-    """A t-norm together with its residual implicator."""
+    """A t-norm together with its residual implicator.
+
+    A member hashes by identity, as it compares: every per-kind table is a
+    dict keyed by the members, and Enum's own `__hash__`, a Python-level
+    hash of the member's name, made a lookup cost 125 ns against 20 ns
+    (timeit of `table[kind]`, Python 3.11, shared 2-core host).  A member
+    survives pickle and copy as itself, and `ImplicationKind(value)` finds
+    it by its value, so no equal member with another hash can arise.
+    """
 
     GODEL = "godel"
     GOGUEN = "goguen"
     LUKASIEWICZ = "lukasiewicz"
+
+    __hash__ = object.__hash__
 
 
 def transpose(matrix: Matrix) -> Matrix:
@@ -116,8 +130,8 @@ def transpose(matrix: Matrix) -> Matrix:
 Arithmetic = namedtuple(
     "Arithmetic",
     "zero pos t_norms residua max_t_rows min_impl_rows membership solve_and_recompose"
-    " maxt_closure shifted_bounds godel_threshold goguen_threshold luka_threshold"
-    " maxprod_ratio maxprod_threshold maxluka_threshold"
+    " maxt_closure lower_shift upper_shift shifted_bounds godel_threshold goguen_threshold"
+    " luka_threshold maxprod_ratio maxprod_threshold maxluka_threshold"
     " luka_top cells row_rules maxt_cells maxt_value",
 )
 
@@ -135,8 +149,9 @@ class Kernel(namedtuple("Kernel", "cell column")):
     of the front plus one cell formula over the kept pairs per cell.  The
     entries of `Arithmetic.maxt_cells` are kernels, so that
     `fuzzrel.oracle.exact_maxt_distance` can reduce a column and evaluate
-    single cells; the report entries of `Arithmetic.cells` are plain
-    functions of `xs` of the same kind.
+    single cells, over the kept pairs or over one pair alone; the report
+    entries of `Arithmetic.cells` are plain functions of `xs` of the same
+    kind.
     """
 
     __slots__ = ()
@@ -596,30 +611,37 @@ def arithmetic(one) -> Arithmetic:
     # The membership test of `fuzzrel.oracle.tolerance_membership`, one loop
     # per kind: is min_impl_compose(gamma, kind, x) <= upper + slack, with x
     # = max_t_compose(gamma^t, kind, lower) and lower, upper =
-    # shifted_bounds(beta, delta)?  `fronts` holds, per column i, the pairs
-    # (gamma[l][i], beta[l]) on its front (a system's `fronts`), so x[i] is
-    # the kind's t-norm maxed over those pairs only, each shifting its
-    # beta[l] down where it reads it; then each row of `gamma`, whose
-    # beta entries are `rhs`, shifts its own up and stops at its first
-    # residuum <= that + slack, and the test fails at the first row with
-    # none.  The shifts are `shifted_bounds`' own float operations, in its
-    # order, computed only where they are read.  The oracle docstring
-    # states why the verdict is the plain closure's, bit for bit.
+    # shifted_bounds(beta, delta)?  Each row of `gamma`, whose beta entries
+    # are `rhs`, shifts its own up and stops at its first residuum <= that
+    # + slack, and the test fails at the first row with none.  A row reads
+    # x[i] from column i's front, the pairs (gamma[l][i], beta[l]) that
+    # `fronts` holds (a system's `fronts`): the first row to read it
+    # computes it, the kind's t-norm maxed over those pairs only, each
+    # shifting its beta[l] down where it reads it, and later rows read the
+    # stored float.  A column that no row reads before its witness is never
+    # reduced.  The shifts are `shifted_bounds`' own float operations, in
+    # its order, computed only where they are read, and the list x lives
+    # for one call.  The oracle docstring states why the verdict is the
+    # plain closure's, bit for bit.  Measured over the deltas the
+    # bisections of the seed-1 `verify-small` pool probe, computing x on
+    # first read took a call from 2.95 to 2.51 us (best of 7, three
+    # alternating rounds, Python 3.11, shared 2-core host); reading x
+    # through `zip(row, x, range(n))` in place of `enumerate` was slower.
     def godel_membership(gamma, fronts, rhs, delta, slack):
-        x = []
-        for column in fronts:
-            best = None
-            for g, b in column:
-                t = b - delta
-                t = t if t > zero else zero
-                t = g if g < t else t
-                if best is None or t > best:
-                    best = t
-            x.append(best)
+        x = [None] * len(fronts)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
-            for g, y in zip(row, x):
+            for i, g in enumerate(row):
+                y = x[i]
+                if y is None:
+                    for h, b in fronts[i]:
+                        t = b - delta
+                        t = t if t > zero else zero
+                        t = h if h < t else t
+                        if y is None or t > y:
+                            y = t
+                    x[i] = y
                 if (one if g <= y else y) <= u:
                     break
             else:
@@ -627,19 +649,19 @@ def arithmetic(one) -> Arithmetic:
         return True
 
     def goguen_membership(gamma, fronts, rhs, delta, slack):
-        x = []
-        for column in fronts:
-            best = None
-            for g, b in column:
-                t = b - delta
-                t = g * (t if t > zero else zero)
-                if best is None or t > best:
-                    best = t
-            x.append(best)
+        x = [None] * len(fronts)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
-            for g, y in zip(row, x):
+            for i, g in enumerate(row):
+                y = x[i]
+                if y is None:
+                    for h, b in fronts[i]:
+                        t = b - delta
+                        t = h * (t if t > zero else zero)
+                        if y is None or t > y:
+                            y = t
+                    x[i] = y
                 if (one if g <= y else y / g) <= u:
                     break
             else:
@@ -647,20 +669,20 @@ def arithmetic(one) -> Arithmetic:
         return True
 
     def luka_membership(gamma, fronts, rhs, delta, slack):
-        x = []
-        for column in fronts:
-            best = None
-            for g, b in column:
-                t = b - delta
-                t = g + (t if t > zero else zero) - one
-                t = t if t > zero else zero
-                if best is None or t > best:
-                    best = t
-            x.append(best)
+        x = [None] * len(fronts)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
-            for g, y in zip(row, x):
+            for i, g in enumerate(row):
+                y = x[i]
+                if y is None:
+                    for h, b in fronts[i]:
+                        t = b - delta
+                        t = h + (t if t > zero else zero) - one
+                        t = t if t > zero else zero
+                        if y is None or t > y:
+                            y = t
+                    x[i] = y
                 if (one if g <= y else one - g + y) <= u:
                     break
             else:
@@ -683,15 +705,22 @@ def arithmetic(one) -> Arithmetic:
         `fuzzrel.operators.maxt_closure`."""
         return max_t_rows[kind](a, min_impl_rows[kind](transpose(a), c))
 
+    def lower_shift(vec: Vector, delta) -> Vector:
+        """`vec` shifted down by `delta`: (vec[i] - delta)^+."""
+        return tuple([w if (w := v - delta) > zero else zero for v in vec])
+
+    def upper_shift(vec: Vector, delta) -> Vector:
+        """`vec` shifted up by `delta`: min(vec[i] + delta, 1)."""
+        return tuple([one if one < (w := v + delta) else w for v in vec])
+
     def shifted_bounds(vec: Vector, delta) -> tuple[Vector, Vector]:
         """Componentwise lower/upper shift of `vec` by `delta`, clipped to [0, 1].
 
-        lower[i] = (vec[i] - delta)^+ and upper[i] = min(vec[i] + delta, 1), so
+        lower = lower_shift(vec, delta) and upper = upper_shift(vec, delta), so
         for any c in the unit cube: ||vec - c||_inf <= delta iff lower <= c <= upper.
+        A caller that reads one side computes that side alone.
         """
-        lower = tuple([w if (w := v - delta) > zero else zero for v in vec])
-        upper = tuple([one if one < (w := v + delta) else w for v in vec])
-        return lower, upper
+        return lower_shift(vec, delta), upper_shift(vec, delta)
 
     def godel_threshold(x, y, z):
         """Least delta with min(y, (x - delta)^+) <= min(z + delta, 1).
@@ -1083,8 +1112,9 @@ def arithmetic(one) -> Arithmetic:
     # the max-Lukasiewicz threshold depends on the pair only through
     # a[k][j] - b[k], so the pairs of greatest difference hold it.  See
     # `fuzzrel.report.maxt_distance`; the oracle's `exact_maxt_distance`
-    # scans these cells in floats and then re-evaluates a few of them in
-    # Fractions.
+    # scans these cells in floats, evaluates a few of them again in floats
+    # one pair at a time, and evaluates those cells in Fractions over the
+    # pairs that can decide them.
     def godel_maxt_cell(u, x, column):
         best = x - u
         best = best if best > zero else zero
@@ -1155,8 +1185,13 @@ def unit(value, name: str = "value") -> float:
     """Validate a scalar as a unit-interval value.
 
     Rejects NaN and anything further than CLAMP_EPS outside [0, 1]; values
-    within the clamp window are snapped onto the interval.
+    within the clamp window are snapped onto the interval.  A plain float
+    in (0, 1] is returned at once, as `checked_tolerance` returns its
+    argument; every other value, 0.0 and NaN among them, takes the full
+    path below.
     """
+    if type(value) is float and 0.0 < value <= 1.0:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{name}: expected a number, got {type(value).__name__}")
     try:

@@ -85,7 +85,7 @@ def build_approximation(system: FuzzySystem, report: ChebyshevReport) -> Approxi
         )
     if report.verdict is not Attainability.MINIMUM:
         raise ReportMismatch("report carries no attainability verdict")
-    lower, _ = FLOAT.shifted_bounds(system.beta, report.nabla)
+    lower = FLOAT.lower_shift(system.beta, report.nabla)
     solution, lowest = solve_and_recompose(system, lower)
     achieved = sup_distance(system.beta, lowest)
     return ApproximationResult(
@@ -100,7 +100,7 @@ def near_approximation(system: FuzzySystem, delta: float) -> NearApproximation:
     vector lands farther than delta (+ DEFAULT_TOL) from beta, as one at or
     below the distance may, raises DomainError."""
     delta = unit(delta, "delta")
-    lower, _ = FLOAT.shifted_bounds(system.beta, delta)
+    lower = FLOAT.lower_shift(system.beta, delta)
     solution, vector = solve_and_recompose(system, lower)
     achieved = sup_distance(system.beta, vector)
     if achieved > delta + DEFAULT_TOL:

@@ -9,14 +9,15 @@ is upward closed and contains 1, so its infimum (which equals the Chebyshev
 distance) can be bracketed by plain bisection on `tolerance_membership`.
 
 Each test needs only a yes or no, so `tolerance_membership` does not
-evaluate the closure.  It runs `FLOAT.membership[kind]`, which computes the
-inner level x = max_t_compose(gamma^t, kind, lower) over each column's
-front pairs (gamma[l][i], beta[l]) only, the system's `fronts`, and then
-stops each row at its first residuum at most upper[j] + slack, with lower,
-upper = shifted_bounds(beta, delta).  It computes lower[l] only at front
-pairs and upper[j] only at the rows it visits, by the float operations of
-`shifted_bounds`, so each is the same float.  Its verdict is that of
-leq(closure(system, lower), upper, slack), bit for bit:
+evaluate the closure.  It runs `FLOAT.membership[kind]`, which stops each
+row at its first residuum at most upper[j] + slack, with lower, upper =
+shifted_bounds(beta, delta), and computes an entry x[i] of the inner level
+x = max_t_compose(gamma^t, kind, lower) only when a row first reads it,
+over column i's front pairs (gamma[l][i], beta[l]) only, the system's
+`fronts`.  It computes lower[l] only at front pairs and upper[j] only at
+the rows it visits, by the float operations of `shifted_bounds`, so each
+is the same float.  Its verdict is that of leq(closure(system, lower),
+upper, slack), bit for bit:
 
 - The front keeps x exact.  Every float t-norm, fl(min(g, y)), fl(g y) and
   fl(fl(g + y) - 1)^+, is non-decreasing in both arguments, and lower[l] =
@@ -31,6 +32,13 @@ leq(closure(system, lower), upper, slack), bit for bit:
   keeps does not matter.
 - The early stop.  min_i r_i <= c holds iff some r_i <= c.  Both tests
   compare the same floats exactly, and a validated system holds no NaN.
+- Entries on first read.  x[i] depends on column i's front and delta
+  alone, so the float computed at its first read and kept for the later
+  rows of the call is the float a loop computing every entry up front
+  would give.  A row reads its entries in column order up to its first
+  witness, as the up-front loop does, so every row compares the same
+  floats, and an entry that no row reaches takes part in no comparison.
+  The entries live for one call: another delta computes them anew.
 - Subnormal Goguen entries.  The float operations are the same ones, so
   they underflow exactly as the closure's do.
 
@@ -46,10 +54,13 @@ instance of `fuzzrel.algebra.arithmetic`.  `exact_maxt_distance` does so by
 a float filter with an exact fallback: a float scan of the max-t cells picks
 the rows and cells that can still decide the distance, and only those are
 evaluated in Fractions.  Every float cell is within MAXT_ETA = 2^-49 of its
-exact cell (derived in its docstring, subnormal entries included), so
-keeping every row within 2 MAXT_ETA of the best float row minimum, and in it
-every cell within 2 MAXT_ETA of its minimum, keeps the exact maximizing row
-and its exact minimizing cell: the result is the full exact scan's.
+exact cell, and so is the float cell of a single pair (derived in its
+docstring, subnormal entries included), so keeping every row within 2
+MAXT_ETA of the best float row minimum, in it every cell within 2 MAXT_ETA
+of its minimum, and in that cell every pair whose one-pair cell is within 2
+MAXT_ETA of the cell, keeps the exact maximizing row, its exact minimizing
+cell and that cell's exact maximizing pair: the result is the full exact
+scan's, and only the kept pairs are read as Fractions.
 
 `exact_membership` and `exact_maxt_membership` decide their closure
 inequality row by row, by an interval pass in floats and an exact fallback
@@ -67,11 +78,12 @@ its prepared `columns` for the inner one, and bounds only the vectors:
   with the high bound of its vector (the per-kind loops return what the
   scalar t-norms and residua of `Arithmetic.t_norms` and
   `Arithmetic.residua` return), the one at the low bound padded down and
-  the one at the high bound up.
+  the one at the high bound up, each on that side alone.
 
-The pad is `FLOAT.shifted_bounds(v, W)`, W = MEMBERSHIP_PAD = 2^-50 = 8 eps,
-eps = 2^-53: each float value r goes to a low bound fl(r - W) and a high
-bound fl(r + W), clamped to [0, 1], where every exact quantity lies.
+The pad is a shift of `FLOAT` by W = MEMBERSHIP_PAD = 2^-50 = 8 eps, eps =
+2^-53: each float value r goes to a low bound fl(r - W), `lower_shift`, and
+a high bound fl(r + W), `upper_shift`, clamped to [0, 1], where every exact
+quantity lies; `shifted_bounds` is the pair of them.
 Every t-norm and every residuum is non-decreasing in its vector argument,
 and so are max and min, so the low bound of a vector gives the low bound
 of its level.  Why the bounds hold:
@@ -115,10 +127,14 @@ terms that can still attain the outer min (low bound at most the min's high
 bound) or max (high bound at least the max's low bound); each inner entry
 those terms read is evaluated once, over the inner terms that can attain
 it; and only the entries and right-hand sides these touch are read as
-Fractions.  The term that attains an exact min is at most every other
-term, so its low bound is at most the min's high bound, and symmetrically
-for a max: each aggregate over the kept terms is the aggregate over all
-of them.  So every row gets its exact verdict and the result is that of
+Fractions, each right-hand side once.  Each exact shift is taken on the
+one side its rows read, by `EXACT.lower_shift` or `EXACT.upper_shift`: the
+shift of the inner level (lower for `exact_membership`, upper for
+`exact_maxt_membership`) at the rows of the inner terms, the other, the
+bound, at the open rows.  The term that attains an exact min is at most
+every other term, so its low bound is at most the min's high bound, and
+symmetrically for a max: each aggregate over the kept terms is the
+aggregate over all of them.  So every row gets its exact verdict and the result is that of
 the full exact evaluation on `_exact_matrix` and `_exact_vector`.
 """
 
@@ -278,9 +294,13 @@ def _pad(v) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def _level(residual: bool, kind, rows, v_lo, v_hi):
     """Bounds of min_impl_compose (`residual`) or max_t_compose of the float
     matrix `rows` and the vector bounded by v_lo, v_hi: the composition at
-    each bound of the vector, the low one padded down and the high one up."""
+    each bound of the vector, the low one padded down and the high one up,
+    each on that side alone."""
     compose = (FLOAT.min_impl_rows if residual else FLOAT.max_t_rows)[kind]
-    return _pad(compose(rows, v_lo))[0], _pad(compose(rows, v_hi))[1]
+    return (
+        FLOAT.lower_shift(compose(rows, v_lo), MEMBERSHIP_PAD),
+        FLOAT.upper_shift(compose(rows, v_hi), MEMBERSHIP_PAD),
+    )
 
 
 def _attaining(residual: bool, kind, row, v_lo, v_hi, lo, hi) -> list[int]:
@@ -329,12 +349,14 @@ def _decided(matrix, columns, rhs, kind, delta: Fraction, maxt: bool, rows) -> b
         for _, terms in outer_terms
         for j in terms
     }
-    read = {*undecided, *chain.from_iterable(inner_terms.values())}
-    exact_lower, exact_upper = (
-        dict(zip(read, bounds))
-        for bounds in EXACT.shifted_bounds(tuple(_exact(rhs[k]) for k in read), delta)
-    )
-    exact_shift, exact_bound = (exact_upper, exact_lower) if maxt else (exact_lower, exact_upper)
+    # Each exact shift is taken on the one side its rows read: the shift
+    # side at the rows of inner terms, the bound side at the undecided rows.
+    read = {*chain.from_iterable(inner_terms.values())}
+    exact = {k: _exact(rhs[k]) for k in {*undecided, *read}}
+    down, up = EXACT.lower_shift, EXACT.upper_shift
+    shift_side, bound_side = (up, down) if maxt else (down, up)
+    exact_shift = dict(zip(read, shift_side([exact[k] for k in read], delta)))
+    exact_bound = dict(zip(undecided, bound_side([exact[i] for i in undecided], delta)))
     aggregate, op = _exact_level(maxt, kind)
     exact_inner = {
         j: aggregate(op(_exact(matrix[k][j]), exact_shift[k]) for k in terms)
@@ -378,10 +400,16 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
        cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
-    3. Only the kept cells are evaluated, by `EXACT.maxt_cells`, reading as
-       Fractions just a[i][j], b[i] and the pairs the float reducer keeps in
-       column j; only the columns of kept cells are reduced again for this,
-       by one reducer that sorts b once for all of them.
+    3. In a kept cell, the pair level: the float reducer of the kind keeps
+       the pairs p of column j, and the float cell of each pair alone,
+       F[i][j][p] = cell(a[i][j], b[i], (p,)), is computed again; the cell
+       is their max, and a pair is kept when F[i][j][p] >= max_p F[i][j][p]
+       - 2 ETA.  For max-min the one-pair cell keeps the floor term (x -
+       u)^+ of the cell, so the max of the one-pair cells is the cell.
+    4. Only the kept cells are evaluated, by `EXACT.maxt_cells`, each over
+       its kept pairs, reading as Fractions just a[i][j], b[i] and those
+       pairs; only the columns of kept cells are reduced again for this, by
+       one reducer that sorts b once for all of them.
        The float reducer of the kind serves the exact cell.  For max-min
        and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
@@ -400,9 +428,22 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     f_i >= e_i - ETA >= e_r - ETA >= f_r - 2 ETA = R - 2 ETA: row i is kept.
     If cell j attains e_i and cell k attains f_i, then F[i][j] <= E[i][j] +
     ETA <= E[i][k] + ETA <= f_i + 2 ETA: cell j is kept.  So every kept row
-    yields its e_i and the best row is kept.  The two windows are compared
-    in floats; rounding is monotone, so a float on the right side of a real
-    bound is on the right side of that bound rounded.
+    yields its e_i and the best row is kept.  The pair level is the same
+    argument one level down: a cell is the max over its pairs of the
+    one-pair cells, and each one-pair cell errs by at most ETA, since the
+    bound below holds for every threshold and for the floor term.  If pair
+    p attains E[i][j] and pair q attains the float max, then F[i][j][p] >=
+    E[i][j][p] - ETA >= E[i][j][q] - ETA >= F[i][j][q] - 2 ETA: pair p is
+    kept, and the exact cell over the kept pairs is E[i][j].  The three
+    windows are compared in floats; rounding is monotone, so a float on
+    the right side of a real bound is on the right side of that bound
+    rounded.  The pairs that rounding can reorder are those whose one-pair
+    cells lie within 2 ETA of each other (`tests/test_exact_maxt.py` pins
+    systems where a window of 0 would keep the wrong one).  On the seed-1
+    `verify-small` pool, 216 systems, 237 of the 268 kept cells keep one
+    pair, 332 of their 554 reduced pairs in all, and the pair level took a
+    pass over the pool from about 11 to 8 ms (best of 7, Python 3.11,
+    shared 2-core host).
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch.
     2-3), with eps = 2^-53 and s = 2^-1075, half the least subnormal:
@@ -452,15 +493,18 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         if low >= floor
     ]
     reduce = FLOAT.maxt_cells[kind].column(b)
-    exact_columns = {
-        j: tuple((_exact(y), _exact(z)) for y, z in reduce(columns[j]))
-        for j in {j for _, cells in kept for j in cells}
-    }
-    cell = EXACT.maxt_cells[kind].cell
+    pairs = {j: reduce(columns[j]) for j in {j for _, cells in kept for j in cells}}
+    float_cell, cell = FLOAT.maxt_cells[kind].cell, EXACT.maxt_cells[kind].cell
     exact_rows = []
     for i, cells in kept:
-        x = _exact(b[i])
-        exact_rows.append([cell(_exact(a[i][j]), x, exact_columns[j]) for j in cells])
+        x, exact_x, exact_row = b[i], _exact(b[i]), []
+        for j in cells:
+            u, column = a[i][j], pairs[j]
+            tops = [float_cell(u, x, (pair,)) for pair in column]
+            cutoff = max(tops) - 2 * MAXT_ETA
+            deciding = [(_exact(y), _exact(z)) for (y, z), t in zip(column, tops) if t >= cutoff]
+            exact_row.append(cell(_exact(u), exact_x, deciding))
+        exact_rows.append(exact_row)
     return EXACT.maxt_value(exact_rows)
 
 

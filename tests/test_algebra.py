@@ -1,7 +1,11 @@
 """Scalar algebra and composition tests, including the adjunction laws."""
 
+import copy
 import math
+import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,7 +28,8 @@ from fuzzrel import (
     unit_matrix,
     unit_vector,
 )
-from fuzzrel.algebra import leq, pos
+from fuzzrel.algebra import FLOAT, leq, pos
+from fuzzrel.oracle import EXACT
 
 KINDS = list(ImplicationKind)
 
@@ -36,6 +41,30 @@ kinds = st.sampled_from(KINDS)
 # Slack for comparisons whose two sides are equal in exact arithmetic but
 # reach the comparison through different float paths (quotients, sums).
 FLOAT_GUARD = 1e-12
+
+
+class TestImplicationKind:
+    # a member hashes by identity; it must still behave as a dict key and
+    # come back as itself from every way a program can find it
+    def test_hash_is_identity(self):
+        assert ImplicationKind.__hash__ is object.__hash__
+        for kind in KINDS:
+            assert hash(kind) == object.__hash__(kind)
+
+    def test_members_are_dict_keys(self):
+        table = {kind: kind.value for kind in KINDS}
+        assert [table[kind] for kind in KINDS] == ["godel", "goguen", "lukasiewicz"]
+        assert ImplicationKind.GODEL in table and "godel" not in table
+        assert len({*KINDS, *KINDS}) == 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_members_come_back_as_themselves(self, kind):
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert copy.copy(kind) is kind
+        assert copy.deepcopy(kind) is kind
+        assert ImplicationKind(kind.value) is kind
+        assert ImplicationKind[kind.name] is kind
+        assert {kind: 1}[pickle.loads(pickle.dumps(kind))] == 1
 
 
 class TestUnitValidation:
@@ -61,6 +90,38 @@ class TestUnitValidation:
             unit("0.5")
         with pytest.raises(DomainError):
             unit(True)
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (0.0, "0.0"), (-0.0, "0.0"), (1.0, "1.0"), (1 + 1e-13, "1.0"),
+            (5e-324, "5e-324"), (1, "1.0"), (0.37, "0.37"),
+        ],
+    )
+    def test_results_are_pinned(self, value, want):
+        # a plain float in (0, 1] is returned at once; 0.0, -0.0, a float
+        # just above 1 and an int take the full path, which clamps and
+        # converts: each result is a plain float with the pinned repr
+        result = unit(value)
+        assert type(result) is float and repr(result) == want
+
+    def test_float_subclass_becomes_a_plain_float(self):
+        result = unit(Drifted(0.5))
+        assert type(result) is float and result == 0.5
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "value: NaN is not a unit-interval value"),
+            (math.inf, "value: inf is outside [0, 1]"),
+            (True, "value: expected a number, got bool"),
+            (Decimal("0.5"), "value: expected a number, got Decimal"),
+        ],
+    )
+    def test_rejections_are_pinned(self, value, message):
+        with pytest.raises(DomainError) as raised:
+            unit(value)
+        assert str(raised.value) == message
 
     def test_vector_needs_entries(self):
         with pytest.raises(DomainError):
@@ -552,6 +613,30 @@ class TestShiftedBounds:
         lower, upper = shifted_bounds((0.88, 0.46), 1.0)
         assert lower == (0.0, 0.0)
         assert upper == (1.0, 1.0)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example([0.88, 0.46, 0.0, 1.0], 0.0)
+    @example([0.88, 0.46, 0.0, 1.0, 5e-324], 1.0)
+    def test_one_sided_shifts_are_the_halves(self, values, delta):
+        # `lower_shift` and `upper_shift` are the two halves of
+        # `shifted_bounds`, bit for bit, on both instances, and each is its
+        # formula: (v - delta)^+ and min(v + delta, 1)
+        v = tuple(values)
+        lower, upper = FLOAT.shifted_bounds(v, delta)
+        assert described(FLOAT.lower_shift(v, delta)) == described(lower)
+        assert described(FLOAT.upper_shift(v, delta)) == described(upper)
+        assert described(lower) == described(tuple(max(x - delta, 0.0) for x in v))
+        assert described(upper) == described(tuple(min(x + delta, 1.0) for x in v))
+        exact, exact_delta = tuple(map(Fraction, v)), Fraction(delta)
+        lower, upper = EXACT.shifted_bounds(exact, exact_delta)
+        assert EXACT.lower_shift(exact, exact_delta) == lower
+        assert EXACT.upper_shift(exact, exact_delta) == upper
+        assert {*map(type, lower + upper)} == {Fraction}
+        assert lower == tuple(max(x - exact_delta, 0) for x in exact)
+        assert upper == tuple(min(x + exact_delta, 1) for x in exact)
 
     @given(st.lists(units, min_size=1, max_size=6), units)
     def test_brackets_the_vector(self, values, delta):

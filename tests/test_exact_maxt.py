@@ -2,10 +2,12 @@
 
 `exact_maxt_distance` scans the max-t cells in floats and evaluates in
 Fractions only the cells within 2 * MAXT_ETA of a row minimum, in the rows
-within 2 * MAXT_ETA of the best row.  That is exact when every float cell
-lies within MAXT_ETA of its exact cell, which `test_cell_error_within_eta`
-checks; `test_equals_full_exact_scan` compares the result with the full exact
-scan, with no front and no filter.  The systems mix full-precision entries,
+within 2 * MAXT_ETA of the best row, and in each such cell only the pairs
+whose float one-pair cell lies within 2 * MAXT_ETA of the float cell.  That
+is exact when every float cell lies within MAXT_ETA of its exact cell, which
+`test_cell_error_within_eta` checks, and so does every float one-pair cell,
+which `test_pair_cell_error_within_eta` checks; `test_equals_full_exact_scan`
+compares the result with the full exact scan, with no front and no filter.  The systems mix full-precision entries,
 1- and 2-decimal grids, a pool of {0, 0.5, 1, 1/3}, subnormals and 1 - 2^-53,
 in shapes 1 x n, m x 1 and up to 30 x 30, with duplicate rows and columns;
 the tie-heavy systems of `test_front.tied_systems` (2-decimal entries, a
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fuzzrel import ImplicationKind, MaxTSystem, exact_maxt_distance
 from fuzzrel.algebra import FLOAT, column_scan
-from fuzzrel.oracle import EXACT, MAXT_ETA, _exact_matrix, _exact_vector
+from fuzzrel.oracle import EXACT, MAXT_ETA, _exact, _exact_matrix, _exact_vector
 from test_front import full_scan, tied_systems, unpruned
 
 SUBNORMALS = (5e-324, 1e-310, 2.2250738585072014e-308)
@@ -129,6 +131,17 @@ REVERSED_CELLS = (
     MaxTSystem(((1e-310, 1.0), (1e-310, 0.29535964757993605)), (1e-310, 0.0), GOGUEN),
     MaxTSystem(((0.0, TINY),), (1e-310,), LUKA),
 )
+#: Systems in which float rounding puts two pairs of the deciding cell (0, 0)
+#: in the reverse of their exact order, so that dropping the pair window
+#: gives another distance: the float one-pair cells of the two rows below
+#: are 0.34700000000000003 and 0.347 for Godel, 0.06000000000000001 and
+#: 0.060000000000000005 for max-product and 0.15500000000000003 and 0.155
+#: for max-Lukasiewicz, and the exact ones are the other way round.
+REVERSED_PAIRS = (
+    MaxTSystem(((0.85,), (0.522,), (0.584,)), (0.98, 0.175, 0.23699999999999996), GODEL),
+    MaxTSystem(((0.18,), (0.66,), (0.89,)), (0.24, 0.6, 0.8299999999999998), GOGUEN),
+    MaxTSystem(((0.2,), (0.4,), (0.41,)), (0.2, 0.09, 0.09999999999999996), LUKA),
+)
 
 
 def with_examples(examples):
@@ -141,7 +154,7 @@ def with_examples(examples):
 
 
 @settings(max_examples=120, deadline=None)
-@with_examples((system,) for system in REVERSED_ROWS + REVERSED_CELLS)
+@with_examples((system,) for system in REVERSED_ROWS + REVERSED_CELLS + REVERSED_PAIRS)
 @given(systems)
 def test_equals_full_exact_scan(system):
     filtered = exact_maxt_distance(system)
@@ -164,3 +177,42 @@ def test_cell_error_within_eta(system):
     for row, exact_row in zip(cells, exact):
         for cell, exact_cell in zip(row, exact_row):
             assert abs(Fraction(cell) - exact_cell) <= eta, (cell, exact_cell)
+
+
+def pair_cells(system, i, j):
+    """The float and the exact one-pair cells of cell (i, j), one per pair
+    that the kind's float reducer keeps in column j."""
+    kind, u, x = system.kind, system.a[i][j], system.b[i]
+    pairs = FLOAT.maxt_cells[kind].column(system.b)(system.columns[j])
+    floats = [FLOAT.maxt_cells[kind].cell(u, x, (pair,)) for pair in pairs]
+    exact = [
+        EXACT.maxt_cells[kind].cell(_exact(u), _exact(x), ((_exact(y), _exact(z)),))
+        for y, z in pairs
+    ]
+    return floats, exact
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems)
+def test_pair_cell_error_within_eta(system):
+    # the pair level keeps the pairs whose float one-pair cell lies within
+    # 2 * MAXT_ETA of the float cell; that keeps the exact maximizing pair
+    # when every one-pair cell, the Godel floor (x - u)^+ included, errs by
+    # at most MAXT_ETA
+    eta = Fraction(MAXT_ETA)
+    for i in range(system.n):
+        for j in range(system.m):
+            floats, exact = pair_cells(system, i, j)
+            for cell, exact_cell in zip(floats, exact):
+                assert abs(Fraction(cell) - exact_cell) <= eta, (i, j, cell, exact_cell)
+
+
+def test_reversed_pairs_reverse_the_deciding_pairs():
+    # in each pinned system the float one-pair cells of cell (0, 0) put a
+    # pair first that is not first in exact arithmetic, and that cell
+    # decides the distance
+    for system in REVERSED_PAIRS:
+        floats, exact = pair_cells(system, 0, 0)
+        first = floats.index(max(floats))
+        assert exact[first] < max(exact)
+        assert exact_maxt_distance(system) == max(exact)

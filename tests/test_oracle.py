@@ -155,7 +155,10 @@ def test_tolerance_membership_is_the_closure_inequality(entries, kind, k):
     # leq(closure(lower), upper, slack) of the plain closure, which reads no
     # front, on ties, subnormals, 0.0 and 1.0 entries and 1 x n and m x 1
     # shapes, at the distance, the floats next to it and every delta a
-    # bisection probes
+    # bisection probes.  It computes each solution entry on a row's first
+    # read of it, so with `row=` it reduces only the columns that one row
+    # reaches: each row is checked alone too, last row first, and the rows'
+    # verdicts must make up the whole one
     system = FuzzySystem(*entries, kind)
     nabla = distance_report(system).nabla
     probed = []
@@ -173,10 +176,14 @@ def test_tolerance_membership_is_the_closure_inequality(entries, kind, k):
         lower, upper = shifted_bounds(system.beta, delta)
         image = closure(system, lower)
         for slack in (0.0, MEMBERSHIP_SLACK):
-            assert tolerance_membership(system, delta, slack=slack) is leq(image, upper, slack)
-            for j in range(system.m):
+            whole = tolerance_membership(system, delta, slack=slack)
+            assert whole is leq(image, upper, slack)
+            rows = []
+            for j in reversed(range(system.m)):
                 want = leq((image[j],), (upper[j],), slack)
-                assert tolerance_membership(system, delta, row=j, slack=slack) is want
+                rows.append(tolerance_membership(system, delta, row=j, slack=slack))
+                assert rows[-1] is want
+            assert whole is all(rows)
 
 
 class TestBisectInfimum:

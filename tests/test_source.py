@@ -24,13 +24,15 @@ def arithmetic_body() -> ast.FunctionDef:
 
 
 #: The functions of `algebra.arithmetic` that run m n k times per system:
-#: six thresholds and the product ratio, `shifted_bounds`, the three max-t
-#: cells and the three report columns, each of which computes a whole column
-#: of cells per call; the three row rules, each a loop over a row's n
-#: cells; the six compositions, which run m n times per closure; and the
-#: three membership tests, which run about 33 times per bisection.
+#: six thresholds and the product ratio, `shifted_bounds` and its two sides
+#: `lower_shift` and `upper_shift`, the three max-t cells and the three
+#: report columns, each of which computes a whole column of cells per call;
+#: the three row rules, each a loop over a row's n cells; the six
+#: compositions, which run m n times per closure; and the three membership
+#: tests, which run about 33 times per bisection.
 HOT = (
-    r"\w+_threshold|maxprod_ratio|shifted_bounds|\w+_maxt_cell|(godel|goguen|luka)_column"
+    r"\w+_threshold|maxprod_ratio|shifted_bounds|lower_shift|upper_shift|\w+_maxt_cell"
+    r"|(godel|goguen|luka)_column"
     r"|(godel|goguen|luka)_row|\w+_max_t|\w+_min_impl|\w+_membership"
 )
 
@@ -52,7 +54,7 @@ def hot_formulas() -> list[ast.FunctionDef]:
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
-    assert len(functions) == 25
+    assert len(functions) == 27
     assert {f.name for f in functions} >= (
         REPORT_COLUMNS | ROW_RULES | COMPOSITIONS | MEMBERSHIP_LOOPS
     )
@@ -266,7 +268,7 @@ def test_hot_formulas_call_no_builtin_min_max():
 
 
 def test_hot_formulas_call_no_pos():
-    # the thresholds, the cells and `shifted_bounds` write a positive part
+    # the thresholds, the cells and the shifts write a positive part
     # as `x if x > zero else zero`, since a call to `pos` costs more than
     # the comparison it makes
     found = [
@@ -428,7 +430,7 @@ def test_decided_shifts_once():
 
 
 def test_oracle_writes_no_clamp():
-    # the interval pass pads through `FLOAT.shifted_bounds`, so a conditional
+    # the interval pass pads through the shifts of `FLOAT`, so a conditional
     # with a 0.0 or a 1.0 branch in `oracle` is a second copy of its clamps
     def clamps(node):
         return isinstance(node, ast.IfExp) and any(
