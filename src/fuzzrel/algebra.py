@@ -60,12 +60,12 @@ entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 (`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
 then check the kind; `shifted_bounds` validates its vector by the
 `unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
-A system is checked when it is built, by `unit_system`: first by one bulk
-pass over the whole system, a fixed number of C-level passes whatever its
-size, which keeps a system of lists or tuples of plain floats in [0, 1] as
-it is; any other system goes the per-row way of `unit_matrix` and
-`unit_vector`, whose rows go in bulk or, failing that, entry by entry
-through `unit`, so values and errors are those of one `unit` call per
+A system is checked when it is built, by `unit_system`: first by C-level
+checks of its shapes and one Python loop over all its entries, `_kept`,
+which keeps a system of lists or tuples of plain floats in [0, 1] as it
+is; any other system goes the way of `unit_matrix` and `unit_vector`,
+whose grid and rows go in one `_kept` call each or, failing that, entry by
+entry through `unit`, so values and errors are those of one `unit` call per
 entry.  `checked_tolerance` is the one guard of the tolerance and slack
 arguments of `fuzzrel.operators`, `fuzzrel.approximation` and
 `fuzzrel.oracle`.  An `Arithmetic` checks nothing: its tables,
@@ -88,9 +88,9 @@ import math
 import operator
 from collections import namedtuple
 from collections.abc import Mapping, Set
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, DomainError, InvariantViolation
@@ -179,10 +179,12 @@ QUOTIENT_SCALE = 2.0 ** 1000
 BORDERLINE_EPS = 1e-9
 
 
-# The cell records are named tuples, not dataclasses: a tuple costs half as
-# much to build as a frozen dataclass.  They iterate and compare equal to
-# plain tuples, and `_replace` amends a field.  The report columns of
-# `arithmetic` build no record: they return plain tuples of each cell's
+# The cell records are named tuples, not dataclasses: built by
+# `tuple.__new__`, a record takes about 0.17 us, against 0.45 us for a
+# frozen dataclass even with the `__init__` of `_dict_init`, such as a
+# `RowDiagnostics` (timeit, Python 3.11.7).  They iterate and compare
+# equal to plain tuples, and `_replace` amends a field.  The report columns
+# of `arithmetic` build no record: they return plain tuples of each cell's
 # fields, and a row builds its records on the first read of
 # `RowDiagnostics.cells`, with one C-level map per row, `map(tuple.__new__,
 # repeat(record), fields)`, never by the record's generated Python-level
@@ -257,7 +259,45 @@ class _Cells:
         row.__dict__["cells"] = cells
 
 
-@dataclass(frozen=True)
+def _dict_init(cls):
+    """Give the frozen dataclass `cls`, declared with `init=False`, an
+    `__init__` that stores its fields straight into the instance's
+    `__dict__`, one item store each, then runs `__post_init__` when the
+    class has one.
+
+    Its parameters are those of the `__init__` that `dataclass` generates,
+    built from `fields(cls)`: the fields with `init` set, in order, with
+    their defaults and annotations.  A field with `init` unset is left to
+    `__post_init__`, as the generated `__init__` leaves one that has no
+    default.  The generated `__init__` of a frozen class makes one
+    `object.__setattr__` call per field: building a `RowDiagnostics` took
+    1.34 us by it and takes 0.43 us by this one, against 0.65 us for
+    storing a new dict as `__dict__` in one step (timeit, Python 3.11.7,
+    shared 2-core host).  On Python 3.11 to 3.13 the dict read from the
+    instance shares its keys with the class, as a new dict would not: it
+    costs 64 bytes more per instance than the inline values the generated
+    `__init__` fills, against 176 for a new dict.  Eq, hash, repr,
+    `dataclasses.replace`, pickles and copies, and `FrozenInstanceError`
+    are those of the dataclass; the twin classes of `tests/test_records.py`
+    hold them to the generated `__init__`.
+    """
+    params = [f for f in fields(cls) if f.init]
+    namespace = {f"_default_{f.name}": f.default for f in params if f.default is not MISSING}
+    signature = ", ".join(
+        f"{f.name}=_default_{f.name}" if f.default is not MISSING else f.name for f in params
+    )
+    body = ["_dict = self.__dict__", *(f"_dict[{f.name!r}] = {f.name}" for f in params)]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {signature}):\n    " + "\n    ".join(body), namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    return cls
+
+
+@_dict_init
+@dataclass(frozen=True, init=False)
 class RowDiagnostics:
     """Per-row breakdown of the distance computation.
 
@@ -1229,34 +1269,32 @@ def _entries(values, name: str, row: int | None = None):
     raise DomainError(f"{where}: expected an array, got {type(values).__name__}")
 
 
-_FLOATS = {float}
 _ARRAYS = {tuple, list}
 
 
 def _kept(arrays) -> bool:
-    """Whether `unit` would return every entry of `arrays`, lists or tuples
-    each non-empty unless it is the only one, unchanged: each entry is
-    exactly a float, none is NaN, none is negative or -0.0, and none exceeds
-    1.
+    """Whether `unit` would return every entry of `arrays`, lists or
+    tuples, unchanged: each entry is exactly a float, none is NaN, none is
+    negative or -0.0, and none exceeds 1.  An input with no entry at all,
+    such as a lone empty array, is not kept.
 
-    One C-level pass per property runs over all entries at once, whatever
-    the number of arrays: the set of their types, the sum, the greatest
-    entry and the least.  min and max skip a NaN that is not first, so NaN
-    is found by the sum, which is finite for floats in [0, 1] and is tested
-    first.  When the least entry is not positive, the signs are read of the
-    arrays whose own least entry is not positive, and of no other, in one
-    pass: that rejects -0.0, which `0.0 <= lo` would let through, and every
-    negative entry.  A lone empty array has no float type.
+    One Python loop reads the entries in order and stops at the first that
+    fails.  Its type is tested first, so a str or None is never compared;
+    then `0.0 < v <= 1.0`, which NaN fails.  Only an entry that fails that
+    test is read further: it is kept when it is 0.0 with a positive sign,
+    which rejects -0.0, as `0.0 <= v` would not.  On a 5x5 system of
+    2-decimal entries this loop takes 1.3 us where the five C-level passes
+    it replaced (types, sum, max, min, signs) took 3.9 (timeit, Python
+    3.11.7, shared 2-core host).
     """
-    if {*map(type, chain.from_iterable(arrays))} != _FLOATS:
-        return False
-    total = sum(chain.from_iterable(arrays))
-    if not (total == total and max(chain.from_iterable(arrays)) <= 1.0):
-        return False
-    if min(chain.from_iterable(arrays)) > 0.0:
-        return True
-    signed = compress(arrays, map(operator.le, map(min, arrays), repeat(0.0)))
-    return min(map(math.copysign, repeat(1.0), chain.from_iterable(signed))) > 0.0
+    v = None
+    for array in arrays:
+        for v in array:
+            if type(v) is not float:
+                return False
+            if not 0.0 < v <= 1.0 and (v != 0.0 or math.copysign(1.0, v) < 0.0):
+                return False
+    return v is not None
 
 
 def _unit_row(values, name: str, row: int | None = None) -> Vector:
@@ -1269,16 +1307,27 @@ def _unit_row(values, name: str, row: int | None = None) -> Vector:
     return tuple(unit(v, f"{where}[{j}]") for j, v in _entries(values, name, row))
 
 
+def _unit_grid(rows, name: str) -> Matrix:
+    """The rows of `rows`, each validated as by `_unit_row`, named
+    `name[i][j]`.  A list or tuple of list or tuple rows that one `_kept`
+    call keeps is kept as tuples; any other grid, or one with a bad entry,
+    goes row by row, so its values and errors are those of one `unit` call
+    per entry, in row-major order."""
+    if type(rows) in _ARRAYS and {*map(type, rows)} <= _ARRAYS and _kept(rows):
+        return tuple(map(tuple, rows))
+    return tuple(_unit_row(row, name, i) for i, row in _entries(rows, name))
+
+
 def unit_vector(values, name: str = "vector") -> Vector:
     """Validate a non-empty sequence of unit-interval values.
 
     A list or tuple whose entries are all plain floats in [0, 1] is checked
-    in bulk, by `_kept`, and kept as a tuple, with no call per entry.  It is
-    exactly what `unit` would return entry by entry, because the bulk check
-    keeps only rows that `unit` returns unchanged: no NaN (which min and max
-    would skip), no -0.0 (which `unit` turns into 0.0 and `>= 0.0` would
-    pass), no float subclass, int or bool (which `unit` converts to float),
-    and nothing outside [0, 1] (which `unit` clamps or rejects).  Any other
+    by one `_kept` loop and kept as a tuple, with no call per entry.  It is
+    exactly what `unit` would return entry by entry, because `_kept` keeps
+    only rows that `unit` returns unchanged: no NaN (which `unit` rejects),
+    no -0.0 (which `unit` turns into 0.0 and `0.0 <= v` would pass), no
+    float subclass, int or bool (which `unit` converts to float), and
+    nothing outside [0, 1] (which `unit` clamps or rejects).  Any other
     sequence, an iterator included, is read once, entry by entry, by `unit`,
     so its clamping and its errors are unchanged.
     """
@@ -1291,15 +1340,17 @@ def unit_vector(values, name: str = "vector") -> Vector:
 def unit_matrix(rows, name: str = "matrix") -> Matrix:
     """Validate a non-empty rectangular grid of unit-interval values.
 
-    Each row is validated as by `unit_vector`: a list or tuple of plain
-    floats in [0, 1], with no NaN and no -0.0, is kept in bulk, any other
-    row goes entry by entry through `unit`.  Rows and the sequence of rows
-    are read once.  Errors come in the per-entry order: the first bad entry
-    in row-major order, then rectangularity.  This per-row path is the
-    fallback of `unit_system` for a system that its whole-system pass does
-    not keep, so a bad entry costs a call per entry in its own row only.
+    A list or tuple of list or tuple rows whose entries are all plain
+    floats in [0, 1], with no NaN and no -0.0, is kept by one `_kept` call
+    over the whole grid.  Any other grid goes row by row: a row of plain
+    floats is still kept in one `_kept` call, any other row goes entry by
+    entry through `unit`.  Rows and the sequence of rows are read once.
+    Errors come in the per-entry order: the first bad entry in row-major
+    order, then rectangularity.  This is the fallback of `unit_system` for
+    a system that its whole-system pass does not keep, so a bad entry costs
+    a call per entry in its own row only.
     """
-    grid = tuple(_unit_row(row, name, i) for i, row in _entries(rows, name))
+    grid = _unit_grid(rows, name)
     if not grid or not grid[0]:
         raise DomainError(f"{name}: must have at least one row and one column")
     width = len(grid[0])
@@ -1316,14 +1367,16 @@ def unit_system(system, matrix: str, vector: str) -> None:
     `unit_matrix`, its field `vector` by `unit_vector` with one entry per
     matrix row, and its `kind` as an ImplicationKind.
 
-    The whole system is checked first, in a fixed number of C-level passes
-    whatever its size: the matrix, the vector and every row are lists or
-    tuples, the rows have one width of at least 1, the vector has one entry
-    per row, and `_kept` holds for the vector and the rows together.  Such a
-    system is kept as tuples, with no call per row.  Any other system takes
-    the per-row path, so its values, its errors and their order are
-    unchanged: `unit_matrix`, whose rows go in bulk or entry by entry
-    through `unit`, then `unit_vector`, then the row count.
+    The whole system is checked first: the matrix, the vector and every
+    row are lists or tuples, the rows have one width of at least 1 and the
+    vector has one entry per row, each by a C-level pass, and then one
+    `_kept` call, one Python loop that stops at the first bad entry, reads
+    the vector and the rows together.  Such a system is kept as tuples,
+    with no call per row or entry.  Any other system takes the path of
+    `unit_matrix`, whose grid goes in one `_kept` call, or row by row and
+    entry by entry through `unit`, then `unit_vector`, then the row count,
+    so its values, its errors and their order are those of one `unit` call
+    per entry.
     """
     rows, rhs = getattr(system, matrix), getattr(system, vector)
     if (type(rows) in _ARRAYS and type(rhs) in _ARRAYS and {*map(type, rows)} <= _ARRAYS
@@ -1348,7 +1401,7 @@ def _operands(name: str, matrix, vec, kind) -> tuple[Matrix, Vector, Implication
     `vector[j]`; then the shapes, a DimensionMismatch naming `name` when the
     matrix has no row, the vector no entry or a row another length than the
     vector (a ragged matrix is named by its first such row); then the kind."""
-    rows = tuple(_unit_row(row, "matrix", i) for i, row in _entries(matrix, "matrix"))
+    rows = _unit_grid(matrix, "matrix")
     vec = _unit_row(vec, "vector")
     widths = {*map(len, rows)}
     if len(widths) > 1:

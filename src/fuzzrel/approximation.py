@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import FLOAT, Vector, checked_tolerance, sup_distance, unit
+from .algebra import FLOAT, Vector, _dict_init, checked_tolerance, sup_distance, unit
 from .errors import DomainError, ReportMismatch
 from .operators import DEFAULT_TOL, FuzzySystem, closure, solve_and_recompose
 from .report import Attainability, ChebyshevReport
@@ -35,7 +35,8 @@ class ApproximationStatus(Enum):
     APPROXIMATION_SET_EMPTY = "approximation_set_empty"
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class ApproximationResult:
     """Lowest approximation of a right-hand side, if one exists.
 
@@ -50,7 +51,8 @@ class ApproximationResult:
     achieved_distance: float | None
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class NearApproximation:
     """A consistent right-hand side near an unattainable distance.
 

@@ -66,6 +66,7 @@ from .algebra import (
     ImplicationKind,
     Matrix,
     Vector,
+    _dict_init,
     beta_order,
     checked_kind,
     checked_tolerance,
@@ -86,7 +87,8 @@ from .errors import DimensionMismatch
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class FuzzySystem:
     """A min-implication system: matrix `gamma`, right-hand side `beta`, kind."""
 
@@ -119,7 +121,8 @@ class FuzzySystem:
         return len(self.gamma[0])
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class MaxTSystem:
     """A max-t-norm system: matrix `a`, right-hand side `b`, kind."""
 
@@ -149,7 +152,8 @@ class MaxTSystem:
         return len(self.a[0])
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class ConsistencyResult:
     """Outcome of a consistency check.
 

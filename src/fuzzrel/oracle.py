@@ -149,13 +149,14 @@ from itertools import chain
 from typing import Callable
 
 from .algebra import (
-    FLOAT, ImplicationKind, arithmetic, checked_index, checked_tolerance, unit,
+    FLOAT, ImplicationKind, _dict_init, arithmetic, checked_index, checked_tolerance, unit,
 )
 from .errors import DomainError, PredicateNotUpClosed
 from .operators import FuzzySystem, MaxTSystem, closure
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class OracleEstimate:
     """Bisection bracket of the infimum of an up-closed predicate.
 
@@ -325,24 +326,28 @@ def _decided(matrix, columns, rhs, kind, delta: Fraction, maxt: bool, rows) -> b
     lower, upper = map(_pad, FLOAT.shifted_bounds(rhs, float(delta)))
     # The closure level by level: the inner one over columns of the shift,
     # the outer one over rows; the max-t closure takes the residua first.
+    # Every outer entry reads the whole inner level, but the outer level is
+    # composed, and its bound read, at the rows in `rows` alone: position p
+    # holds row rows[p].
     shift, bound = (upper, lower) if maxt else (lower, upper)
     inner = _level(maxt, kind, columns, *shift)
-    outer = _level(not maxt, kind, matrix, *inner)
+    outer = _level(not maxt, kind, [matrix[i] for i in rows], *inner)
+    bound = tuple([side[i] for i in rows] for side in bound)
     small, big = (bound, outer) if maxt else (outer, bound)
-    undecided = []
-    for i in rows:
-        if small[0][i] > big[1][i]:
+    undecided = {}
+    for p, i in enumerate(rows):
+        if small[0][p] > big[1][p]:
             return False
-        if small[1][i] > big[0][i]:
-            undecided.append(i)
+        if small[1][p] > big[0][p]:
+            undecided[i] = outer[0][p], outer[1][p]
     if not undecided:
         return True
     # The fallback: the terms that can still attain the outer min or max of
     # an undecided row, the terms that can attain the inner entries those
     # read, and only the entries and right-hand sides all of them touch.
     outer_terms = [
-        (i, _attaining(not maxt, kind, matrix[i], *inner, outer[0][i], outer[1][i]))
-        for i in undecided
+        (i, _attaining(not maxt, kind, matrix[i], *inner, *outer_bounds))
+        for i, outer_bounds in undecided.items()
     ]
     inner_terms = {
         j: _attaining(maxt, kind, columns[j], *shift, inner[0][j], inner[1][j])

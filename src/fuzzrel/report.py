@@ -156,7 +156,7 @@ from enum import Enum
 
 from .algebra import (
     BORDERLINE_EPS, FLOAT, GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats,
-    RowDiagnostics, checked_index, column_scan,
+    RowDiagnostics, _dict_init, checked_index, column_scan,
 )
 from .errors import KindMismatch
 from .operators import FuzzySystem, MaxTSystem
@@ -177,7 +177,8 @@ class Attainability(Enum):
     INFIMUM = "infimum"
 
 
-@dataclass(frozen=True)
+@_dict_init
+@dataclass(frozen=True, init=False)
 class ChebyshevReport:
     """Chebyshev distance of a right-hand side to the consistent set.
 

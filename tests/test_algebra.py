@@ -28,7 +28,7 @@ from fuzzrel import (
     unit_matrix,
     unit_vector,
 )
-from fuzzrel.algebra import FLOAT, leq, pos
+from fuzzrel.algebra import FLOAT, _kept, _operands, leq, pos
 from fuzzrel.oracle import EXACT
 
 KINDS = list(ImplicationKind)
@@ -337,6 +337,19 @@ class TestBulkValidation:
 
         assert outcome(unit_matrix, build(), "gamma") == outcome(reference_matrix, build(), "gamma")
 
+    @given(grids(), rows, st.sampled_from(["max_t_compose", "min_impl_compose"]))
+    def test_operands_equal_the_per_row_path(self, drawn, vector, name):
+        # a grid of list or tuple rows goes in one `_kept` call; the same
+        # grid read from an iterator goes row by row, and both give the same
+        # operands or the same first error
+        shaped_rows, _ = drawn
+
+        def operands(outer, name):
+            grid = outer([shape(row) for shape, row in shaped_rows])
+            return _operands(name, grid, tuple(vector), ImplicationKind.GODEL)[:2]
+
+        assert outcome(operands, list, name) == outcome(operands, iter, name)
+
     def test_nan_mid_row_named(self):
         with pytest.raises(DomainError, match=r"^gamma\[0\]\[1\]: NaN"):
             unit_matrix([[0.2, math.nan, 0.7]], "gamma")
@@ -405,6 +418,43 @@ class TestBulkValidation:
         built = system(grid, rhs, ImplicationKind.GOGUEN)
         assert calls == [f"{matrix}[2][{j}]" for j in range(6)]
         assert repr(getattr(built, matrix)[2][4]) == "0.0"
+
+
+def reference_kept(arrays):
+    """Whether `arrays` has an entry and `unit` returns every entry as it
+    is: a plain float of the same repr."""
+    entries = [v for array in arrays for v in array]
+    try:
+        return bool(entries) and all(type(v) is float and repr(unit(v)) == repr(v) for v in entries)
+    except DomainError:
+        return False
+
+
+class TestKept:
+    """`_kept`, the one loop that decides whether a list of arrays is kept
+    as it is, against one `unit` call per entry, on the entries the drawn
+    streams reach rarely and on drawn arrays."""
+
+    @pytest.mark.parametrize("arrays, kept", [
+        ([["0.5"]], False), ([[0.5, None]], False), ([[True]], False),
+        ([[0.5], [0]], False), ([[1, 0.5]], False), ([[Drifted(0.5)]], False),
+        ([[math.nan, 0.5]], False), ([[0.5], [0.2, math.nan]], False),
+        ([[-0.0, 0.5]], False), ([(0.5, 0.3), [0.2, -0.0]], False),
+        ([[5e-324, 1.0]], True), ([(0.0,), [1.0, 0.25]], True), ([[0.5], []], True),
+        ([[]], False), ([], False),
+    ])
+    def test_examples(self, arrays, kept):
+        assert _kept(arrays) is reference_kept(arrays) is kept
+
+    @given(st.lists(st.lists(st.one_of(entries, plain), max_size=5).map(tuple) | rows, max_size=4))
+    def test_equals_per_entry(self, arrays):
+        assert _kept(arrays) is reference_kept(arrays)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+    def test_a_str_entry_is_named(self, kind):
+        # the type is tested before any comparison, so a str is never compared
+        with pytest.raises(DomainError, match=r"^gamma\[0\]\[0\]: expected a number, got str$"):
+            FuzzySystem([["0.5"]], [0.5], kind)
 
 
 # Operands of sup_distance beyond the unit interval: NaN, both zeros,

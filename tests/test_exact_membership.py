@@ -6,7 +6,8 @@ evaluate in Fractions only the rows it leaves undecided, over the terms that
 can still attain a min or a max.  Here every verdict is compared with the
 full exact evaluation, written out: `helpers.full_membership` on EXACT for
 `exact_membership`, at every `row=` and at row None, and `leq(lower,
-EXACT.maxt_closure(a, kind, upper))` for `exact_maxt_membership`.
+EXACT.maxt_closure(a, kind, upper))` for `exact_maxt_membership`.  At a
+given `row=` the outer level is composed at that row alone.
 
 The systems are the wide ones of `test_exact_maxt.py` (full precision, 1-
 and 2-decimal grids, a small pool, subnormals, 1 - 2^-53, duplicate rows and
@@ -19,6 +20,7 @@ max-t distance as a Fraction, 1e-12 either side of both, and a point of the
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,7 @@ from fuzzrel import (
     exact_maxt_membership,
     exact_membership,
 )
+from fuzzrel import oracle
 from fuzzrel.algebra import leq, transpose
 from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector
 from helpers import full_membership
@@ -124,6 +127,31 @@ def test_exact_membership_is_the_full_evaluation(entries, kind, k):
         for row in (None, *range(system.m)):
             full = full_membership(EXACT, gamma, columns, beta, kind, snapped, row, EXACT.zero)
             assert exact_membership(system, delta, row) is full, (delta, row)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@with_examples(MEMBERSHIP_EXAMPLES)
+@given(entries, kinds, grid)
+def test_one_row_composes_its_outer_level_alone(entries, kind, k):
+    # row=j takes the inner level over every column and the outer level
+    # over row j only, and its verdict is the full evaluation's at row j
+    system = FuzzySystem(*entries, kind)
+    gamma, beta = _exact_matrix(system.gamma), _exact_vector(system.beta)
+    columns = transpose(gamma)
+    level, composed = oracle._level, []
+
+    def recorded(residual, kind, rows, v_lo, v_hi):
+        composed.append(len(rows))
+        return level(residual, kind, rows, v_lo, v_hi)
+
+    with mock.patch.object(oracle, "_level", recorded):
+        for delta in deltas(*entries, kind, k):
+            snapped = _exact_delta(delta)
+            for j in range(system.m):
+                composed.clear()
+                full = full_membership(EXACT, gamma, columns, beta, kind, snapped, j, EXACT.zero)
+                assert exact_membership(system, delta, j) is full, (delta, j)
+                assert composed == [system.n, 1], (delta, j)
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)
