@@ -41,28 +41,34 @@ downstream checks or lays the system out again.  The closure steps here
 run the kind's composition loops on `gamma` and `columns` through
 `FLOAT.solve_and_recompose`.  A `FuzzySystem` keeps the rising `front` of
 each column's pairs (gamma[l][i], beta[l]) as `fronts`, the kept pairs
-themselves, built on first use: its only reader is the oracle's
+themselves, built on first use: its readers are the oracle's
 `tolerance_membership`, which runs `FLOAT.membership` on `gamma` and
-`fronts` about 33 times per bisection, so the closure steps, the reports
-and the approximations never build it.
-Every scan of a system's cells reads `columns`: `fuzzrel.report.distance_report`
-and `checked_cell`, `MaxTSystem.float_cells` and
-`fuzzrel.oracle.exact_maxt_distance`.  The exact membership tests,
-`fuzzrel.oracle.exact_membership` and `exact_maxt_membership`, read
-`columns` for the inner level of their interval pass.  A `MaxTSystem`
-keeps its float max-t cells, `float_cells`, scanned on first use:
-`fuzzrel.report.maxt_distance` and `exact_maxt_distance` share that scan.
-`maxt_closure`, which takes a bare matrix, checks its operands and its
-kind itself.
+`fronts` about 33 times per bisection, and the interval pass of
+`exact_membership`, so the closure steps, the reports and the
+approximations never build it.  A `MaxTSystem` keeps the falling front of
+each column's pairs (a[k][j], b[k]) as `fronts`, each built on its first
+read (`fuzzrel.algebra.Fronts`): the interval pass of
+`exact_maxt_membership` reads them, and so do the max-min and max-product
+cells, whose reducer they are, through the system's `kept` pairs.
+Every scan of a system's cells reads `columns`, or the pairs kept from
+them: `fuzzrel.report.distance_report` and `checked_cell`,
+`MaxTSystem.float_cells` and `fuzzrel.oracle.exact_maxt_distance`.  A
+`MaxTSystem` keeps its float max-t cells, `float_cells`, scanned on first
+use over its `kept` pairs: `fuzzrel.report.maxt_distance` and
+`exact_maxt_distance` share that scan, and `exact_maxt_distance` reads
+those pairs again at its pair level.  `maxt_closure`, which takes a bare
+matrix, checks its operands and its kind itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from .algebra import (
     FLOAT,
+    Fronts,
     ImplicationKind,
     Matrix,
     Vector,
@@ -70,7 +76,6 @@ from .algebra import (
     beta_order,
     checked_kind,
     checked_tolerance,
-    column_scan,
     front,
     sup_distance,
     transpose,
@@ -85,6 +90,11 @@ from .errors import DimensionMismatch
 #: additions and multiplications, so 1e-9 dominates accumulated float error
 #: while still rejecting genuine mismatches.
 DEFAULT_TOL = 1e-9
+
+#: The reducer of the max-min and max-product cells, the falling `front`
+#: (`Arithmetic.maxt_cells`): a `MaxTSystem` whose cells reduce by it reads
+#: its `fronts` for them.
+_FALLING = FLOAT.maxt_cells[ImplicationKind.GODEL].column
 
 
 @_dict_init
@@ -106,9 +116,9 @@ class FuzzySystem:
     def fronts(self) -> tuple:
         """Per column i, the rising `front` of its pairs (gamma[l][i],
         beta[l]), in row order, computed on first use and kept: the
-        membership test of the bisection oracle reads them.  Every column's
-        front sorts the one order of beta, `beta_order`, by the column's own
-        entries."""
+        membership test of the bisection oracle and the interval pass of
+        `exact_membership` read them.  Every column's front sorts the one
+        order of beta, `beta_order`, by the column's own entries."""
         order = beta_order(self.beta)
         return tuple([front(column, self.beta, True, order) for column in self.columns])
 
@@ -137,11 +147,38 @@ class MaxTSystem:
         object.__setattr__(self, "columns", transpose(self.a))
 
     @cached_property
+    def fronts(self) -> Fronts:
+        """Per column j, the falling `front` of its pairs (a[k][j], b[k]):
+        the pairs that no other pair beats with an a at least as high and a
+        b at least as low, in row order.  Each is built on its first read
+        and kept (`Fronts`).  Every residuum is non-increasing in a and
+        non-decreasing in b, so a min of residua over a column, the inner
+        level of `maxt_closure`, is attained on its front.  The interval
+        pass of `fuzzrel.oracle.exact_maxt_membership` reads the columns its
+        rows reach, and `kept` reads them all for the max-min and
+        max-product cells."""
+        return Fronts(self.columns, self.b, False)
+
+    @cached_property
+    def kept(self) -> tuple:
+        """Per column, the pairs that the reducer of the kind's
+        `FLOAT.maxt_cells` entry keeps, computed on first use and kept: the
+        falling `fronts` for the max-min and max-product cells, whose
+        reducer they are, and `top_pairs` for max-Lukasiewicz.  The float
+        cells and the pair level of `exact_maxt_distance` read them."""
+        reduce = FLOAT.maxt_cells[self.kind].column
+        if reduce is _FALLING:
+            return tuple(map(self.fronts.__getitem__, range(self.m)))
+        return tuple(map(reduce(self.b), self.columns))
+
+    @cached_property
     def float_cells(self) -> Matrix:
-        """The float max-t cells, row by row: column_scan(columns, b,
-        FLOAT.maxt_cells[kind]), computed on first use and kept, so that
-        `maxt_distance` and `exact_maxt_distance` share one scan."""
-        return column_scan(self.columns, self.b, FLOAT.maxt_cells[self.kind])
+        """The float max-t cells, row by row: those of column_scan(columns,
+        b, FLOAT.maxt_cells[kind]), each cell over its column's `kept`
+        pairs, computed on first use and kept, so that `maxt_distance` and
+        `exact_maxt_distance` share one scan."""
+        cell, kept = FLOAT.maxt_cells[self.kind].cell, self.kept
+        return tuple([tuple(map(cell, row, repeat(x), kept)) for row, x in zip(self.a, self.b)])
 
     @property
     def n(self) -> int:

@@ -68,25 +68,23 @@ for the rows it leaves open (interval enclosure: Moore, Interval Analysis,
 1966).  Each closure is two levels, an inner composition over the columns
 of one shifted bound and an outer one over the rows, and row i holds when
 one side, the outer level or a shifted bound, is at most the other.  The
-pass reads the matrix as floats, the system's rows for the outer level and
-its prepared `columns` for the inner one, and bounds only the vectors:
+pass bounds each quantity it reads by a low and a high float:
 
-- the shifts of beta by delta, from one `FLOAT.shifted_bounds(rhs,
-  float(delta))`, each shift padded down to its low and up to its high
-  bound;
-- each level, the FLOAT composition of the float matrix with the low and
-  with the high bound of its vector (the per-kind loops return what the
-  scalar t-norms and residua of `Arithmetic.t_norms` and
-  `Arithmetic.residua` return), the one at the low bound padded down and
-  the one at the high bound up, each on that side alone.
+- a right-hand side value v, shifted by float(delta) on the side the
+  closure reads it, padded down to its low and up to its high bound;
+- an inner entry, the float aggregate over its column's front of the
+  kind's t-norm or residuum (`Arithmetic.t_norms`, `Arithmetic.residua`)
+  of the float entry and the low or the high bound of the shift, padded
+  down or up;
+- an outer term, the t-norm or residuum of the float entry and the low or
+  the high bound of the inner entry it reads, padded on the same side.
 
 The pad is a shift of `FLOAT` by W = MEMBERSHIP_PAD = 2^-50 = 8 eps, eps =
-2^-53: each float value r goes to a low bound fl(r - W), `lower_shift`, and
-a high bound fl(r + W), `upper_shift`, clamped to [0, 1], where every exact
-quantity lies; `shifted_bounds` is the pair of them.
-Every t-norm and every residuum is non-decreasing in its vector argument,
-and so are max and min, so the low bound of a vector gives the low bound
-of its level.  Why the bounds hold:
+2^-53: a float value r goes to a low bound fl(r - W), `shift_down`, and a
+high bound fl(r + W), `shift_up`, clamped to [0, 1], where every exact
+quantity lies.  Every t-norm and every residuum is non-decreasing in its
+vector argument, so the low bound of a vector gives the low bound of its
+level.  Why the bounds hold:
 
 - Reading error.  The exact reading of an entry or of a beta value, its
   shortest decimal, and that of delta, a Fraction that float(delta) rounds
@@ -118,6 +116,39 @@ of its level.  Why the bounds hold:
     2^-102, the ulp of W, so the Goguen quotient reads a subnormal x only
     at a low bound clamped to 0, where it is 0.
 
+The pass reads the bounds row by row, as `Arithmetic.membership` does, and
+each is the float that whole padded compositions of every column and row
+give, bit for bit (`tests/helpers.py` keeps that form as the reference):
+
+- Fronts.  An inner entry aggregates over the front of its column only:
+  the system's `fronts`, rising for `exact_membership`, whose inner level
+  is a max of t-norms, and falling for `exact_maxt_membership`, whose inner
+  level is a min of residua.  The float shifts, the pads and the rounding
+  of a float operation are non-decreasing, so the padded shift of b is
+  non-decreasing in b; each float t-norm is non-decreasing in both
+  arguments, and each float residuum non-increasing in its entry and
+  non-decreasing in its vector argument.  The Lukasiewicz residuum is one
+  where x <= y and fl(fl(1 - x) + y) <= 1 where x > y, so it keeps that
+  order across its clamp to 1 too.  So a pair beaten on its column's front
+  never has a greater t-norm, or a smaller residuum, than the pair that
+  beats it, and the aggregate over the front is the one over the column;
+  no term is -0.0, so equal values are equal bits.
+- Pads commute with min and max.  A pad is non-decreasing, so the pad of
+  a min or a max is the min or max of the pads: a row's outer bound at the
+  side that can settle it true (the high bound of a min, the low one of a
+  max) clears the row's bound exactly when one of its padded terms does,
+  and the row stops at its first such term.  Only a row with none is
+  scanned at its other side, where it fails when no padded term there can
+  reach the row's bound.
+- Unclamped term pads.  A term compared with a bound takes its pad as
+  fl(t - W) or fl(t + W) with no clamp: each is compared with a bound that
+  its clamp cannot cross, a high pad with a padded-down bound below 1 (or,
+  against a max, any bound at most 1) and a low pad with a padded-up bound
+  above 0 (or, against a min, any bound at least 0).
+- Entries on first read.  An inner bound depends on its column and delta
+  alone, and is computed when a row first reads it and kept for the call,
+  so a column no row reaches is never reduced.
+
 A row whose bounds do not overlap is decided: it holds when the high bound
 of the smaller side is at most the low bound of the larger, and it fails
 when the low bound of the smaller exceeds the high bound of the larger.  At
@@ -125,17 +156,22 @@ the distance at least one row is tight in exact arithmetic and so left
 open.  An open row is evaluated with the EXACT tables over only the outer
 terms that can still attain the outer min (low bound at most the min's high
 bound) or max (high bound at least the max's low bound); each inner entry
-those terms read is evaluated once, over the inner terms that can attain
-it; and only the entries and right-hand sides these touch are read as
-Fractions, each right-hand side once.  Each exact shift is taken on the
-one side its rows read, by `EXACT.lower_shift` or `EXACT.upper_shift`: the
-shift of the inner level (lower for `exact_membership`, upper for
-`exact_maxt_membership`) at the rows of the inner terms, the other, the
-bound, at the open rows.  The term that attains an exact min is at most
-every other term, so its low bound is at most the min's high bound, and
-symmetrically for a max: each aggregate over the kept terms is the
-aggregate over all of them.  So every row gets its exact verdict and the result is that of
-the full exact evaluation on `_exact_matrix` and `_exact_vector`.
+those terms read is evaluated once, over the pairs of its column's front
+that can attain it; and only the entries and right-hand sides these touch
+are read as Fractions, each value once.  Each exact shift is taken on the
+one side its values read, by `EXACT.shift_down` or `EXACT.shift_up`: the
+shift of the inner level (down for `exact_membership`, up for
+`exact_maxt_membership`) at the front pairs, the other, the bound, at the
+open rows.  Reading a float as its shortest decimal is strictly
+increasing, so a pair beaten on the float front is beaten by the decimal
+readings of the pair that beats it, and the exact t-norms, residua and
+shifts are monotone as the float ones are: the exact aggregate over a
+front is the one over its column.  The term that attains an exact min is
+at most every other term, so its low bound is at most the min's high
+bound, and symmetrically for a max: each aggregate over the kept terms is
+the aggregate over all of them.  So every row gets its exact verdict and
+the result is that of the full exact evaluation on `_exact_matrix` and
+`_exact_vector`.
 """
 
 from __future__ import annotations
@@ -145,7 +181,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from operator import ge, gt, le, lt
 from typing import Callable
 
 from .algebra import (
@@ -262,7 +298,7 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     """
     delta = _exact_delta(delta)
     rows = range(system.m) if row is None else (checked_index(row, system.m, "row", "rows"),)
-    return _decided(system.gamma, system.columns, system.beta, system.kind, delta, False, rows)
+    return _decided(system.gamma, system.fronts, system.beta, system.kind, delta, False, rows)
 
 
 def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
@@ -280,105 +316,142 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     c = max_t_compose(a, kind, y), and row i holds when lower[i] <= c[i].
     """
     delta = _exact_delta(delta)
-    return _decided(system.a, system.columns, system.b, system.kind, delta, True, range(system.n))
+    return _decided(system.a, system.fronts, system.b, system.kind, delta, True, range(system.n))
 
 
 #: The pad of every bound of the interval pass, 8 * 2^-53 (module docstring).
 MEMBERSHIP_PAD = 2.0 ** -50
 
-
-def _pad(v) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """`v` padded down and up by MEMBERSHIP_PAD, in [0, 1] (module docstring)."""
-    return FLOAT.shifted_bounds(v, MEMBERSHIP_PAD)
-
-
-def _level(residual: bool, kind, rows, v_lo, v_hi):
-    """Bounds of min_impl_compose (`residual`) or max_t_compose of the float
-    matrix `rows` and the vector bounded by v_lo, v_hi: the composition at
-    each bound of the vector, the low one padded down and the high one up,
-    each on that side alone."""
-    compose = (FLOAT.min_impl_rows if residual else FLOAT.max_t_rows)[kind]
-    return (
-        FLOAT.lower_shift(compose(rows, v_lo), MEMBERSHIP_PAD),
-        FLOAT.upper_shift(compose(rows, v_hi), MEMBERSHIP_PAD),
-    )
+#: The two sides of every bound of the interval pass, by index: the low
+#: bound is shifted down by MEMBERSHIP_PAD and the high one up, and a term
+#: compared with a bound takes its pad as fl(t - MEMBERSHIP_PAD) or fl(t +
+#: MEMBERSHIP_PAD), unclamped (module docstring).
+_PADS = (FLOAT.shift_down, FLOAT.shift_up)
+_SIGNED_PADS = (-MEMBERSHIP_PAD, MEMBERSHIP_PAD)
 
 
-def _attaining(residual: bool, kind, row, v_lo, v_hi, lo, hi) -> list[int]:
-    """The terms of one entry of a `_level`, bounded by [lo, hi], whose own
-    bounds let them attain its exact min (`residual`) or max: a term of a
-    min whose low bound is at most hi, a term of a max whose high bound is
-    at least lo.  A residuum's low bound is taken at v_lo, a t-norm's high
-    bound at v_hi, both on the float `row` of the matrix."""
-    if residual:
-        terms = map(FLOAT.residua[kind], row, v_lo)
-        return [k for k, t in enumerate(terms) if t - MEMBERSHIP_PAD <= hi]
-    terms = map(FLOAT.t_norms[kind], row, v_hi)
-    return [k for k, t in enumerate(terms) if t + MEMBERSHIP_PAD >= lo]
+def _ops(ar, kind, maxt: bool):
+    """The operations of the inner and the outer level of the closure of
+    `exact_membership` (maxt False: t-norms, then residua) or of
+    `exact_maxt_membership` (maxt True: residua, then t-norms) on the
+    instance `ar`."""
+    t_norm, residuum = ar.t_norms[kind], ar.residua[kind]
+    return (residuum, t_norm) if maxt else (t_norm, residuum)
 
 
-def _decided(matrix, columns, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
+def _decided(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
     """Whether every row in `rows` satisfies the closure inequality of
     `exact_membership` (maxt False) or `exact_maxt_membership` (maxt True),
-    in exact arithmetic: the interval pass decides what it can and the
-    undecided rows are evaluated in Fractions over their attaining terms.
-    `columns` is the matrix's transpose, as the system keeps it."""
-    lower, upper = map(_pad, FLOAT.shifted_bounds(rhs, float(delta)))
-    # The closure level by level: the inner one over columns of the shift,
-    # the outer one over rows; the max-t closure takes the residua first.
-    # Every outer entry reads the whole inner level, but the outer level is
-    # composed, and its bound read, at the rows in `rows` alone: position p
-    # holds row rows[p].
-    shift, bound = (upper, lower) if maxt else (lower, upper)
-    inner = _level(maxt, kind, columns, *shift)
-    outer = _level(not maxt, kind, [matrix[i] for i in rows], *inner)
-    bound = tuple([side[i] for i in rows] for side in bound)
-    small, big = (bound, outer) if maxt else (outer, bound)
-    undecided = {}
-    for p, i in enumerate(rows):
-        if small[0][p] > big[1][p]:
+    in exact arithmetic: the interval pass decides each row it can, and the
+    rows it leaves open are evaluated in Fractions by `_exact_rows`.
+    `fronts[j]` holds the pairs (matrix[k][j], rhs[k]) of column j's front:
+    rising for a min of t-norms, falling for a min of residua.
+
+    A row is scanned term by term, as `Arithmetic.membership` scans it, at
+    the side of its bounds that can settle it true (the high bound of a
+    min, the low one of a max) and stops at its first term that clears the
+    row's bound with both pads against it.  A row with no such term is
+    scanned at its other side, and fails the call when no term there can
+    reach its bound; else it is open.  The bound of an inner entry is
+    computed over its column's front when a row first reads it."""
+    d = float(delta)
+    if maxt:
+        holds, better, first, shift, bound_shift = ge, lt, 0, FLOAT.shift_up, FLOAT.shift_down
+    else:
+        holds, better, first, shift, bound_shift = le, gt, 1, FLOAT.shift_down, FLOAT.shift_up
+    inner_op, outer_op = _ops(FLOAT, kind, maxt)
+    n = len(matrix[0])
+    inner = ([None] * n, [None] * n)
+
+    def entry(side, j):
+        # the bound at `side` of inner entry j, computed on its first read
+        x = inner[side][j]
+        if x is None:
+            pad = _PADS[side]
+            for h, c in fronts[j]:
+                t = inner_op(h, pad(shift(c, d), MEMBERSHIP_PAD))
+                if x is None or better(t, x):
+                    x = t
+            x = inner[side][j] = pad(x, MEMBERSHIP_PAD)
+        return x
+
+    opened = []
+    for i in rows:
+        row, b = matrix[i], bound_shift(rhs[i], d)
+        for side in (first, 1 - first):
+            xs, w = inner[side], _SIGNED_PADS[side]
+            limit = _PADS[1 - side](b, MEMBERSHIP_PAD)
+            for j, g in enumerate(row):
+                x = xs[j]
+                if x is None:
+                    x = entry(side, j)
+                if holds(outer_op(g, x) + w, limit):
+                    break
+            else:
+                continue
+            break
+        else:
             return False
-        if small[1][p] > big[0][p]:
-            undecided[i] = outer[0][p], outer[1][p]
-    if not undecided:
-        return True
-    # The fallback: the terms that can still attain the outer min or max of
-    # an undecided row, the terms that can attain the inner entries those
-    # read, and only the entries and right-hand sides all of them touch.
-    outer_terms = [
-        (i, _attaining(not maxt, kind, matrix[i], *inner, *outer_bounds))
-        for i, outer_bounds in undecided.items()
-    ]
-    inner_terms = {
-        j: _attaining(maxt, kind, columns[j], *shift, inner[0][j], inner[1][j])
-        for _, terms in outer_terms
-        for j in terms
-    }
-    # Each exact shift is taken on the one side its rows read: the shift
-    # side at the rows of inner terms, the bound side at the undecided rows.
-    read = {*chain.from_iterable(inner_terms.values())}
-    exact = {k: _exact(rhs[k]) for k in {*undecided, *read}}
-    down, up = EXACT.lower_shift, EXACT.upper_shift
-    shift_side, bound_side = (up, down) if maxt else (down, up)
-    exact_shift = dict(zip(read, shift_side([exact[k] for k in read], delta)))
-    exact_bound = dict(zip(undecided, bound_side([exact[i] for i in undecided], delta)))
-    aggregate, op = _exact_level(maxt, kind)
-    exact_inner = {
-        j: aggregate(op(_exact(matrix[k][j]), exact_shift[k]) for k in terms)
-        for j, terms in inner_terms.items()
-    }
-    aggregate, op = _exact_level(not maxt, kind)
-    for i, terms in outer_terms:
-        value = aggregate(op(_exact(matrix[i][j]), exact_inner[j]) for j in terms)
-        if (exact_bound[i] > value) if maxt else (value > exact_bound[i]):
+        if side != first:
+            opened.append(i)
+    return not opened or _exact_rows(matrix, fronts, rhs, kind, delta, maxt, opened, entry)
+
+
+def _exact_rows(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, opened, entry) -> bool:
+    """Whether every row in `opened`, which the interval pass of `_decided`
+    left open, satisfies its closure inequality in exact arithmetic.
+    `entry(side, j)` is the pass's bound of inner entry j at `side`.
+
+    Each row is evaluated over the outer terms that can still attain its
+    min or max, each inner entry they read over the front pairs that can
+    attain it, and only the entries and right-hand sides these touch are
+    read as Fractions, each value once per call.  The exact shift is taken
+    on the one side each value is read at: the shift of the inner level at
+    front pairs, the other, the bound, at the open rows."""
+    if maxt:
+        holds, first, shift, bound_shift = ge, 0, EXACT.shift_up, EXACT.shift_down
+    else:
+        holds, first, shift, bound_shift = le, 1, EXACT.shift_down, EXACT.shift_up
+    other, pad, w = 1 - first, _PADS[first], _SIGNED_PADS[first]
+    float_shift = FLOAT.shift_up if maxt else FLOAT.shift_down
+    inner_op, outer_op = _ops(FLOAT, kind, maxt)
+    exact_inner_op, exact_outer_op = _ops(EXACT, kind, maxt)
+    inner_aggregate, outer_aggregate = (min, max) if maxt else (max, min)
+    d, read, shifted, exact_inner = float(delta), {}, {}, {}
+
+    def exact(value):
+        if value not in read:
+            read[value] = _exact(value)
+        return read[value]
+
+    def exact_shift(value):
+        if value not in shifted:
+            shifted[value] = shift(exact(value), delta)
+        return shifted[value]
+
+    for i in opened:
+        row = matrix[i]
+        # the row's outer bound at the side that settles rows, and the
+        # terms whose other side can reach it
+        edge = outer_aggregate(
+            [pad(outer_op(g, entry(first, j)), MEMBERSHIP_PAD) for j, g in enumerate(row)]
+        )
+        terms = [
+            j for j, g in enumerate(row)
+            if holds(outer_op(g, entry(other, j)) + _SIGNED_PADS[other], edge)
+        ]
+        for j in terms:
+            if j not in exact_inner:
+                x = entry(other, j)
+                exact_inner[j] = inner_aggregate([
+                    exact_inner_op(exact(h), exact_shift(c))
+                    for h, c in fronts[j]
+                    if holds(x, inner_op(h, pad(float_shift(c, d), MEMBERSHIP_PAD)) + w)
+                ])
+        value = outer_aggregate([exact_outer_op(exact(row[j]), exact_inner[j]) for j in terms])
+        if not holds(value, bound_shift(exact(rhs[i]), delta)):
             return False
     return True
-
-
-def _exact_level(residual: bool, kind):
-    """The aggregate and the EXACT operation of min_impl_compose (`residual`)
-    or max_t_compose."""
-    return (min, EXACT.residua[kind]) if residual else (max, EXACT.t_norms[kind])
 
 
 #: A bound on |float cell - exact cell| over the cells of `exact_maxt_distance`,
@@ -413,8 +486,8 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
        u)^+ of the cell, so the max of the one-pair cells is the cell.
     4. Only the kept cells are evaluated, by `EXACT.maxt_cells`, each over
        its kept pairs, reading as Fractions just a[i][j], b[i] and those
-       pairs; only the columns of kept cells are reduced again for this, by
-       one reducer that sorts b once for all of them.
+       pairs, the system's `kept` pairs of the cell's column, which the
+       float scan reduced once.
        The float reducer of the kind serves the exact cell.  For max-min
        and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
@@ -488,7 +561,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     Every cell thus errs by less than 8 eps; ETA = 16 eps = 2^-49 leaves a
     factor of two for the second-order terms.
     """
-    a, b, columns, kind = system.a, system.b, system.columns, system.kind
+    a, b, kind = system.a, system.b, system.kind
     rows = system.float_cells
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
@@ -497,8 +570,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         for i, low in enumerate(lows)
         if low >= floor
     ]
-    reduce = FLOAT.maxt_cells[kind].column(b)
-    pairs = {j: reduce(columns[j]) for j in {j for _, cells in kept for j in cells}}
+    pairs = system.kept
     float_cell, cell = FLOAT.maxt_cells[kind].cell, EXACT.maxt_cells[kind].cell
     exact_rows = []
     for i, cells in kept:

@@ -104,3 +104,53 @@ def tied_systems(draw, max_dim=20):
     for _ in range(draw(st.integers(0, 3))):
         gamma[rng.randrange(m)][rng.randrange(n)] = beta[rng.randrange(m)]
     return tuple(map(tuple, gamma)), tuple(beta)
+
+
+def interval_pass(matrix, columns, rhs, kind, delta, maxt):
+    """The interval pass of `fuzzrel.oracle._decided` as whole float
+    compositions, the test-only reference of the row-by-row pass: each
+    vector is shifted as a whole and padded down and up by MEMBERSHIP_PAD,
+    the inner level is composed over every column at both bounds of its
+    vector, and the outer level over every row at both bounds of the inner
+    one, each result padded on its own side.  `columns` is the matrix's
+    transpose, `maxt` selects the closure of `exact_maxt_membership`.
+
+    Returns, per row, its decision, "true", "false" or "open", and the index
+    of the first term whose pessimistic bound settles it true (None when no
+    term does): the term the row-by-row pass stops at."""
+    from fuzzrel.algebra import FLOAT
+    from fuzzrel.oracle import MEMBERSHIP_PAD
+
+    def pad(v):
+        return FLOAT.shifted_bounds(v, MEMBERSHIP_PAD)
+
+    def level(residual, rows, v_lo, v_hi):
+        compose = (FLOAT.min_impl_rows if residual else FLOAT.max_t_rows)[kind]
+        return (
+            FLOAT.lower_shift(compose(rows, v_lo), MEMBERSHIP_PAD),
+            FLOAT.upper_shift(compose(rows, v_hi), MEMBERSHIP_PAD),
+        )
+
+    lower, upper = map(pad, FLOAT.shifted_bounds(rhs, float(delta)))
+    shift, bound = (upper, lower) if maxt else (lower, upper)
+    inner = level(maxt, columns, *shift)
+    outer = level(not maxt, matrix, *inner)
+    small, big = (bound, outer) if maxt else (outer, bound)
+    decisions = [
+        "false" if small[0][i] > big[1][i] else "open" if small[1][i] > big[0][i] else "true"
+        for i in range(len(matrix))
+    ]
+    # the pessimistic bound of each outer term: the high one of a residuum
+    # against the low bound of the right-hand side, the low one of a t-norm
+    # against its high bound
+    side = 0 if maxt else 1
+    op = (FLOAT.t_norms if maxt else FLOAT.residua)[kind]
+    firsts = []
+    for i, row in enumerate(matrix):
+        terms = pad(tuple(map(op, row, inner[side])))[side]
+        settles = [
+            j for j, t in enumerate(terms)
+            if (t >= bound[1][i] if maxt else t <= bound[0][i])
+        ]
+        firsts.append(settles[0] if settles else None)
+    return decisions, firsts

@@ -420,6 +420,34 @@ class TestBulkValidation:
         assert repr(getattr(built, matrix)[2][4]) == "0.0"
 
 
+    @pytest.mark.parametrize("names", SYSTEMS, ids=lambda names: names[2].__name__)
+    def test_a_shaped_system_skips_the_grid_pass(self, monkeypatch, names):
+        # a system of the right shape whose one bad entry, its last, is the
+        # int 1 reads its entries in one `_kept` over the whole system, then
+        # one per row and one for the vector: no second pass over the grid
+        matrix, vector, system = names
+        calls = []
+
+        def counted(arrays):
+            calls.append(arrays)
+            return _kept(arrays)
+
+        monkeypatch.setattr("fuzzrel.algebra._kept", counted)
+        rng = random.Random(22)
+        grid = [[rng.random() for _ in range(6)] for _ in range(5)]
+        rhs = [rng.random() for _ in range(5)]
+        grid[4][5] = 1
+        built = system(grid, rhs, ImplicationKind.LUKASIEWICZ)
+        assert len(calls) == 1 + 5 + 1
+        assert getattr(built, matrix)[4][5] == 1.0 and type(getattr(built, matrix)[4][5]) is float
+        assert getattr(built, matrix) == tuple(map(tuple, grid))
+        # a ragged one still goes the way of `unit_matrix`, grid pass first
+        calls.clear()
+        with pytest.raises(DimensionMismatch, match=rf"^{matrix}: row 1 has 5 entries, expected 6$"):
+            system([grid[0], grid[1][:5], *grid[2:]], rhs, ImplicationKind.LUKASIEWICZ)
+        assert len(calls) == 1 + 5
+
+
 def reference_kept(arrays):
     """Whether `arrays` has an entry and `unit` returns every entry as it
     is: a plain float of the same repr."""
@@ -649,6 +677,57 @@ class TestCompositions:
             leq((0.1,), (0.1, 0.2))
 
 
+def luka_max_t_loop(ar, matrix, vec):
+    """The Lukasiewicz max-t composition as a loop over each row's t-norms,
+    the positive part of each sum less one, keeping the first of equal
+    maxima."""
+    zero, out = ar.zero, []
+    one = zero + 1
+    for row in matrix:
+        best = None
+        for x, y in zip(row, vec):
+            t = x + y - one
+            t = t if t > zero else zero
+            if best is None or t > best:
+                best = t
+        out.append(best)
+    return tuple(out)
+
+
+#: Entries of the Lukasiewicz max-t rows: the ends of [0, 1], the least
+#: subnormal and the float below one, with 2-decimal and full-precision values.
+LUKA_EDGES = (0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5)
+luka_entries = st.one_of(
+    st.sampled_from(LUKA_EDGES), st.floats(0.0, 1.0), st.integers(0, 100).map(lambda k: k / 100)
+)
+
+
+@st.composite
+def luka_operands(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = st.tuples(*[luka_entries] * n)
+    return draw(st.tuples(*[rows] * m)), draw(st.tuples(*[luka_entries] * n))
+
+
+class TestLukaMaxT:
+    # the Lukasiewicz max-t row is the positive part of its greatest sum
+    # less one; it is the loop over its t-norms, bit for bit, on both
+    # instances
+    @given(luka_operands())
+    @example((((0.0, 1.0), (5e-324, 1.0)), (1.0, 0.0)))
+    @example((((5e-324, 5e-324), (0.0, 0.0)), (1.0, 5e-324)))
+    @example((((1.0 - 2.0**-53,), (0.5,)), (2.0**-53,)))
+    def test_is_the_loop(self, operands):
+        matrix, vec = operands
+        rows = FLOAT.max_t_rows[ImplicationKind.LUKASIEWICZ]
+        assert described(rows(matrix, vec)) == described(luka_max_t_loop(FLOAT, matrix, vec))
+        exact_matrix = tuple(tuple(map(Fraction, row)) for row in matrix)
+        exact_vec = tuple(map(Fraction, vec))
+        exact = EXACT.max_t_rows[ImplicationKind.LUKASIEWICZ](exact_matrix, exact_vec)
+        assert exact == luka_max_t_loop(EXACT, exact_matrix, exact_vec)
+        assert {*map(type, exact)} == {Fraction}
+
+
 class TestShiftedBounds:
     def test_hand_checked(self):
         lower, upper = shifted_bounds((0.1, 0.4), 0.15)
@@ -672,18 +751,23 @@ class TestShiftedBounds:
     @example([0.88, 0.46, 0.0, 1.0, 5e-324], 1.0)
     def test_one_sided_shifts_are_the_halves(self, values, delta):
         # `lower_shift` and `upper_shift` are the two halves of
-        # `shifted_bounds`, bit for bit, on both instances, and each is its
-        # formula: (v - delta)^+ and min(v + delta, 1)
+        # `shifted_bounds`, bit for bit, on both instances, each is its
+        # formula, (v - delta)^+ and min(v + delta, 1), and each is its
+        # scalar, `shift_down` or `shift_up`, entry by entry
         v = tuple(values)
         lower, upper = FLOAT.shifted_bounds(v, delta)
         assert described(FLOAT.lower_shift(v, delta)) == described(lower)
         assert described(FLOAT.upper_shift(v, delta)) == described(upper)
         assert described(lower) == described(tuple(max(x - delta, 0.0) for x in v))
         assert described(upper) == described(tuple(min(x + delta, 1.0) for x in v))
+        assert described(lower) == described(tuple(FLOAT.shift_down(x, delta) for x in v))
+        assert described(upper) == described(tuple(FLOAT.shift_up(x, delta) for x in v))
         exact, exact_delta = tuple(map(Fraction, v)), Fraction(delta)
         lower, upper = EXACT.shifted_bounds(exact, exact_delta)
         assert EXACT.lower_shift(exact, exact_delta) == lower
         assert EXACT.upper_shift(exact, exact_delta) == upper
+        assert lower == tuple(EXACT.shift_down(x, exact_delta) for x in exact)
+        assert upper == tuple(EXACT.shift_up(x, exact_delta) for x in exact)
         assert {*map(type, lower + upper)} == {Fraction}
         assert lower == tuple(max(x - exact_delta, 0) for x in exact)
         assert upper == tuple(min(x + exact_delta, 1) for x in exact)

@@ -7,7 +7,10 @@ can still attain a min or a max.  Here every verdict is compared with the
 full exact evaluation, written out: `helpers.full_membership` on EXACT for
 `exact_membership`, at every `row=` and at row None, and `leq(lower,
 EXACT.maxt_closure(a, kind, upper))` for `exact_maxt_membership`.  At a
-given `row=` the outer level is composed at that row alone.
+given `row=` that row alone is scanned.  Each row's decision by the
+row-by-row pass over the fronts, true, false or open, is held to the whole
+padded compositions of `helpers.interval_pass`, and a row settled at a term
+reads no column past it.
 
 The systems are the wide ones of `test_exact_maxt.py` (full precision, 1-
 and 2-decimal grids, a small pool, subnormals, 1 - 2^-53, duplicate rows and
@@ -22,6 +25,7 @@ max-t distance as a Fraction, 1e-12 either side of both, and a point of the
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzrel import (
@@ -36,7 +40,7 @@ from fuzzrel import (
 from fuzzrel import oracle
 from fuzzrel.algebra import leq, transpose
 from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector
-from helpers import full_membership
+from helpers import full_membership, interval_pass
 from test_exact_maxt import pooled_entries, wide_entries, with_examples
 from test_front import NO_SHRINK, tied_systems
 
@@ -129,29 +133,129 @@ def test_exact_membership_is_the_full_evaluation(entries, kind, k):
             assert exact_membership(system, delta, row) is full, (delta, row)
 
 
+def scanned_rows(system, matrix):
+    """Give `system` its matrix field `matrix` again as equal rows that
+    record their index, in the returned list, whenever their entries are
+    read in order; the system's columns and fronts stay as built."""
+    scanned = []
+
+    class Row(tuple):
+        def __iter__(self):
+            scanned.append(self.index)
+            return super().__iter__()
+
+    rows = []
+    for i, entries in enumerate(getattr(system, matrix)):
+        rows.append(Row(entries))
+        rows[-1].index = i
+    object.__setattr__(system, matrix, tuple(rows))
+    return scanned
+
+
 @settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @with_examples(MEMBERSHIP_EXAMPLES)
 @given(entries, kinds, grid)
 def test_one_row_composes_its_outer_level_alone(entries, kind, k):
-    # row=j takes the inner level over every column and the outer level
-    # over row j only, and its verdict is the full evaluation's at row j
+    # row=j scans row j alone, in the interval pass and in the exact
+    # fallback, and its verdict is the full evaluation's at row j
     system = FuzzySystem(*entries, kind)
     gamma, beta = _exact_matrix(system.gamma), _exact_vector(system.beta)
     columns = transpose(gamma)
-    level, composed = oracle._level, []
+    scanned = scanned_rows(system, "gamma")
+    for delta in deltas(*entries, kind, k):
+        snapped = _exact_delta(delta)
+        for j in range(system.m):
+            scanned.clear()
+            full = full_membership(EXACT, gamma, columns, beta, kind, snapped, j, EXACT.zero)
+            assert exact_membership(system, delta, j) is full, (delta, j)
+            assert scanned and {*scanned} == {j}, (delta, j)
 
-    def recorded(residual, kind, rows, v_lo, v_hi):
-        composed.append(len(rows))
-        return level(residual, kind, rows, v_lo, v_hi)
 
-    with mock.patch.object(oracle, "_level", recorded):
+class Reads:
+    """Column fronts that record the index of every front read."""
+
+    def __init__(self, fronts):
+        self.fronts, self.read = fronts, []
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return self.fronts[j]
+
+
+def row_by_row(system, maxt, delta):
+    """Each row's decision by the interval pass of `_decided`, alone, with
+    the fronts it read: "true" or "false" when the pass settles the row,
+    "open" when it would evaluate the row in Fractions."""
+    matrix, rhs = (system.a, system.b) if maxt else (system.gamma, system.beta)
+    found = []
+    with mock.patch.object(oracle, "_exact_rows", lambda *args: "open"):
+        for i in range(len(matrix)):
+            reads = Reads(system.fronts)
+            decided = oracle._decided(matrix, reads, rhs, system.kind, delta, maxt, (i,))
+            found.append(({True: "true", False: "false"}.get(decided, decided), reads.read))
+    return found
+
+
+def both_closures(entries, kind):
+    """(maxt, system, matrix, rhs) of both closures of `entries`."""
+    system, maxt_system = FuzzySystem(*entries, kind), MaxTSystem(*entries, kind)
+    return (
+        (False, system, system.gamma, system.beta),
+        (True, maxt_system, maxt_system.a, maxt_system.b),
+    )
+
+
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
+@with_examples(MEMBERSHIP_EXAMPLES + MAXT_EXAMPLES)
+@given(entries, kinds, grid)
+def test_each_row_decides_as_the_full_composition_pass(entries, kind, k):
+    # the row-by-row pass over the fronts settles a row true, settles it
+    # false or leaves it open exactly as the whole float compositions of
+    # `helpers.interval_pass`, padded on each side, do
+    for maxt, system, matrix, rhs in both_closures(entries, kind):
         for delta in deltas(*entries, kind, k):
             snapped = _exact_delta(delta)
-            for j in range(system.m):
-                composed.clear()
-                full = full_membership(EXACT, gamma, columns, beta, kind, snapped, j, EXACT.zero)
-                assert exact_membership(system, delta, j) is full, (delta, j)
-                assert composed == [system.n, 1], (delta, j)
+            want, _ = interval_pass(matrix, system.columns, rhs, kind, snapped, maxt)
+            got = [decision for decision, _ in row_by_row(system, maxt, snapped)]
+            assert got == want, (maxt, delta)
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@with_examples(MEMBERSHIP_EXAMPLES + MAXT_EXAMPLES)
+@given(entries, kinds, grid)
+def test_a_settled_row_reads_no_column_past_its_deciding_term(entries, kind, k):
+    # a row the pass settles true at its term j reads the fronts of columns
+    # 0..j, each once, and no other; a row no term settles reads every
+    # column at its first side before it reads any again
+    for maxt, system, matrix, rhs in both_closures(entries, kind):
+        n = len(matrix[0])
+        for delta in deltas(*entries, kind, k):
+            snapped = _exact_delta(delta)
+            _, firsts = interval_pass(matrix, system.columns, rhs, kind, snapped, maxt)
+            for first, (decision, read) in zip(firsts, row_by_row(system, maxt, snapped)):
+                if first is None:
+                    assert decision != "true" and read[:n] == [*range(n)], (maxt, delta)
+                else:
+                    assert decision == "true" and read == [*range(first + 1)], (maxt, delta)
+
+
+#: The unit of the floats in [1/2, 1), 2^-53: the pad MEMBERSHIP_PAD is 8 of them.
+U = Fraction(1, 2**53)
+
+
+@pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+def test_both_pads_stand_between_a_term_and_its_bound(kind):
+    # Row 0 of gamma ((0.9,),), beta (0.5,) at delta = 14 U: the term lies
+    # within two pads of the row's bound, so the row stays open, and either
+    # pad alone would settle it true.  For Godel the inner bound is 0.5 - 6 U,
+    # padded up to 0.5 + 2 U, the residuum term 0.5 + 2 U, padded to 0.5 +
+    # 10 U, and the bound 0.5 + 14 U, padded down to 0.5 + 6 U.  At 18 U
+    # the row settles true with both pads.
+    system = FuzzySystem(((0.9,),), (0.5,), kind)
+    for delta, decision in ((14 * U, "open"), (18 * U, "true")):
+        want, _ = interval_pass(system.gamma, system.columns, system.beta, kind, delta, False)
+        assert [found for found, _ in row_by_row(system, False, delta)] == want == [decision]
+        assert exact_membership(system, delta) is True
 
 
 @settings(max_examples=200, deadline=None, phases=NO_SHRINK)

@@ -250,21 +250,69 @@ class TestPreparedSystem:
         assert replaced.columns == transpose(swapped)
 
     def test_maxt_distances_share_one_scan(self, monkeypatch):
-        from fuzzrel import algebra, operators
+        # `maxt_distance` scans the float cells once, each column over its
+        # kept pairs, and `exact_maxt_distance` reads that scan and those
+        # pairs: each column is reduced once per system, and the max-min and
+        # max-product cells reduce by the system's falling `fronts`
+        from fuzzrel import algebra
 
-        calls, scan = [], algebra.column_scan
+        reduced, front, top = [], algebra.front, algebra.top_pairs
 
-        def counted(*args):
-            calls.append(args)
-            return scan(*args)
+        def counted(name, reduce):
+            def reducer(*args):
+                reduced.append(name)
+                return reduce(*args)
+            return reducer
 
-        monkeypatch.setattr(operators, "column_scan", counted)
-        monkeypatch.setattr(algebra, "column_scan", counted)
+        monkeypatch.setattr(algebra, "front", counted("front", front))
+        monkeypatch.setattr(algebra, "top_pairs", counted("top_pairs", top))
         for kind in ImplicationKind:
             system = MaxTSystem(*PREPARED, kind)
+            reduced.clear()
             delta = maxt_distance(system)
             assert float(exact_maxt_distance(system)) == pytest.approx(delta, abs=1e-12)
-        assert len(calls) == len(ImplicationKind)
+            assert maxt_distance(system) == delta
+            name = "top_pairs" if kind is ImplicationKind.LUKASIEWICZ else "front"
+            assert reduced == [name] * system.m
+            assert ("fronts" in vars(system)) is (name == "front")
+
+
+class TestMaxTFronts:
+    """A `MaxTSystem` keeps the falling front of each column's pairs (a[k][j],
+    b[k]) as `fronts`, each built on its first read."""
+
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_fronts_are_the_falling_column_fronts(self, kind):
+        system = MaxTSystem(*TIED, kind)
+        # of the pairs (0.6, 0.4) in column 0 the first is kept, and beats
+        # (0.2, 0.7); (0.8, 0.4) beats both other pairs of column 1
+        assert [system.fronts[j] for j in range(system.m)] == [((0.6, 0.4),), ((0.8, 0.4),)]
+        for system in iter_random_systems(607, 100, kind=kind):
+            system = MaxTSystem(system.gamma, system.beta, kind)
+            for j, column in enumerate(system.columns):
+                assert system.fronts[j] == front(column, system.b, False)
+
+    def test_built_per_column_on_first_read(self):
+        system = MaxTSystem(*TIED, ImplicationKind.LUKASIEWICZ)
+        assert "fronts" not in vars(system)
+        maxt_distance(system)
+        exact_maxt_distance(system)
+        assert "fronts" not in vars(system)
+        assert dict(system.fronts) == {}
+        system.fronts[1]
+        assert [*system.fronts] == [1]
+
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_kept_fronts_travel_with_pickles_and_copies(self, kind):
+        system = MaxTSystem(*TIED, kind)
+        system.fronts[1]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(system, protocol))
+            assert copy == system and dict(copy.fronts) == dict(system.fronts)
+            assert copy.fronts[0] == system.fronts[0]
+        replaced = dataclasses.replace(system, b=(0.9, 0.4, 0.1))
+        assert "fronts" not in vars(replaced)
+        assert replaced.fronts[0] == ((0.6, 0.4), (0.2, 0.1))
 
 
 #: A 3x2 system whose column 0 holds the pair (0.6, 0.4) in rows 0 and 1.

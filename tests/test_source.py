@@ -24,14 +24,17 @@ def arithmetic_body() -> ast.FunctionDef:
 
 
 #: The functions of `algebra.arithmetic` that run m n k times per system:
-#: six thresholds and the product ratio, `shifted_bounds` and its two sides
-#: `lower_shift` and `upper_shift`, the three max-t cells and the three
+#: six thresholds and the product ratio, `shifted_bounds`, its two sides
+#: `lower_shift` and `upper_shift` and their scalar `shift_down` and
+#: `shift_up`, which the interval pass of the exact membership tests calls
+#: per term, the three max-t cells and the three
 #: report columns, each of which computes a whole column of cells per call;
 #: the three row rules, each a loop over a row's n cells; the six
 #: compositions, which run m n times per closure; and the three membership
 #: tests, which run about 33 times per bisection.
 HOT = (
-    r"\w+_threshold|maxprod_ratio|shifted_bounds|lower_shift|upper_shift|\w+_maxt_cell"
+    r"\w+_threshold|maxprod_ratio|shifted_bounds|lower_shift|upper_shift|shift_down|shift_up"
+    r"|\w+_maxt_cell"
     r"|(godel|goguen|luka)_column"
     r"|(godel|goguen|luka)_row|\w+_max_t|\w+_min_impl|\w+_membership"
 )
@@ -54,7 +57,7 @@ def hot_formulas() -> list[ast.FunctionDef]:
         node for node in ast.walk(arithmetic_body())
         if isinstance(node, ast.FunctionDef) and re.fullmatch(HOT, node.name)
     ]
-    assert len(functions) == 27
+    assert len(functions) == 29
     assert {f.name for f in functions} >= (
         REPORT_COLUMNS | ROW_RULES | COMPOSITIONS | MEMBERSHIP_LOOPS
     )
@@ -405,28 +408,35 @@ def test_cell_scans_transpose_nothing():
 
 def test_exact_membership_transposes_nothing():
     # the interval pass of `exact_membership` and `exact_maxt_membership`
-    # reads the matrix as floats, its rows and the system's prepared
-    # `columns`; only the vectors get bounds
-    names = ("exact_membership", "exact_maxt_membership", "_decided", "_level", "_attaining")
+    # reads the matrix as floats, row by row, and the system's column
+    # fronts: it neither transposes a matrix nor reads its columns
+    names = ("exact_membership", "exact_maxt_membership", "_decided", "_exact_rows")
     functions = module_functions("oracle.py", names)
-    assert len(functions) == 5
+    assert len(functions) == 4
     assert transposing(functions) == []
     reads = [
         function.name for function in functions
-        if any(ast.unparse(node) == "system.columns" for node in ast.walk(function))
+        if any(ast.unparse(node) == "system.fronts" for node in ast.walk(function))
     ]
     assert reads == ["exact_membership", "exact_maxt_membership"]
+    assert [
+        f"{function.name}:{node.lineno}" for function in functions
+        for node in ast.walk(function) if isinstance(node, ast.Attribute) and node.attr == "columns"
+    ] == []
 
 
 def test_decided_shifts_once():
-    # one two-sided shift of the right-hand side by float(delta) gives both
-    # vector bounds of the interval pass
+    # the pass shifts a right-hand side value where it reads it, by the
+    # scalar shifts of `FLOAT`: at its row on the side of the bound, and at
+    # a front pair on the side of the inner level, each by the one float of
+    # delta; no vector is shifted or padded as a whole
     (decided,) = module_functions("oracle.py", ("_decided",))
-    shifts = [
-        node.lineno for node in ast.walk(decided)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "FLOAT.shifted_bounds"
+    calls = [ast.unparse(node) for node in ast.walk(decided) if isinstance(node, ast.Call)]
+    assert sorted(call for call in calls if call.endswith(", d)")) == [
+        "bound_shift(rhs[i], d)", "shift(c, d)",
     ]
-    assert len(shifts) == 1
+    assert calls.count("float(delta)") == 1
+    assert [call for call in calls if re.search(r"shifted_bounds|lower_shift|upper_shift", call)] == []
 
 
 def test_oracle_writes_no_clamp():
