@@ -42,13 +42,15 @@ reduces its pairs once, by `front` or, for the Lukasiewicz kinds,
 `top_pairs`.  Every front of a system sorts one order of its right-hand
 side, `beta_order`, computed once per system, by the column's own entries.
 A report entry, `godel_column`, `goguen_column` or `luka_column`, takes a
-system's right-hand side, computes what its columns share (the order, and
-for Godel the right-hand side's levels), and returns the function of one
-column: one sweep down the column with its threshold written out, which
-returns plain tuples of each cell's fields; a row builds their records on
-the first read of its `cells` (`RowDiagnostics`).  A max-t entry is a
-`Kernel`, which maps its cell formula down the column; the oracle's exact
-max-t distance reads its two parts.  `FLOAT` binds the formulas to floats
+system's right-hand side and the system, `prepared`, whose column fronts
+the Goguen entry reads as `prepared.fronts`; it computes what its columns
+share (for Godel the order and the right-hand side's levels) and returns
+the function of one column and its index: one sweep down the column with
+its threshold written out, which returns plain tuples of each cell's
+fields; a row builds their records on the first read of its `cells`
+(`RowDiagnostics`).  A max-t entry is a `Kernel`, which maps its cell
+formula down the column; the oracle's exact max-t distance reads its two
+parts.  `FLOAT` binds the formulas to floats
 and supplies this module's public functions and the cells and row rules
 of `fuzzrel.report`; the oracle binds them to `Fraction` to run the same
 formulas in exact rational arithmetic.  A float operand that meets a
@@ -146,22 +148,23 @@ class Kernel(namedtuple("Kernel", "cell column")):
     cell's max can be attained, and computes once what every column shares,
     the order of `xs` for a falling `front`.
 
-    Called as `kernel(xs)`, it returns the function of a column's entries
-    `us` that gives the column's cells in row order: it reduces the pairs
-    once and maps the cell formula down the column, O(m log m) for the sort
-    of the front plus one cell formula over the kept pairs per cell.  The
-    entries of `Arithmetic.maxt_cells` are kernels, so that
+    Called as `kernel(xs, prepared)`, as `column_scan` calls a table entry,
+    it returns the function of a column's entries `us` and index i that
+    gives the column's cells in row order: it reduces the pairs once, by
+    its own reducer, reading nothing of `prepared`, and maps the cell
+    formula down the column, O(m log m) for the sort of the front plus one
+    cell formula over the kept pairs per cell.  The entries of
+    `Arithmetic.maxt_cells` are kernels, so that
     `fuzzrel.oracle.exact_maxt_distance` can reduce a column and evaluate
     single cells, over the kept pairs or over one pair alone; the report
-    entries of `Arithmetic.cells` are plain functions of `xs` of the same
-    kind.
+    entries of `Arithmetic.cells` are plain functions of the same kind.
     """
 
     __slots__ = ()
 
-    def __call__(self, xs):
+    def __call__(self, xs, prepared):
         cell, reduce = self.cell, self.column(xs)
-        return lambda us: tuple(map(cell, us, xs, repeat(reduce(us))))
+        return lambda us, i: tuple(map(cell, us, xs, repeat(reduce(us))))
 
 
 #: Width of the window below a column's greatest key within which the
@@ -401,14 +404,15 @@ def front(us, xs, rising: bool = True, order=None) -> tuple:
     is non-decreasing in g, and in b or in -b by the orientation, is
     attained on the front: each pair dropped is dominated by a kept pair
     whose value is at least as high.  The kept pairs stay in their order,
-    so `max` still keeps the first of equal values.  It is the column
-    reducer of `goguen_column` and of `FuzzySystem.fronts` (rising) and of
-    the max-min and max-product cells and `MaxTSystem.fronts` (falling,
-    through `Fronts`); `godel_column` runs the
-    same sweep itself, and the Lukasiewicz kinds keep fewer pairs, by
-    `top_pairs`.
+    so `max` still keeps the first of equal values.  A system builds each
+    of its columns' fronts through `Fronts`: rising for
+    `FuzzySystem.fronts`, which `goguen_column` and the membership tests
+    read, falling for `MaxTSystem.fronts`, which the max-min and
+    max-product cells read.  The reducer of those cells calls it on bare
+    columns too; `godel_column` runs the same sweep itself, and the
+    Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
 
-    `order` is `beta_order(xs, rising)`, which a system computes once for
+    `order` is `beta_order(xs, rising)`, which a `Fronts` computes once for
     all its columns; without it the front sorts `xs` itself.  One stable
     sort of that order by g descending, with the column's own entries as
     the keys, is the stable sort of the pairs by (g, b) descending, or by
@@ -433,18 +437,19 @@ def front(us, xs, rising: bool = True, order=None) -> tuple:
 class Fronts(dict):
     """The `front` of each of a system's columns, by the column's index,
     each built on its first read and kept: fronts[j] is front(columns[j],
-    xs, rising, order), with `order` = beta_order(xs, rising) sorted on the
-    first read of any column.  A reader that needs a few columns builds
-    only those.  The kept fronts are the dict's items, so it pickles and
-    copies with them."""
+    xs, rising, order), with `order` = beta_order(xs, rising) sorted once,
+    when the mapping is made.  A system makes it on the first read of its
+    `fronts`, by a reader that reads at least one column, so each column's
+    front is built at most once per system, and a reader that needs a few
+    columns builds only those.  `columns` sizes the solution entries of
+    the membership tests.  The kept fronts are the dict's items, so it
+    pickles and copies with them."""
 
     def __init__(self, columns, xs, rising: bool):
-        super().__init__()
-        self.columns, self.xs, self.rising, self.order = columns, xs, rising, None
+        self.columns, self.xs, self.rising = columns, xs, rising
+        self.order = beta_order(xs, rising)
 
     def __missing__(self, j):
-        if self.order is None:
-            self.order = beta_order(self.xs, self.rising)
         kept = self[j] = front(self.columns[j], self.xs, self.rising, self.order)
         return kept
 
@@ -506,27 +511,33 @@ def top_pairs(pairs, keys, window) -> tuple:
     return tuple([pair for pair, key in zip(pairs, keys) if key >= floor])
 
 
-def column_scan(columns, rhs, cells) -> tuple:
+def column_scan(columns, rhs, cells, prepared) -> tuple:
     """Rows of cells, for any number type: cell (j, i) of column i.
 
     `columns` are the columns of the matrix, such as a system's prepared
     `columns`; a matrix passed in their place is read as its own transpose.
     `cells` is a table entry, `Arithmetic.cells` or `Arithmetic.maxt_cells`:
-    `cells(rhs)` computes once what the columns share, and returns the
-    function that gives the cells of a column from its entries, in row
-    order; the columns of cells are transposed to rows.
+    `cells(rhs, prepared)` computes once what the columns share, and
+    returns the function that gives the cells of column i from its entries
+    and i, in row order; the columns of cells are transposed to rows.
+    `prepared` is the system whose column fronts, `prepared.fronts`, the
+    Goguen report entry reads, in the number type of `rhs`; no other entry
+    reads it, so a Godel or Lukasiewicz report makes no `Fronts`, and a
+    max-t scan may pass None.
 
     Every cell formula is a max over its column of thresholds that are
     monotone in the pair, so a column needs only its pairs that can attain
-    it.  Each entry reduces a column once, to the `front` of the pairs in
-    the orientation in which its thresholds rise (Goguen, max-min and
-    max-product) or to `top_pairs` (the Lukasiewicz kinds), and then runs
-    its cells over the kept pairs.  The right-hand side is the same in
-    every column, so an entry that sorts sorts it once per system, by
-    `beta_order`, and each front sorts that order by the column's entries
-    alone, with float keys: O(m log m) per column, or O(m) with no sort for
-    `top_pairs`, plus O(m k), with k the number of kept pairs (k = 1 for
-    nearly every Lukasiewicz column), in place of O(m^2).  The Goguen and
+    it.  Each column is reduced once, to the `front` of the pairs in the
+    orientation in which its thresholds rise (Goguen, max-min and
+    max-product) or to `top_pairs` (the Lukasiewicz kinds), and its cells
+    run over the kept pairs.  The Goguen entry reads the fronts the system
+    keeps, each built on its first read, so the membership tests of the
+    oracle share them.  The right-hand side is the same in every column, so
+    it is sorted once per system, by `beta_order`, and each front sorts
+    that order by the column's entries alone, with float keys: O(m log m)
+    per column, or O(m) with no sort for `top_pairs`, plus O(m k), with k
+    the number of kept pairs (k = 1 for nearly every Lukasiewicz column),
+    in place of O(m^2).  The Goguen and
     Lukasiewicz report columns run that pair loop in one frame per column,
     with the per-pair and per-cell terms of their thresholds computed once;
     a max-t `Kernel` calls its cell formula once per cell.  The Godel report
@@ -539,7 +550,7 @@ def column_scan(columns, rhs, cells) -> tuple:
     a row's tuples to `RowDiagnostics`, which builds its records on the
     first read of its `cells`.
     """
-    return tuple(zip(*map(cells(rhs), columns)))
+    return tuple(zip(*map(cells(rhs, prepared), columns, range(len(columns)))))
 
 
 def arithmetic(one) -> Arithmetic:
@@ -681,20 +692,22 @@ def arithmetic(one) -> Arithmetic:
     # are `rhs`, shifts its own up and stops at its first residuum <= that
     # + slack, and the test fails at the first row with none.  A row reads
     # x[i] from column i's front, the pairs (gamma[l][i], beta[l]) that
-    # `fronts` holds (a system's `fronts`): the first row to read it
-    # computes it, the kind's t-norm maxed over those pairs only, each
-    # shifting its beta[l] down where it reads it, and later rows read the
-    # stored float.  A column that no row reads before its witness is never
-    # reduced.  The shifts are `shifted_bounds`' own float operations, in
-    # its order, computed only where they are read, and the list x lives
-    # for one call.  The oracle docstring states why the verdict is the
-    # plain closure's, bit for bit.  Measured over the deltas the
-    # bisections of the seed-1 `verify-small` pool probe, computing x on
-    # first read took a call from 2.95 to 2.51 us (best of 7, three
-    # alternating rounds, Python 3.11, shared 2-core host); reading x
-    # through `zip(row, x, range(n))` in place of `enumerate` was slower.
+    # `fronts` holds (a system's `Fronts`, which builds a column's front on
+    # its first read): the first row to read x[i] computes it, the kind's
+    # t-norm maxed over those pairs only, each shifting its beta[l] down
+    # where it reads it, and later rows read the stored float.  A column
+    # that no row reads before its witness is never reduced, and its front
+    # never built.  The shifts are `shifted_bounds`' own float operations,
+    # in its order, computed only where they are read, and the list x, one
+    # entry per column of `fronts.columns`, lives for one call.  The oracle
+    # docstring states why the verdict is the plain closure's, bit for bit.
+    # Measured over the deltas the bisections of the seed-1 `verify-small`
+    # pool probe, computing x on first read took a call from 2.95 to 2.51
+    # us (best of 7, three alternating rounds, Python 3.11, shared 2-core
+    # host); reading x through `zip(row, x, range(n))` in place of
+    # `enumerate` was slower.
     def godel_membership(gamma, fronts, rhs, delta, slack):
-        x = [None] * len(fronts)
+        x = [None] * len(fronts.columns)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
@@ -715,7 +728,7 @@ def arithmetic(one) -> Arithmetic:
         return True
 
     def goguen_membership(gamma, fronts, rhs, delta, slack):
-        x = [None] * len(fronts)
+        x = [None] * len(fronts.columns)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
@@ -735,7 +748,7 @@ def arithmetic(one) -> Arithmetic:
         return True
 
     def luka_membership(gamma, fronts, rhs, delta, slack):
-        x = [None] * len(fronts)
+        x = [None] * len(fronts.columns)
         for row, u in zip(gamma, rhs):
             u = u + delta
             u = (one if one < u else u) + slack
@@ -912,11 +925,12 @@ def arithmetic(one) -> Arithmetic:
 
     # The cells of a min-implication report; `fuzzrel.report` states their
     # formulas and why these evaluations of them are the full scan's.  Each
-    # entry takes the right-hand side `xs` of a system, computes what its
-    # columns share once, and returns the function of a column's gamma
-    # entries `us` that gives the column's cells in row order, each the
-    # plain tuple of its record's fields.
-    def godel_column(xs):
+    # entry takes the right-hand side `xs` of a system and the system,
+    # `prepared`, computes what its columns share once, and returns the
+    # function of a column's gamma entries `us` and index i that gives the
+    # column's cells in row order, each the plain tuple of its record's
+    # fields.  Only the Goguen entry reads `prepared`, for its fronts.
+    def godel_column(xs, prepared):
         """The Godel cells of the columns of a system whose right-hand side
         is `xs`.  The columns share the order `beta_order(xs)` and the
         distinct values of xs in increasing order, its levels, with the rank
@@ -949,7 +963,7 @@ def arithmetic(one) -> Arithmetic:
                 levels.append(last)
             ranks[l] = rank
 
-        def column(us):
+        def column(us, i):
             thetas = [None] * len(us)
             below = [(two, zero)]
             best = first = None
@@ -990,11 +1004,15 @@ def arithmetic(one) -> Arithmetic:
 
         return column
 
-    def goguen_column(xs):
+    def goguen_column(xs, prepared):
         """The Goguen cells of the columns of a system whose right-hand side
-        is `xs`.  The columns share the order `beta_order(xs)`, computed
-        once here, which each column's rising `front` sorts by its own
-        entries.
+        is `xs`.  Column i reads its rising `front`, prepared.fronts[i],
+        which the system builds on its first read and keeps (`Fronts`), so
+        the report shares each column's front with the membership tests of
+        the oracle and builds none again.  On `EXACT` the fronts are the
+        readings of the float fronts: reading a float as its shortest
+        decimal is strictly increasing, so they are the fronts of the read
+        columns, in the same rows.
 
         The pairs (gl, bl) of the column's front with gl > 0, each with its
         product bl gl, are read by every cell (g, b): theta is the max of bl
@@ -1008,10 +1026,10 @@ def arithmetic(one) -> Arithmetic:
         the fields of its `GoguenCellStats`, which its row builds on the
         first read of its `cells`.
         """
-        down = beta_order(xs)
+        fronts = prepared.fronts
 
-        def column(us):
-            kept = [(gl, bl, bl * gl) for gl, bl in front(us, xs, True, down) if gl > zero]
+        def column(us, i):
+            kept = [(gl, bl, bl * gl) for gl, bl in fronts[i] if gl > zero]
             cells = []
             for g, b in zip(us, xs):
                 theta = ratio = None
@@ -1047,7 +1065,7 @@ def arithmetic(one) -> Arithmetic:
 
         return column
 
-    def luka_column(xs):
+    def luka_column(xs, prepared):
         """The Lukasiewicz cells of the columns of a system whose right-hand
         side is `xs`.  `luka_top` keeps a column's pairs with no sort, so
         the columns share nothing that is worth computing once.
@@ -1060,7 +1078,7 @@ def arithmetic(one) -> Arithmetic:
         cell is the plain 1-tuple (zeta,), the field of its `LukaCellStats`,
         which its row builds on the first read of its `cells`.
         """
-        def column(us):
+        def column(us, i):
             kept = [
                 (one - gl, bl, a if (a := bl - (one - gl)) > zero else zero)
                 for gl, bl in luka_top(tuple(zip(us, xs)))

@@ -76,8 +76,8 @@ def _load_document(path: str) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit

@@ -39,17 +39,27 @@ validated once, and its matrix's transpose is kept as the field `columns`,
 which is outside `__init__`, `repr`, equality and hashing.  Nothing
 downstream checks or lays the system out again.  The closure steps here
 run the kind's composition loops on `gamma` and `columns` through
-`FLOAT.solve_and_recompose`.  A `FuzzySystem` keeps the rising `front` of
-each column's pairs (gamma[l][i], beta[l]) as `fronts`, the kept pairs
-themselves, built on first use: its readers are the oracle's
-`tolerance_membership`, which runs `FLOAT.membership` on `gamma` and
-`fronts` about 33 times per bisection, and the interval pass of
-`exact_membership`, so the closure steps, the reports and the
-approximations never build it.  A `MaxTSystem` keeps the falling front of
-each column's pairs (a[k][j], b[k]) as `fronts`, each built on its first
-read (`fuzzrel.algebra.Fronts`): the interval pass of
+`FLOAT.solve_and_recompose`.
+
+Each system keeps the front of each column as `fronts`, each built on its
+first read and kept (`fuzzrel.algebra.Fronts`), so a column's front is
+built at most once per system, and only if some path reads it.  A
+`FuzzySystem` keeps the rising `front` of each column's pairs
+(gamma[l][i], beta[l]).  Its readers are the Goguen report column, which
+reads every column's, and `checked_cell` its own column's (the Godel and
+Lukasiewicz entries read none); the oracle's `tolerance_membership`,
+which runs `FLOAT.membership` on `gamma` and `fronts` about 33 times per
+bisection; and the interval pass of `exact_membership`.  The last two
+read only the columns their rows reach.  The closure steps and the
+approximations build none.  A `MaxTSystem` keeps the falling front of
+each column's pairs (a[k][j], b[k]): the interval pass of
 `exact_maxt_membership` reads them, and so do the max-min and max-product
-cells, whose reducer they are, through the system's `kept` pairs.
+cells, whose reducer they are, through the system's `kept` pairs.  Each
+system also keeps `readings`, its values read as the Fractions of their
+shortest decimals, each on its first read: the exact paths of
+`fuzzrel.oracle` read every value through it, so a system parses each
+distinct value once.
+
 Every scan of a system's cells reads `columns`, or the pairs kept from
 them: `fuzzrel.report.distance_report` and `checked_cell`,
 `MaxTSystem.float_cells` and `fuzzrel.oracle.exact_maxt_distance`.  A
@@ -73,10 +83,8 @@ from .algebra import (
     Matrix,
     Vector,
     _dict_init,
-    beta_order,
     checked_kind,
     checked_tolerance,
-    front,
     sup_distance,
     transpose,
     unit_matrix,
@@ -97,6 +105,19 @@ DEFAULT_TOL = 1e-9
 _FALLING = FLOAT.maxt_cells[ImplicationKind.GODEL].column
 
 
+def _readings(system) -> dict:
+    """The system's memo of exact readings: each value read as the Fraction
+    of its shortest round-tripping decimal, on its first read, and kept
+    (`fuzzrel.oracle`).  The exact paths of the oracle read a system's
+    entries through it, so each distinct value is parsed once per
+    system.  The memo comes from the oracle on the system's first exact
+    read, so that a process that runs no exact path loads neither
+    `fractions` nor `decimal`."""
+    from .oracle import _Readings
+
+    return _Readings()
+
+
 @_dict_init
 @dataclass(frozen=True, init=False)
 class FuzzySystem:
@@ -113,14 +134,17 @@ class FuzzySystem:
         object.__setattr__(self, "columns", transpose(self.gamma))
 
     @cached_property
-    def fronts(self) -> tuple:
+    def fronts(self) -> Fronts:
         """Per column i, the rising `front` of its pairs (gamma[l][i],
-        beta[l]), in row order, computed on first use and kept: the
-        membership test of the bisection oracle and the interval pass of
-        `exact_membership` read them.  Every column's front sorts the one
-        order of beta, `beta_order`, by the column's own entries."""
-        order = beta_order(self.beta)
-        return tuple([front(column, self.beta, True, order) for column in self.columns])
+        beta[l]), in row order.  Each is built on its first read and kept
+        (`Fronts`): the Goguen report column, `checked_cell`, the membership
+        test of the bisection oracle and the interval pass of
+        `exact_membership` read the columns they reach.  Every column's
+        front sorts the one order of beta, `beta_order`, by the column's
+        own entries."""
+        return Fronts(self.columns, self.beta, True)
+
+    readings = cached_property(_readings)
 
     @property
     def m(self) -> int:
@@ -158,6 +182,8 @@ class MaxTSystem:
         rows reach, and `kept` reads them all for the max-min and
         max-product cells."""
         return Fronts(self.columns, self.b, False)
+
+    readings = cached_property(_readings)
 
     @cached_property
     def kept(self) -> tuple:

@@ -50,7 +50,10 @@ agreement suites.
 
 The exact functions read every entry as the rational value of its shortest
 round-tripping decimal and run the shared formulas on `EXACT`, the Fraction
-instance of `fuzzrel.algebra.arithmetic`.  `exact_maxt_distance` does so by
+instance of `fuzzrel.algebra.arithmetic`.  They read each value through
+the system's `readings`, a memo (`_Readings`) that reads a value on its
+first lookup and keeps it, so a system parses each distinct value once
+across all its exact calls.  `exact_maxt_distance` does so by
 a float filter with an exact fallback: a float scan of the max-t cells picks
 the rows and cells that can still decide the distance, and only those are
 evaluated in Fractions.  Every float cell is within MAXT_ETA = 2^-49 of its
@@ -158,7 +161,9 @@ terms that can still attain the outer min (low bound at most the min's high
 bound) or max (high bound at least the max's low bound); each inner entry
 those terms read is evaluated once, over the pairs of its column's front
 that can attain it; and only the entries and right-hand sides these touch
-are read as Fractions, each value once.  Each exact shift is taken on the
+are read as Fractions, through the system's `readings`, so each distinct
+value is parsed once per system, however many calls read it.  Each exact
+shift, once per value and call, is taken on the
 one side its values read, by `EXACT.shift_down` or `EXACT.shift_up`: the
 shift of the inner level (down for `exact_membership`, up for
 `exact_maxt_membership`) at the front pairs, the other, the bound, at the
@@ -246,6 +251,18 @@ def _exact(value) -> Fraction:
     return Fraction(Decimal(repr(float(value))))
 
 
+class _Readings(dict):
+    """A system's `readings`: value -> `_exact(value)`, each read on its
+    first lookup and kept.  The exact paths look every entry and
+    right-hand side value up here, so a system parses each distinct value
+    once however many exact calls read it.  The kept readings are the
+    dict's items, so they pickle and copy with the system."""
+
+    def __missing__(self, value):
+        reading = self[value] = _exact(value)
+        return reading
+
+
 def _exact_vector(values) -> tuple[Fraction, ...]:
     return tuple(map(_exact, values))
 
@@ -298,7 +315,7 @@ def exact_membership(system: FuzzySystem, delta, row: int | None = None) -> bool
     """
     delta = _exact_delta(delta)
     rows = range(system.m) if row is None else (checked_index(row, system.m, "row", "rows"),)
-    return _decided(system.gamma, system.fronts, system.beta, system.kind, delta, False, rows)
+    return _decided(system, system.fronts, delta, False, rows)
 
 
 def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
@@ -315,8 +332,7 @@ def exact_maxt_membership(system: MaxTSystem, delta) -> bool:
     The inner level is y = min_impl_compose(a^t, kind, upper), the outer one
     c = max_t_compose(a, kind, y), and row i holds when lower[i] <= c[i].
     """
-    delta = _exact_delta(delta)
-    return _decided(system.a, system.fronts, system.b, system.kind, delta, True, range(system.n))
+    return _decided(system, system.fronts, _exact_delta(delta), True, range(system.n))
 
 
 #: The pad of every bound of the interval pass, 8 * 2^-53 (module docstring).
@@ -339,13 +355,15 @@ def _ops(ar, kind, maxt: bool):
     return (residuum, t_norm) if maxt else (t_norm, residuum)
 
 
-def _decided(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, rows) -> bool:
+def _decided(system, fronts, delta: Fraction, maxt: bool, rows) -> bool:
     """Whether every row in `rows` satisfies the closure inequality of
     `exact_membership` (maxt False) or `exact_maxt_membership` (maxt True),
     in exact arithmetic: the interval pass decides each row it can, and the
-    rows it leaves open are evaluated in Fractions by `_exact_rows`.
-    `fronts[j]` holds the pairs (matrix[k][j], rhs[k]) of column j's front:
-    rising for a min of t-norms, falling for a min of residua.
+    rows it leaves open are evaluated in Fractions by `_exact_rows`.  The
+    matrix and right-hand side are those of `system`, gamma and beta or a
+    and b; `fronts[j]`, the system's `fronts` or a mapping that reads them,
+    holds the pairs (matrix[k][j], rhs[k]) of column j's front: rising for
+    a min of t-norms, falling for a min of residua.
 
     A row is scanned term by term, as `Arithmetic.membership` scans it, at
     the side of its bounds that can settle it true (the high bound of a
@@ -355,11 +373,12 @@ def _decided(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, rows) -> bo
     reach its bound; else it is open.  The bound of an inner entry is
     computed over its column's front when a row first reads it."""
     d = float(delta)
+    matrix, rhs = (system.a, system.b) if maxt else (system.gamma, system.beta)
     if maxt:
         holds, better, first, shift, bound_shift = ge, lt, 0, FLOAT.shift_up, FLOAT.shift_down
     else:
         holds, better, first, shift, bound_shift = le, gt, 1, FLOAT.shift_down, FLOAT.shift_up
-    inner_op, outer_op = _ops(FLOAT, kind, maxt)
+    inner_op, outer_op = _ops(FLOAT, system.kind, maxt)
     n = len(matrix[0])
     inner = ([None] * n, [None] * n)
 
@@ -394,19 +413,21 @@ def _decided(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, rows) -> bo
             return False
         if side != first:
             opened.append(i)
-    return not opened or _exact_rows(matrix, fronts, rhs, kind, delta, maxt, opened, entry)
+    return not opened or _exact_rows(system, matrix, fronts, rhs, delta, maxt, opened, entry)
 
 
-def _exact_rows(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, opened, entry) -> bool:
+def _exact_rows(system, matrix, fronts, rhs, delta: Fraction, maxt: bool, opened, entry) -> bool:
     """Whether every row in `opened`, which the interval pass of `_decided`
     left open, satisfies its closure inequality in exact arithmetic.
+    `matrix`, `fronts` and `rhs` are those the pass read of `system`, and
     `entry(side, j)` is the pass's bound of inner entry j at `side`.
 
     Each row is evaluated over the outer terms that can still attain its
     min or max, each inner entry they read over the front pairs that can
     attain it, and only the entries and right-hand sides these touch are
-    read as Fractions, each value once per call.  The exact shift is taken
-    on the one side each value is read at: the shift of the inner level at
+    read as Fractions, from the system's `readings`, which parse each value
+    once per system.  The exact shift is taken once per value and call, on
+    the one side each value is read at: the shift of the inner level at
     front pairs, the other, the bound, at the open rows."""
     if maxt:
         holds, first, shift, bound_shift = ge, 0, EXACT.shift_up, EXACT.shift_down
@@ -414,19 +435,14 @@ def _exact_rows(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, opened, 
         holds, first, shift, bound_shift = le, 1, EXACT.shift_down, EXACT.shift_up
     other, pad, w = 1 - first, _PADS[first], _SIGNED_PADS[first]
     float_shift = FLOAT.shift_up if maxt else FLOAT.shift_down
-    inner_op, outer_op = _ops(FLOAT, kind, maxt)
-    exact_inner_op, exact_outer_op = _ops(EXACT, kind, maxt)
+    inner_op, outer_op = _ops(FLOAT, system.kind, maxt)
+    exact_inner_op, exact_outer_op = _ops(EXACT, system.kind, maxt)
     inner_aggregate, outer_aggregate = (min, max) if maxt else (max, min)
-    d, read, shifted, exact_inner = float(delta), {}, {}, {}
-
-    def exact(value):
-        if value not in read:
-            read[value] = _exact(value)
-        return read[value]
+    d, read, shifted, exact_inner = float(delta), system.readings, {}, {}
 
     def exact_shift(value):
         if value not in shifted:
-            shifted[value] = shift(exact(value), delta)
+            shifted[value] = shift(read[value], delta)
         return shifted[value]
 
     for i in opened:
@@ -444,12 +460,12 @@ def _exact_rows(matrix, fronts, rhs, kind, delta: Fraction, maxt: bool, opened, 
             if j not in exact_inner:
                 x = entry(other, j)
                 exact_inner[j] = inner_aggregate([
-                    exact_inner_op(exact(h), exact_shift(c))
+                    exact_inner_op(read[h], exact_shift(c))
                     for h, c in fronts[j]
                     if holds(x, inner_op(h, pad(float_shift(c, d), MEMBERSHIP_PAD)) + w)
                 ])
-        value = outer_aggregate([exact_outer_op(exact(row[j]), exact_inner[j]) for j in terms])
-        if not holds(value, bound_shift(exact(rhs[i]), delta)):
+        value = outer_aggregate([exact_outer_op(read[row[j]], exact_inner[j]) for j in terms])
+        if not holds(value, bound_shift(read[rhs[i]], delta)):
             return False
     return True
 
@@ -487,7 +503,9 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     4. Only the kept cells are evaluated, by `EXACT.maxt_cells`, each over
        its kept pairs, reading as Fractions just a[i][j], b[i] and those
        pairs, the system's `kept` pairs of the cell's column, which the
-       float scan reduced once.
+       float scan reduced once.  Each value is read through the system's
+       `readings`, so `exact_maxt_membership` at the result reads again
+       none that this function read.
        The float reducer of the kind serves the exact cell.  For max-min
        and max-product it is the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
@@ -561,7 +579,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     Every cell thus errs by less than 8 eps; ETA = 16 eps = 2^-49 leaves a
     factor of two for the second-order terms.
     """
-    a, b, kind = system.a, system.b, system.kind
+    a, b, kind, read = system.a, system.b, system.kind, system.readings
     rows = system.float_cells
     lows = tuple(map(min, rows))
     floor = max(lows) - 2 * MAXT_ETA
@@ -574,13 +592,13 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
     float_cell, cell = FLOAT.maxt_cells[kind].cell, EXACT.maxt_cells[kind].cell
     exact_rows = []
     for i, cells in kept:
-        x, exact_x, exact_row = b[i], _exact(b[i]), []
+        x, exact_x, exact_row = b[i], read[b[i]], []
         for j in cells:
             u, column = a[i][j], pairs[j]
             tops = [float_cell(u, x, (pair,)) for pair in column]
             cutoff = max(tops) - 2 * MAXT_ETA
-            deciding = [(_exact(y), _exact(z)) for (y, z), t in zip(column, tops) if t >= cutoff]
-            exact_row.append(cell(_exact(u), exact_x, deciding))
+            deciding = [(read[y], read[z]) for (y, z), t in zip(column, tops) if t >= cutoff]
+            exact_row.append(cell(read[u], exact_x, deciding))
         exact_rows.append(exact_row)
     return EXACT.maxt_value(exact_rows)
 

@@ -21,19 +21,22 @@ column's max is attained on its Pareto front (`fuzzrel.algebra.front`), the
 pairs no other pair beats in both entries; a column of m rows usually
 keeps only a few.  The theta filters gamma[j][i] <= gamma[l][i] keep their
 max on the front too, because the pair that dominates the cell's own row
-passes the filter.  Each entry `f(xs)` takes beta once per system and
-returns the function of a column's gamma entries `us` that gives its
-cells: it reduces the pairs (gamma[l][i], beta[l]) once, by the kind's
-reducer, and computes the cell of every row g = gamma[j][i], b = beta[j]
-over the kept pairs in one frame, with the kind's threshold written out;
-it returns each cell as the plain tuple of its record's fields and builds
-no record.  A row builds its records on the first read of its `cells`,
-with one C-level map per row, so a report whose cells nobody reads builds
-none of its m n records.  Beta is the same in every column, so the
-Godel and Goguen entries sort it once per system (`beta_order`), and
-each column sorts that order by its own gamma entries only.  The
-Lukasiewicz entry sorts nothing.  The Godel entry computes its whole
-column in one sweep.
+passes the filter.  Each entry `f(xs, system)` takes beta and the system
+once per system and returns the function of a column's gamma entries
+`us` and index i that gives its cells: it reduces the pairs (gamma[l][i],
+beta[l]) by the kind's reducer, and computes the cell of every row g =
+gamma[j][i], b = beta[j] over the kept pairs in one frame, with the
+kind's threshold written out; it returns each cell as the plain tuple of
+its record's fields and builds no record.  A row builds its records on
+the first read of its `cells`, with one C-level map per row, so a report
+whose cells nobody reads builds none of its m n records.  The Goguen
+entry reads column i's front from the system, system.fronts[i], which
+the system builds on its first read and keeps, once per system for the
+report, `checked_cell` and the membership tests of the oracle alike;
+every front sorts the system's one order of beta (`beta_order`) by the
+column's own gamma entries only.  The Godel entry sorts beta itself, once
+per report, and computes its whole column in one sweep; neither it nor
+the Lukasiewicz entry, which sorts nothing, reads the system's fronts.
 
 A column i with gamma[j][i] > 0 "supports" row j.  Every kind has
 
@@ -136,17 +139,20 @@ for bit.  A Lukasiewicz cell then costs one threshold, written out in the
 column's loop, with (p)^+ computed once per kept pair and s^+ once per
 cell.
 
-The skeleton, `_report(ar, kind, columns, beta)`, looks the kind up once
-in `ar.cells`, for the cells of its columns, and once in `ar.row_rules`,
-for its row rule; it evaluates every cell by `column_scan`, lets the row
-rule turn each row's cells into a `RowDiagnostics` and aggregates the rows
-into a `ChebyshevReport`.  Every value it builds is of the number type of `ar`:
-the literals are the instance's own, and BORDERLINE_EPS is only compared
-here.  `distance_report` runs it on `FLOAT` and the system's prepared
-`columns`.  `checked_cell` takes one cell of the column that the kind's
-entry of `FLOAT.cells`, given the system's beta, returns, and wraps it in
-the kind's record, for the public `*_cell` functions, which check the
-system's kind first as the `*_distance` functions do.
+The skeleton, `_report(ar, kind, columns, beta, prepared)`, looks the
+kind up once in `ar.cells`, for the cells of its columns, and once in
+`ar.row_rules`, for its row rule; it evaluates every cell by
+`column_scan`, lets the row rule turn each row's cells into a
+`RowDiagnostics` and aggregates the rows into a `ChebyshevReport`.  Every
+value it builds is of the number type of `ar`: the literals are the
+instance's own, and BORDERLINE_EPS is only compared here.
+`distance_report` runs it on `FLOAT` and the system's prepared `columns`,
+with the system itself for the fronts.  `checked_cell` takes one cell of
+the column that the kind's entry of `FLOAT.cells`, given the system's
+beta and the system, returns, and wraps it in the kind's record, for the
+public `*_cell` functions, which check the system's kind first as the
+`*_distance` functions do.  A Goguen cell builds the front
+of its own column only.
 """
 
 from __future__ import annotations
@@ -195,10 +201,13 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def _report(ar, kind: ImplicationKind, columns, beta) -> ChebyshevReport:
+def _report(ar, kind: ImplicationKind, columns, beta, prepared) -> ChebyshevReport:
     """Chebyshev distance report, on the instance `ar`, of the system of
     kind `kind` whose matrix has the columns `columns` and whose right-hand
-    side is `beta`, both of the number type of `ar`.
+    side is `beta`, both of the number type of `ar`.  The Goguen entry
+    reads the rising `front` of column i's pairs, of the same type, as
+    prepared.fronts[i]; `prepared` is the system itself on `FLOAT`, and no
+    other entry reads it.
 
     nabla is the max of the row distances.  The verdict is MINIMUM when
     every row at nabla is attainable.  Rows strictly below the max cannot
@@ -208,7 +217,7 @@ def _report(ar, kind: ImplicationKind, columns, beta) -> ChebyshevReport:
     fragile too.
     """
     rule = ar.row_rules[kind]
-    cells = column_scan(columns, beta, ar.cells[kind])
+    cells = column_scan(columns, beta, ar.cells[kind], prepared)
     rows = tuple(map(rule, range(len(beta)), beta, cells))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
@@ -226,8 +235,9 @@ def _report(ar, kind: ImplicationKind, columns, beta) -> ChebyshevReport:
 
 def distance_report(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report of `system`, by the solver of its kind: the
-    skeleton `_report` on `FLOAT` and the system's prepared `columns`."""
-    return _report(FLOAT, system.kind, system.columns, system.beta)
+    skeleton `_report` on `FLOAT` and the system's prepared `columns` and
+    `fronts`."""
+    return _report(FLOAT, system.kind, system.columns, system.beta, system)
 
 
 def maxt_distance(system: MaxTSystem) -> float:
@@ -264,7 +274,7 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    fields = FLOAT.cells[system.kind](system.beta)(system.columns[col])[row]
+    fields = FLOAT.cells[system.kind](system.beta, system)(system.columns[col], col)[row]
     return tuple.__new__(_RECORDS[system.kind], fields)
 
 

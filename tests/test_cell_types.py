@@ -26,6 +26,7 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,7 +41,7 @@ from fuzzrel import (
     goguen_cell,
     luka_cell,
 )
-from fuzzrel.algebra import FLOAT, RowDiagnostics, transpose
+from fuzzrel.algebra import FLOAT, RowDiagnostics, front, transpose
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import _report
 
@@ -119,6 +120,9 @@ PUBLIC_CELLS = {
 #: Fractions from their decimals.
 EXACT_BETA = (Fraction("0.1"), Fraction("0.4"))
 EXACT_COLUMNS = tuple(tuple(map(Fraction, map(str, column))) for column in transpose(SHARED_MATRIX))
+#: The stand-in for a system that the exact report and columns take: the
+#: rising front of each of those columns, which the Goguen entry reads.
+EXACT_PREPARED = SimpleNamespace(fronts=[front(column, EXACT_BETA) for column in EXACT_COLUMNS])
 
 
 def cells_of_every_path(kind):
@@ -129,7 +133,7 @@ def cells_of_every_path(kind):
     return {
         "report": reported_cell(kind),
         "checked_cell": PUBLIC_CELLS[kind](system, 0, 1),
-        "exact": _report(EXACT, kind, EXACT_COLUMNS, EXACT_BETA).rows[0].cells[1],
+        "exact": _report(EXACT, kind, EXACT_COLUMNS, EXACT_BETA, EXACT_PREPARED).rows[0].cells[1],
     }
 
 
@@ -155,8 +159,13 @@ def test_columns_give_the_fields_of_the_records(kind):
     system = FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind)
     paths = cells_of_every_path(kind)
     columns = {
-        "float": (FLOAT.cells[kind](system.beta)(system.columns[1])[0], paths["report"]),
-        "exact": (EXACT.cells[kind](EXACT_BETA)(EXACT_COLUMNS[1])[0], paths["exact"]),
+        "float": (
+            FLOAT.cells[kind](system.beta, system)(system.columns[1], 1)[0],
+            paths["report"],
+        ),
+        "exact": (
+            EXACT.cells[kind](EXACT_BETA, EXACT_PREPARED)(EXACT_COLUMNS[1], 1)[0], paths["exact"]
+        ),
     }
     for path, (fields, record) in columns.items():
         assert type(fields) is tuple, path

@@ -442,6 +442,22 @@ class TestValidation:
         code, _, err = run_cli(capsys, "check", "--input", "/nonexistent/x.json")
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_input_that_is_not_utf8(self, capsys, monkeypatch, tmp_path, source):
+        # a malformed document, not an internal error: `error: ...`, exit 1
+        import io
+
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"implication": "g\xf6del"}')
+        if source == "stdin":
+            stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+        name = str(path) if source == "file" else "-"
+        code, out, err = run_cli(capsys, "check", "--input", name)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {name!r}: ") and "utf-8" in err
+        assert "Traceback" not in err
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 

@@ -12,11 +12,12 @@ by name through the kind's record.
 
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import Phase, given, settings, strategies as st
 
 from fuzzrel import GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats
-from fuzzrel.algebra import FLOAT, column_scan, transpose
+from fuzzrel.algebra import FLOAT, Fronts, column_scan, transpose
 from fuzzrel.oracle import EXACT, _exact_matrix, _exact_vector
 from helpers import tied_systems
 
@@ -73,8 +74,17 @@ def test_float_cells_are_near_the_exact_cells(system, kind):
     gamma, beta = system
     if kind is GOGUEN:
         gamma = without_subnormals(gamma)
-    floats = column_scan(transpose(gamma), beta, FLOAT.cells[kind])
-    exacts = column_scan(transpose(_exact_matrix(gamma)), _exact_vector(beta), EXACT.cells[kind])
+    # each scan takes a stand-in for the system, whose fronts the Goguen
+    # entry reads
+    floats, exacts = [
+        column_scan(
+            columns, rhs, ar.cells[kind], SimpleNamespace(fronts=Fronts(columns, rhs, True))
+        )
+        for ar, columns, rhs in (
+            (FLOAT, transpose(gamma), beta),
+            (EXACT, transpose(_exact_matrix(gamma)), _exact_vector(beta)),
+        )
+    ]
     record = RECORDS[kind]._make
     found = []
     for j, (float_row, exact_row) in enumerate(zip(floats, exacts)):

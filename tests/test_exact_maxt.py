@@ -16,11 +16,16 @@ systems whose entries are all subnormal or the least normal float, where
 float rounding most often reverses the exact order of two cells or rows.
 """
 
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzrel import ImplicationKind, MaxTSystem, exact_maxt_distance
+from fuzzrel import (
+    FuzzySystem, ImplicationKind, MaxTSystem, exact_maxt_distance, exact_maxt_membership,
+    exact_membership, oracle,
+)
 from fuzzrel.algebra import FLOAT, column_scan
 from fuzzrel.oracle import EXACT, MAXT_ETA, _exact, _exact_matrix, _exact_vector
 from test_front import full_scan, tied_systems, unpruned
@@ -160,16 +165,41 @@ def test_equals_full_exact_scan(system):
     filtered = exact_maxt_distance(system)
     with unpruned():
         full = EXACT.maxt_value(column_scan(
-            _exact_matrix(system.columns), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
+            _exact_matrix(system.columns), _exact_vector(system.b), EXACT.maxt_cells[system.kind],
+            None,
         ))
     assert type(filtered) is Fraction
     assert filtered == full
 
 
+@settings(max_examples=60, deadline=None)
+@given(systems)
+def test_each_value_is_read_once_per_system(system):
+    # `exact_maxt_distance` and then `exact_maxt_membership` read each
+    # distinct value of one system as a Fraction at most once, and so do
+    # two `exact_membership` calls on one min-implication system: the exact
+    # paths look every value up in the system's `readings`
+    read, reader = Counter(), oracle._exact
+
+    def counted(value):
+        read[value] += 1
+        return reader(value)
+
+    with mock.patch.object(oracle, "_exact", counted):
+        delta = exact_maxt_distance(system)
+        exact_maxt_membership(system, delta)
+        assert read and max(read.values()) == 1
+        read.clear()
+        twin = FuzzySystem(system.a, system.b, system.kind)
+        exact_membership(twin, delta)
+        exact_membership(twin, delta / 2)
+    assert max(read.values(), default=1) == 1
+
+
 @settings(max_examples=120, deadline=None)
 @given(systems)
 def test_cell_error_within_eta(system):
-    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind])
+    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind], None)
     exact = full_scan(
         _exact_matrix(system.a), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
     )

@@ -22,6 +22,7 @@ max-t distance as a Fraction, 1e-12 either side of both, and a point of the
 1/120 grid, as a Fraction and as a float.
 """
 
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -36,9 +37,11 @@ from fuzzrel import (
     exact_maxt_distance,
     exact_maxt_membership,
     exact_membership,
+    generate_random_system,
+    tolerance_membership,
 )
 from fuzzrel import oracle
-from fuzzrel.algebra import leq, transpose
+from fuzzrel.algebra import FLOAT, leq, transpose
 from fuzzrel.oracle import EXACT, _exact_delta, _exact_matrix, _exact_vector
 from helpers import full_membership, interval_pass
 from test_exact_maxt import pooled_entries, wide_entries, with_examples
@@ -172,10 +175,11 @@ def test_one_row_composes_its_outer_level_alone(entries, kind, k):
 
 
 class Reads:
-    """Column fronts that record the index of every front read."""
+    """Column fronts that record the index of every front read; their
+    `columns` are those of the fronts they read."""
 
     def __init__(self, fronts):
-        self.fronts, self.read = fronts, []
+        self.fronts, self.columns, self.read = fronts, fronts.columns, []
 
     def __getitem__(self, j):
         self.read.append(j)
@@ -186,12 +190,12 @@ def row_by_row(system, maxt, delta):
     """Each row's decision by the interval pass of `_decided`, alone, with
     the fronts it read: "true" or "false" when the pass settles the row,
     "open" when it would evaluate the row in Fractions."""
-    matrix, rhs = (system.a, system.b) if maxt else (system.gamma, system.beta)
+    matrix = system.a if maxt else system.gamma
     found = []
     with mock.patch.object(oracle, "_exact_rows", lambda *args: "open"):
         for i in range(len(matrix)):
             reads = Reads(system.fronts)
-            decided = oracle._decided(matrix, reads, rhs, system.kind, delta, maxt, (i,))
+            decided = oracle._decided(system, reads, delta, maxt, (i,))
             found.append(({True: "true", False: "false"}.get(decided, decided), reads.read))
     return found
 
@@ -237,6 +241,34 @@ def test_a_settled_row_reads_no_column_past_its_deciding_term(entries, kind, k):
                     assert decision != "true" and read[:n] == [*range(n)], (maxt, delta)
                 else:
                     assert decision == "true" and read == [*range(first + 1)], (maxt, delta)
+
+
+def test_one_row_builds_only_the_fronts_it_reads():
+    # on a fresh 64x64 Goguen system at its distance, `exact_membership` and
+    # `tolerance_membership` at one row build the fronts of the columns that
+    # row reads and no other, and answer as on a system whose fronts are all
+    # built; before the fronts were built per column, one such call built
+    # all 64
+    built = generate_random_system(64, 64, GOGUEN, seed=31, decimals=2)
+    report = distance_report(built)
+    nabla = report.nabla
+    assert [*built.fronts] == [*range(64)]  # the Goguen report reads every column
+    tight = [row.row for row in report.rows if row.nabla_j == nabla]
+    fewer = []
+    for j in sorted({*range(0, 64, 3), *tight}):
+        reads = Reads(built.fronts)
+        want = oracle._decided(built, reads, _exact_delta(nabla), False, (j,))
+        assert exact_membership(built, nabla, j) is want
+        fresh = dataclasses.replace(built)
+        assert exact_membership(fresh, nabla, j) is want
+        assert set(fresh.fronts) == set(reads.read)
+        reads = Reads(built.fronts)
+        want = FLOAT.membership[GOGUEN]((built.gamma[j],), reads, (built.beta[j],), nabla, 0.0)
+        fresh = dataclasses.replace(built)
+        assert tolerance_membership(fresh, nabla, j) is want
+        assert set(fresh.fronts) == set(reads.read)
+        fewer.append(len(fresh.fronts) < 64)
+    assert any(fewer)
 
 
 #: The unit of the floats in [1/2, 1), 2^-53: the pad MEMBERSHIP_PAD is 8 of them.

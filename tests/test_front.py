@@ -24,7 +24,11 @@ Every front sorts the one order of its system's right-hand side,
 to the rows a stable sort of each column's pairs by the tuple key (g, b),
 or (g, -b) for a falling front, kept: on columns of equal pairs out of
 row order, of equal g, of equal b and of signed zeros, with the front's
-own order and with the system's, and on random tie-heavy columns.
+own order and with the system's, and on random tie-heavy columns.  The
+exact report reads a system's float fronts as the fronts of its decimal
+readings, so `TestFront` also holds the front of the readings of a column
+to the readings of its float front, in both orientations, on drawn
+tie-heavy, subnormal and full-precision columns.
 """
 
 import dataclasses
@@ -48,7 +52,7 @@ from fuzzrel import (
     maxt_distance,
 )
 from fuzzrel.algebra import FLOAT, Kernel, beta_order, column_scan, front, transpose
-from fuzzrel.oracle import EXACT
+from fuzzrel.oracle import EXACT, _Readings
 from helpers import tied_systems
 from test_kernels import cell_references, split
 
@@ -72,7 +76,7 @@ def whole_column(xs):
 def full_scan(matrix, rhs, kernel):
     """The column scan of `matrix` without pruning: every cell sees every
     pair."""
-    return column_scan(transpose(matrix), rhs, kernel._replace(column=whole_column))
+    return column_scan(transpose(matrix), rhs, kernel._replace(column=whole_column), None)
 
 
 @contextmanager
@@ -200,6 +204,28 @@ TIED_COLUMNS = {
 #: Entries of tie-heavy columns: signed zeros and three values.
 TIE_GRID = (-0.0, 0.0, 0.25, 0.5, 1.0)
 
+#: Entries at which a float and its shortest decimal differ most: 0, the
+#: subnormals 5e-324 and 1e-310, the least normal float, 2^-53, 0.1, the
+#: float below one and 1.
+READ_GRID = (0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-53, 0.1, 1.0 - 2.0**-53, 1.0)
+
+
+@st.composite
+def read_columns(draw, max_size=12):
+    """The pairs (g, b) of one column and its right-hand side, of validated
+    entries: tie-heavy ones from a small pool of READ_GRID and a few full
+    precision values, subnormal ones, or full precision ones."""
+    full = st.floats(0.0, 1.0, allow_subnormal=True)
+    source = draw(st.sampled_from(["tied", "subnormal", "full"]))
+    if source == "tied":
+        pool = draw(st.lists(st.one_of(st.sampled_from(READ_GRID), full), min_size=1, max_size=4))
+        entries = st.sampled_from(pool)
+    elif source == "subnormal":
+        entries = st.one_of(st.sampled_from(READ_GRID[:4]), st.floats(0.0, 2.0**-1022))
+    else:
+        entries = full
+    return tuple(draw(st.lists(st.tuples(entries, entries), max_size=max_size)))
+
 
 class TestFront:
     def test_keeps_the_maximal_pairs_in_row_order(self):
@@ -241,6 +267,18 @@ class TestFront:
         want = repr(tuple(pairs[l] for l in tuple_key_rows(pairs, rising)))
         assert repr(front(us, xs, rising)) == want
         assert repr(front(us, xs, rising, beta_order(xs, rising))) == want
+
+    @settings(max_examples=300)
+    @given(read_columns(), st.booleans())
+    def test_fronts_of_readings_are_readings_of_fronts(self, pairs, rising):
+        # reading a float as its shortest decimal is strictly increasing, so
+        # the front of a column's readings keeps the rows of its float front:
+        # the exact report reads a system's float fronts, read, as the
+        # fronts of its exact columns and sorts no Fraction
+        read = _Readings().__getitem__
+        us, xs = split(pairs)
+        exact = front(tuple(map(read, us)), tuple(map(read, xs)), rising)
+        assert exact == tuple((read(g), read(b)) for g, b in front(us, xs, rising))
 
 
 #: Near-tied Lukasiewicz entries at which keeping only the pairs of greatest
@@ -293,7 +331,7 @@ def fresh(system):
 
 def maxt_outputs(system):
     """The float cells and both distances of a max-t system."""
-    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind])
+    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind], None)
     return cells, maxt_distance(system), exact_maxt_distance(system)
 
 

@@ -35,11 +35,12 @@ from fractions import Fraction
 from itertools import chain, product
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from fuzzrel import ImplicationKind
-from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE, front
+from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE, Fronts, front
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import BORDERLINE_EPS, GodelCellStats, GoguenCellStats, LukaCellStats
 
@@ -201,7 +202,7 @@ def column_mismatches(ar, kind, pairs_of_columns) -> list:
     found = []
     for pairs in pairs_of_columns:
         us, xs = split(pairs)
-        got = column(xs)(us)
+        got = column(xs, SimpleNamespace(fronts=(front(us, xs),)))(us, 0)
         read = front(us, xs) if kind is GOGUEN and ar is FLOAT else pairs
         want = tuple(tuple(reference(g, b, read)) for g, b in pairs)
         if repr(got) != repr(want):
@@ -494,7 +495,9 @@ def test_membership_matches_builtin_form(ar, grid, kind, seeds):
         beta = tuple(abs(rng.choice(grid)) for _ in gamma)
         delta = abs(rng.choice(grid))
         lower, upper = ar.shifted_bounds(beta, delta)
-        fronts = tuple(tuple(zip(column, beta)) for column in zip(*gamma))
+        # a `Fronts` whose every column holds its whole column of pairs
+        fronts = Fronts(tuple(zip(*gamma)), beta, True)
+        fronts.update(enumerate(tuple(zip(column, beta)) for column in fronts.columns))
         x = [max(map(ar.t_norms[kind], column, lower)) for column in zip(*gamma)]
         for slack in slacks:
             holds = [min(map(ar.residua[kind], row, x)) <= u + slack for row, u in zip(gamma, upper)]

@@ -15,11 +15,16 @@ from fuzzrel import (
     FuzzySystem,
     ImplicationKind,
     MaxTSystem,
+    bisect_infimum,
     build_approximation,
     check_consistency,
     closure,
     distance_report,
     exact_maxt_distance,
+    exact_membership,
+    godel_cell,
+    goguen_cell,
+    luka_cell,
     max_t_compose,
     maxt_closure,
     maxt_distance,
@@ -277,6 +282,45 @@ class TestPreparedSystem:
             assert ("fronts" in vars(system)) is (name == "front")
 
 
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_each_column_front_is_built_once(self, kind, monkeypatch):
+        # across the report, a bisection of the float membership test, the
+        # exact membership test at every row and at all rows, and the cell
+        # functions, each column's front is built at most once per system;
+        # the closure steps, the approximation and the Godel and Lukasiewicz
+        # reports build none.  `front` is counted where `Fronts` looks it up
+        from fuzzrel import algebra
+
+        built, real = [], algebra.front
+
+        def counted(us, *args):
+            built.append(us)
+            return real(us, *args)
+
+        monkeypatch.setattr(algebra, "front", counted)
+        cell = {ImplicationKind.GODEL: godel_cell, ImplicationKind.GOGUEN: goguen_cell,
+                ImplicationKind.LUKASIEWICZ: luka_cell}[kind]
+        for system in iter_random_systems(609, 30, kind=kind, max_dim=6):
+            built.clear()
+            check_consistency(system)
+            closure(system, system.beta)
+            potential_solution(system)
+            assert built == []
+            report = distance_report(system)
+            build_approximation(system, report)
+            assert len(built) == (system.n if kind is ImplicationKind.GOGUEN else 0)
+            bisect_infimum(lambda delta: tolerance_membership(system, delta, slack=1e-12))
+            exact_membership(system, report.nabla)
+            for row in range(system.m):
+                exact_membership(system, report.nabla, row)
+                for col in range(system.n):
+                    cell(system, row, col)
+            indices = [
+                next(i for i, column in enumerate(system.columns) if column is us) for us in built
+            ]
+            assert len(set(indices)) == len(indices)
+
+
 class TestMaxTFronts:
     """A `MaxTSystem` keeps the falling front of each column's pairs (a[k][j],
     b[k]) as `fronts`, each built on its first read."""
@@ -320,23 +364,24 @@ TIED = (((0.6, 0.3), (0.6, 0.8), (0.2, 0.5)), (0.4, 0.4, 0.7))
 
 
 def fronts_of(system):
-    """The rising `front` of each column's pairs (gamma[l][i], beta[l])."""
-    return [front(column, system.beta) for column in system.columns]
+    """The system's `fronts`, each column's read in order."""
+    return [system.fronts[i] for i in range(system.n)]
 
 
 class TestFronts:
     """A `FuzzySystem` keeps its column fronts as `fronts`, the pairs
-    (gamma[l][i], beta[l]) that `front` keeps, built on first use by the
-    membership test of the bisection oracle only."""
+    (gamma[l][i], beta[l]) that the rising `front` keeps, each built on its
+    first read (`Fronts`): by the Goguen report column, `checked_cell`, the
+    membership test of the bisection oracle and `exact_membership`."""
 
     @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
     def test_fronts_are_the_column_fronts_as_pairs(self, kind):
         system = FuzzySystem(*TIED, kind)
         # the pair (0.6, 0.4) that column 0 holds twice is kept once
-        assert system.fronts == (((0.6, 0.4), (0.2, 0.7)), ((0.8, 0.4), (0.5, 0.7)))
-        assert system.fronts == tuple(fronts_of(system))
-        for system in iter_random_systems(606, 100, kind=kind):
-            assert system.fronts == tuple(fronts_of(system))
+        assert fronts_of(system) == [((0.6, 0.4), (0.2, 0.7)), ((0.8, 0.4), (0.5, 0.7))]
+        for system in (system, *iter_random_systems(606, 100, kind=kind)):
+            for i, column in enumerate(system.columns):
+                assert system.fronts[i] == front(column, system.beta)
 
     def test_not_a_field_and_outside_repr_and_equality(self):
         system = FuzzySystem(*TIED, ImplicationKind.GODEL)
@@ -349,21 +394,38 @@ class TestFronts:
 
     @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
     def test_built_by_the_membership_test_only(self, kind):
-        # solve-large and screen-small run these steps and nothing else
+        # of the steps solve-large and screen-small run, the closure steps,
+        # the approximation and the Godel and Lukasiewicz reports build no
+        # front; the Goguen report reads each column's, and the membership
+        # test of the bisection oracle the columns its rows reach
         system = FuzzySystem(*TIED, kind)
-        assert "fronts" not in vars(system)
         check_consistency(system)
         closure(system, system.beta)
         potential_solution(system)
-        build_approximation(system, distance_report(system))
         assert "fronts" not in vars(system)
+        build_approximation(system, distance_report(system))
+        goguen = kind is ImplicationKind.GOGUEN
+        assert ("fronts" in vars(system)) is goguen
+        assert goguen or dict(FuzzySystem(*TIED, kind).fronts) == {}
+        if goguen:
+            assert [*system.fronts] == [0, 1]
         tolerance_membership(system, 0.5)
         assert "fronts" in vars(system)
 
+    @pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+    def test_a_cell_builds_its_own_column_only(self, kind):
+        # a Goguen cell reads its own column's front; the Godel and
+        # Lukasiewicz cells read none
+        system = FuzzySystem(*TIED, kind)
+        cell = {ImplicationKind.GODEL: godel_cell, ImplicationKind.GOGUEN: goguen_cell,
+                ImplicationKind.LUKASIEWICZ: luka_cell}[kind]
+        cell(system, 0, 1)
+        assert [*vars(system).get("fronts", ())] == ([1] if kind is ImplicationKind.GOGUEN else [])
+
     def test_replace_with_another_beta_gets_its_own(self):
         system = FuzzySystem(*TIED, ImplicationKind.GOGUEN)
-        system.fronts
+        fronts_of(system)
         replaced = dataclasses.replace(system, beta=(0.9, 0.4, 0.1))
         assert "fronts" not in vars(replaced)
-        assert replaced.fronts == (((0.6, 0.9),), ((0.3, 0.9), (0.8, 0.4)))
-        assert system.fronts == (((0.6, 0.4), (0.2, 0.7)), ((0.8, 0.4), (0.5, 0.7)))
+        assert fronts_of(replaced) == [((0.6, 0.9),), ((0.3, 0.9), (0.8, 0.4))]
+        assert fronts_of(system) == [((0.6, 0.4), (0.2, 0.7)), ((0.8, 0.4), (0.5, 0.7))]
