@@ -64,15 +64,17 @@ entry like an entry of a system (`unit_matrix` / `unit_vector` rules,
 (`TypeError`); `t_norm` and `residuum` validate `x` and `y` by `unit`,
 then check the kind; `shifted_bounds` validates its vector by the
 `unit_vector` rules, its entries named `vector[j]`, and `delta` by `unit`.
-A system is checked when it is built, by `unit_system`: first by C-level
-checks of its shapes and one Python loop over all its entries, `_kept`,
-which keeps a system of lists or tuples of plain floats in [0, 1] as it
-is; any other system goes the way of `unit_matrix` and `unit_vector`,
-whose grid and rows go in one `_kept` call each or, failing that, entry by
-entry through `unit`, so values and errors are those of one `unit` call per
-entry.  `checked_tolerance` is the one guard of the tolerance and slack
-arguments of `fuzzrel.operators`, `fuzzrel.approximation` and
-`fuzzrel.oracle`.  An `Arithmetic` checks nothing: its tables,
+A system is checked when it is built, by `unit_system`, which runs
+`unit_matrix`, `unit_vector`, the row count and `checked_kind`, and
+nothing else.  `unit_matrix` and `unit_vector`, like the compositions'
+operands, go through `_unit_grid` and `_unit_row`: one Python loop over
+all the entries of a grid, or of a row, `_kept`, keeps a list or tuple of
+plain floats in [0, 1] as it is; anything else goes row by row and, in a
+row that `_kept` does not keep, entry by entry through `unit`, so values
+and errors are those of one `unit` call per entry.  `checked_tolerance`
+is the one guard of the tolerance and slack arguments of
+`fuzzrel.operators`, `fuzzrel.approximation` and `fuzzrel.oracle`.  An
+`Arithmetic` checks nothing: its tables,
 `membership` and `row_rules` among them, `solve_and_recompose`,
 `maxt_closure`, the shifts, the thresholds, the cells and
 `column_scan` are for a system validated when it was built, whose
@@ -948,7 +950,10 @@ def arithmetic(one) -> Arithmetic:
         that crossing between `before` and `after`, the stack `below`
         holding the front before `before` and `above` the front after
         `after`, and moves it for each level in increasing order, testing A
-        >= B at every step; a cell reads the zeta of its row's rank.  The
+        >= B at every step; a cell reads the zeta of its row's rank.  In
+        exact arithmetic a higher level only moves the crossing left, since
+        B falls twice as fast as A; in floats rounding can move it right,
+        so the walk steps both ways.  The
         sentinels (two, zero) below and (zero, two) above the front have A
         >= B false and true and contribute a zero A and B.  Each cell is
         the plain tuple (theta, zeta, support, borderline), the fields of
@@ -1400,9 +1405,9 @@ def unit_matrix(rows, name: str = "matrix") -> Matrix:
     floats is still kept in one `_kept` call, any other row goes entry by
     entry through `unit`.  Rows and the sequence of rows are read once.
     Errors come in the per-entry order: the first bad entry in row-major
-    order, then rectangularity.  This is the fallback of `unit_system` for
-    a system that its whole-system pass does not keep, so a bad entry costs
-    a call per entry in its own row only.
+    order, then rectangularity.  A bad entry costs one more `_kept` call per
+    row and a call per entry in its own row only.  `unit_system` checks the
+    matrix of every system here.
     """
     grid = _unit_grid(rows, name)
     if not grid or not grid[0]:
@@ -1418,40 +1423,17 @@ def unit_matrix(rows, name: str = "matrix") -> Matrix:
 
 def unit_system(system, matrix: str, vector: str) -> None:
     """Validate a frozen system dataclass in place: its field `matrix` by
-    `unit_matrix`, its field `vector` by `unit_vector` with one entry per
-    matrix row, and its `kind` as an ImplicationKind.
-
-    The whole system is checked first: the matrix, the vector and every
-    row are lists or tuples, the rows have one width of at least 1 and the
-    vector has one entry per row, each by a C-level pass, and then one
-    `_kept` call, one Python loop that stops at the first bad entry, reads
-    the vector and the rows together.  Such a system is kept as tuples,
-    with no call per row or entry.  A system of that shape that `_kept`
-    does not keep goes row by row at once, each row in one `_kept` call or
-    entry by entry through `unit`; any other system takes the path of
-    `unit_matrix`, whose grid goes in one `_kept` call or row by row.  Then
-    come `unit_vector` and the row count, so the values, the errors and
-    their order are those of one `unit` call per entry.
-    """
-    rows, rhs = getattr(system, matrix), getattr(system, vector)
-    shaped = (
-        type(rows) in _ARRAYS and type(rhs) in _ARRAYS and {*map(type, rows)} <= _ARRAYS
-        and len(rhs) == len(rows) and len({*map(len, rows)}) == 1 and rows[0]
-    )
-    if shaped and _kept((rhs, *rows)):
-        rows, rhs = tuple(map(tuple, rows)), tuple(rhs)
-    else:
-        # a system of the right shape skips `unit_matrix`, whose whole-grid
-        # `_kept` would read the bad entry a second time
-        rows = (
-            tuple([_unit_row(row, matrix, i) for i, row in enumerate(rows)])
-            if shaped else unit_matrix(rows, matrix)
+    `unit_matrix`, then its field `vector` by `unit_vector`, then the row
+    count, one vector entry per matrix row, then its `kind` by
+    `checked_kind`.  The values, the errors and their order are those of
+    one `unit` call per entry; a system of plain floats in [0, 1] costs one
+    `_kept` call over its grid and one over its vector."""
+    rows = unit_matrix(getattr(system, matrix), matrix)
+    rhs = unit_vector(getattr(system, vector), vector)
+    if len(rows) != len(rhs):
+        raise DimensionMismatch(
+            f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
         )
-        rhs = unit_vector(rhs, vector)
-        if len(rows) != len(rhs):
-            raise DimensionMismatch(
-                f"{matrix} has {len(rows)} rows but {vector} has {len(rhs)} entries"
-            )
     checked_kind(system.kind)
     object.__setattr__(system, matrix, rows)
     object.__setattr__(system, vector, rhs)

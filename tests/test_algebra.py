@@ -286,8 +286,9 @@ def system_outcome(validate, build, names):
         return type(error), str(error)
 
 
-# Entries the bulk pass of a whole system keeps, and single entries it must
-# not keep, which `entries` and `plain` draw too, but more rarely.
+# Entries the bulk passes of a system, over its grid and over its vector,
+# keep, and single entries they must not keep, which `entries` and `plain`
+# draw too, but more rarely.
 kept = st.one_of(units, st.sampled_from([0.0, 1.0]))
 traps = st.sampled_from([-0.0, math.nan, 0, 1, True, -1e-13, 1.0 + 1e-13, Drifted(0.5)])
 
@@ -297,7 +298,7 @@ def systems(draw):
     """A matrix and a vector, each with the shape to give it, and the
     matrix's rows with theirs.  Either the matrix of `grids` and a vector of
     any entries, with one entry per row, one fewer or one more; or a system
-    of kept entries, lists and tuples, which the bulk pass keeps unless up to
+    of kept entries, lists and tuples, which the bulk passes keep unless up to
     two of its entries are replaced by any of `traps`, `entries` or `plain`,
     or the vector has one entry too few or too many."""
     arrays = st.sampled_from([list, tuple])
@@ -322,7 +323,7 @@ SYSTEMS = [("gamma", "beta", FuzzySystem), ("a", "b", MaxTSystem)]
 class TestBulkValidation:
     """unit_vector, unit_matrix and the systems, which unit_system builds,
     return and raise exactly what one `unit` call per entry would, on the
-    rows and the whole systems they check in bulk too."""
+    grids, rows and vectors they check in bulk too."""
 
     @given(rows, shapes)
     def test_vector_equals_per_entry(self, values, shape):
@@ -384,7 +385,7 @@ class TestBulkValidation:
     @example(([(list, [0.5, 0.0]), (tuple, [-0.0, 0.3])], tuple, [0.2, 0.0], tuple), KINDS[0])
     @example(([(tuple, [0.5, 0.0]), (tuple, [0.1, 0.3])], list, [0.2, -0.0], list), KINDS[1])
     def test_system_equals_per_entry(self, drawn, kind):
-        # a system the bulk pass keeps, and every other one, which goes the
+        # a system the bulk passes keep, and every other one, which goes the
         # per-row way, is built as one `unit` call per entry would build it
         shaped_rows, outer, vector, shape = drawn
 
@@ -421,10 +422,11 @@ class TestBulkValidation:
 
 
     @pytest.mark.parametrize("names", SYSTEMS, ids=lambda names: names[2].__name__)
-    def test_a_shaped_system_skips_the_grid_pass(self, monkeypatch, names):
-        # a system of the right shape whose one bad entry, its last, is the
-        # int 1 reads its entries in one `_kept` over the whole system, then
-        # one per row and one for the vector: no second pass over the grid
+    def test_a_bad_entry_reads_the_grid_then_each_row(self, monkeypatch, names):
+        # a system whose one bad entry, the last of its grid, is the int 1
+        # reads its entries in one `_kept` over the grid, then one per row,
+        # the last of which sends its row entry by entry, then one for the
+        # vector, which `unit_vector` keeps in bulk
         matrix, vector, system = names
         calls = []
 
@@ -439,9 +441,13 @@ class TestBulkValidation:
         grid[4][5] = 1
         built = system(grid, rhs, ImplicationKind.LUKASIEWICZ)
         assert len(calls) == 1 + 5 + 1
+        assert calls[0] is grid
+        assert [len(arrays) for arrays in calls[1:]] == [1] * (5 + 1)
+        assert all(arrays[0] is read for arrays, read in zip(calls[1:], [*grid, rhs]))
         assert getattr(built, matrix)[4][5] == 1.0 and type(getattr(built, matrix)[4][5]) is float
         assert getattr(built, matrix) == tuple(map(tuple, grid))
-        # a ragged one still goes the way of `unit_matrix`, grid pass first
+        # a ragged one reads its grid the same way, then fails on its width
+        # before the vector is read
         calls.clear()
         with pytest.raises(DimensionMismatch, match=rf"^{matrix}: row 1 has 5 entries, expected 6$"):
             system([grid[0], grid[1][:5], *grid[2:]], rhs, ImplicationKind.LUKASIEWICZ)

@@ -220,12 +220,28 @@ def test_cell_stats_match_builtin_form(ar, grid, kind, seeds):
     assert column_mismatches(ar, kind, columns_) == []
 
 
+#: A Godel column on which float rounding moves the crossing of the sweep
+#: right, between the two small betas, which are one ulp apart; in exact
+#: arithmetic a higher level only moves it left.  A walk that stopped there
+#: instead of stepping right would give row 2 the zeta of row 1, one ulp
+#: above the whole-column scan's.
+RIGHTWARD_STEP = (
+    (0.12428632129684493, 0.24760657608805123),
+    (0.0, 0.0009660665056386157),
+    (0.0, 0.000966066505638616),
+)
+
+
 @both_types
 def test_godel_column_matches_whole_column_scan(ar, grid, seeds):
     # the Godel entry computes a whole column in one sweep; every cell must
     # be the brute-force max over the whole column, down to the sign of a
     # zero theta
-    columns_ = report_columns(grid, seeds(7), 2000 if ar is FLOAT else 400)
+    number = type(ar.zero)
+    columns_ = chain(
+        report_columns(grid, seeds(7), 2000 if ar is FLOAT else 400),
+        [tuple((number(g), number(b)) for g, b in RIGHTWARD_STEP)],
+    )
     assert column_mismatches(ar, GODEL, columns_) == []
 
 

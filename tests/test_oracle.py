@@ -244,6 +244,21 @@ class TestBisectInfimum:
             bisect_infimum(lambda d: calls.append(d) or d >= 0.3, tol=tol)
         assert calls == []
 
+    def test_stops_at_adjacent_floats(self):
+        # a tol below the spacing of the floats near the threshold: the
+        # bracket ends at two adjacent floats, whose midpoint is one of
+        # them, after 51 splits of the 60 allowed; then one last call at
+        # the estimate
+        threshold = math.nextafter(1.0, 0.0)
+        calls = []
+        predicate = lambda d: calls.append(d) or d >= threshold
+        estimate = bisect_infimum(predicate, tol=1e-300)
+        assert len(calls) == 5 + 51 + 1
+        assert estimate.inf_value == 0.9999999999999998
+        assert estimate.bracket_width == 2.0**-53
+        assert predicate(estimate.inf_value + estimate.bracket_width)
+        assert not predicate(estimate.inf_value)
+
     def test_member_flag_matches_verdict_off_borderline(self):
         for system in iter_random_systems(63, 150, kind=ImplicationKind.GODEL):
             report = godel_distance(system)

@@ -320,7 +320,13 @@ def test_arithmetic_checks_nothing():
     # functions of `algebra` and when a system is built.  An `Arithmetic`
     # runs on what those checked, so `arithmetic` calls no check, and the
     # middle tier of shape- and kind-checked compositions stays deleted.
-    checks = {"checked_kind", "checked_index", "_operands", "_width_error", "unit", "_unit_row"}
+    checks = {
+        "checked_kind", "checked_index", "checked_tolerance", "unit", "_entries", "_kept",
+        "_unit_row", "_unit_grid", "unit_vector", "unit_matrix", "unit_system", "_operands",
+    }
+    # every name is a function of `algebra`, so a deleted check cannot stay
+    # listed here unnoticed
+    assert all(callable(getattr(fuzzrel.algebra, name, None)) for name in checks)
     found = [
         f"algebra.py:{node.lineno}: {ast.unparse(node)}"
         for node in ast.walk(arithmetic_body())
