@@ -29,16 +29,17 @@ rows with the kind's t-norm or residuum inline; the membership test of the
 bisection oracle, `Arithmetic.membership`, a loop of the same kind over a
 system's rows, which computes the solution entry of a column from the
 column's front when a row first reads it, so that a column no row reaches
-is never reduced, and shifts beta by delta where it reads it; each
-family's cells, whose entry returns the cells of a column:
-`Arithmetic.cells` for the min-implication reports, whose records
-`GodelCellStats`, `GoguenCellStats` and `LukaCellStats` are defined here,
-and `Arithmetic.maxt_cells` for the max-t distances; and the row rules of
-the reports, `Arithmetic.row_rules`, whose entry turns the cells of one row
-into its `RowDiagnostics`, defined here too.  `fuzzrel.report` aggregates
-the rows, on either instance, into a report.
-`column_scan` is the one loop over the cells of a system.  Each column
-reduces its pairs once, by `front` or, for the Lukasiewicz kinds,
+is never reduced, and shifts beta by delta where it reads it; the cells
+of the min-implication reports, `Arithmetic.cells`, whose entry returns
+the cells of a column and whose records `GodelCellStats`,
+`GoguenCellStats` and `LukaCellStats` are defined here; the max-t cells,
+`Arithmetic.maxt_cells`, whose entry is the formula `cell(u, x, pairs)` of
+one cell over the pairs of its column; and the row rules of the reports,
+`Arithmetic.row_rules`, whose entry turns the cells of one row into its
+`RowDiagnostics`, defined here too.  `fuzzrel.report` aggregates the rows,
+on either instance, into a report.
+`column_scan` is the one loop over the cells of a report.  Each column
+reduces its pairs once, by `front` or, for the Lukasiewicz kind,
 `top_pairs`.  Every front of a system sorts one order of its right-hand
 side, `beta_order`, computed once per system, by the column's own entries.
 A report entry, `godel_column`, `goguen_column` or `luka_column`, takes a
@@ -48,9 +49,10 @@ share (for Godel the order and the right-hand side's levels) and returns
 the function of one column and its index: one sweep down the column with
 its threshold written out, which returns plain tuples of each cell's
 fields; a row builds their records on the first read of its `cells`
-(`RowDiagnostics`).  A max-t entry is a `Kernel`, which maps its cell
-formula down the column; the oracle's exact max-t distance reads its two
-parts.  `FLOAT` binds the formulas to floats
+(`RowDiagnostics`).  The max-t cells are reduced in one place,
+`fuzzrel.operators.MaxTSystem.kept`, which keeps the pairs of each column
+that can attain its cells' max; the float cells and the oracle's exact
+max-t distance read them.  `FLOAT` binds the formulas to floats
 and supplies this module's public functions and the cells and row rules
 of `fuzzrel.report`; the oracle binds them to `Fraction` to run the same
 formulas in exact rational arithmetic.  A float operand that meets a
@@ -143,34 +145,8 @@ Arithmetic = namedtuple(
 )
 
 
-class Kernel(namedtuple("Kernel", "cell column")):
-    """A max-t cell formula `cell(u, x, column)` and its reducer: for the
-    right-hand side `xs` of a system, `column(xs)` returns the function that
-    keeps the pairs (us[l], xs[l]) of a matrix column `us` at which the
-    cell's max can be attained, and computes once what every column shares,
-    the order of `xs` for a falling `front`.
-
-    Called as `kernel(xs, prepared)`, as `column_scan` calls a table entry,
-    it returns the function of a column's entries `us` and index i that
-    gives the column's cells in row order: it reduces the pairs once, by
-    its own reducer, reading nothing of `prepared`, and maps the cell
-    formula down the column, O(m log m) for the sort of the front plus one
-    cell formula over the kept pairs per cell.  The entries of
-    `Arithmetic.maxt_cells` are kernels, so that
-    `fuzzrel.oracle.exact_maxt_distance` can reduce a column and evaluate
-    single cells, over the kept pairs or over one pair alone; the report
-    entries of `Arithmetic.cells` are plain functions of the same kind.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, xs, prepared):
-        cell, reduce = self.cell, self.column(xs)
-        return lambda us, i: tuple(map(cell, us, xs, repeat(reduce(us))))
-
-
-#: Width of the window below a column's greatest key within which the
-#: Lukasiewicz reducers keep pairs: 8 * 2^-53, derived in `top_pairs`.
+#: Width of the window below a column's greatest key within which
+#: `top_pairs` keeps pairs: 8 * 2^-53, derived there.
 KEY_WINDOW = 2.0 ** -50
 
 #: The Goguen quotient (x y - u z)^+ / (u + y) scales u and y by
@@ -409,10 +385,10 @@ def front(us, xs, rising: bool = True, order=None) -> tuple:
     so `max` still keeps the first of equal values.  A system builds each
     of its columns' fronts through `Fronts`: rising for
     `FuzzySystem.fronts`, which `goguen_column` and the membership tests
-    read, falling for `MaxTSystem.fronts`, which the max-min and
-    max-product cells read.  The reducer of those cells calls it on bare
-    columns too; `godel_column` runs the same sweep itself, and the
-    Lukasiewicz kinds keep fewer pairs, by `top_pairs`.
+    read, falling for `MaxTSystem.fronts`, which `MaxTSystem.kept` hands
+    to the max-min and max-product cells; `godel_column` runs the same
+    sweep itself, and the Lukasiewicz kinds keep fewer pairs, by
+    `top_pairs`.
 
     `order` is `beta_order(xs, rising)`, which a `Fronts` computes once for
     all its columns; without it the front sorts `xs` itself.  One stable
@@ -461,14 +437,16 @@ def top_pairs(pairs, keys, window) -> tuple:
     their order in `pairs`; keys[l] is the key of pairs[l].  O(m) for m
     pairs, with no sort.
 
-    The Lukasiewicz reducers of `arithmetic` keep a column this way.  In
-    exact arithmetic `luka_threshold` depends on its column pair (gl, bl)
-    only through the key gl + bl - 1, and `maxluka_threshold` on its pair
-    (y, z) only through y - z, and neither decreases as its key grows,
-    since each takes the key through sums, (.)^+, halving, min and max,
-    which are all non-decreasing: the pairs of greatest key attain the
-    column's max, so an exact reducer keeps it with any window.  Every
-    instance keeps each pair within KEY_WINDOW = 2^-50 = 8 eps of the
+    Two readers keep a column this way: `luka_top` of `arithmetic`, for
+    the Lukasiewicz report column on either instance, and
+    `fuzzrel.operators.MaxTSystem.kept`, for the float max-Lukasiewicz
+    cells.  In exact arithmetic `luka_threshold` depends on its column pair
+    (gl, bl) only through the key gl + bl - 1, and `maxluka_threshold` on
+    its pair (y, z) only through y - z, and neither decreases as its key
+    grows, since each takes the key through sums, (.)^+, halving, min and
+    max, which are all non-decreasing: the pairs of greatest key attain the
+    column's max, so an exact reduction keeps it with any window.  Both
+    readers keep each pair within KEY_WINDOW = 2^-50 = 8 eps of the
     greatest key, eps = 2^-53, which is what floats need.  Why that keeps
     both the float cell and the exact one:
 
@@ -518,39 +496,36 @@ def column_scan(columns, rhs, cells, prepared) -> tuple:
 
     `columns` are the columns of the matrix, such as a system's prepared
     `columns`; a matrix passed in their place is read as its own transpose.
-    `cells` is a table entry, `Arithmetic.cells` or `Arithmetic.maxt_cells`:
-    `cells(rhs, prepared)` computes once what the columns share, and
-    returns the function that gives the cells of column i from its entries
-    and i, in row order; the columns of cells are transposed to rows.
-    `prepared` is the system whose column fronts, `prepared.fronts`, the
-    Goguen report entry reads, in the number type of `rhs`; no other entry
-    reads it, so a Godel or Lukasiewicz report makes no `Fronts`, and a
-    max-t scan may pass None.
+    `cells` is a table entry of `Arithmetic.cells`: `cells(rhs, prepared)`
+    computes once what the columns share, and returns the function that
+    gives the cells of column i from its entries and i, in row order; the
+    columns of cells are transposed to rows.  `prepared` is the system
+    whose column fronts, `prepared.fronts`, the Goguen entry reads, in the
+    number type of `rhs`; no other entry reads it, so a Godel or
+    Lukasiewicz report makes no `Fronts`.
 
     Every cell formula is a max over its column of thresholds that are
     monotone in the pair, so a column needs only its pairs that can attain
     it.  Each column is reduced once, to the `front` of the pairs in the
-    orientation in which its thresholds rise (Goguen, max-min and
-    max-product) or to `top_pairs` (the Lukasiewicz kinds), and its cells
-    run over the kept pairs.  The Goguen entry reads the fronts the system
-    keeps, each built on its first read, so the membership tests of the
-    oracle share them.  The right-hand side is the same in every column, so
-    it is sorted once per system, by `beta_order`, and each front sorts
-    that order by the column's entries alone, with float keys: O(m log m)
-    per column, or O(m) with no sort for `top_pairs`, plus O(m k), with k
-    the number of kept pairs (k = 1 for nearly every Lukasiewicz column),
-    in place of O(m^2).  The Goguen and
-    Lukasiewicz report columns run that pair loop in one frame per column,
-    with the per-pair and per-cell terms of their thresholds computed once;
-    a max-t `Kernel` calls its cell formula once per cell.  The Godel report
-    column costs one sort of the system's order plus about 2 m threshold
-    evaluations, by one sweep over the system's right-hand side levels
-    (`fuzzrel.report` states why).  The kept pairs stay in row order: the
-    cells keep the first of equal values, so the order decides which of 0.0
-    and -0.0 a cell reports.  A report entry gives each cell as the plain
-    tuple of its record's fields, and builds no record: the row rules hand
-    a row's tuples to `RowDiagnostics`, which builds its records on the
-    first read of its `cells`.
+    orientation in which its thresholds rise (Goguen) or to `top_pairs`
+    (Lukasiewicz), and its cells run over the kept pairs.  The Goguen entry
+    reads the fronts the system keeps, each built on its first read, so
+    the membership tests of the oracle share them.  The right-hand side is
+    the same in every column, so it is sorted once per system, by
+    `beta_order`, and each front sorts that order by the column's entries
+    alone, with float keys: O(m log m) per column, or O(m) with no sort
+    for `top_pairs`, plus O(m k), with k the number of kept pairs (k = 1
+    for nearly every Lukasiewicz column), in place of O(m^2).  The Goguen
+    and Lukasiewicz columns run that pair loop in one frame per column,
+    with the per-pair and per-cell terms of their thresholds computed once.
+    The Godel column costs one sort of the system's order plus about 2 m
+    threshold evaluations, by one sweep over the system's right-hand side
+    levels (`fuzzrel.report` states why).  The kept pairs stay in row
+    order: the cells keep the first of equal values, so the order decides
+    which of 0.0 and -0.0 a cell reports.  An entry gives each cell as the
+    plain tuple of its record's fields, and builds no record: the row rules
+    hand a row's tuples to `RowDiagnostics`, which builds its records on
+    the first read of its `cells`.
     """
     return tuple(zip(*map(cells(rhs, prepared), columns, range(len(columns)))))
 
@@ -563,9 +538,9 @@ def arithmetic(one) -> Arithmetic:
     returns a value of that type.  The guards are read as that type once
     too, a float keeping its bits and a Fraction exact: BORDERLINE_EPS,
     which the Godel row rule adds and subtracts; KEY_WINDOW, the width
-    within which the Lukasiewicz reducers keep pairs below a column's
-    greatest key (`top_pairs`); and QUOTIENT_FLOOR and QUOTIENT_SCALE, below
-    which the Goguen quotient scales its two gamma entries
+    within which `luka_top` keeps pairs below a column's greatest key
+    (`top_pairs`); and QUOTIENT_FLOOR and QUOTIENT_SCALE, below which the
+    Goguen quotient scales its two gamma entries
     (`goguen_threshold`).  Floats need them; exact arithmetic does not, and
     its values do not change under them: a Goguen quotient does not change
     under a common scale, and the pairs of greatest key are always kept.
@@ -911,20 +886,6 @@ def arithmetic(one) -> Arithmetic:
         key bl - (1 - gl) is within KEY_WINDOW of the greatest (`top_pairs`)."""
         return top_pairs(pairs, [bl - (one - gl) for gl, bl in pairs], window)
 
-    def maxluka_top(xs):
-        """The reducer of the max-Lukasiewicz columns of a system whose
-        right-hand side is `xs`: the pairs (y, z) of a column whose key y -
-        z is within KEY_WINDOW of the greatest (`top_pairs`), with no sort,
-        so there is nothing to share between the columns."""
-        return lambda us: top_pairs(tuple(zip(us, xs)), [*map(operator.sub, us, xs)], window)
-
-    def falling(xs):
-        """The reducer of the max-min and max-product columns of a system
-        whose right-hand side is `xs`: the falling `front` of a column's
-        pairs, over the order of xs, ascending, sorted once here."""
-        up = beta_order(xs, False)
-        return lambda us: front(us, xs, False, up)
-
     # The cells of a min-implication report; `fuzzrel.report` states their
     # formulas and why these evaluations of them are the full scan's.  Each
     # entry takes the right-hand side `xs` of a system and the system,
@@ -1205,7 +1166,7 @@ def arithmetic(one) -> Arithmetic:
     row_rules = {godel: godel_row, goguen: goguen_row, luka: luka_row}
 
     # Cell (i, j) of a max-t distance, from u = a[i][j], x = b[i] and the
-    # pairs (a[k][j], b[k]) of column j that the kind's reducer keeps.  Every
+    # pairs (a[k][j], b[k]) of column j that `MaxTSystem.kept` keeps.  Every
     # threshold here is non-decreasing in a[k][j] and non-increasing in b[k],
     # so the front of the pairs that keeps high a and low b holds the max;
     # the max-Lukasiewicz threshold depends on the pair only through
@@ -1240,11 +1201,7 @@ def arithmetic(one) -> Arithmetic:
                 best = t
         return best
 
-    maxt_cells = {
-        godel: Kernel(godel_maxt_cell, falling),
-        goguen: Kernel(goguen_maxt_cell, falling),
-        luka: Kernel(luka_maxt_cell, maxluka_top),
-    }
+    maxt_cells = {godel: godel_maxt_cell, goguen: goguen_maxt_cell, luka: luka_maxt_cell}
 
     def maxt_value(rows):
         """The max-t distance from the rows of its cells: the greatest row

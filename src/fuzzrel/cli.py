@@ -78,9 +78,11 @@ def _load_document(path: str) -> dict:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
+    # ValueError: a JSONDecodeError or an integer over the digit limit;
+    # RecursionError: nesting too deep for the parser
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path!r}: top-level value must be a JSON object")

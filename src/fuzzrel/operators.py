@@ -54,11 +54,10 @@ read only the columns their rows reach.  The closure steps and the
 approximations build none.  A `MaxTSystem` keeps the falling front of
 each column's pairs (a[k][j], b[k]): the interval pass of
 `exact_maxt_membership` reads them, and so do the max-min and max-product
-cells, whose reducer they are, through the system's `kept` pairs.  Each
-system also keeps `readings`, its values read as the Fractions of their
-shortest decimals, each on its first read: the exact paths of
-`fuzzrel.oracle` read every value through it, so a system parses each
-distinct value once.
+cells, through the system's `kept` pairs.  Each system also keeps
+`readings`, its values read as the Fractions of their shortest decimals,
+each on its first read: the exact paths of `fuzzrel.oracle` read every
+value through it, so a system parses each distinct value once.
 
 Every scan of a system's cells reads `columns`, or the pairs kept from
 them: `fuzzrel.report.distance_report` and `checked_cell`,
@@ -66,8 +65,11 @@ them: `fuzzrel.report.distance_report` and `checked_cell`,
 `MaxTSystem` keeps its float max-t cells, `float_cells`, scanned on first
 use over its `kept` pairs: `fuzzrel.report.maxt_distance` and
 `exact_maxt_distance` share that scan, and `exact_maxt_distance` reads
-those pairs again at its pair level.  `maxt_closure`, which takes a bare
-matrix, checks its operands and its kind itself.
+those pairs again at its pair level.  `kept` is the one place that
+reduces a max-t column: by kind, to the falling `fronts` for max-min and
+max-product, and to the pairs of greatest key, by
+`fuzzrel.algebra.top_pairs`, for max-Lukasiewicz.  `maxt_closure`, which
+takes a bare matrix, checks its operands and its kind itself.
 """
 
 from __future__ import annotations
@@ -75,9 +77,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
+from operator import sub
 
 from .algebra import (
     FLOAT,
+    KEY_WINDOW,
     Fronts,
     ImplicationKind,
     Matrix,
@@ -86,6 +90,7 @@ from .algebra import (
     checked_kind,
     checked_tolerance,
     sup_distance,
+    top_pairs,
     transpose,
     unit_matrix,
     unit_system,
@@ -98,11 +103,6 @@ from .errors import DimensionMismatch
 #: additions and multiplications, so 1e-9 dominates accumulated float error
 #: while still rejecting genuine mismatches.
 DEFAULT_TOL = 1e-9
-
-#: The reducer of the max-min and max-product cells, the falling `front`
-#: (`Arithmetic.maxt_cells`): a `MaxTSystem` whose cells reduce by it reads
-#: its `fronts` for them.
-_FALLING = FLOAT.maxt_cells[ImplicationKind.GODEL].column
 
 
 def _readings(system) -> dict:
@@ -187,23 +187,31 @@ class MaxTSystem:
 
     @cached_property
     def kept(self) -> tuple:
-        """Per column, the pairs that the reducer of the kind's
-        `FLOAT.maxt_cells` entry keeps, computed on first use and kept: the
-        falling `fronts` for the max-min and max-product cells, whose
-        reducer they are, and `top_pairs` for max-Lukasiewicz.  The float
-        cells and the pair level of `exact_maxt_distance` read them."""
-        reduce = FLOAT.maxt_cells[self.kind].column
-        if reduce is _FALLING:
+        """Per column j, the pairs (a[k][j], b[k]) at which the max of a
+        max-t cell of column j can be attained, in row order, computed on
+        first use and kept.  This is the one place that reduces a max-t
+        column.  The max-min and max-product thresholds are non-decreasing
+        in a[k][j] and non-increasing in b[k], so the kept pairs are the
+        falling `fronts`; the max-Lukasiewicz threshold depends on the pair
+        only through the key a[k][j] - b[k], and does not decrease with it,
+        so they are the pairs whose key lies within KEY_WINDOW of the
+        column's greatest (`top_pairs`, which derives why that window
+        keeps the float cell and the exact one).  The float cells and the
+        pair level of `exact_maxt_distance` read them."""
+        if self.kind is not ImplicationKind.LUKASIEWICZ:
             return tuple(map(self.fronts.__getitem__, range(self.m)))
-        return tuple(map(reduce(self.b), self.columns))
+        b = self.b
+        return tuple(
+            [top_pairs(tuple(zip(us, b)), [*map(sub, us, b)], KEY_WINDOW) for us in self.columns]
+        )
 
     @cached_property
     def float_cells(self) -> Matrix:
-        """The float max-t cells, row by row: those of column_scan(columns,
-        b, FLOAT.maxt_cells[kind]), each cell over its column's `kept`
-        pairs, computed on first use and kept, so that `maxt_distance` and
-        `exact_maxt_distance` share one scan."""
-        cell, kept = FLOAT.maxt_cells[self.kind].cell, self.kept
+        """The float max-t cells, row by row: cell (i, j) is the formula
+        FLOAT.maxt_cells[kind](a[i][j], b[i], kept[j]) over its column's
+        `kept` pairs, computed on first use and kept, so that
+        `maxt_distance` and `exact_maxt_distance` share one scan."""
+        cell, kept = FLOAT.maxt_cells[self.kind], self.kept
         return tuple([tuple(map(cell, row, repeat(x), kept)) for row, x in zip(self.a, self.b)])
 
     @property

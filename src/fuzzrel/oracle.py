@@ -480,22 +480,23 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
 
     The result is the value of the formulas of `maxt_distance` on the
     Fraction instance `EXACT`, with entries read as their shortest
-    round-tripping decimals, i.e. EXACT.maxt_value(column_scan(
-    _exact_matrix(a^t), _exact_vector(b), EXACT.maxt_cells[kind])); it
-    places the attainment test exactly on the threshold, where float
-    evaluation cannot be trusted.  It is computed by
+    round-tripping decimals, A and B: EXACT.maxt_value of the rows of
+    exact cells E[i][j] = EXACT.maxt_cells[kind](A[i][j], B[i], column j),
+    each over every pair (A[k][j], B[k]) of its column.  It places the
+    attainment test exactly on the threshold, where float evaluation
+    cannot be trusted.  It is computed by
     a float filter with an exact fallback (Fortune and Van Wyk, ACM TOG 1996;
     Shewchuk, DCG 1997):
 
-    1. `column_scan` over the kind's float reducer and cell formula in
-       `FLOAT.maxt_cells` gives the float cells F[i][j], their row minima
-       f_i and R = max_i f_i.  The scan is the system's `float_cells`, run
-       once per system and shared with `fuzzrel.report.maxt_distance`.
+    1. The system's `float_cells` give the float cells F[i][j], the
+       kind's formula in `FLOAT.maxt_cells` over the system's `kept` pairs
+       of column j, their row minima f_i and R = max_i f_i.  That scan runs
+       once per system and is shared with `fuzzrel.report.maxt_distance`.
     2. With E[i][j] the exact cells and |F[i][j] - E[i][j]| <= ETA for every
        cell (ETA = MAXT_ETA, bound below), a row is kept when f_i >= R - 2 ETA,
        and in a kept row a cell when F[i][j] <= f_i + 2 ETA.
-    3. In a kept cell, the pair level: the float reducer of the kind keeps
-       the pairs p of column j, and the float cell of each pair alone,
+    3. In a kept cell, the pair level: for each pair p of the system's
+       `kept` pairs of column j, the float cell of that pair alone,
        F[i][j][p] = cell(a[i][j], b[i], (p,)), is computed again; the cell
        is their max, and a pair is kept when F[i][j][p] >= max_p F[i][j][p]
        - 2 ETA.  For max-min the one-pair cell keeps the floor term (x -
@@ -506,11 +507,11 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
        float scan reduced once.  Each value is read through the system's
        `readings`, so `exact_maxt_membership` at the result reads again
        none that this function read.
-       The float reducer of the kind serves the exact cell.  For max-min
-       and max-product it is the `front`: reading a float as its
+       The float reduction, `MaxTSystem.kept`, serves the exact cell.  For
+       max-min and max-product it keeps the `front`: reading a float as its
        shortest decimal is strictly increasing, so the decimal pairs have
-       their front in the same rows.  For max-Lukasiewicz it is
-       `fuzzrel.algebra.top_pairs`, which keeps every pair whose float key
+       their front in the same rows.  For max-Lukasiewicz it keeps, by
+       `fuzzrel.algebra.top_pairs`, every pair whose float key
        a[k][j] - b[k] lies within 2^-50 of the greatest.  The exact
        threshold depends on the pair only through the exact key, and does
        not decrease with it; the decimal pair of greatest exact key has a
@@ -589,7 +590,7 @@ def exact_maxt_distance(system: MaxTSystem) -> Fraction:
         if low >= floor
     ]
     pairs = system.kept
-    float_cell, cell = FLOAT.maxt_cells[kind].cell, EXACT.maxt_cells[kind].cell
+    float_cell, cell = FLOAT.maxt_cells[kind], EXACT.maxt_cells[kind]
     exact_rows = []
     for i, cells in kept:
         x, exact_x, exact_row = b[i], read[b[i]], []
@@ -619,8 +620,10 @@ def bisect_infimum(predicate: Callable[[float], bool], tol: float = 1e-9) -> Ora
     The returned inf_value is the shortest decimal inside the final bracket
     rather than a raw dyadic endpoint: thresholds of interest are short
     decimals far more often than dyadics, and evaluating the predicate at
-    such a point makes member_at_inf meaningful.  A `tol` that is not a
-    finite positive number, a bool included, raises ValueError.
+    such a point makes member_at_inf meaningful.  When no decimal of 17
+    or fewer places lies in the bracket, inf_value falls back to the
+    bracket's midpoint.  A `tol` that is not a finite positive number, a
+    bool included, raises ValueError.
     """
     checked_tolerance(tol, "tol", positive=True)
 

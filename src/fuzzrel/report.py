@@ -2,11 +2,12 @@
 
 `distance_report` gives the full report of a min-implication `FuzzySystem`;
 `maxt_distance` gives the distance of a max-t-norm `MaxTSystem`, the
-cross-validation family (its formulas are in its docstring).  Both read
-their cells through `fuzzrel.algebra.column_scan`, and the thresholds and
-cell formulas of both, and the row rules of the first, are written once
-in `fuzzrel.algebra.arithmetic`, for any number type.  This module keeps
-the report skeleton, which runs on either instance, and the public entry
+cross-validation family (its formulas are in its docstring).  The first
+reads its cells through `fuzzrel.algebra.column_scan`, the second through
+the system's `float_cells`; the thresholds and cell formulas of both,
+and the row rules of the first, are written once in
+`fuzzrel.algebra.arithmetic`, for any number type.  This module keeps the
+report skeleton, which runs on either instance, and the public entry
 points, which read the float instance, `FLOAT`.
 
 The three min-implication kinds differ only in the formula of their cell
@@ -253,7 +254,9 @@ def maxt_distance(system: MaxTSystem) -> float:
 
     It equals min{delta : lower_shift(b, delta) <= maxt_closure(a, kind,
     upper_shift(b, delta))} and is always achieved.
-    The cells are the table `maxt_cells` of `fuzzrel.algebra.arithmetic`.
+    Cell (i, j) is the kind's formula in the table `maxt_cells` of
+    `fuzzrel.algebra.arithmetic`, over the pairs of column j that the
+    system keeps, `MaxTSystem.kept`: only those can attain its max over k.
     `fuzzrel.oracle.exact_maxt_distance` gives the same formulas' exact value
     on rationals: it scans these float cells and re-evaluates in Fractions
     only those within twice a proven error bound of a row minimum, in the

@@ -1,8 +1,9 @@
 """Deterministic random-instance streams for agreement and property suites,
-and the full-evaluation membership test that the exact ones are compared
-with."""
+the full-evaluation membership test that the exact ones are compared with,
+and the whole-column scans that the pruned cell scans are compared with."""
 
 import random
+from itertools import repeat
 
 from hypothesis import strategies as st
 
@@ -63,6 +64,18 @@ def full_membership(ar, gamma, columns, beta, kind, delta, row, slack) -> bool:
     if row is not None:
         return image[row] <= upper[row] + slack
     return all(a <= b + slack for a, b in zip(image, upper))
+
+
+def whole_columns(cell):
+    """A table entry of `fuzzrel.algebra.column_scan` that hands every cell
+    of a column all the pairs (us[l], xs[l]) of that column, in row order:
+    cell (l, i) is cell(us[l], xs[l], pairs), for a cell formula `cell`
+    such as an entry of `Arithmetic.maxt_cells`.  It reads nothing of the
+    system, and prunes nothing, so a scan through it is the reference that
+    the pruned scans are held to."""
+    def entry(xs, prepared):
+        return lambda us, i: tuple(map(cell, us, xs, repeat(tuple(zip(us, xs)))))
+    return entry
 
 
 def random_unit_vector(rng: random.Random, length: int, decimals: int | None = 2):

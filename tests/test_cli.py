@@ -438,6 +438,22 @@ class TestValidation:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "not valid JSON" in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_nesting_too_deep_to_parse(self, capsys, monkeypatch, tmp_path, source):
+        # json.loads raises RecursionError on 100 000 nested arrays: a
+        # malformed document, reported as one `error:` line naming it
+        import io
+
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text(encoding="utf-8")))
+        name = str(path) if source == "file" else "-"
+        code, out, err = run_cli(capsys, "check", "--input", name)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {name!r} is not valid JSON: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--input", "/nonexistent/x.json")
         assert code == 1

@@ -26,9 +26,9 @@ from fuzzrel import (
     FuzzySystem, ImplicationKind, MaxTSystem, exact_maxt_distance, exact_maxt_membership,
     exact_membership, oracle,
 )
-from fuzzrel.algebra import FLOAT, column_scan
+from fuzzrel.algebra import FLOAT
 from fuzzrel.oracle import EXACT, MAXT_ETA, _exact, _exact_matrix, _exact_vector
-from test_front import full_scan, tied_systems, unpruned
+from test_front import full_scan, tied_systems
 
 SUBNORMALS = (5e-324, 1e-310, 2.2250738585072014e-308)
 BELOW_ONE = 1.0 - 2.0**-53
@@ -163,11 +163,9 @@ def with_examples(examples):
 @given(systems)
 def test_equals_full_exact_scan(system):
     filtered = exact_maxt_distance(system)
-    with unpruned():
-        full = EXACT.maxt_value(column_scan(
-            _exact_matrix(system.columns), _exact_vector(system.b), EXACT.maxt_cells[system.kind],
-            None,
-        ))
+    full = EXACT.maxt_value(full_scan(
+        _exact_matrix(system.a), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
+    ))
     assert type(filtered) is Fraction
     assert filtered == full
 
@@ -199,7 +197,7 @@ def test_each_value_is_read_once_per_system(system):
 @settings(max_examples=120, deadline=None)
 @given(systems)
 def test_cell_error_within_eta(system):
-    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind], None)
+    cells = system.float_cells
     exact = full_scan(
         _exact_matrix(system.a), _exact_vector(system.b), EXACT.maxt_cells[system.kind]
     )
@@ -211,12 +209,12 @@ def test_cell_error_within_eta(system):
 
 def pair_cells(system, i, j):
     """The float and the exact one-pair cells of cell (i, j), one per pair
-    that the kind's float reducer keeps in column j."""
+    that the system keeps in column j, `system.kept[j]`."""
     kind, u, x = system.kind, system.a[i][j], system.b[i]
-    pairs = FLOAT.maxt_cells[kind].column(system.b)(system.columns[j])
-    floats = [FLOAT.maxt_cells[kind].cell(u, x, (pair,)) for pair in pairs]
+    pairs = system.kept[j]
+    floats = [FLOAT.maxt_cells[kind](u, x, (pair,)) for pair in pairs]
     exact = [
-        EXACT.maxt_cells[kind].cell(_exact(u), _exact(x), ((_exact(y), _exact(z)),))
+        EXACT.maxt_cells[kind](_exact(u), _exact(x), ((_exact(y), _exact(z)),))
         for y, z in pairs
     ]
     return floats, exact

@@ -1,21 +1,23 @@
 """The pruned column scans against the full scan they replace.
 
-`algebra.column_scan` hands every cell only the pairs of its column that
-its kind's reducer keeps: the Pareto-maximal pairs (`front`) for the min
-and product kinds, the pairs of greatest key (`top_pairs`) for the
-Lukasiewicz kinds; the Godel report column sweeps its front in one pass.
-That is exact because every threshold a cell takes its max over is
-monotone in the column pair, and each Lukasiewicz threshold in its key
-alone; `TestMonotone` checks the orientation of each in exact rationals.
-`TestAgainstFullScan` runs the solvers once pruned and once `unpruned`,
-with every reducer of the max-t kernels replaced by `whole_column` and each
-report column, Godel, Goguen and Lukasiewicz, by a brute-force scan of its
-cells over the whole column, on systems built to hold ties:
+A cell sees only the pairs of its column that can attain its max: the
+Pareto-maximal pairs (`front`) for the min and product kinds, the pairs of
+greatest key (`top_pairs`) for the Lukasiewicz kinds.  The report columns
+of `algebra.column_scan` reduce their columns themselves, the Godel one
+sweeping its front in one pass; the max-t cells read the pairs that
+`MaxTSystem.kept` keeps.  That is exact because every threshold a cell
+takes its max over is monotone in the column pair, and each Lukasiewicz
+threshold in its key alone; `TestMonotone` checks the orientation of each
+in exact rationals.  `TestAgainstFullScan` runs the solvers once pruned
+and once `unpruned`, with `MaxTSystem.kept` replaced by every pair of each
+column and each report column, Godel, Goguen and Lukasiewicz, by a
+brute-force scan of its cells over the whole column
+(`helpers.whole_columns`), on systems built to hold ties:
 duplicate rows and columns, equal (g, b) pairs in a column, all-zero
 columns, beta entries of 0 or 1 and gamma == beta, and on Lukasiewicz
 systems whose column keys tie to within a few ulps.  `exact_maxt_distance`
-reduces its columns by the same table for its float filter and exact
-fallback; unpruned, it keeps the filter but every column whole.  Its
+reads the same `kept` pairs for its float filter and exact fallback;
+unpruned, it keeps the filter but every column whole.  Its
 comparison with the full exact scan, with no filter, is in
 `test_exact_maxt.py`.
 
@@ -51,9 +53,9 @@ from fuzzrel import (
     luka_cell,
     maxt_distance,
 )
-from fuzzrel.algebra import FLOAT, Kernel, beta_order, column_scan, front, transpose
+from fuzzrel.algebra import FLOAT, beta_order, column_scan, front, transpose
 from fuzzrel.oracle import EXACT, _Readings
-from helpers import tied_systems
+from helpers import tied_systems, whole_columns
 from test_kernels import cell_references, split
 
 GODEL, GOGUEN, LUKA = ImplicationKind
@@ -67,37 +69,31 @@ ULPS = 2
 CELLS = {GODEL: godel_cell, GOGUEN: goguen_cell, LUKA: luka_cell}
 
 
-def whole_column(xs):
-    """A reducer without pruning, for the right-hand side `xs`: every pair
-    of a column, in row order."""
-    return lambda us: tuple(zip(us, xs))
+def whole_pairs(system):
+    """`MaxTSystem.kept` without pruning: every pair of each column of a
+    max-t system, in row order."""
+    return tuple(tuple(zip(us, system.b)) for us in system.columns)
 
 
-def full_scan(matrix, rhs, kernel):
-    """The column scan of `matrix` without pruning: every cell sees every
-    pair."""
-    return column_scan(transpose(matrix), rhs, kernel._replace(column=whole_column), None)
+def full_scan(matrix, rhs, cell):
+    """The scan of the cells of `matrix` by the cell formula `cell` without
+    pruning: every cell sees every pair of its column."""
+    return column_scan(transpose(matrix), rhs, whole_columns(cell), None)
 
 
 @contextmanager
 def unpruned():
-    """Replace every reducer of the max-t kernels of `FLOAT` and `EXACT` by
-    `whole_column`, and each report column, which reduces its column
-    itself with no cell formula of its own, by the brute-force cells of
+    """Replace `MaxTSystem.kept` by `whole_pairs`, and each report column
+    of `FLOAT` and `EXACT`, which reduces its column itself with no cell
+    formula of its own, by the brute-force cells of
     `test_kernels.cell_references` over the whole column: the reports,
     `checked_cell`, both max-t distances and the filter of
     `exact_maxt_distance` then see whole columns."""
     with ExitStack() as stack:
         for ar in (FLOAT, EXACT):
-            whole = {
-                kind: kernel._replace(column=whole_column)
-                for kind, kernel in ar.maxt_cells.items()
-            }
-            stack.enter_context(mock.patch.dict(ar.maxt_cells, whole))
-            brute = {
-                kind: Kernel(cell, whole_column) for kind, cell in cell_references(ar).items()
-            }
+            brute = {kind: whole_columns(cell) for kind, cell in cell_references(ar).items()}
             stack.enter_context(mock.patch.dict(ar.cells, brute))
+        stack.enter_context(mock.patch.object(MaxTSystem, "kept", property(whole_pairs)))
         yield
 
 
@@ -330,9 +326,9 @@ def fresh(system):
 
 
 def maxt_outputs(system):
-    """The float cells and both distances of a max-t system."""
-    cells = column_scan(system.columns, system.b, FLOAT.maxt_cells[system.kind], None)
-    return cells, maxt_distance(system), exact_maxt_distance(system)
+    """The float cells and both distances of a max-t system that has not
+    scanned its `float_cells` yet."""
+    return system.float_cells, maxt_distance(system), exact_maxt_distance(system)
 
 
 class TestAgainstFullScan:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -152,6 +153,17 @@ class TestGoguenInvariants:
             row = rule(0, 2 * tenth, cells)
             assert (row.tau_j, row.argmin_col, row.nabla_j) == (3 * tenth, 1, 3 * tenth)
             assert type(row.one_minus_beta) is type(ar.zero)
+
+    def test_column_checks_that_a_supporting_cell_dominates_a_row(self):
+        # a supporting cell dominates at least its own row, which its
+        # column's front keeps; a front that keeps no pair breaks the
+        # column's invariant.  Both instances run the same column
+        for ar in (FLOAT, EXACT):
+            half = type(ar.zero)(1) / 2
+            column = ar.cells[ImplicationKind.GOGUEN]((half,), SimpleNamespace(fronts={0: ()}))
+            message = f"supporting cell with entry {half!r} dominates no row"
+            with pytest.raises(InvariantViolation, match=re.escape(message)):
+                column((half,), 0)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),

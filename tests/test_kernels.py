@@ -11,12 +11,14 @@ of each is checked against those references scanning the whole column, on
 random columns and on columns that reach the Goguen rescale, all-zero gamma
 columns and cells with a zero entry; each cell is the plain tuple of its
 record's fields, since a row builds its records only when its `cells` are
-read (`test_cell_types.py` pins the records of the rows).  The Lukasiewicz
-column reducers are checked against a brute-force scan of the keys and
-against the cells of whole columns, also on columns whose keys differ by
-less than their window, in floats and in Fractions: both instances keep
-the same window, and rescale the Goguen quotient below the same floor,
-which the edge columns check.  The two compositions, a
+read (`test_cell_types.py` pins the records of the rows).  The two
+reductions of a column to its pairs of greatest key, `luka_top` of the
+Lukasiewicz report column, in floats and in Fractions, and the float
+max-Lukasiewicz one of `MaxTSystem.kept`, are checked against a
+brute-force scan of the keys and against the cells of whole columns, also
+on columns whose keys differ by less than their window: both instances
+keep the same window, and rescale the Goguen quotient below the same
+floor, which the edge columns check.  The two compositions, a
 loop per kind, are checked against the builtin `max` /
 `min` mapped over the kind's scalar t-norm or residuum, in floats also on
 NaN and out-of-range entries, which unvalidated callers can pass; so are
@@ -39,7 +41,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fuzzrel import ImplicationKind
+from fuzzrel import ImplicationKind, MaxTSystem
 from fuzzrel.algebra import FLOAT, KEY_WINDOW, QUOTIENT_FLOOR, QUOTIENT_SCALE, Fronts, front
 from fuzzrel.oracle import EXACT
 from fuzzrel.report import BORDERLINE_EPS, GodelCellStats, GoguenCellStats, LukaCellStats
@@ -347,7 +349,7 @@ def test_maxt_cells_match_builtin_form(ar, grid, seeds):
     rng = random.Random(seeds(2))
     references_by_kind = maxt_references(ar)
     found = []
-    for kind, (cell, _) in ar.maxt_cells.items():
+    for kind, cell in ar.maxt_cells.items():
         reference = references_by_kind[kind.value]
         for column in columns(grid, seeds(3), 1500 if ar is FLOAT else 300):
             u, x = rng.choice(grid), rng.choice(grid)
@@ -357,24 +359,37 @@ def test_maxt_cells_match_builtin_form(ar, grid, seeds):
     assert found == []
 
 
+def maxluka_kept(pairs):
+    """The pairs of a column that `MaxTSystem.kept` keeps for the
+    max-Lukasiewicz cells, as a function of the column's pairs: `kept` of
+    the one-column system whose column and right-hand side they are, read
+    unvalidated, so that a -0.0 stays as it is."""
+    us, xs = split(pairs)
+    return MaxTSystem.kept.func(SimpleNamespace(kind=LUKA, b=xs, columns=(us,)))[0]
+
+
 def reducers(ar):
-    """Each Lukasiewicz reducer of `ar`, as a function of a column's pairs,
-    with its key of a pair, its window and a cell formula whose max it
-    keeps, cell(u, x, column): the reducer `luka_top` of the report column,
-    whose cells are the brute-force ones of `cell_references`, and that of
-    the max-Lukasiewicz kernel, built for the column's right-hand side."""
+    """Each reduction of a column to its pairs of greatest key on `ar`, as
+    a function of a column's pairs, with its key of a pair, its window and
+    a cell formula whose max it keeps, cell(u, x, column): `luka_top` of
+    the report column, whose cells are the brute-force ones of
+    `cell_references`, and, in floats, `maxluka_kept`."""
     one = type(ar.zero)(1)
     window = type(one)(KEY_WINDOW)
-    maxluka = ar.maxt_cells[LUKA]
-
-    def maxluka_top(pairs):
-        us, xs = split(pairs)
-        return maxluka.column(xs)(us)
-
-    return {
+    found = {
         "lukasiewicz": (ar.luka_top, lambda g, b: b - (one - g), window, cell_references(ar)[LUKA]),
-        "max-lukasiewicz": (maxluka_top, lambda y, z: y - z, window, maxluka.cell),
     }
+    if ar is FLOAT:
+        found["max-lukasiewicz"] = (maxluka_kept, lambda y, z: y - z, window, ar.maxt_cells[LUKA])
+    return found
+
+
+#: Each reduction with its instance and grid, named as `reducers` names it.
+REDUCERS = [
+    pytest.param(ar, grid, name, id=f"{name}-{ar_id}")
+    for ar, grid, ar_id in ((EXACT, EXACT_GRID, "exact"), (FLOAT, FLOAT_GRID, "float"))
+    for name in reducers(ar)
+]
 
 
 @both_types
@@ -400,8 +415,7 @@ def near_columns(number, seed, count: int):
         )
 
 
-@both_types
-@pytest.mark.parametrize("name", list(reducers(FLOAT)))
+@pytest.mark.parametrize("ar, grid, name", REDUCERS)
 def test_reducer_keeps_the_pairs_of_greatest_key(ar, grid, name, seeds):
     # on the grid and on columns of near keys, where the window decides
     # which pairs are kept: a pair below the greatest key is kept in some

@@ -258,10 +258,12 @@ class TestPreparedSystem:
         # `maxt_distance` scans the float cells once, each column over its
         # kept pairs, and `exact_maxt_distance` reads that scan and those
         # pairs: each column is reduced once per system, and the max-min and
-        # max-product cells reduce by the system's falling `fronts`
-        from fuzzrel import algebra
+        # max-product cells reduce by the system's falling `fronts`.  `front`
+        # and `top_pairs` are counted where `Fronts` and `MaxTSystem.kept`
+        # look them up
+        from fuzzrel import algebra, operators
 
-        reduced, front, top = [], algebra.front, algebra.top_pairs
+        reduced, front, top = [], algebra.front, operators.top_pairs
 
         def counted(name, reduce):
             def reducer(*args):
@@ -270,7 +272,7 @@ class TestPreparedSystem:
             return reducer
 
         monkeypatch.setattr(algebra, "front", counted("front", front))
-        monkeypatch.setattr(algebra, "top_pairs", counted("top_pairs", top))
+        monkeypatch.setattr(operators, "top_pairs", counted("top_pairs", top))
         for kind in ImplicationKind:
             system = MaxTSystem(*PREPARED, kind)
             reduced.clear()

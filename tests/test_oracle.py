@@ -259,6 +259,19 @@ class TestBisectInfimum:
         assert predicate(estimate.inf_value + estimate.bracket_width)
         assert not predicate(estimate.inf_value)
 
+    def test_falls_back_to_the_midpoint(self):
+        # all 60 splits are made, and the final bracket, of width 2^-62,
+        # holds no decimal of 17 or fewer places: the estimate is the
+        # bracket's midpoint, then one last call at it
+        calls = []
+        predicate = lambda d: calls.append(d) or d >= 1.00000005e-10
+        estimate = bisect_infimum(predicate, tol=1e-300)
+        assert len(calls) == 5 + 60 + 1
+        assert estimate.inf_value == 1.0000000491301037e-10
+        assert estimate.bracket_width == 2.0**-62
+        assert predicate(estimate.inf_value + estimate.bracket_width)
+        assert not predicate(estimate.inf_value)
+
     def test_member_flag_matches_verdict_off_borderline(self):
         for system in iter_random_systems(63, 150, kind=ImplicationKind.GODEL):
             report = godel_distance(system)
