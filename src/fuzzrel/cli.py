@@ -10,7 +10,9 @@ Subcommands operate on JSON documents:
     max-t-norm systems        {"implication": ..., "a": [[...], ...], "b": [...]}
 
 The two families deliberately use distinct field names (gamma/beta vs a/b)
-so a document can never be fed to the wrong solver by accident.  Output is
+so a document can never be fed to the wrong solver by accident.  `name`,
+of either family, is an optional label copied into the output: a string,
+null or absent; any other JSON value is a validation error.  Output is
 single-line JSON by default (--pretty renders a human table); row and column
 indices in output are 1-based to match hand-worked presentations.
 
@@ -100,12 +102,28 @@ def _parse_kind(doc: dict) -> ImplicationKind:
         raise CliError(f"implication: {tag!r} is not one of {choices}") from None
 
 
+#: The JSON name of each type of value that `json.loads` returns but str
+#: and None.
+_JSON_TYPES = {dict: "an object", list: "an array", int: "a number", float: "a number",
+               bool: "a boolean"}
+
+
+def _parse_name(doc: dict):
+    """The document's `name`: a string, or None when it is null or
+    absent; any other value is named by its JSON type alone."""
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise CliError(f"name: optional string field, got {_JSON_TYPES[type(name)]}")
+    return name
+
+
 def _read_system(path: str, system_type, matrix: str, vector: str) -> tuple:
     """(system, payload): the `system_type` built from the fields `matrix`
     and `vector` of the document at `path`, and the payload head every
     subcommand starts from, its name and implication."""
     doc = _load_document(path)
     kind = _parse_kind(doc)
+    name = _parse_name(doc)
     for field, shape in ((matrix, "2-D"), (vector, "1-D")):
         if field not in doc:
             raise CliError(f"{field}: required field ({shape} array of numbers)")
@@ -113,7 +131,7 @@ def _read_system(path: str, system_type, matrix: str, vector: str) -> tuple:
         system = system_type(doc[matrix], doc[vector], kind)
     except (FuzzrelError, TypeError) as exc:
         raise CliError(str(exc)) from exc
-    return system, {"name": doc.get("name"), "implication": kind.value}
+    return system, {"name": name, "implication": kind.value}
 
 
 def _consistency_payload(result: ConsistencyResult) -> dict:

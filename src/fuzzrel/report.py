@@ -27,13 +27,14 @@ once per system and returns the function of a column's gamma entries
 `us` and index i that gives its cells: it reduces the pairs (gamma[l][i],
 beta[l]) by the kind's reducer, and computes the cell of every row g =
 gamma[j][i], b = beta[j] over the kept pairs in one frame, with the
-kind's threshold written out; it returns each cell as the plain tuple of
-its record's fields and builds no record.  A row builds its records on
-the first read of its `cells`, with one C-level map per row, so a report
-whose cells nobody reads builds none of its m n records.  The Goguen
-entry reads column i's front from the system, system.fronts[i], which
-the system builds on its first read and keeps, once per system for the
-report, `checked_cell` and the membership tests of the oracle alike;
+kind's threshold written out; it returns its cells field-major, one flat
+tuple per field, and builds neither a tuple per cell nor a record.  The
+kind's row rule reduces row j of each field, and the row builds its
+records on the first read of its `cells`, so a report whose cells nobody
+reads builds none of its m n records.  The Goguen entry reads column
+i's front from the system, system.fronts[i], which the system builds on
+its first read and keeps, once per system for the report,
+`checked_cell` and the membership tests of the oracle alike;
 every front sorts the system's one order of beta (`beta_order`) by the
 column's own gamma entries only.  The Godel entry sorts beta itself, once
 per report, and computes its whole column in one sweep; neither it nor
@@ -116,8 +117,9 @@ QUOTIENT_FLOOR, so subnormal entries do not underflow.  For g = 0 every
 threshold, and zeta, is 0.  The column drops the front pairs with gl = 0
 and computes each bl gl once per pair and g b once per cell: the same
 float products of the same operands, so the cells are bit-identical to a
-per-pair evaluation.  The row rule takes tau and the least zeta in one
-pass.
+per-pair evaluation.  The column gives the zeta of a supporting cell
+and, on a cell with g = 0, a sentinel above every zeta, so the row rule
+takes tau, the least zeta, and its column by `min` and `index`.
 
 Lukasiewicz, whose bounded-sum arithmetic collapses a cell to one value:
 
@@ -140,20 +142,21 @@ for bit.  A Lukasiewicz cell then costs one threshold, written out in the
 column's loop, with (p)^+ computed once per kept pair and s^+ once per
 cell.
 
-The skeleton, `_report(ar, kind, columns, beta, prepared)`, looks the
-kind up once in `ar.cells`, for the cells of its columns, and once in
+The skeleton, `_report(ar, kind, gamma, columns, beta, prepared)`, looks
+the kind up once in `ar.cells`, for the cells of its columns, and once in
 `ar.row_rules`, for its row rule; it evaluates every cell by
-`column_scan`, lets the row rule turn each row's cells into a
-`RowDiagnostics` and aggregates the rows into a `ChebyshevReport`.  Every
-value it builds is of the number type of `ar`: the literals are the
-instance's own, and BORDERLINE_EPS is only compared here.
-`distance_report` runs it on `FLOAT` and the system's prepared `columns`,
-with the system itself for the fronts.  `checked_cell` takes one cell of
-the column that the kind's entry of `FLOAT.cells`, given the system's
-beta and the system, returns, and wraps it in the kind's record, for the
-public `*_cell` functions, which check the system's kind first as the
-`*_distance` functions do.  A Goguen cell builds the front
-of its own column only.
+`column_scan`, lets the row rule turn each row's gamma entries and flat
+field tuples into a `RowDiagnostics` and aggregates the rows into a
+`ChebyshevReport`.  Every value it builds is of the number type of `ar`:
+the literals are the instance's own, and BORDERLINE_EPS is only compared
+here.  `distance_report` runs it on `FLOAT` and the system's `gamma` and
+prepared `columns`, with the system itself for the fronts.
+`checked_cell` takes one cell of the column that the kind's entry of
+`FLOAT.cells`, given the system's beta and the system, returns, and
+builds its record by the kind's entry of `FLOAT.records`, as a row does,
+for the public `*_cell` functions, which check the system's kind first as
+the `*_distance` functions do.  A Goguen cell builds the front of its own
+column only.
 """
 
 from __future__ import annotations
@@ -202,13 +205,14 @@ class ChebyshevReport:
     borderline: bool = False
 
 
-def _report(ar, kind: ImplicationKind, columns, beta, prepared) -> ChebyshevReport:
+def _report(ar, kind: ImplicationKind, gamma, columns, beta, prepared) -> ChebyshevReport:
     """Chebyshev distance report, on the instance `ar`, of the system of
-    kind `kind` whose matrix has the columns `columns` and whose right-hand
-    side is `beta`, both of the number type of `ar`.  The Goguen entry
-    reads the rising `front` of column i's pairs, of the same type, as
-    prepared.fronts[i]; `prepared` is the system itself on `FLOAT`, and no
-    other entry reads it.
+    kind `kind` whose matrix has the rows `gamma` and the columns `columns`
+    and whose right-hand side is `beta`, all of the number type of `ar`;
+    the Godel row rule reads a cell's support off its row's gamma
+    entries.  The Goguen entry reads the rising `front` of column i's
+    pairs, of the same type, as prepared.fronts[i]; `prepared` is the
+    system itself on `FLOAT`, and no other entry reads it.
 
     nabla is the max of the row distances.  The verdict is MINIMUM when
     every row at nabla is attainable.  Rows strictly below the max cannot
@@ -218,8 +222,8 @@ def _report(ar, kind: ImplicationKind, columns, beta, prepared) -> ChebyshevRepo
     fragile too.
     """
     rule = ar.row_rules[kind]
-    cells = column_scan(columns, beta, ar.cells[kind], prepared)
-    rows = tuple(map(rule, range(len(beta)), beta, cells))
+    fields = column_scan(columns, beta, ar.cells[kind], prepared)
+    rows = tuple(map(rule, range(len(beta)), beta, gamma, *fields))
     nabla = max(r.nabla_j for r in rows)
     verdict = (
         Attainability.MINIMUM
@@ -236,9 +240,9 @@ def _report(ar, kind: ImplicationKind, columns, beta, prepared) -> ChebyshevRepo
 
 def distance_report(system: FuzzySystem) -> ChebyshevReport:
     """Chebyshev distance report of `system`, by the solver of its kind: the
-    skeleton `_report` on `FLOAT` and the system's prepared `columns` and
-    `fronts`."""
-    return _report(FLOAT, system.kind, system.columns, system.beta, system)
+    skeleton `_report` on `FLOAT` and the system's `gamma`, prepared
+    `columns` and `fronts`."""
+    return _report(FLOAT, system.kind, system.gamma, system.columns, system.beta, system)
 
 
 def maxt_distance(system: MaxTSystem) -> float:
@@ -266,10 +270,6 @@ def maxt_distance(system: MaxTSystem) -> float:
     return FLOAT.maxt_value(system.float_cells)
 
 
-#: The cell record of each kind.
-_RECORDS = dict(zip(ImplicationKind, (GodelCellStats, GoguenCellStats, LukaCellStats)))
-
-
 def checked_cell(system: FuzzySystem, row: int, col: int):
     """Cell statistics of the (row, col) cell (0-based) of `system`, by the
     cell formula of its kind, as the kind's record; an index that is not an
@@ -277,8 +277,10 @@ def checked_cell(system: FuzzySystem, row: int, col: int):
     IndexError."""
     row = checked_index(row, system.m, "row", "rows")
     col = checked_index(col, system.n, "col", "columns")
-    fields = FLOAT.cells[system.kind](system.beta, system)(system.columns[col], col)[row]
-    return tuple.__new__(_RECORDS[system.kind], fields)
+    us, kind = system.columns[col], system.kind
+    fields = FLOAT.cells[kind](system.beta, system)(us, col)
+    (cell,) = FLOAT.records[kind]((us[row],), *((field[row],) for field in fields))
+    return cell
 
 
 def _of_kind(system: FuzzySystem, expected: ImplicationKind) -> FuzzySystem:

@@ -66,15 +66,17 @@ def full_membership(ar, gamma, columns, beta, kind, delta, row, slack) -> bool:
     return all(a <= b + slack for a, b in zip(image, upper))
 
 
-def whole_columns(cell):
+def whole_columns(cell, fields=lambda cells: (cells,)):
     """A table entry of `fuzzrel.algebra.column_scan` that hands every cell
     of a column all the pairs (us[l], xs[l]) of that column, in row order:
     cell (l, i) is cell(us[l], xs[l], pairs), for a cell formula `cell`
-    such as an entry of `Arithmetic.maxt_cells`.  It reads nothing of the
-    system, and prunes nothing, so a scan through it is the reference that
-    the pruned scans are held to."""
+    such as an entry of `Arithmetic.maxt_cells`.  A column gives `fields`
+    of the tuple of its cells, its flat field tuples: by default the one
+    field of values such as max-t cells.  It reads nothing of the system,
+    and prunes nothing, so a scan through it is the reference that the
+    pruned scans are held to."""
     def entry(xs, prepared):
-        return lambda us, i: tuple(map(cell, us, xs, repeat(tuple(zip(us, xs)))))
+        return lambda us, i: fields(tuple(map(cell, us, xs, repeat(tuple(zip(us, xs))))))
     return entry
 
 

@@ -8,13 +8,14 @@ system of `conftest.py`), their immutability and attribute reads from a
 report are pinned here.  As tuples they also iterate, compare equal to
 plain tuples and are amended by `_replace`.
 
-The report columns build no record: they give each cell as the plain tuple
-of its record's fields, and a row builds its records on the first read of
-its `cells`, with `tuple.__new__` in one map per row.  So every public path
-that returns a cell is pinned to the record type itself: a report, on
-`FLOAT` and on `EXACT`, and `checked_cell` through the public `*_cell`
-functions; the columns of both instances are pinned to the plain field
-tuples of those records.  When the records are built changes nothing a
+The report columns build no record and no tuple per cell: they give their
+cells field-major, one flat tuple or list per field, and a row builds its
+records on the first read of its `cells`, by the kind's entry of
+`Arithmetic.records`, with `tuple.__new__` in one map per row.  So every
+public path that returns a cell is pinned to the record type itself: a
+report, on `FLOAT` and on `EXACT`, and `checked_cell` through the public
+`*_cell` functions; the columns of both instances are pinned to flat field
+tuples from which `records` builds those records.  When the records are built changes nothing a
 caller sees: a report row equals, hashes and prints like a row built from
 the records, a second read returns the same tuple, the field stays frozen
 and required, `dataclasses.replace`, `copy.deepcopy` and pickles keep the
@@ -116,10 +117,11 @@ PUBLIC_CELLS = {
 }
 
 
-#: The shared system's right-hand side (0.1, 0.4) and its columns, read as
-#: Fractions from their decimals.
+#: The shared system's right-hand side (0.1, 0.4), its rows and its columns,
+#: read as Fractions from their decimals.
 EXACT_BETA = (Fraction("0.1"), Fraction("0.4"))
-EXACT_COLUMNS = tuple(tuple(map(Fraction, map(str, column))) for column in transpose(SHARED_MATRIX))
+EXACT_GAMMA = tuple(tuple(map(Fraction, map(str, row))) for row in SHARED_MATRIX)
+EXACT_COLUMNS = transpose(EXACT_GAMMA)
 #: The stand-in for a system that the exact report and columns take: the
 #: rising front of each of those columns, which the Goguen entry reads.
 EXACT_PREPARED = SimpleNamespace(fronts=[front(column, EXACT_BETA) for column in EXACT_COLUMNS])
@@ -133,7 +135,9 @@ def cells_of_every_path(kind):
     return {
         "report": reported_cell(kind),
         "checked_cell": PUBLIC_CELLS[kind](system, 0, 1),
-        "exact": _report(EXACT, kind, EXACT_COLUMNS, EXACT_BETA, EXACT_PREPARED).rows[0].cells[1],
+        "exact": _report(
+            EXACT, kind, EXACT_GAMMA, EXACT_COLUMNS, EXACT_BETA, EXACT_PREPARED
+        ).rows[0].cells[1],
     }
 
 
@@ -152,24 +156,40 @@ def test_every_path_returns_the_record(kind):
         assert type(amended) is record and amended == (0.5, *cell[1:]), path
 
 
+#: The fields of each kind's cells that its report column gives, one flat
+#: tuple or list each: a Goguen cell with a zero entry gives the sentinel
+#: two as its value, and a Godel cell's support and borderline flag follow
+#: from its gamma entry.
+COLUMN_FIELDS = {
+    ImplicationKind.GODEL: ("theta", "zeta"),
+    ImplicationKind.GOGUEN: ("theta", "value"),
+    ImplicationKind.LUKASIEWICZ: ("zeta",),
+}
+
+
 @kinds
 def test_columns_give_the_fields_of_the_records(kind):
-    # the column of each instance returns plain tuples, bit for bit the
-    # fields of the records that the report of the same instance returns
+    # the column of each instance returns its cells field-major, one flat
+    # tuple or list of numbers per field and no tuple per cell, from which
+    # `records` builds, bit for bit, the records that the report of the same
+    # instance returns
     system = FuzzySystem(SHARED_MATRIX, (0.1, 0.4), kind)
     paths = cells_of_every_path(kind)
     columns = {
         "float": (
-            FLOAT.cells[kind](system.beta, system)(system.columns[1], 1)[0],
-            paths["report"],
+            FLOAT, system.columns[1], FLOAT.cells[kind](system.beta, system), paths["report"]
         ),
         "exact": (
-            EXACT.cells[kind](EXACT_BETA, EXACT_PREPARED)(EXACT_COLUMNS[1], 1)[0], paths["exact"]
+            EXACT, EXACT_COLUMNS[1], EXACT.cells[kind](EXACT_BETA, EXACT_PREPARED), paths["exact"]
         ),
     }
-    for path, (fields, record) in columns.items():
-        assert type(fields) is tuple, path
-        assert repr(fields) == repr(tuple(record)), path
+    for path, (ar, us, column, record) in columns.items():
+        fields = column(us, 1)
+        assert type(fields) is tuple and len(fields) == len(COLUMN_FIELDS[kind]), path
+        for field in fields:
+            assert type(field) in (tuple, list) and len(field) == len(us), path
+            assert {type(value) for value in field} == {type(ar.zero)}, path
+        assert repr(ar.records[kind](us, *fields)[0]) == repr(record), path
 
 
 def report_of(kind):

@@ -454,6 +454,51 @@ class TestValidation:
         assert err.startswith(f"error: {name!r} is not valid JSON: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("name, kind", [
+        ({"a": [1, 2]}, "an object"),
+        ([1, 2], "an array"),
+        (3, "a number"),
+        (0.5, "a number"),
+        (True, "a boolean"),
+        (json.loads("[" * 900 + "]" * 900), "an array"),
+    ], ids=["object", "array", "int", "float", "bool", "nested-900"])
+    def test_name_that_is_no_string_rejected(
+        self, capsys, monkeypatch, tmp_path, name, kind, source
+    ):
+        # `name` is an optional label: a string, null or absent; any other
+        # value is a malformed document, named by its JSON type alone
+        import io
+
+        doc = {"implication": "godel", "gamma": [[0.5]], "beta": [0.5], "name": name}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text(encoding="utf-8")))
+        given = str(path) if source == "file" else "-"
+        for argv in (("check",), ("distance", "--pretty"), ("maxt-distance",)):
+            code, out, err = run_cli(capsys, *argv, "--input", given)
+            assert (code, out) == (1, "")
+            assert err == f"error: name: optional string field, got {kind}\n"
+            if source == "stdin":
+                monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text(encoding="utf-8")))
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("name", ["label", "", None, "absent"])
+    def test_name_string_null_or_absent_accepted(self, capsys, monkeypatch, tmp_path, name, source):
+        import io
+
+        doc = {"implication": "godel", "gamma": [[0.5]], "beta": [0.5]}
+        if name != "absent":
+            doc["name"] = name
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text(encoding="utf-8")))
+        code, out, err = run_cli(capsys, "check", "--input", str(path) if source == "file" else "-")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["name"] == (None if name == "absent" else name)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "--input", "/nonexistent/x.json")
         assert code == 1

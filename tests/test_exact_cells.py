@@ -6,8 +6,9 @@ as `Arithmetic.cells`, and binds them to floats (`FLOAT`) and to Fractions
 the decimal readings of its entries: theta and zeta within CELL_ETA, and
 the same support, on full-precision, tie-heavy and edge entries (0, the
 subnormals, 2^-53, 1 - 2^-53 and 1) at dims up to 30.  The columns give
-each cell as the plain tuple of its record's fields, so the test reads them
-by name through the kind's record.
+their cells field-major, one flat tuple per field, so the test builds each
+row's records by the kind's entry of `Arithmetic.records`, as a row does on
+the first read of its `cells`, and reads them by name.
 """
 
 import sys
@@ -16,15 +17,12 @@ from types import SimpleNamespace
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from fuzzrel import GodelCellStats, GoguenCellStats, ImplicationKind, LukaCellStats
+from fuzzrel import ImplicationKind
 from fuzzrel.algebra import FLOAT, Fronts, column_scan, transpose
 from fuzzrel.oracle import EXACT, _exact_matrix, _exact_vector
 from helpers import tied_systems
 
 GOGUEN = ImplicationKind.GOGUEN
-
-#: The cell record of each kind.
-RECORDS = dict(zip(ImplicationKind, (GodelCellStats, GoguenCellStats, LukaCellStats)))
 
 #: A bound on |float cell - exact cell|, modelled on the max-t bound
 #: `oracle.MAXT_ETA`: each statistic is a max of thresholds of a few sums,
@@ -68,27 +66,35 @@ def without_subnormals(gamma):
     return tuple(tuple(least if 0.0 < g < least else g for g in row) for row in gamma)
 
 
+def scanned_records(ar, kind, gamma, rhs) -> list:
+    """The records of the cells of `gamma` and `rhs`, row by row, on `ar`:
+    its `column_scan` of the columns of `gamma`, with a stand-in for the
+    system, whose fronts the Goguen entry reads, and the kind's entry of
+    `ar.records` on each row's gamma entries and flat field tuples."""
+    columns = transpose(gamma)
+    fields = column_scan(
+        columns, rhs, ar.cells[kind], SimpleNamespace(fronts=Fronts(columns, rhs, True))
+    )
+    records = ar.records[kind]
+    return [records(row, *(field[j] for field in fields)) for j, row in enumerate(gamma)]
+
+
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(st.one_of(tied_systems(max_dim=30), edge_systems()), st.sampled_from(list(ImplicationKind)))
 def test_float_cells_are_near_the_exact_cells(system, kind):
     gamma, beta = system
     if kind is GOGUEN:
         gamma = without_subnormals(gamma)
-    # each scan takes a stand-in for the system, whose fronts the Goguen
-    # entry reads
-    floats, exacts = [
-        column_scan(
-            columns, rhs, ar.cells[kind], SimpleNamespace(fronts=Fronts(columns, rhs, True))
+    floats, exacts = (
+        scanned_records(ar, kind, rows, rhs)
+        for ar, rows, rhs in (
+            (FLOAT, gamma, beta),
+            (EXACT, _exact_matrix(gamma), _exact_vector(beta)),
         )
-        for ar, columns, rhs in (
-            (FLOAT, transpose(gamma), beta),
-            (EXACT, transpose(_exact_matrix(gamma)), _exact_vector(beta)),
-        )
-    ]
-    record = RECORDS[kind]._make
+    )
     found = []
     for j, (float_row, exact_row) in enumerate(zip(floats, exacts)):
-        for i, (cell, exact) in enumerate(zip(map(record, float_row), map(record, exact_row))):
+        for i, (cell, exact) in enumerate(zip(float_row, exact_row)):
             far = [
                 name for name in ("theta", "zeta")
                 if name in cell._fields

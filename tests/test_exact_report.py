@@ -54,16 +54,17 @@ kinds = st.sampled_from(list(ImplicationKind))
 
 def exact_report(system: FuzzySystem):
     """The skeleton on `EXACT` over the decimal readings of `system`, from
-    its `readings`: of its columns, of its right-hand side and of its float
-    `fronts`, which the Goguen entry reads from a stand-in for the system.
-    Reading a float as its shortest decimal is strictly increasing, so the
-    readings of a float front are the front of the read column
+    its `readings`: of its rows and columns, of its right-hand side and of
+    its float `fronts`, which the Goguen entry reads from a stand-in for the
+    system.  Reading a float as its shortest decimal is strictly increasing,
+    so the readings of a float front are the front of the read column
     (`test_front.py` checks it), and the exact report sorts no Fraction."""
     read = system.readings.__getitem__
+    gamma = tuple(tuple(map(read, row)) for row in system.gamma)
     columns = tuple(tuple(map(read, column)) for column in system.columns)
     fronts = [tuple((read(g), read(b)) for g, b in system.fronts[i]) for i in range(system.n)]
     prepared = SimpleNamespace(fronts=fronts)
-    return _report(EXACT, system.kind, columns, tuple(map(read, system.beta)), prepared)
+    return _report(EXACT, system.kind, gamma, columns, tuple(map(read, system.beta)), prepared)
 
 
 def numbers(report) -> list:

@@ -37,6 +37,7 @@ import dataclasses
 import math
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -56,7 +57,7 @@ from fuzzrel import (
 from fuzzrel.algebra import FLOAT, beta_order, column_scan, front, transpose
 from fuzzrel.oracle import EXACT, _Readings
 from helpers import tied_systems, whole_columns
-from test_kernels import cell_references, split
+from test_kernels import cell_references, fields_of, split
 
 GODEL, GOGUEN, LUKA = ImplicationKind
 
@@ -76,9 +77,10 @@ def whole_pairs(system):
 
 
 def full_scan(matrix, rhs, cell):
-    """The scan of the cells of `matrix` by the cell formula `cell` without
-    pruning: every cell sees every pair of its column."""
-    return column_scan(transpose(matrix), rhs, whole_columns(cell), None)
+    """The rows of the cells of `matrix` by the cell formula `cell`, a scan
+    without pruning: every cell sees every pair of its column."""
+    (rows,) = column_scan(transpose(matrix), rhs, whole_columns(cell), None)
+    return rows
 
 
 @contextmanager
@@ -86,12 +88,16 @@ def unpruned():
     """Replace `MaxTSystem.kept` by `whole_pairs`, and each report column
     of `FLOAT` and `EXACT`, which reduces its column itself with no cell
     formula of its own, by the brute-force cells of
-    `test_kernels.cell_references` over the whole column: the reports,
+    `test_kernels.cell_references` over the whole column, laid out as the
+    column's flat field tuples by `test_kernels.fields_of`: the reports,
     `checked_cell`, both max-t distances and the filter of
     `exact_maxt_distance` then see whole columns."""
     with ExitStack() as stack:
         for ar in (FLOAT, EXACT):
-            brute = {kind: whole_columns(cell) for kind, cell in cell_references(ar).items()}
+            brute = {
+                kind: whole_columns(cell, partial(fields_of, ar, kind))
+                for kind, cell in cell_references(ar).items()
+            }
             stack.enter_context(mock.patch.dict(ar.cells, brute))
         stack.enter_context(mock.patch.object(MaxTSystem, "kept", property(whole_pairs)))
         yield

@@ -128,31 +128,35 @@ class TestGoguenInvariants:
             assert tolerance_membership(system, report.nabla, slack=SLACK)
 
     def test_row_rule_checks_tau_against_the_least_zeta(self):
-        # the row rule takes tau and the least zeta in one pass; a supporting
-        # cell whose theta exceeds its zeta breaks the column's invariant.
-        # Both instances run the same rule, each in its own number type.
+        # the row rule takes tau as the least zeta, by `min` over the values
+        # of its cells, the zeta of a supporting cell and the sentinel two
+        # of any other; a supporting cell whose theta exceeds its zeta
+        # breaks the column's invariant.  Both instances run the same rule,
+        # each in its own number type.
         for ar in (FLOAT, EXACT):
             rule, tenth = ar.row_rules[ImplicationKind.GOGUEN], type(ar.zero)(1) / 10
-            cells = (
-                GoguenCellStats(tenth, 3 * tenth, True),
-                GoguenCellStats(4 * tenth, 2 * tenth, True),
-            )
+            two = 20 * tenth
+            gs = (tenth,) * 3
             with pytest.raises(InvariantViolation, match=re.escape(f"least zeta {2 * tenth!r}")):
-                rule(0, 2 * tenth, cells)
+                rule(0, 2 * tenth, gs, (tenth, 4 * tenth), (3 * tenth, 2 * tenth))
             # the column gives tau and the least zeta as the same value, so
             # a gap of 2^-45, below any float tolerance, breaks it too
             gap = type(ar.zero)(2.0**-45)
-            near = (GoguenCellStats(2 * tenth + gap, 2 * tenth, True), cells[0])
             with pytest.raises(InvariantViolation, match=re.escape(f"least zeta {2 * tenth!r}")):
-                rule(0, 2 * tenth, near)
-            cells = (
-                GoguenCellStats(9 * tenth, ar.zero, False),
-                cells[0],
-                GoguenCellStats(ar.zero, 3 * tenth, True),
+                rule(0, 2 * tenth, gs, (2 * tenth + gap, tenth), (2 * tenth, 3 * tenth))
+            # a cell with a zero entry gives the sentinel, above every zeta,
+            # and its record zeta 0 and no support
+            row = rule(
+                0, 2 * tenth, (ar.zero, tenth, tenth),
+                (9 * tenth, tenth, ar.zero), (two, 3 * tenth, 3 * tenth),
             )
-            row = rule(0, 2 * tenth, cells)
             assert (row.tau_j, row.argmin_col, row.nabla_j) == (3 * tenth, 1, 3 * tenth)
             assert type(row.one_minus_beta) is type(ar.zero)
+            assert row.cells == (
+                GoguenCellStats(9 * tenth, ar.zero, False),
+                GoguenCellStats(tenth, 3 * tenth, True),
+                GoguenCellStats(ar.zero, 3 * tenth, True),
+            )
 
     def test_column_checks_that_a_supporting_cell_dominates_a_row(self):
         # a supporting cell dominates at least its own row, which its

@@ -9,9 +9,12 @@ them, written with builtin min/max.  The report entries compute a whole
 column of cells per call, with no cell formula of their own, so every cell
 of each is checked against those references scanning the whole column, on
 random columns and on columns that reach the Goguen rescale, all-zero gamma
-columns and cells with a zero entry; each cell is the plain tuple of its
-record's fields, since a row builds its records only when its `cells` are
-read (`test_cell_types.py` pins the records of the rows).  The two
+columns and cells with a zero entry.  A column gives its cells field-major,
+one flat tuple per field and no tuple per cell, since a row builds its
+records only when its `cells` are read: each column is checked in that
+layout, `fields_of` the references, and through the records that the kind's
+entry of `Arithmetic.records` builds from it (`test_cell_types.py` pins the
+records of the rows).  The two
 reductions of a column to its pairs of greatest key, `luka_top` of the
 Lukasiewicz report column, in floats and in Fractions, and the float
 max-Lukasiewicz one of `MaxTSystem.kept`, are checked against a
@@ -24,8 +27,8 @@ loop per kind, are checked against the builtin `max` /
 NaN and out-of-range entries, which unvalidated callers can pass; so are
 the membership loops, on validated entries, against the same loops over
 `shifted_bounds`.  The row rules of `Arithmetic.row_rules` are pinned on
-hand-made rows: ties, rows with no supporting column and the number type
-of every field.
+hand-made rows, in the layout of the columns: ties, rows with no
+supporting column and the number type of every field.
 
 Every random stream here is a `random.Random` with a fixed seed per test.
 Under `--hypothesis-seed` the `seeds` fixture mixes that seed into each
@@ -177,6 +180,20 @@ def cell_references(ar):
     return {GODEL: godel, GOGUEN: goguen, LUKA: luka}
 
 
+def fields_of(ar, kind, cells) -> tuple:
+    """The flat field tuples that the report column of `kind` on `ar` gives
+    for the cell records `cells`: (thetas, zetas) for Godel, whose support
+    and borderline flag its records read off its gamma entries; (thetas,
+    values) for Goguen, a value being a supporting cell's zeta or else the
+    sentinel two; (zetas,) for Lukasiewicz."""
+    if kind is GODEL:
+        return tuple(c.theta for c in cells), tuple(c.zeta for c in cells)
+    if kind is GOGUEN:
+        two = type(ar.zero)(2)
+        return tuple(c.theta for c in cells), tuple(c.zeta if c.support else two for c in cells)
+    return (tuple(c.zeta for c in cells),)
+
+
 def report_columns(grid, seed, count: int):
     """Columns for the report entries: every 1-row column of `grid`, then
     columns whose gamma entries are all zero (of either sign in floats),
@@ -194,20 +211,23 @@ def report_columns(grid, seed, count: int):
 
 def column_mismatches(ar, kind, pairs_of_columns) -> list:
     """The columns on which the report entry of `kind` differs from the
-    fields of the brute-force cells over the whole column, by `repr`: value,
-    sign of a zero, number type, and plain tuples, with no record built in
-    the column.  The float Goguen quotient is monotone in the column pair
-    only up to rounding, so the float Goguen column is compared over the
-    `front` it reads; `test_front.py` compares that pruning with the whole
-    column on systems, within a few ulps."""
+    brute-force cells over the whole column, by `repr`: value, sign of a
+    zero and number type, both of its flat field tuples against `fields_of`
+    those cells and of the records that `ar.records` builds from them, with
+    no tuple per cell in the column.  The float Goguen quotient is monotone
+    in the column pair only up to rounding, so the float Goguen column is
+    compared over the `front` it reads; `test_front.py` compares that
+    pruning with the whole column on systems, within a few ulps."""
     column, reference = ar.cells[kind], cell_references(ar)[kind]
     found = []
     for pairs in pairs_of_columns:
         us, xs = split(pairs)
         got = column(xs, SimpleNamespace(fronts=(front(us, xs),)))(us, 0)
         read = front(us, xs) if kind is GOGUEN and ar is FLOAT else pairs
-        want = tuple(tuple(reference(g, b, read)) for g, b in pairs)
-        if repr(got) != repr(want):
+        want = tuple(reference(g, b, read) for g, b in pairs)
+        if repr(tuple(map(tuple, got))) != repr(fields_of(ar, kind, want)) or repr(
+            ar.records[kind](us, *got)
+        ) != repr(want):
             found.append((pairs, got, want))
     return found
 
@@ -305,7 +325,7 @@ def test_row_rules_keep_the_first_of_equal_values(ar, kind):
         GOGUEN: [GoguenCellStats(ar.zero, value, True) for value in values],
         LUKA: [LukaCellStats(value) for value in values],
     }[kind]
-    row = ar.row_rules[kind](3, one / 8, tuple(cells))
+    row = ar.row_rules[kind](3, one / 8, (half,) * 3, *fields_of(ar, kind, cells))
     assert (row.row, row.argmin_col, row.tau_j, row.nabla_j) == (3, 1, quarter, quarter)
     assert row.one_minus_beta == one - one / 8
     assert row.attainable and not row.borderline
@@ -324,10 +344,11 @@ def test_row_rules_without_a_supporting_column(ar, kind):
         GODEL: GodelCellStats(-one / 2, ar.zero, False, False),
         GOGUEN: GoguenCellStats(ar.zero, ar.zero, False),
     }[kind]
-    row = ar.row_rules[kind](0, one / 4, (cell, cell))
+    row = ar.row_rules[kind](0, one / 4, (ar.zero,) * 2, *fields_of(ar, kind, (cell, cell)))
     assert row.argmin_col is None and row.tau_j == one and type(row.tau_j) is type(one)
     assert row.nabla_j == row.one_minus_beta == one - one / 4
     assert row.attainable and not row.borderline
+    assert row.cells == (cell, cell)
 
 
 def maxt_references(ar):

@@ -1,5 +1,6 @@
 """Consistency decisions, the closure-map laws and the prepared systems."""
 
+import copy
 import dataclasses
 import pickle
 from decimal import Decimal
@@ -225,6 +226,13 @@ def matrix_of(system):
     return system.gamma if isinstance(system, FuzzySystem) else system.a
 
 
+#: The six properties that a system computes on their first read and keeps.
+CACHED = [
+    (FuzzySystem, "fronts"), (FuzzySystem, "readings"), (MaxTSystem, "fronts"),
+    (MaxTSystem, "readings"), (MaxTSystem, "kept"), (MaxTSystem, "float_cells"),
+]
+
+
 class TestPreparedSystem:
     """Both systems keep their matrix's transpose as `columns`, built once."""
 
@@ -253,6 +261,30 @@ class TestPreparedSystem:
             assert copy.columns == transpose(matrix_of(system))
         replaced = dataclasses.replace(system, **changes)
         assert replaced.columns == transpose(swapped)
+
+    @pytest.mark.parametrize("cls, name", CACHED, ids=[f"{c.__name__}.{n}" for c, n in CACHED])
+    def test_cached_properties_are_computed_once_and_kept(self, cls, name, monkeypatch):
+        # each is a non-data descriptor with no lock: its first read calls
+        # its function once and stores the value in the system's __dict__,
+        # where later reads, pickles and copies find it
+        descriptor = vars(cls)[name]
+        assert not hasattr(type(descriptor), "__set__") and not hasattr(descriptor, "lock")
+        assert descriptor.__doc__ == descriptor.func.__doc__
+        assert getattr(cls, name) is descriptor
+        system, calls, func = cls(*PREPARED, ImplicationKind.GOGUEN), [], descriptor.func
+        monkeypatch.setattr(descriptor, "func", lambda system: calls.append(system) or func(system))
+        assert name not in vars(system)
+        value = getattr(system, name)
+        assert getattr(system, name) is value and vars(system)[name] is value
+        assert calls == [system]
+        copies = [
+            pickle.loads(pickle.dumps(system, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for made in (*copies, copy.copy(system), copy.deepcopy(system)):
+            assert made == system and vars(made)[name] == value
+            assert getattr(made, name) is vars(made)[name]
+        assert calls == [system]
 
     def test_maxt_distances_share_one_scan(self, monkeypatch):
         # `maxt_distance` scans the float cells once, each column over its

@@ -10,13 +10,17 @@ Both take the same arguments and give the same signature, field values and
 their order, eq, hash and repr, the same `dataclasses.replace` (under which
 a system validates again and recomputes `columns`), pickle, copy and
 deepcopy round trips and `FrozenInstanceError`, and the lazy
-`RowDiagnostics.cells` reads, unread, read and replaced with records, alike.
+`RowDiagnostics.cells` reads, unread, read and replaced with records, alike,
+for the rows of every kind: a row's cells wait as the flat field tuples of
+its columns, and the records a row builds from them on first read are those
+of each cell alone, by `checked_cell` and its path on `EXACT`.
 """
 
 import copy
 import dataclasses
 import inspect
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +43,9 @@ from fuzzrel import (
     near_approximation,
     transpose,
 )
+from fuzzrel.oracle import EXACT
+from fuzzrel.report import checked_cell
+from test_exact_report import exact_report
 
 GODEL = ImplicationKind.GODEL
 
@@ -188,19 +195,70 @@ def test_frozen(cls):
                 delattr(made, f.name)
 
 
-def test_row_cells_unread_read_and_replaced():
-    # a report row holds its cells as field tuples until the first read
-    values = dict(vars(distance_report(FuzzySystem(SHARED_MATRIX, (0.1, 0.4), GODEL)).rows[1]))
-    made, twin = RowDiagnostics(**values), TWINS[RowDiagnostics](**values)
-    assert type(vars(made)["cells"]) is type(vars(twin)["cells"]) is not tuple
-    assert state(made) == state(twin)
-    # eq, hash and repr read the cells, which builds their records once
-    assert made == RowDiagnostics(**values) and hash(made) == hash(twin)
-    assert same_repr(made, twin)
-    assert type(vars(made)["cells"]) is type(vars(twin)["cells"]) is tuple
-    assert made.cells is made.cells and made.cells == twin.cells
-    assert state(made) == state(twin)
-    records = tuple(made.cells)
-    for row in (made, twin):
-        replaced = dataclasses.replace(row, cells=records)
-        assert replaced.cells is records and replaced == row
+#: Per kind, systems whose reports hold cells of every layout: a zero
+#: gamma entry, a cell with no support (the sentinel of a Goguen column),
+#: and for Godel near-ties of theta and zeta, whose cells are borderline.
+ZERO_ENTRY = (((0.6, 0.49, 0.0), (0.26, 0.9, 0.3)), (0.1, 0.4))
+ROW_SYSTEMS = {kind: [ZERO_ENTRY] for kind in ImplicationKind}
+ROW_SYSTEMS[GODEL] += [
+    (((1e-17, 0.5, 0.2), (0.0, 0.4, 0.3)), (0.1, 0.3)),
+    (((0.5, 0.3), (0.2, 0.0)), (0.3, 0.3)),
+]
+
+per_kind = pytest.mark.parametrize("kind", list(ImplicationKind), ids=lambda kind: kind.value)
+
+
+def systems_of(kind):
+    return [FuzzySystem(gamma, beta, kind) for gamma, beta in ROW_SYSTEMS[kind]]
+
+
+@per_kind
+def test_row_cells_unread_read_and_replaced(kind):
+    # a report row holds its cells as flat field tuples until the first read
+    for system in systems_of(kind):
+        for reported in distance_report(system).rows:
+            values = dict(vars(reported))
+            made, twin = RowDiagnostics(**values), TWINS[RowDiagnostics](**values)
+            assert type(vars(made)["cells"]) is type(vars(twin)["cells"]) is not tuple
+            assert state(made) == state(twin)
+            # eq, hash and repr read the cells, which builds their records once
+            assert made == RowDiagnostics(**values) and hash(made) == hash(twin)
+            assert same_repr(made, twin)
+            assert type(vars(made)["cells"]) is type(vars(twin)["cells"]) is tuple
+            assert made.cells is made.cells and made.cells == twin.cells
+            assert state(made) == state(twin)
+            records = tuple(made.cells)
+            for row in (made, twin):
+                replaced = dataclasses.replace(row, cells=records)
+                assert replaced.cells is records and replaced == row
+
+
+def exact_cell(system, row, col):
+    """`checked_cell` on `EXACT`: the record of one cell of the column of
+    the decimal readings of `system`, by the kind's entries of
+    `EXACT.cells` and `EXACT.records`."""
+    read = system.readings.__getitem__
+    us, beta = tuple(map(read, system.columns[col])), tuple(map(read, system.beta))
+    fronts = {col: tuple((read(g), read(b)) for g, b in system.fronts[col])}
+    fields = EXACT.cells[system.kind](beta, SimpleNamespace(fronts=fronts))(us, col)
+    (cell,) = EXACT.records[system.kind]((us[row],), *((field[row],) for field in fields))
+    return cell
+
+
+@per_kind
+def test_row_cells_are_the_checked_cells(kind):
+    # every cell a row builds on first read is the record of that cell
+    # alone, by type and repr: on the float report `checked_cell`, on the
+    # exact report the same cell path on `EXACT`
+    seen = set()
+    for system in systems_of(kind):
+        paths = ((distance_report(system), checked_cell), (exact_report(system), exact_cell))
+        for report, cell in paths:
+            for row in report.rows:
+                for i, reported in enumerate(row.cells):
+                    want = cell(system, row.row, i)
+                    assert type(reported) is type(want) and repr(reported) == repr(want)
+                    seen.add(getattr(reported, "support", True))
+                    seen.add(("borderline", getattr(reported, "borderline", False)))
+    assert (False in seen) is (kind is not ImplicationKind.LUKASIEWICZ)
+    assert (("borderline", True) in seen) is (kind is GODEL)

@@ -215,10 +215,10 @@ def record_builds() -> list[tuple[str, str, str]]:
 
 def test_report_columns_call_no_threshold_and_no_record():
     # each report column writes its thresholds out, with the per-pair and
-    # per-cell terms computed once, and returns the plain tuples of its
-    # cells' fields: it builds no record, by a record type's generated
-    # `__new__` or by a map of `tuple.__new__`; a row builds its records on
-    # the first read of its `cells`
+    # per-cell terms computed once, and returns its cells' fields as flat
+    # tuples: it builds no record, by a record type's generated `__new__`
+    # or by a map of `tuple.__new__`; a row builds its records on the
+    # first read of its `cells`
     columns = [f for f in hot_formulas() if f.name in REPORT_COLUMNS]
     assert len(columns) == 3
     found = [
@@ -235,11 +235,16 @@ def test_report_columns_call_no_threshold_and_no_record():
         and (getattr(node, "id", None) or node.attr) in RECORDS | {"_Pending", "partial"}
     ]
     assert found == []
-    # the one record map of the package is the first read of a row's
-    # `cells`, one map per row; `checked_cell` wraps its one cell
+    # the record maps of the package are the entries of `Arithmetic.records`,
+    # one map per row, which the first read of a row's `cells` and
+    # `checked_cell` call
     assert record_builds() == [
-        ("algebra.py", "__get__", "map(tuple.__new__, repeat(record), fields)"),
-        ("report.py", "checked_cell", "tuple.__new__(_RECORDS[system.kind], fields)"),
+        ("algebra.py", f"{kind}_records", f"map(tuple.__new__, repeat({record}), {fields})")
+        for kind, record, fields in (
+            ("godel", "GodelCellStats", "found"),
+            ("goguen", "GoguenCellStats", "found"),
+            ("luka", "LukaCellStats", "zip(zetas)"),
+        )
     ]
 
 
@@ -342,8 +347,9 @@ def transposes(node) -> bool:
     """Whether `node` lays a matrix out as columns again: a call to
     `transpose` or zip(*...), a comprehension that takes one entry of every
     row (`[row[j] for row in matrix]`), or a call to `column_scan` or to the
-    report skeleton `_report` whose columns argument is neither a system's
-    prepared `columns` nor the skeleton's own parameter `columns`."""
+    report skeleton `_report` whose columns argument, its first or its
+    fourth, is neither a system's prepared `columns` nor the skeleton's own
+    parameter `columns`."""
     if isinstance(node, (ast.ListComp, ast.GeneratorExp)) and len(node.generators) == 1:
         target, elt = node.generators[0].target, node.elt
         return (
@@ -354,7 +360,7 @@ def transposes(node) -> bool:
         return False
     name = ast.unparse(node.func).split(".")[-1]
     if name in ("column_scan", "_report"):
-        columns = ast.unparse(node.args[0 if name == "column_scan" else 2])
+        columns = ast.unparse(node.args[0 if name == "column_scan" else 3])
         return not (columns == "columns" or columns.endswith(".columns"))
     return name == "transpose" or (
         name == "zip" and any(isinstance(arg, ast.Starred) for arg in node.args)
